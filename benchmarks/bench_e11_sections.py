@@ -27,7 +27,7 @@ P = 8
 
 def build(section=None):
     machine = Machine(ProcessorArray("R", (P,)), cost_model=IPSC860)
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     target = section(machine) if section else None
     arr = engine.declare(
         "A", (N, N), dist=dist_type("BLOCK", ":"), to=target, dynamic=True

@@ -23,22 +23,28 @@ from repro.core.distribution import dist_type
 from repro.machine import IPSC860, Machine, MODERN_CLUSTER, PARAGON, ProcessorArray
 from repro.planner import (
     CostEngine,
-    get_workload,
+    adi_workload,
     hand_schedule_cost,
+    pic_workload,
+    plan_workload,
+    smoothing_workload,
 )
-from repro.planner.workloads import _plan_workload
 
 MODELS = (IPSC860, PARAGON, MODERN_CLUSTER)
-WORKLOADS = ("adi", "pic", "smoothing")
+WORKLOADS = {
+    "adi": adi_workload,
+    "pic": pic_workload,
+    "smoothing": smoothing_workload,
+}
 
 
 def test_e12_planner_vs_static_vs_hand():
     rows = []
     for name in WORKLOADS:
         for cm in MODELS:
-            wl = get_workload(name, cost_model=cm)
+            wl = WORKLOADS[name](cost_model=cm)
             engine = CostEngine(wl.machine)
-            plan = _plan_workload(wl, cost_engine=engine)
+            plan = plan_workload(wl, cost_engine=engine)
             best_static = min(plan.static.values())
             hand = hand_schedule_cost(wl, cost_engine=engine)
             rows.append(
@@ -68,8 +74,8 @@ def test_e12_planner_vs_static_vs_hand():
 def test_e12_adi_recovers_figure1_on_every_preset():
     rows = []
     for cm in MODELS:
-        wl = get_workload("adi", cost_model=cm)
-        plan = _plan_workload(wl)
+        wl = adi_workload(cost_model=cm)
+        plan = plan_workload(wl)
         schedule = [s.dist.dtype for s in plan.steps]
         want = [
             dist_type(":", "BLOCK"),
@@ -114,9 +120,9 @@ def test_e12_executed_planned_adi_matches_dynamic():
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_e12_planner_benchmark(benchmark, name):
-    wl = get_workload(name)
+    wl = WORKLOADS[name]()
 
     def run():
-        return _plan_workload(wl, cost_engine=CostEngine(wl.machine))
+        return plan_workload(wl, cost_engine=CostEngine(wl.machine))
 
     benchmark(run)

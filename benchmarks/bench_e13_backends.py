@@ -59,7 +59,7 @@ def transport_calibration():
 def _measured_flip(machine, from_spec, to_spec, n: int, repeats: int = 5):
     """Wall-clock one DISTRIBUTE flip of an n x n array; return the
     best-of-``repeats`` seconds and the final array contents."""
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     v = engine.declare(
         "V", (n, n), dist=dist_type(*from_spec), dynamic=True
     )
@@ -157,13 +157,13 @@ def test_e13_calibration_is_planner_ready(transport_calibration):
     """The fitted machine drops into the planner unchanged (the
     'MeasuredMachine the planner accepts' acceptance criterion)."""
     from repro.planner import adi_workload
-    from repro.planner.workloads import _plan_workload
+    from repro.planner.workloads import plan_workload
 
     machine = MeasuredMachine(
         ProcessorArray("M", (4,)), transport_calibration
     )
     workload = adi_workload(32, 32, iterations=2, machine=machine)
-    plan = _plan_workload(workload, cost_engine=CostEngine(machine))
+    plan = plan_workload(workload, cost_engine=CostEngine(machine))
     assert plan.total_cost >= 0
     assert plan.steps, "planner produced no schedule on a MeasuredMachine"
     best_static = min(plan.static.values())

@@ -38,7 +38,7 @@ import pytest
 from conftest import emit_table
 from repro.machine import IPSC860, Machine, PARAGON, ProcessorArray
 from repro.planner import CostEngine, SimulatedCostEngine, adi_workload
-from repro.planner.workloads import _plan_workload
+from repro.planner.workloads import plan_workload
 from repro.sim import EventLog, overlappable_phases, record, simulate
 
 
@@ -172,8 +172,8 @@ def test_e14_simulated_cost_mode_exploits_overlap():
     assert sim_engine.transition_cost(a, b) <= (
         blocking_engine.transition_cost(a, b) * (1 + 1e-9)
     )
-    plan_b = _plan_workload(wl, cost_engine=blocking_engine)
-    plan_s = _plan_workload(wl, cost_mode="simulated")
+    plan_b = plan_workload(wl, cost_engine=blocking_engine)
+    plan_s = plan_workload(wl, cost_mode="simulated")
     assert plan_s.total_cost <= plan_b.total_cost * (1 + 1e-9)
 
 

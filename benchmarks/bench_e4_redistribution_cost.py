@@ -47,7 +47,7 @@ def test_e4_cost_by_pair_and_size():
     for label, old_t, new_t in PAIRS:
         for n in (32, 128, 512):
             machine = Machine(R, cost_model=PARAGON)
-            engine = Engine._create(machine)
+            engine = Engine(machine)
             arr = engine.declare("A", (n, 8), dist=old_t, dynamic=True)
             arr.fill(1.0)
             nt = new_t or _bblock_shift(n)
@@ -157,7 +157,7 @@ def test_e4_bookkeeping_cost():
 def test_e4_redistribute_benchmark(benchmark, label, old_t, new_t):
     n = 128
     machine = Machine(R, cost_model=PARAGON)
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     arr = engine.declare("A", (n, 8), dist=old_t, dynamic=True)
     arr.fill(1.0)
     new_bound = new_t.apply((n, 8), R)

@@ -23,7 +23,7 @@ N = 128
 
 def build(n_secondaries):
     machine = Machine(R, cost_model=PARAGON)
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     engine.declare(
         "B", (N, 8), dynamic=DynamicAttr(initial=dist_type("BLOCK", ":"))
     )

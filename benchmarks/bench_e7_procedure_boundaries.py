@@ -32,7 +32,7 @@ def _adi_via_procedures(restore: str):
     """ADI where each sweep is a procedure whose formal declares the
     distribution it wants — the implicit-redistribution style."""
     machine = Machine(ProcessorArray("R", (P,)), cost_model=PARAGON)
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     v = engine.declare("V", (N, N), dist=dist_type(":", "BLOCK"), dynamic=True)
     v.from_global(np.random.default_rng(0).standard_normal((N, N)))
     line = lambda x: thomas_const(x, -1.0, 4.0)  # noqa: E731
@@ -123,7 +123,7 @@ def test_e7_single_call_hpf_doubles_traffic():
     counts = {}
     for restore in ("vf", "hpf"):
         machine = Machine(ProcessorArray("R", (P,)), cost_model=PARAGON)
-        engine = Engine._create(machine)
+        engine = Engine(machine)
         v = engine.declare(
             "V", (N, N), dist=dist_type(":", "BLOCK"), dynamic=True
         )

@@ -27,7 +27,7 @@ STEPS = 10
 
 def setup():
     machine = Machine(ProcessorArray("R", (P,)), cost_model=IPSC860)
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     arr = engine.declare("X", (N,), dist=dist_type("BLOCK"), dynamic=True)
     arr.from_global(np.arange(N, dtype=float))
     rng = np.random.default_rng(0)

@@ -51,12 +51,5 @@ setup(
             "pytest-benchmark",
             "pytest-timeout",
         ],
-        # the stdlib asyncio server (python -m repro serve) needs none
-        # of this; the extra is only the optional FastAPI front end
-        # (repro.serve.fastapi_app)
-        "serve": [
-            "fastapi",
-            "uvicorn",
-        ],
     },
 )

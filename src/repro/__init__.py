@@ -279,14 +279,12 @@ from .planner import (
     ScheduleStep,
     SimulatedCostEngine,
     Workload,
-    WORKLOADS,
     adi_workload,
     bind_pattern,
     dim_menu,
     dp_schedule,
     enumerate_layouts,
     extract_phases,
-    get_workload,
     greedy_schedule,
     hand_schedule_cost,
     pic_workload,
@@ -317,7 +315,6 @@ from .runtime import (
     reduce_scalar,
     shift_exchange,
     transfer_matrix,
-    transfer_matrix_bruteforce,
     transfer_matrix_naive,
 )
 from .sim import (
@@ -498,7 +495,6 @@ __all__ = [
     "default_plan_cache",
     "transfer_matrix",
     "transfer_matrix_naive",
-    "transfer_matrix_bruteforce",
     "TranslationTable",
     "DimTranslationTable",
     "shift_exchange",
@@ -583,10 +579,8 @@ __all__ = [
     "adi_workload",
     "pic_workload",
     "smoothing_workload",
-    "get_workload",
     "plan_workload",
     "hand_schedule_cost",
-    "WORKLOADS",
     # execution backends (repro.backend)
     "Backend",
     "SerialBackend",

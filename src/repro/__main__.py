@@ -257,8 +257,7 @@ def calibrate_command(args: argparse.Namespace) -> None:
     """Calibrate the multiprocess transport; plan against the fit."""
     from .backend.calibrate import calibrate
     from .machine import MeasuredMachine, ProcessorArray
-    from .planner import CostEngine, adi_workload
-    from .planner.workloads import _plan_workload
+    from .planner import CostEngine, adi_workload, plan_workload
 
     if not args.json:
         print(
@@ -268,7 +267,7 @@ def calibrate_command(args: argparse.Namespace) -> None:
     cal = calibrate(nprocs=args.nprocs, repeats=args.repeats)
     machine = MeasuredMachine(ProcessorArray("M", (args.nprocs,)), cal)
     workload = adi_workload(32, 32, iterations=2, machine=machine)
-    plan = _plan_workload(workload, cost_engine=CostEngine(machine))
+    plan = plan_workload(workload, cost_engine=CostEngine(machine))
 
     if args.json:
         print(json.dumps(

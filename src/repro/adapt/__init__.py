@@ -13,9 +13,10 @@ path exactly when a tiered policy says the move pays for itself.
   redistribution rules with tiered fallback: static -> sustained
   threshold -> full planner pricing; plus the registry-wide
   :meth:`~PolicyLibrary.coverage_report`;
-- :class:`AdaptiveController` — drives a workload in ``static`` /
-  ``balanced`` / ``offline`` / ``adaptive`` modes sharing one RNG
-  stream, checkpointing at window boundaries and logging every
+- :class:`AdaptiveController` — workload-agnostic: drives the
+  adaptive model of any workload registered with an ``.adaptive`` hook
+  in ``static`` / ``balanced`` / ``offline`` / ``adaptive`` modes
+  sharing one RNG stream, checkpointing at window boundaries and logging every
   decision to the flight recorder and the ``repro_adapt_*`` metrics;
 - :func:`run_adapt_bench` — bench E16: adaptive must beat the best
   static layout *and* the offline plan on drifting load, bitwise
@@ -29,7 +30,6 @@ from .controller import (
     AdaptiveRun,
     Checkpoint,
     ReplanRecord,
-    supported_workloads,
 )
 from .monitor import LoadMonitor, WindowSample
 from .policies import (
@@ -57,7 +57,6 @@ __all__ = [
     "Checkpoint",
     "ReplanRecord",
     "MODES",
-    "supported_workloads",
     "ADAPT_SCHEMA",
     "run_adapt_bench",
 ]

@@ -13,21 +13,51 @@ feeds a :class:`~repro.adapt.LoadMonitor`, consults a
 engine's ordinary ``DISTRIBUTE`` path — the same transfer-plan memos
 every other redistribution pays.
 
-Four modes share one driver per workload, so their runs differ *only*
-in redistribution decisions (the physical state consumes an identical
-RNG stream, making solutions bitwise-equal across modes — the property
-the determinism gate leans on):
+The controller is workload-agnostic: it names no workload and drives
+whatever *adaptive model* a registered
+:class:`~repro.api.WorkloadSpec`'s ``.adaptive`` hook returns.  The
+model owns only the workload's physics; machine and engine set-up, the
+start layout, busy accumulation, pricing, ``DISTRIBUTE`` and every
+record are the one driver below.  A model is a dataclass whose fields
+are its parameters — recorded verbatim in :attr:`AdaptiveRun.params`,
+overridable by name through :class:`AdaptiveController`, and including
+``window`` (steps per monitoring window) and ``drift`` (the knob the
+coverage sweep turns) — plus:
+
+====================== ==================================================
+``steps``              how many steps a run takes
+``array``              ``(name, shape)`` of the distributed array; its
+                       first dimension is what gets re-blocked
+``flops_per_unit``     modeled flops per unit of :meth:`weights`
+``probe``              parameter overrides for a small, fast run
+``begin(seed)``        build the initial state
+``step(k, machine,     run step ``k`` (1-based) under the unit -> rank
+owners) -> busy``      map ``owners``; return each rank's compute-clock
+                       advance, measured before any barrier
+``weights()``          per-unit load, now
+``dist_of(sizes)``     the ``DistributionType`` giving rank ``r`` the
+                       next ``sizes[r]`` units
+``state``              the array that is digested at checkpoints and
+                       returned as the solution
+``offline_schedule(    optional: per-window sizes an offline planner
+nprocs, cost_model,    would precompute (without it the offline arm is
+seed)``                the t=0 balance held fixed)
+====================== ==================================================
+
+Four modes share that driver, so their runs differ *only* in
+redistribution decisions (the physical state consumes an identical RNG
+stream, making solutions bitwise-equal across modes — the property the
+determinism gate leans on):
 
 =========== =============================================================
 mode        layout policy
 =========== =============================================================
 static      BLOCK at declaration, held for the whole run
 balanced    B_BLOCK from the load measured at step 0, then held
-offline     the planner's precomputed schedule, applied at window
-            boundaries (for PIC, :func:`~repro.planner.workloads
-            .pic_workload`'s drift-only forecast; for irregular, the
-            t=0 balance held fixed — the hot spot is run-time data an
-            offline tool cannot see, which is exactly the paper's gap)
+offline     the model's ``offline_schedule``, applied at window
+            boundaries; the t=0 balance held fixed when it has none
+            (run-time data an offline tool cannot see is exactly the
+            paper's gap)
 adaptive    the feedback loop: monitor -> policy tiers -> DISTRIBUTE
 =========== =============================================================
 
@@ -40,13 +70,15 @@ and (when metrics are enabled) in ``repro_adapt_*`` instruments.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..core.generators import get_generator
 from ..machine.cost_model import PRESETS, CostModel
 from ..machine.machine import Machine
 from ..machine.topology import ProcessorArray
@@ -56,13 +88,15 @@ from ..obs.tracing import span as _span
 from .monitor import LoadMonitor, WindowSample
 from .policies import Decision, PolicyLibrary, TIER_NAMES
 
+if TYPE_CHECKING:
+    from ..api.registry import WorkloadSpec
+
 __all__ = [
     "MODES",
     "Checkpoint",
     "ReplanRecord",
     "AdaptiveRun",
     "AdaptiveController",
-    "supported_workloads",
 ]
 
 MODES = ("static", "balanced", "offline", "adaptive")
@@ -231,9 +265,9 @@ def _even_sizes(n: int, p: int) -> list[int]:
 
 
 class _WindowLoop:
-    """Shared per-window bookkeeping: measure -> monitor -> policy ->
-    (maybe) redistribute -> checkpoint.  The workload drivers feed it
-    busy vectors and callables; it owns the records."""
+    """Per-window bookkeeping: measure -> monitor -> policy ->
+    (maybe) redistribute -> checkpoint.  The driver feeds it busy
+    vectors and callables; it owns the records."""
 
     def __init__(
         self,
@@ -346,405 +380,82 @@ class _WindowLoop:
         return sizes
 
 
-# -- PIC driver --------------------------------------------------------------
-
-PIC_DEFAULTS: dict = {
-    "ncell": 96,
-    "npart": 6000,
-    "steps": 60,
-    "window": 6,
-    "drift": 0.008,
-    "diffusion": 0.01,
-    "cluster_width": 0.06,
-    "flops_per_particle": 20.0,
-    "particle_bytes": 32,
-}
-
-PIC_PROBE: dict = {"ncell": 32, "npart": 512, "steps": 12, "window": 4}
+def _balanced_sizes(weights: np.ndarray, nprocs: int) -> list[int]:
+    """``B_BLOCK`` sizes balancing ``weights`` — Figure 2's ``balance``."""
+    block = get_generator("weighted_block")(len(weights), nprocs, weights=weights)
+    return list(block.sizes)
 
 
-def _pic_offline_schedule(
-    params: Mapping, nprocs: int, cost_model: CostModel, seed: int
-) -> list[list[int]]:
-    """The planner's precomputed per-window block sizes for PIC.
-
-    :func:`~repro.planner.workloads.pic_workload` forecasts the load
-    from pure drift of the initial positions (``reflected_position``);
-    with ``rebalance_every`` set to the controller's window the plan's
-    phases line up one-to-one with the online windows.  Non-contiguous
-    layouts (the planner's lattice can in principle pick CYCLIC) fall
-    back to even blocks — the drivers redistribute by contiguous
-    sizes, the shape every B_BLOCK layout has.
-    """
-    from ..core.dimdist import GenBlock
-    from ..planner.costs import CostEngine
-    from ..planner.workloads import _plan_workload, pic_workload
-
-    ncell, nprocs_ = int(params["ncell"]), int(nprocs)
-    workload = pic_workload(
-        ncell=ncell,
-        npart=int(params["npart"]),
-        steps=int(params["steps"]),
-        nprocs=nprocs_,
-        rebalance_every=int(params["window"]),
-        drift=float(params["drift"]),
-        cluster_width=float(params["cluster_width"]),
-        flops_per_particle=float(params["flops_per_particle"]),
-        particle_bytes=int(params["particle_bytes"]),
-        cost_model=cost_model,
-        seed=seed,
-    )
-    plan = _plan_workload(workload, cost_engine=CostEngine(workload.machine))
-    schedule: list[list[int]] = []
-    for step in plan.steps:
-        dd = step.dist.dtype.dims[0]
-        if isinstance(dd, GenBlock):
-            schedule.append([int(s) for s in dd.sizes])
-        else:
-            schedule.append(_even_sizes(ncell, nprocs_))
-    return schedule
-
-
-def _drive_pic(
+def _drive(
+    workload: str,
+    model,
     mode: str,
     nprocs: int,
     cost_model: CostModel,
     seed: int,
-    params: Mapping,
     policy: PolicyLibrary,
     monitor_kwargs: Mapping,
 ) -> AdaptiveRun:
-    """The Figure 2 PIC loop under controller-owned redistribution.
-
-    Built from the same primitives as :func:`repro.apps.pic._run_pic`
-    (counts -> owner-computes field work -> particle motion ->
-    cross-processor reassignment), but layout changes are decided at
-    window boundaries by the mode, not hard-wired.  The particle state
-    consumes one RNG stream that no mode branches on, so the final
-    positions — the solution — are bitwise-identical across modes.
-    """
-    from ..apps.load_balance import balance_greedy
-    from ..apps.pic import _cell_of, _field_dist
+    """Run ``model`` once with the layout under ``mode``'s control."""
     from ..planner.costs import CostEngine
     from ..planner.phases import ArrayLoad
     from ..runtime.engine import Engine
 
-    ncell = int(params["ncell"])
-    npart = int(params["npart"])
-    steps = int(params["steps"])
-    window = int(params["window"])
-    drift = float(params["drift"])
-    diffusion = float(params["diffusion"])
-    cluster_width = float(params["cluster_width"])
-    flops_per_particle = float(params["flops_per_particle"])
-    particle_bytes = int(params["particle_bytes"])
-
     machine = Machine(ProcessorArray("P", (nprocs,)), cost_model=cost_model)
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     machine.reset_network()
-    nfield = 4
-    fld = engine.declare(
-        "FIELD", (ncell, nfield), dist=_field_dist(None, ncell, nprocs),
-        dynamic=True,
-    )
-    sizes = _even_sizes(ncell, nprocs)
-
-    rng = np.random.default_rng(seed)
-    pos = np.clip(
-        rng.normal(0.2, cluster_width, size=npart),
-        0.0,
-        np.nextafter(1.0, 0.0),
-    )
-    vel = np.full(npart, drift)
-
-    def counts() -> np.ndarray:
-        return np.bincount(_cell_of(pos, ncell), minlength=ncell)
+    model.begin(seed)
+    name, shape = model.array
+    steps, window = int(model.steps), int(model.window)
+    sizes = _even_sizes(shape[0], nprocs)
+    arr = engine.declare(name, shape, dist=model.dist_of(sizes), dynamic=True)
 
     def redistribute(new_sizes: Sequence[int]) -> int:
         b0 = machine.stats().bytes
-        engine.distribute(
-            "FIELD", _field_dist([int(s) for s in new_sizes], ncell, nprocs)
-        )
+        engine.distribute(name, model.dist_of([int(s) for s in new_sizes]))
         return machine.stats().bytes - b0
 
     offline_schedule = None
-    if mode == "offline":
-        offline_schedule = _pic_offline_schedule(
-            params, nprocs, cost_model, seed
-        )
-    if mode in ("balanced", "adaptive"):
-        start_sizes = [int(s) for s in balance_greedy(counts(), nprocs)]
-    elif mode == "offline":
-        start_sizes = (
-            offline_schedule[0] if offline_schedule else list(sizes)
-        )
-    else:  # static
-        start_sizes = list(sizes)
+    if mode == "offline" and hasattr(model, "offline_schedule"):
+        offline_schedule = model.offline_schedule(nprocs, cost_model, seed)
+    if mode == "static":
+        start_sizes = sizes
+    elif offline_schedule:
+        start_sizes = [int(s) for s in offline_schedule[0]]
+    else:
+        start_sizes = _balanced_sizes(model.weights(), nprocs)
     if start_sizes != sizes:
         redistribute(start_sizes)
         sizes = start_sizes
 
     cost_engine = CostEngine(
-        machine, itemsize=fld.itemsize, plan_cache=engine.plan_cache
+        machine, itemsize=arr.itemsize, plan_cache=engine.plan_cache
+    )
+    run = AdaptiveRun(
+        workload=workload, mode=mode, nprocs=nprocs, window=window,
+        steps=steps, seed=seed, cost_model=cost_model.name,
+        params=dataclasses.asdict(model), makespan=0.0, messages=0, bytes=0,
+        solution=model.state,
     )
     monitor = LoadMonitor(nprocs, **dict(monitor_kwargs))
-    run = AdaptiveRun(
-        workload="pic", mode=mode, nprocs=nprocs, window=window,
-        steps=steps, seed=seed, cost_model=cost_model.name,
-        params=dict(params), makespan=0.0, messages=0, bytes=0,
-        solution=pos,
-    )
     loop = _WindowLoop(run, machine, monitor, policy, mode, offline_schedule)
 
     busy_acc = np.zeros(nprocs)
     for k in range(1, steps + 1):
         owners = np.repeat(np.arange(nprocs), sizes)
-        w = counts()
-
-        # owner-computes field update; busy measured per rank *before*
-        # the barrier equalizes the clocks
-        loads = np.bincount(owners, weights=w, minlength=nprocs)
-        clocks = machine.network.clocks
-        for rank in range(nprocs):
-            c0 = clocks[rank]
-            machine.network.compute(
-                rank, flops_per_particle * float(loads[rank]),
-                tag="pic:update_field",
-            )
-            busy_acc[rank] += machine.network.clocks[rank] - c0
-        machine.network.synchronize()
-
-        # particle motion: one RNG stream, no mode-dependent branch
-        old_cells = _cell_of(pos, ncell)
-        pos = pos + vel + rng.normal(0.0, diffusion, size=npart)
-        pos = np.abs(pos)
-        over = pos >= 1.0
-        pos[over] = 2.0 - pos[over]
-        pos = np.clip(pos, 0.0, np.nextafter(1.0, 0.0))
-        vel[over] = -vel[over]
-        new_cells = _cell_of(pos, ncell)
-
-        moved = old_cells != new_cells
-        src = owners[old_cells[moved]]
-        dst = owners[new_cells[moved]]
-        cross = src != dst
-        if cross.any():
-            pair = src[cross] * nprocs + dst[cross]
-            cnt = np.bincount(pair, minlength=nprocs * nprocs).reshape(
-                nprocs, nprocs
-            )
-            machine.network.exchange(
-                [
-                    (int(s), int(d), int(cnt[s, d]) * particle_bytes,
-                     "pic:reassign")
-                    for s, d in zip(*np.nonzero(cnt))
-                ]
-            )
-            machine.network.synchronize()
-
+        busy_acc += model.step(k, machine, owners)
         if k % window == 0:
-            w = counts()
+            w = model.weights()
 
             def pricing() -> float:
-                cand_sizes = balance_greedy(w, nprocs)
-                cand = _field_dist(
-                    [int(s) for s in cand_sizes], ncell, nprocs
-                ).apply((ncell, nfield), machine.full_section())
+                cand = model.dist_of(_balanced_sizes(w, nprocs)).apply(
+                    shape, machine.full_section()
+                )
                 load = ArrayLoad(
-                    "FIELD", 0, tuple(float(c) for c in w),
-                    flops_per_unit=flops_per_particle,
+                    name, 0, tuple(float(c) for c in w),
+                    flops_per_unit=model.flops_per_unit,
                 )
                 horizon = min(window, steps - k)
-                gain = (
-                    cost_engine.load_cost(load, fld.dist)
-                    - cost_engine.load_cost(load, cand)
-                ) * horizon
-                return gain - cost_engine.transition_cost(fld.dist, cand)
-
-            sizes = loop.boundary(
-                step=k,
-                busy=busy_acc,
-                current_sizes=sizes,
-                pricing=pricing,
-                redistribute=redistribute,
-                propose=lambda: [int(s) for s in balance_greedy(w, nprocs)],
-                state=pos,
-            )
-            busy_acc = np.zeros(nprocs)
-
-    stats = machine.stats()
-    run.makespan = machine.time
-    run.messages = stats.messages
-    run.bytes = stats.bytes
-    run.solution = pos
-    return run
-
-
-# -- irregular driver --------------------------------------------------------
-
-IRREGULAR_DEFAULTS: dict = {
-    "n": 192,
-    "sweeps": 48,
-    "window": 6,
-    "drift": 0.02,
-    "kind": "geometric",
-    "amp": 6.0,
-    "width": 0.06,
-    "value_bytes": 8,
-    #: modeled flops per unit of node weight — a heavier-than-Jacobi
-    #: per-node kernel (the regime where load balance, not the cut,
-    #: dominates; at the relaxation's historical 4 flops/node the cut
-    #: traffic drowns any compute rebalancing)
-    "flops_per_node": 2000.0,
-}
-
-IRREGULAR_PROBE: dict = {"n": 48, "sweeps": 12, "window": 4}
-
-
-def _drive_irregular(
-    mode: str,
-    nprocs: int,
-    cost_model: CostModel,
-    seed: int,
-    params: Mapping,
-    policy: PolicyLibrary,
-    monitor_kwargs: Mapping,
-) -> AdaptiveRun:
-    """Jacobi relaxation on an unstructured mesh with a wandering
-    compute hot spot (:func:`repro.apps.irregular.drifting_weights`).
-
-    Node ids are GenBlock-distributed; per-sweep compute is the summed
-    weight of the owned nodes, communication the cut edges between
-    owner blocks.  The offline arm is the t=0 balance held fixed: the
-    hot spot's trajectory is run-time data, precisely the thing the
-    paper's offline tooling cannot see.  The Jacobi arithmetic is one
-    global vectorized update, independent of ownership, so the
-    solution is bitwise-identical across modes.
-    """
-    from ..apps.irregular import drifting_weights, make_mesh
-    from ..apps.load_balance import balance_greedy
-    from ..core.dimdist import GenBlock
-    from ..core.distribution import DistributionType
-    from ..planner.costs import CostEngine
-    from ..planner.phases import ArrayLoad
-    from ..runtime.engine import Engine
-
-    n = int(params["n"])
-    sweeps = int(params["sweeps"])
-    window = int(params["window"])
-    drift = float(params["drift"])
-    kind = str(params["kind"])
-    amp = float(params["amp"])
-    width = float(params["width"])
-    value_bytes = int(params["value_bytes"])
-    flops_per_node = float(params["flops_per_node"])
-
-    machine = Machine(ProcessorArray("P", (nprocs,)), cost_model=cost_model)
-    engine = Engine._create(machine)
-    machine.reset_network()
-
-    rng = np.random.default_rng(seed)
-    graph = make_mesh(n, seed=seed, kind=kind, rng=rng)
-    values = rng.standard_normal(n)
-    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
-    deg = np.bincount(
-        np.concatenate([edges[:, 0], edges[:, 1]]), minlength=n
-    ).astype(np.float64)
-
-    def node_weights(sweep: int) -> np.ndarray:
-        return drifting_weights(n, sweep, drift, amp=amp, width=width)
-
-    sizes = _even_sizes(n, nprocs)
-    arr = engine.declare(
-        "V", (n,), dist=DistributionType((GenBlock(sizes),)), dynamic=True
-    )
-
-    def redistribute(new_sizes: Sequence[int]) -> int:
-        b0 = machine.stats().bytes
-        engine.distribute(
-            "V", DistributionType((GenBlock([int(s) for s in new_sizes]),))
-        )
-        return machine.stats().bytes - b0
-
-    if mode in ("balanced", "adaptive", "offline"):
-        start_sizes = [int(s) for s in balance_greedy(node_weights(0), nprocs)]
-        if start_sizes != sizes:
-            redistribute(start_sizes)
-            sizes = start_sizes
-
-    cost_engine = CostEngine(
-        machine, itemsize=arr.itemsize, plan_cache=engine.plan_cache
-    )
-    monitor = LoadMonitor(nprocs, **dict(monitor_kwargs))
-    run = AdaptiveRun(
-        workload="irregular", mode=mode, nprocs=nprocs, window=window,
-        steps=sweeps, seed=seed, cost_model=cost_model.name,
-        params=dict(params), makespan=0.0, messages=0, bytes=0,
-        solution=values,
-    )
-    loop = _WindowLoop(run, machine, monitor, policy, mode, None)
-
-    busy_acc = np.zeros(nprocs)
-    for sweep in range(sweeps):
-        owners = np.repeat(np.arange(nprocs), sizes)
-        weights = node_weights(sweep)
-
-        # owner-computes Jacobi work, weighted by the hot spot
-        per_rank = np.bincount(owners, weights=weights, minlength=nprocs)
-        clocks = machine.network.clocks
-        for rank in range(nprocs):
-            c0 = clocks[rank]
-            machine.network.compute(
-                rank, flops_per_node * float(per_rank[rank]), tag="relax:V"
-            )
-            busy_acc[rank] += machine.network.clocks[rank] - c0
-
-        # cut edges: each crossing edge ships one value each way
-        if len(edges):
-            eu, ev = owners[edges[:, 0]], owners[edges[:, 1]]
-            cross = eu != ev
-            if cross.any():
-                pair = np.concatenate(
-                    [eu[cross] * nprocs + ev[cross],
-                     ev[cross] * nprocs + eu[cross]]
-                )
-                cnt = np.bincount(pair, minlength=nprocs * nprocs).reshape(
-                    nprocs, nprocs
-                )
-                machine.network.exchange(
-                    [
-                        (int(s), int(d), int(cnt[s, d]) * value_bytes,
-                         "relax:gather")
-                        for s, d in zip(*np.nonzero(cnt))
-                    ]
-                )
-        machine.network.synchronize()
-
-        # the global Jacobi update — ownership never enters
-        nbrsum = np.bincount(
-            edges[:, 0], weights=values[edges[:, 1]], minlength=n
-        ) + np.bincount(
-            edges[:, 1], weights=values[edges[:, 0]], minlength=n
-        )
-        values = np.where(
-            deg > 0, 0.5 * values + 0.5 * nbrsum / np.maximum(deg, 1.0),
-            values,
-        )
-
-        k = sweep + 1
-        if k % window == 0:
-            w_now = node_weights(sweep)
-
-            def pricing() -> float:
-                cand_sizes = balance_greedy(w_now, nprocs)
-                cand = DistributionType(
-                    (GenBlock([int(s) for s in cand_sizes]),)
-                ).apply((n,), machine.full_section())
-                load = ArrayLoad(
-                    "V", 0, tuple(float(x) for x in w_now),
-                    flops_per_unit=flops_per_node,
-                )
-                horizon = min(window, sweeps - k)
                 gain = (
                     cost_engine.load_cost(load, arr.dist)
                     - cost_engine.load_cost(load, cand)
@@ -757,10 +468,8 @@ def _drive_irregular(
                 current_sizes=sizes,
                 pricing=pricing,
                 redistribute=redistribute,
-                propose=lambda: [
-                    int(s) for s in balance_greedy(w_now, nprocs)
-                ],
-                state=values,
+                propose=lambda: _balanced_sizes(w, nprocs),
+                state=model.state,
             )
             busy_acc = np.zeros(nprocs)
 
@@ -768,44 +477,27 @@ def _drive_irregular(
     run.makespan = machine.time
     run.messages = stats.messages
     run.bytes = stats.bytes
-    run.solution = values
+    run.solution = model.state
     return run
-
-
-# -- the controller ----------------------------------------------------------
-
-_DRIVERS: dict[str, Callable] = {"pic": _drive_pic}
-_DEFAULTS: dict[str, dict] = {"pic": PIC_DEFAULTS}
-_PROBES: dict[str, dict] = {"pic": PIC_PROBE}
-
-try:  # networkx-gated, like the workload registration
-    import networkx  # noqa: F401
-
-    _DRIVERS["irregular"] = _drive_irregular
-    _DEFAULTS["irregular"] = IRREGULAR_DEFAULTS
-    _PROBES["irregular"] = IRREGULAR_PROBE
-except ImportError:  # pragma: no cover - exercised only without networkx
-    pass
-
-
-def supported_workloads() -> tuple[str, ...]:
-    """Workloads the adaptive controller has a driver for."""
-    return tuple(sorted(_DRIVERS))
 
 
 class AdaptiveController:
     """Online feedback control of one workload's data distribution.
 
     ``controller = AdaptiveController("pic"); run = controller.run()``
-    drives the workload in ``"adaptive"`` mode; ``run(mode=...)``
-    selects the baselines the bench compares against.  All modes share
-    the driver, the seed, and the RNG stream, so only redistribution
-    decisions differ between them.
+    drives the registered workload's adaptive model in ``"adaptive"``
+    mode; ``run(mode=...)`` selects the baselines the bench compares
+    against.  All modes share the driver, the seed, and the RNG
+    stream, so only redistribution decisions differ between them.
+
+    ``workload`` is a name in the global registry or a
+    :class:`~repro.api.WorkloadSpec`; the model starts from the spec's
+    registered defaults and ``params`` overrides its fields by name.
     """
 
     def __init__(
         self,
-        workload: str,
+        workload: "str | WorkloadSpec",
         *,
         nprocs: int = 4,
         cost_model: CostModel | str = "Paragon",
@@ -815,11 +507,9 @@ class AdaptiveController:
         params: Mapping | None = None,
         monitor: Mapping | None = None,
     ):
-        if workload not in _DRIVERS:
-            raise ValueError(
-                f"workload {workload!r} has no adaptive driver "
-                f"(supported: {list(supported_workloads())})"
-            )
+        from ..api.registry import REGISTRY, WorkloadContext
+
+        spec = REGISTRY.get(workload) if isinstance(workload, str) else workload
         if isinstance(cost_model, str):
             if cost_model not in PRESETS:
                 raise ValueError(
@@ -829,56 +519,70 @@ class AdaptiveController:
             cost_model = PRESETS[cost_model]
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
-        self.workload = workload
+        self.workload = spec.name
         self.nprocs = int(nprocs)
         self.cost_model = cost_model
         self.policy = policy if policy is not None else PolicyLibrary()
         self.seed = int(seed)
         self.monitor_kwargs = dict(monitor or {})
-        self.params = dict(_DEFAULTS[workload])
-        unknown = sorted(set(params or ()) - set(self.params))
+        overrides = dict(params or {})
+        if window is not None:
+            overrides["window"] = int(window)
+        self._model = self._override(
+            spec.adaptive_model(
+                WorkloadContext(
+                    name=spec.name,
+                    nprocs=self.nprocs,
+                    cost_model=cost_model,
+                    seed=self.seed,
+                    params=spec.resolve_params({}),
+                )
+            ),
+            overrides,
+        )
+
+    @property
+    def params(self) -> dict:
+        """The model's parameters, as every run will record them."""
+        return dataclasses.asdict(self._model)
+
+    def _override(self, model, overrides: Mapping):
+        """A fresh copy of ``model`` with ``overrides`` applied."""
+        accepted = sorted(f.name for f in dataclasses.fields(model))
+        unknown = sorted(set(overrides) - set(accepted))
         if unknown:
             raise TypeError(
-                f"adaptive driver for {workload!r} got unknown "
-                f"parameter(s) {unknown} (accepted: {sorted(self.params)})"
+                f"adaptive driver for {self.workload!r} got unknown "
+                f"parameter(s) {unknown} (accepted: {accepted})"
             )
-        self.params.update(params or {})
-        if window is not None:
-            self.params["window"] = int(window)
-        if int(self.params["window"]) < 1:
-            raise ValueError(
-                f"window must be >= 1, got {self.params['window']}"
-            )
+        model = dataclasses.replace(model, **overrides)
+        if int(model.window) < 1:
+            raise ValueError(f"window must be >= 1, got {model.window}")
+        return model
 
     def run(self, mode: str = "adaptive", **overrides) -> AdaptiveRun:
         """Drive the workload once under ``mode``; see :data:`MODES`."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        params = dict(self.params)
-        unknown = sorted(set(overrides) - set(params))
-        if unknown:
-            raise TypeError(
-                f"adaptive driver for {self.workload!r} got unknown "
-                f"parameter(s) {unknown} (accepted: {sorted(params)})"
-            )
-        params.update(overrides)
+        model = self._override(self._model, overrides)
         with _span(
             "adapt.run", workload=self.workload, mode=mode,
-            window=int(params["window"]),
+            window=int(model.window),
         ):
-            return _DRIVERS[self.workload](
+            return _drive(
+                self.workload,
+                model,
                 mode,
                 self.nprocs,
                 self.cost_model,
                 self.seed,
-                params,
                 self.policy,
                 self.monitor_kwargs,
             )
 
     def probe(self, drift: float | None = None) -> AdaptiveRun:
         """A small, fast adaptive run (coverage sweeps and smoke tests)."""
-        overrides = dict(_PROBES[self.workload])
+        overrides = dict(self._model.probe)
         if drift is not None:
             overrides["drift"] = float(drift)
         return self.run("adaptive", **overrides)

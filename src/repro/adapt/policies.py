@@ -287,18 +287,18 @@ class PolicyLibrary:
 
         Runs a small probe of every supported workload under each cost
         model and drift scenario and records the highest tier that
-        fired (tier 0 when the run never redistributed).  Workloads the
-        adaptive controller has no driver for are reported as
+        fired (tier 0 when the run never redistributed).  Workloads
+        registered without an ``.adaptive`` hook are reported as
         unsupported rather than silently skipped — the report covers
         the *whole* registry by construction.
         """
         from ..api.registry import REGISTRY
         from ..machine.cost_model import PRESETS
-        from .controller import AdaptiveController, supported_workloads
+        from .controller import AdaptiveController
 
         if drifts is None:
             drifts = {"none": 0.0, "slow": 0.004, "fast": 0.02}
-        supported = supported_workloads()
+        supported = REGISTRY.adaptable_names()
         entries: list[dict] = []
         for name in REGISTRY.names():
             for machine in machines:

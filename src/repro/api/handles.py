@@ -14,6 +14,7 @@ session config, so every stage is deterministic in the config alone::
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import time
 from typing import TYPE_CHECKING
@@ -208,7 +209,7 @@ class WorkloadHandle:
         ``"greedy"``.
         """
         from ..planner.costs import CostEngine, SimulatedCostEngine
-        from ..planner.workloads import _plan_workload, hand_schedule_cost
+        from ..planner.workloads import hand_schedule_cost, plan_workload
 
         ctx = self._context(with_machine=False)
         workload = self._spec.planning_problem(ctx)
@@ -222,7 +223,7 @@ class WorkloadHandle:
             raise ValueError(
                 f"cost_mode must be 'model' or 'simulated', got {cost_mode!r}"
             )
-        plan = _plan_workload(workload, cost_engine=engine, method=method)
+        plan = plan_workload(workload, cost_engine=engine, method=method)
         hand = hand_schedule_cost(workload, cost_engine=engine)
         return PlanResult(
             workload=self.name,
@@ -329,42 +330,6 @@ class WorkloadHandle:
             headline=dict(outcome.headline),
         )
 
-    def _adapt_driver_config(self, window: int | None) -> tuple[dict, int]:
-        """Map this handle's registry params onto the adaptive
-        driver's parameter names; returns ``(params, window)``.
-
-        The window defaults to the workload's natural phase length:
-        PIC's ``rebalance_every`` (Figure 2's every-10th-iteration
-        checkpoint), or a quarter of the sweep count for the
-        irregular relaxation.
-        """
-        p = self.params
-        steps = int(p["steps"])
-        if self.name == "pic":
-            size = int(p["size"])
-            driver = {
-                "ncell": size,
-                "npart": int(p["npart"]) if p["npart"] is not None else 8 * size,
-                "steps": steps,
-            }
-            for src, dst in (("drift", "drift"), ("diffusion", "diffusion"),
-                             ("cluster_width", "cluster_width")):
-                if p.get(src) is not None:
-                    driver[dst] = float(p[src])
-            if window is None:
-                window = int(p["rebalance_every"] or 10)
-        else:  # irregular (the only other supported driver)
-            driver = {
-                "n": int(p["size"]),
-                "sweeps": steps,
-                "kind": str(p["kind"]),
-                "drift": float(p["drift"]),
-            }
-            if window is None:
-                window = max(1, steps // 4)
-        window = min(int(window), steps)
-        return driver, window
-
     @_staged("adapt")
     def adapt(self, mode: str = "adaptive", window: int | None = None):
         """Drive the workload under the online adaptive controller.
@@ -372,32 +337,32 @@ class WorkloadHandle:
         ``mode`` selects the layout policy (``"adaptive"`` — the
         feedback loop — or the ``"static"`` / ``"balanced"`` /
         ``"offline"`` baselines); ``window`` the monitoring window in
-        steps (default: the workload's natural phase length).  Only
-        workloads with an adaptive driver support this stage; others
-        raise ``ValueError``.
+        steps (default: the workload's natural phase length, chosen by
+        its ``.adaptive`` hook).  Only workloads registered with that
+        hook support this stage; others raise ``ValueError``.
         """
-        from ..adapt.controller import (
-            MODES,
-            AdaptiveController,
-            supported_workloads,
-        )
+        from ..adapt.controller import MODES, AdaptiveController
         from .results import AdaptResult
 
-        if self.name not in supported_workloads():
+        if not self._spec.adaptable:
+            supported = self._session.registry.adaptable_names()
             raise ValueError(
                 f"workload {self.name!r} has no adaptive driver "
-                f"(supported: {list(supported_workloads())})"
+                f"(supported: {list(supported)})"
             )
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        driver_params, window = self._adapt_driver_config(window)
+        model = self._spec.adaptive_model(self._context(with_machine=False))
+        window = min(
+            int(model.window if window is None else window), int(model.steps)
+        )
         controller = AdaptiveController(
-            self.name,
+            self._spec,
             nprocs=self._session.config.nprocs,
             cost_model=self._session.cost_model,
             window=window,
             seed=self.seed,
-            params=driver_params,
+            params=dataclasses.asdict(model),
         )
         run = controller.run(mode)
         return AdaptResult(

@@ -1,17 +1,21 @@
-"""The workload registry — one decorator replaces four entry points.
+"""The workload registry — the one name -> workload table.
 
-Before the facade, each application shipped its own ``run_*`` function
-with a unique signature, and the CLI hand-maintained ``choices=``
-lists.  A :class:`WorkloadSpec` packages what a workload needs —
+A :class:`WorkloadSpec` is everything the system knows about a
+workload; the session, the CLI, the service, the planner front end and
+the adaptive controller all read it from here and name no workload
+themselves.  A spec packages —
 
 - a **runner** (``fn(ctx) -> ExecutionOutcome``): execute the workload
   on ``ctx.machine`` with ``ctx.seed`` and ``ctx.params``;
 - an optional **machine factory** (the default is a 1-D processor
   array of ``ctx.nprocs``);
 - an optional **planning problem** factory for ``handle.plan()``;
+- an optional **adaptive model** factory for ``handle.adapt()``: the
+  workload's step-and-rebalance physics, driven by the
+  workload-agnostic :class:`~repro.adapt.AdaptiveController` (see
+  :mod:`repro.adapt.controller` for the model contract);
 
-and :func:`register_workload` wires it into the global registry the
-:class:`~repro.api.Session`, the CLI, and the tests all enumerate.
+and :func:`register_workload` wires it into the global registry.
 Adding a scenario is one decorator::
 
     from repro.api import ExecutionOutcome, register_workload
@@ -69,13 +73,14 @@ class WorkloadContext:
     seed: int
     params: dict
     #: the machine to run on — built by the spec's machine factory for
-    #: execution hooks; ``None`` inside planning hooks (planner
-    #: workload factories build their own, like the legacy CLI did)
+    #: execution hooks; ``None`` inside planning and adaptive hooks
+    #: (the planner factories and the controller build their own)
     machine: "Machine | None" = None
 
 
 class WorkloadSpec:
-    """One registered workload: runner + optional machine/planning hooks."""
+    """One registered workload: runner + optional machine / planning /
+    adaptive hooks."""
 
     def __init__(
         self,
@@ -90,6 +95,7 @@ class WorkloadSpec:
         self._runner = runner
         self._machine: Callable[[WorkloadContext], "Machine"] | None = None
         self._planning: Callable[[WorkloadContext], Any] | None = None
+        self._adaptive: Callable[[WorkloadContext], Any] | None = None
 
     # -- hook decorators ---------------------------------------------------
     def machine_factory(self, fn: Callable) -> Callable:
@@ -102,10 +108,21 @@ class WorkloadSpec:
         self._planning = fn
         return fn
 
+    def adaptive(self, fn: Callable) -> Callable:
+        """Decorator: provide the adaptive model for ``handle.adapt()``
+        (and with it the controller, ``/adapt`` and the coverage
+        sweep)."""
+        self._adaptive = fn
+        return fn
+
     # -- session-facing API --------------------------------------------------
     @property
     def plannable(self) -> bool:
         return self._planning is not None
+
+    @property
+    def adaptable(self) -> bool:
+        return self._adaptive is not None
 
     def resolve_params(self, overrides: Mapping[str, Any]) -> dict:
         """Defaults overlaid with ``overrides``; unknown keys rejected."""
@@ -145,6 +162,14 @@ class WorkloadSpec:
                 f"(register one with @spec.planning)"
             )
         return self._planning(ctx)
+
+    def adaptive_model(self, ctx: WorkloadContext):
+        if self._adaptive is None:
+            raise ValueError(
+                f"workload {self.name!r} has no adaptive driver "
+                f"(register one with @spec.adaptive)"
+            )
+        return self._adaptive(ctx)
 
     def __repr__(self) -> str:
         bits = [f"defaults={self.defaults}"]
@@ -186,6 +211,9 @@ class WorkloadRegistry:
     def plannable_names(self) -> tuple[str, ...]:
         return tuple(n for n in self.names() if self._specs[n].plannable)
 
+    def adaptable_names(self) -> tuple[str, ...]:
+        return tuple(n for n in self.names() if self._specs[n].adaptable)
+
     def __contains__(self, name: object) -> bool:
         return name in self._specs
 
@@ -209,8 +237,8 @@ def register_workload(
     replace: bool = False,
 ) -> Callable[[Callable], WorkloadSpec]:
     """Register a workload runner; returns the :class:`WorkloadSpec`
-    (which carries the ``.machine_factory`` / ``.planning`` hook
-    decorators)."""
+    (which carries the ``.machine_factory`` / ``.planning`` /
+    ``.adaptive`` hook decorators)."""
 
     def deco(fn: Callable[[WorkloadContext], ExecutionOutcome]) -> WorkloadSpec:
         spec = WorkloadSpec(name, fn, defaults=defaults, description=description)

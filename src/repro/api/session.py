@@ -183,9 +183,6 @@ class Session:
     ) -> Engine:
         """A Vienna Fortran Engine on ``machine`` (or a fresh session
         machine), sharing the session's plan cache and backend.
-
-        This is the supported replacement for the deprecated bare
-        ``Engine(machine)`` construction.
         """
         self._require_open()
         if machine is None:
@@ -195,7 +192,7 @@ class Session:
             backend = resolve_backend(b() if isinstance(b, type) else b)
             backend.attach(machine)
             self._owned_backends.append(backend)
-        return Engine._create(machine, plan_cache=self.plan_cache)
+        return Engine(machine, plan_cache=self.plan_cache)
 
     # -- workloads ---------------------------------------------------------
     def workloads(self) -> tuple[str, ...]:

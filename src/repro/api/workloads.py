@@ -1,9 +1,9 @@
 """The paper's §4 workloads, registered with the session facade.
 
-Each registration wraps the application's ``execute_*`` implementation
-(the non-deprecated core the legacy ``run_*`` shims also call), so the
-``Session`` path is bitwise-identical to the legacy path by
-construction.  Parameter names and defaults mirror the historical CLI:
+Each registration wraps the application's ``execute_*`` implementation,
+so the ``Session`` path is bitwise-identical to calling the
+application directly.  Parameter names and defaults mirror the
+historical CLI:
 
 ========== ===============================================================
 workload   parameters (defaults)
@@ -15,8 +15,11 @@ irregular  size=32 (nodes), steps=10, distribution="partitioned", kind=...
 ========== ===============================================================
 
 The decorated name is bound to the :class:`~repro.api.WorkloadSpec`,
-whose ``.machine_factory`` / ``.planning`` decorators attach the
-remaining hooks.
+whose ``.machine_factory`` / ``.planning`` / ``.adaptive`` decorators
+attach the remaining hooks.  The ``.adaptive`` hooks are where this
+vocabulary (``size``, ``steps``) meets the adaptive models' own
+(``ncell``, ``n``, ``sweeps``) and where each workload's natural
+monitoring window is chosen.
 """
 
 from __future__ import annotations
@@ -149,6 +152,27 @@ def _pic_planning(ctx: WorkloadContext):
     return pic_workload(**kwargs)
 
 
+@pic.adaptive
+def _pic_adaptive(ctx: WorkloadContext):
+    from ..apps.pic import PICDrift
+
+    p = ctx.params
+    size = int(p["size"])
+    chosen = {
+        k: float(p[k])
+        for k in ("drift", "diffusion", "cluster_width")
+        if p[k] is not None
+    }
+    return PICDrift(
+        ncell=size,
+        npart=int(p["npart"]) if p["npart"] is not None else 8 * size,
+        steps=int(p["steps"]),
+        # Figure 2's every-10th-iteration checkpoint
+        window=int(p["rebalance_every"] or 10),
+        **chosen,
+    )
+
+
 # -- smoothing (§4 distribution choice) --------------------------------------
 
 
@@ -248,6 +272,17 @@ if _HAVE_NETWORKX:
                 "modeled_time_ms": r.time * 1e3,
             },
             result=r,
+        )
+
+    @irregular.adaptive
+    def _irregular_adaptive(ctx: WorkloadContext):
+        steps = int(ctx.params["steps"])
+        return _irregular_app.DriftingRelaxation(
+            n=int(ctx.params["size"]),
+            sweeps=steps,
+            window=max(1, steps // 4),
+            drift=float(ctx.params["drift"]),
+            kind=str(ctx.params["kind"]),
         )
 
     __all__.append("irregular")

@@ -11,7 +11,7 @@
   and optimal contiguous partitioners).
 """
 
-from .adi import ADIResult, PhaseStats, adi_reference, execute_adi, run_adi
+from .adi import ADIResult, PhaseStats, adi_reference, execute_adi
 
 try:  # the unstructured-mesh workload needs networkx (optional)
     from .irregular import (  # noqa: F401
@@ -27,13 +27,12 @@ try:  # the unstructured-mesh workload needs networkx (optional)
 except ImportError:  # pragma: no cover - exercised only without networkx
     _HAVE_NETWORKX = False
 from .load_balance import balance_greedy, balance_optimal, block_loads, imbalance
-from .pic import PICConfig, PICResult, StepRecord, execute_pic, initpos, run_pic
+from .pic import PICConfig, PICResult, StepRecord, execute_pic, initpos
 from .smoothing import (
     SmoothingResult,
     best_distribution,
     execute_smoothing,
     predicted_step_cost,
-    run_smoothing,
     smooth_step_func,
     smoothing_reference,
 )
@@ -42,7 +41,6 @@ from .tridiag import thomas, thomas_const, tridiag_matvec
 __all__ = [
     "ADIResult",
     "PhaseStats",
-    "run_adi",
     "execute_adi",
     "adi_reference",
     "balance_greedy",
@@ -52,11 +50,9 @@ __all__ = [
     "PICConfig",
     "PICResult",
     "StepRecord",
-    "run_pic",
     "execute_pic",
     "initpos",
     "SmoothingResult",
-    "run_smoothing",
     "execute_smoothing",
     "smoothing_reference",
     "smooth_step_func",

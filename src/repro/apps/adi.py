@@ -11,7 +11,7 @@ communication-free, then ``DISTRIBUTE V :: (BLOCK, :)`` remaps the
 array so the y-sweep is also communication-free — "all the
 communication is confined to the redistribution operation".
 
-:func:`run_adi` reproduces the code under four strategies:
+:func:`execute_adi` reproduces the code under five strategies:
 
 - ``"dynamic"``      — Figure 1: redistribute between the sweeps (and
   back at the top of each outer iteration);
@@ -51,7 +51,7 @@ from ..runtime.engine import Engine
 from ..runtime.redistribute import transfer_matrix
 from .tridiag import thomas_const
 
-__all__ = ["ADIResult", "PhaseStats", "run_adi", "execute_adi", "adi_reference"]
+__all__ = ["ADIResult", "PhaseStats", "execute_adi", "adi_reference"]
 
 STRATEGIES = ("dynamic", "static_cols", "static_rows", "two_arrays", "planned")
 
@@ -142,42 +142,6 @@ def _copy_between(
     dst.from_global(src.to_global())
 
 
-def run_adi(
-    machine: Machine,
-    nx: int,
-    ny: int,
-    iterations: int = 1,
-    strategy: str = "dynamic",
-    a: float = -1.0,
-    b: float = 4.0,
-    grid: np.ndarray | None = None,
-    seed: int = DEFAULT_SEED,
-    backend: Backend | str | None = None,
-) -> ADIResult:
-    """Deprecated free-function spelling of the ADI workload.
-
-    Use the session facade instead::
-
-        with repro.session(nprocs=4) as sess:
-            result = sess.workload("adi", size=64, iterations=4).run()
-
-    (:func:`execute_adi` is the implementation; results are
-    bitwise-identical.)
-    """
-    import warnings
-
-    warnings.warn(
-        "run_adi() is deprecated; use repro.session(...) and "
-        "Session.workload('adi', ...).run() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_adi(
-        machine, nx, ny, iterations, strategy, a, b, grid,
-        seed=seed, backend=backend,
-    )
-
-
 def execute_adi(
     machine: Machine,
     nx: int,
@@ -228,7 +192,7 @@ def _run_adi(
     b: float,
     grid: np.ndarray,
 ) -> ADIResult:
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     machine.reset_network()
     result = ADIResult(strategy, nx, ny, iterations, machine.nprocs)
 
@@ -264,12 +228,11 @@ def _run_adi(
         final = v1
     elif strategy == "planned":
         from ..compiler.ir import AccessKind
-        from ..planner import CostEngine, adi_workload
-        from ..planner.workloads import _plan_workload
+        from ..planner import CostEngine, adi_workload, plan_workload
 
         workload = adi_workload(nx, ny, iterations, machine=machine)
         cost_engine = CostEngine(machine, plan_cache=engine.plan_cache)
-        plan = _plan_workload(workload, cost_engine=cost_engine)
+        plan = plan_workload(workload, cost_engine=cost_engine)
         v = engine.declare("V", (nx, ny), dist=workload.initial, dynamic=True)
         v.from_global(grid)
         x_kernel = LineSweepKernel(v, 0, line)

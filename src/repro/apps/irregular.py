@@ -21,7 +21,10 @@ This module provides:
   naive BLOCK distribution of node ids or a partition-driven INDIRECT
   distribution;
 - :func:`edge_cut` — the analytic communication proxy (off-processor
-  edges).
+  edges);
+- :class:`DriftingRelaxation` — the relaxation under a wandering
+  compute hot spot as an *adaptive model* for
+  :class:`~repro.adapt.AdaptiveController`.
 
 Experiment E10 compares the two distributions: the measured per-sweep
 communication tracks the edge cut, and the partitioned INDIRECT
@@ -33,12 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import ClassVar
 
 import networkx as nx
 import numpy as np
 
 from ..backend.base import Backend, attached_backend
-from ..core.dimdist import Block, Indirect
+from ..core.dimdist import Block, GenBlock, Indirect
 from ..core.distribution import DistributionType
 from ..defaults import DEFAULT_SEED
 from ..machine.machine import Machine
@@ -52,6 +56,7 @@ __all__ = [
     "run_relaxation",
     "relaxation_reference",
     "drifting_weights",
+    "DriftingRelaxation",
 ]
 
 
@@ -305,7 +310,7 @@ def _relax(
 ) -> RelaxationResult:
     n = graph.number_of_nodes()
     p = machine.nprocs
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     if distribution == "block":
         dd = Block()
         owner_vec = dd.owners_vec(n, p)
@@ -382,3 +387,117 @@ def _relax(
         time=machine.time - t0,
         solution=arr.to_global(),
     )
+
+
+@dataclass
+class DriftingRelaxation:
+    """Jacobi relaxation on an unstructured mesh with a wandering
+    compute hot spot (:func:`drifting_weights`), as an adaptive model
+    (the contract is in :mod:`repro.adapt.controller`).
+
+    Node ids are GenBlock-distributed; per-sweep compute is the summed
+    weight of the owned nodes, communication the cut edges between
+    owner blocks.  There is no offline schedule: the hot spot's
+    trajectory is run-time data, precisely the thing the paper's
+    offline tooling cannot see.  The Jacobi arithmetic is one global
+    vectorized update, independent of ownership, so the solution is
+    bitwise-identical whatever the controller decides.
+    """
+
+    n: int
+    sweeps: int
+    window: int
+    drift: float
+    kind: str = "geometric"
+    amp: float = 6.0
+    width: float = 0.06
+    value_bytes: int = 8
+    #: modeled flops per unit of node weight — a heavier-than-Jacobi
+    #: per-node kernel (the regime where load balance, not the cut,
+    #: dominates; at the relaxation's historical 4 flops/node the cut
+    #: traffic drowns any compute rebalancing)
+    flops_per_node: float = 2000.0
+
+    #: the registered default drift (0: no hot-spot motion) would give
+    #: a probe nothing to adapt to
+    probe: ClassVar[dict] = {"n": 48, "sweeps": 12, "window": 4, "drift": 0.02}
+
+    @property
+    def steps(self) -> int:
+        return self.sweeps
+
+    @property
+    def array(self) -> tuple[str, tuple[int, ...]]:
+        return "V", (self.n,)
+
+    @property
+    def flops_per_unit(self) -> float:
+        return self.flops_per_node
+
+    def dist_of(self, sizes) -> DistributionType:
+        return DistributionType((GenBlock(sizes),))
+
+    def begin(self, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        graph = make_mesh(self.n, seed=seed, kind=self.kind, rng=rng)
+        self.state = rng.standard_normal(self.n)
+        self._edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+        self._deg = np.bincount(
+            self._edges.ravel(), minlength=self.n
+        ).astype(np.float64)
+        self._sweep = 0
+
+    def weights(self) -> np.ndarray:
+        """Per-node compute weight under the hot spot's current position."""
+        return drifting_weights(
+            self.n, self._sweep, self.drift, amp=self.amp, width=self.width
+        )
+
+    def step(self, k: int, machine: Machine, owners: np.ndarray) -> np.ndarray:
+        self._sweep = k - 1
+        nprocs, network = machine.nprocs, machine.network
+        edges, values = self._edges, self.state
+
+        # owner-computes Jacobi work, weighted by the hot spot
+        per_rank = np.bincount(owners, weights=self.weights(), minlength=nprocs)
+        busy = np.zeros(nprocs)
+        for rank in range(nprocs):
+            c0 = network.clocks[rank]
+            network.compute(
+                rank, self.flops_per_node * float(per_rank[rank]), tag="relax:V"
+            )
+            busy[rank] = network.clocks[rank] - c0
+
+        # cut edges: each crossing edge ships one value each way
+        if len(edges):
+            eu, ev = owners[edges[:, 0]], owners[edges[:, 1]]
+            cross = eu != ev
+            if cross.any():
+                pair = np.concatenate(
+                    [eu[cross] * nprocs + ev[cross],
+                     ev[cross] * nprocs + eu[cross]]
+                )
+                cnt = np.bincount(pair, minlength=nprocs * nprocs).reshape(
+                    nprocs, nprocs
+                )
+                network.exchange(
+                    [
+                        (int(s), int(d), int(cnt[s, d]) * self.value_bytes,
+                         "relax:gather")
+                        for s, d in zip(*np.nonzero(cnt))
+                    ]
+                )
+        network.synchronize()
+
+        # the global Jacobi update — ownership never enters
+        nbrsum = np.bincount(
+            edges[:, 0], weights=values[edges[:, 1]], minlength=self.n
+        ) + np.bincount(
+            edges[:, 1], weights=values[edges[:, 0]], minlength=self.n
+        )
+        self.state = np.where(
+            self._deg > 0,
+            0.5 * values + 0.5 * nbrsum / np.maximum(self._deg, 1.0),
+            values,
+        )
+        return busy

@@ -30,15 +30,20 @@ at each checkpoint it redistributes exactly when the modeled compute
 time saved over the next ``rebalance_every`` steps exceeds the modeled
 cost of the transfer — the cost-driven version of ``rebalance()``.
 
-:func:`run_pic` records, per step, the load imbalance, the messages
-spent on particle motion, field work time, and redistribution cost —
-the trajectories experiment E3 plots against the static-BLOCK
+:func:`execute_pic` records, per step, the load imbalance, the
+messages spent on particle motion, field work time, and redistribution
+cost — the trajectories experiment E3 plots against the static-BLOCK
 baseline.
+
+:class:`PICDrift` is the same loop as an *adaptive model*: the physics
+of one time step (shared with :func:`execute_pic`) with every layout
+decision left to :class:`~repro.adapt.AdaptiveController`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,7 +59,7 @@ __all__ = [
     "PICConfig",
     "StepRecord",
     "PICResult",
-    "run_pic",
+    "PICDrift",
     "execute_pic",
     "initpos",
     "reflected_position",
@@ -119,7 +124,7 @@ class PICResult:
         return sum(s.redistribution_bytes for s in self.steps)
 
 
-def initpos(config: PICConfig, rng: np.random.Generator) -> np.ndarray:
+def initpos(config: "PICConfig | PICDrift", rng: np.random.Generator) -> np.ndarray:
     """Initial particle positions: a Gaussian cluster near x = 0.2.
 
     A clustered profile makes the static BLOCK distribution imbalanced
@@ -140,8 +145,8 @@ def reflected_position(start: np.ndarray, displacement: float) -> np.ndarray:
 
     The distribution planner uses it to model the cluster's trajectory
     without simulating.  For pure drift (no diffusion) it matches
-    :func:`run_pic`'s per-step bookkeeping exactly through the first
-    (top) wall bounce; past that the two diverge — ``run_pic``'s
+    :func:`execute_pic`'s per-step bookkeeping exactly through the first
+    (top) wall bounce; past that the two diverge — ``execute_pic``'s
     bottom wall reflects position without negating velocity, so its
     particles linger at the wall, while this models ideal reflection."""
     folded = np.mod(np.asarray(start, dtype=float) + displacement, 2.0)
@@ -149,37 +154,10 @@ def reflected_position(start: np.ndarray, displacement: float) -> np.ndarray:
     return np.clip(pos, 0.0, np.nextafter(1.0, 0.0))
 
 
-def _field_dist(sizes: list[int] | None, ncell: int, nprocs: int) -> DistributionType:
+def _field_dist(sizes: list[int] | None = None) -> DistributionType:
     if sizes is None:
         return DistributionType((Block(), NoDist()))
     return DistributionType((GenBlock(sizes), NoDist()))
-
-
-def run_pic(
-    machine: Machine,
-    config: PICConfig,
-    rng: np.random.Generator | None = None,
-    backend: Backend | str | None = None,
-) -> PICResult:
-    """Deprecated free-function spelling of the PIC workload.
-
-    Use the session facade instead::
-
-        with repro.session(nprocs=4) as sess:
-            result = sess.workload("pic", size=128, steps=50).run()
-
-    (:func:`execute_pic` is the implementation; results are
-    bitwise-identical.)
-    """
-    import warnings
-
-    warnings.warn(
-        "run_pic() is deprecated; use repro.session(...) and "
-        "Session.workload('pic', ...).run() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_pic(machine, config, rng=rng, backend=backend)
 
 
 def execute_pic(
@@ -210,20 +188,87 @@ def execute_pic(
         return _run_pic(machine, config, rng)
 
 
+#: FIELD(NCELL, NFIELD): the second dim holds a small record per cell,
+#: standing in for the paper's NPART slots
+_NFIELD = 4
+
+
+def _pic_step(
+    machine: Machine,
+    owners: np.ndarray,
+    pos: np.ndarray,
+    vel: np.ndarray,
+    rng: np.random.Generator,
+    cfg: "PICConfig | PICDrift",
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Figure 2 time step under the cell -> rank map ``owners``:
+    owner-computes field update, particle motion, reassignment of the
+    particles that crossed a processor boundary.
+
+    Returns the new positions (``vel`` is updated in place) and each
+    rank's busy time — its clock advance across the compute call,
+    taken *before* the barrier equalizes the clocks, which is the load
+    signal the adaptive controller monitors.
+    """
+    ncell, nprocs, network = cfg.ncell, machine.nprocs, machine.network
+    old_cells = _cell_of(pos, ncell)
+
+    # C Compute new field: owner-computes, work ~ local particles
+    loads = np.bincount(
+        owners, weights=np.bincount(old_cells, minlength=ncell),
+        minlength=nprocs,
+    )
+    busy = np.zeros(nprocs)
+    for rank in range(nprocs):
+        c0 = network.clocks[rank]
+        network.compute(
+            rank, cfg.flops_per_particle * float(loads[rank]),
+            tag="pic:update_field",
+        )
+        busy[rank] = network.clocks[rank] - c0
+    network.synchronize()
+
+    # C Compute new particle positions and reassign them
+    pos = pos + vel + rng.normal(0.0, cfg.diffusion, size=len(pos))
+    # reflecting walls keep the cluster inside the domain
+    pos = np.abs(pos)
+    over = pos >= 1.0
+    pos[over] = 2.0 - pos[over]
+    pos = np.clip(pos, 0.0, np.nextafter(1.0, 0.0))
+    vel[over] = -vel[over]
+    new_cells = _cell_of(pos, ncell)
+
+    moved = old_cells != new_cells
+    src = owners[old_cells[moved]]
+    dst = owners[new_cells[moved]]
+    cross = src != dst
+    if cross.any():
+        pair = src[cross] * nprocs + dst[cross]
+        cnt = np.bincount(pair, minlength=nprocs * nprocs).reshape(
+            nprocs, nprocs
+        )
+        network.exchange(
+            [
+                (int(s), int(d), int(cnt[s, d]) * cfg.particle_bytes,
+                 "pic:reassign")
+                for s, d in zip(*np.nonzero(cnt))
+            ]
+        )
+        network.synchronize()
+    return pos, busy
+
+
 def _run_pic(
     machine: Machine, config: PICConfig, rng: np.random.Generator
 ) -> PICResult:
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     machine.reset_network()
 
     ncell, nprocs = config.ncell, config.nprocs
-    # FIELD(NCELL, NFIELD): per-cell field values (second dim holds a
-    # small record per cell, standing in for the paper's NPART slots).
-    nfield = 4
     fld = engine.declare(
         "FIELD",
-        (ncell, nfield),
-        dist=_field_dist(None, ncell, nprocs),
+        (ncell, _NFIELD),
+        dist=_field_dist(),
         dynamic=True,
     )
 
@@ -241,7 +286,7 @@ def _run_pic(
     # C Compute initial partition of cells + DISTRIBUTE FIELD :: B_BLOCK(BOUNDS)
     if config.strategy in ("bblock", "planned"):
         bounds = balance_greedy(counts(), nprocs)
-        engine.distribute("FIELD", _field_dist(bounds, ncell, nprocs))
+        engine.distribute("FIELD", _field_dist(bounds))
 
     cost_engine = None
     if config.strategy == "planned":
@@ -254,46 +299,8 @@ def _run_pic(
     result = PICResult(config)
     for k in range(1, config.max_time + 1):
         owners = cell_owner_map()
-        w = counts()
-
-        # C Compute new field: owner-computes, work ~ local particles
-        loads = np.bincount(owners, weights=w, minlength=nprocs)
-        for rank in range(nprocs):
-            machine.network.compute(
-                rank, config.flops_per_particle * float(loads[rank]),
-                tag="pic:update_field",
-            )
-        machine.network.synchronize()
-
-        # C Compute new particle positions and reassign them
-        old_cells = _cell_of(pos, ncell)
-        pos = pos + vel + rng.normal(0.0, config.diffusion, size=config.npart)
-        # reflecting walls keep the cluster inside the domain
-        pos = np.abs(pos)
-        over = pos >= 1.0
-        pos[over] = 2.0 - pos[over]
-        pos = np.clip(pos, 0.0, np.nextafter(1.0, 0.0))
-        vel[over] = -vel[over]
-        new_cells = _cell_of(pos, ncell)
-
-        moved = old_cells != new_cells
-        src = owners[old_cells[moved]]
-        dst = owners[new_cells[moved]]
-        cross = src != dst
         m0 = machine.stats()
-        if cross.any():
-            pair = src[cross] * nprocs + dst[cross]
-            cnt = np.bincount(pair, minlength=nprocs * nprocs).reshape(
-                nprocs, nprocs
-            )
-            machine.network.exchange(
-                [
-                    (int(s), int(d), int(cnt[s, d]) * config.particle_bytes,
-                     "pic:reassign")
-                    for s, d in zip(*np.nonzero(cnt))
-                ]
-            )
-            machine.network.synchronize()
+        pos, _ = _pic_step(machine, owners, pos, vel, rng, config)
         m1 = machine.stats()
 
         # C Rebalance every rebalance_every-th iteration if necessary
@@ -317,8 +324,8 @@ def _run_pic(
                 # compute saving over the next window beats the move
                 from ..planner.phases import ArrayLoad
 
-                cand = _field_dist(bounds, ncell, nprocs).apply(
-                    (ncell, nfield), machine.full_section()
+                cand = _field_dist(bounds).apply(
+                    (ncell, _NFIELD), machine.full_section()
                 )
                 load = ArrayLoad(
                     "FIELD",
@@ -338,7 +345,7 @@ def _run_pic(
                 )
         if worthwhile:
             r0 = machine.stats()
-            engine.distribute("FIELD", _field_dist(bounds, ncell, nprocs))
+            engine.distribute("FIELD", _field_dist(bounds))
             redist_bytes = machine.stats().bytes - r0.bytes
             redistributed = True
             result.redistributions += 1
@@ -360,3 +367,89 @@ def _run_pic(
         )
     result.total_time = machine.time
     return result
+
+
+@dataclass
+class PICDrift:
+    """Figure 2's loop as an adaptive model (the contract is in
+    :mod:`repro.adapt.controller`): the fields are the recorded
+    parameters, :meth:`step` is :func:`execute_pic`'s time step, and no
+    layout is ever chosen here — that is the controller's job.
+
+    The particle state consumes one RNG stream that nothing
+    layout-dependent branches on, so the final positions — the
+    solution — are bitwise-identical whatever the controller decides.
+    """
+
+    ncell: int
+    npart: int
+    steps: int
+    window: int
+    drift: float = 0.008
+    diffusion: float = 0.01
+    cluster_width: float = 0.06
+    flops_per_particle: float = 20.0
+    particle_bytes: int = 32
+
+    probe: ClassVar[dict] = {"ncell": 32, "npart": 512, "steps": 12, "window": 4}
+
+    @property
+    def array(self) -> tuple[str, tuple[int, ...]]:
+        return "FIELD", (self.ncell, _NFIELD)
+
+    @property
+    def flops_per_unit(self) -> float:
+        return self.flops_per_particle
+
+    def dist_of(self, sizes) -> DistributionType:
+        return _field_dist(list(sizes))
+
+    def begin(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.state = initpos(self, self._rng)
+        self._vel = np.full(self.npart, self.drift)
+
+    def weights(self) -> np.ndarray:
+        """Particles per cell, now."""
+        return np.bincount(_cell_of(self.state, self.ncell), minlength=self.ncell)
+
+    def step(self, k: int, machine: Machine, owners: np.ndarray) -> np.ndarray:
+        self.state, busy = _pic_step(
+            machine, owners, self.state, self._vel, self._rng, self
+        )
+        return busy
+
+    def offline_schedule(self, nprocs: int, cost_model, seed: int) -> list[list[int]]:
+        """The planner's precomputed per-window block sizes.
+
+        :func:`~repro.planner.workloads.pic_workload` forecasts the
+        load from pure drift of the initial positions
+        (:func:`reflected_position`); with ``rebalance_every`` set to
+        the monitoring window the plan's phases line up one-to-one with
+        the online windows.  Non-contiguous layouts (the planner's
+        lattice can in principle pick CYCLIC) fall back to even blocks
+        — the controller redistributes by contiguous sizes, the shape
+        every B_BLOCK layout has.
+        """
+        from ..planner.costs import CostEngine
+        from ..planner.workloads import pic_workload, plan_workload
+
+        workload = pic_workload(
+            ncell=self.ncell,
+            npart=self.npart,
+            steps=self.steps,
+            nprocs=nprocs,
+            rebalance_every=self.window,
+            drift=self.drift,
+            cluster_width=self.cluster_width,
+            flops_per_particle=self.flops_per_particle,
+            particle_bytes=self.particle_bytes,
+            cost_model=cost_model,
+            seed=seed,
+        )
+        plan = plan_workload(workload, cost_engine=CostEngine(workload.machine))
+        even = [Block().local_count(s, self.ncell, nprocs) for s in range(nprocs)]
+        return [
+            list(dd.sizes) if isinstance(dd, GenBlock) else even
+            for dd in (step.dist.dtype.dims[0] for step in plan.steps)
+        ]

@@ -34,7 +34,6 @@ from ..runtime.engine import Engine
 __all__ = [
     "SmoothingResult",
     "smooth_step_func",
-    "run_smoothing",
     "execute_smoothing",
     "smoothing_reference",
     "predicted_step_cost",
@@ -77,41 +76,6 @@ def smoothing_reference(grid: np.ndarray, steps: int) -> np.ndarray:
         p = np.pad(v, 1)
         v = 0.25 * (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:])
     return v
-
-
-def run_smoothing(
-    n: int,
-    steps: int,
-    distribution: str,
-    nprocs: int,
-    cost_model: CostModel,
-    grid: np.ndarray | None = None,
-    seed: int = DEFAULT_SEED,
-    backend: Backend | str | None = None,
-    machine: Machine | None = None,
-) -> SmoothingResult:
-    """Deprecated free-function spelling of the smoothing workload.
-
-    Use the session facade instead::
-
-        with repro.session(nprocs=16) as sess:
-            result = sess.workload("smoothing", size=128, steps=50).run()
-
-    (:func:`execute_smoothing` is the implementation; results are
-    bitwise-identical.)
-    """
-    import warnings
-
-    warnings.warn(
-        "run_smoothing() is deprecated; use repro.session(...) and "
-        "Session.workload('smoothing', ...).run() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_smoothing(
-        n, steps, distribution, nprocs, cost_model, grid,
-        seed=seed, backend=backend, machine=machine,
-    )
 
 
 def execute_smoothing(
@@ -176,7 +140,7 @@ def execute_smoothing(
         raise ValueError(f"grid shape {grid.shape} != ({n}, {n})")
 
     with attached_backend(machine, backend):
-        engine = Engine._create(machine)
+        engine = Engine(machine)
         u = engine.declare("U", (n, n), dist=dtype)
         u.from_global(grid)
         kernel = StencilKernel(u, (1, 1), smooth_step_func)
@@ -247,11 +211,10 @@ def planned_distribution(
     layout, or the layout's ``repr`` for anything else.
     """
     from ..core.dimdist import Block
-    from ..planner import smoothing_workload
-    from ..planner.workloads import _plan_workload
+    from ..planner import plan_workload, smoothing_workload
 
     workload = smoothing_workload(n, nprocs, steps=steps, cost_model=cost_model)
-    choice = _plan_workload(workload).steps[0].dist
+    choice = plan_workload(workload).steps[0].dist
     blockish = all(
         isinstance(d, Block) for d in choice.dtype.dims if d.consumes_proc_dim
     )

@@ -9,5 +9,6 @@ __all__ = ["DEFAULT_SEED"]
 
 #: The one default RNG seed every workload entry point shares.  A
 #: workload run with no explicit ``seed`` is deterministic and equal
-#: across entry points (legacy shims, ``Session`` handles, the CLI).
+#: across entry points (the ``execute_*`` functions, ``Session``
+#: handles, the CLI).
 DEFAULT_SEED = 0

@@ -81,7 +81,7 @@ class VFProgram:
 
     def __init__(self, machine: Machine, env: dict | None = None):
         self.machine = machine
-        self.engine = Engine._create(machine)
+        self.engine = Engine(machine)
         self.env = dict(env or {})
         self.env.setdefault("NP", machine.nprocs)  # the $NP intrinsic (§4)
         self._scopes: list[Scope] = [Scope(self, "main")]

@@ -57,7 +57,7 @@ def bench_forall(smoke: bool = False) -> dict:
 
     def setup():
         machine = Machine(ProcessorArray("R", grid), cost_model=IPSC860)
-        engine = Engine._create(machine)
+        engine = Engine(machine)
         a = engine.declare("A", (n, n), dist=dist_type("BLOCK", "BLOCK"))
         b = engine.declare("B", (n, n), dist=dist_type("BLOCK", "BLOCK"))
         rng = np.random.default_rng(11)
@@ -136,7 +136,7 @@ def bench_halo_exchange(smoke: bool = False) -> dict:
         machine = Machine(ProcessorArray("R", grid), cost_model=IPSC860)
         from .runtime.engine import Engine
 
-        engine = Engine._create(machine)
+        engine = Engine(machine)
         u = engine.declare("U", (n, n), dist=dist_type("BLOCK", "BLOCK"))
         rng = np.random.default_rng(13)
         u.from_global(rng.normal(size=(n, n)))
@@ -172,10 +172,7 @@ def bench_redistribute_planning(smoke: bool = False) -> dict:
     from .core.interning import clear_interning_caches
     from .machine import ProcessorArray
     from .core.distribution import dist_type
-    from .runtime.redistribute import (
-        PlanCache,
-        transfer_matrix_bruteforce,
-    )
+    from .runtime.redistribute import PlanCache, transfer_matrix_naive
 
     n = 32 if smoke else 96
     nprocs = 8
@@ -196,7 +193,7 @@ def bench_redistribute_planning(smoke: bool = False) -> dict:
         ]
 
     ref_s, ref_mats = _timed(
-        lambda: [transfer_matrix_bruteforce(o, w, nprocs) for o, w in pairs()]
+        lambda: [transfer_matrix_naive(o, w, nprocs) for o, w in pairs()]
     )
 
     # headline: one COLD pass (empty plan cache, empty interning/owner
@@ -242,8 +239,7 @@ def bench_redistribute_planning(smoke: bool = False) -> dict:
 def bench_simulated_cost_planning(smoke: bool = False) -> dict:
     """Schedule planning under ``cost_mode="simulated"``: event-loop
     transition replay vs array-backed fast replay + trace memo."""
-    from .planner import SimulatedCostEngine, adi_workload
-    from .planner.workloads import _plan_workload
+    from .planner import SimulatedCostEngine, adi_workload, plan_workload
 
     size = 32 if smoke else 96
     nprocs = 16 if smoke else 32
@@ -254,7 +250,7 @@ def bench_simulated_cost_planning(smoke: bool = False) -> dict:
         engine = SimulatedCostEngine(workload.machine, fast_replay=fast)
 
         def body():
-            plan = _plan_workload(workload, cost_engine=engine)
+            plan = plan_workload(workload, cost_engine=engine)
             # the schedule search's inner loop: every candidate pair
             trans = [
                 engine.transition_cost(a, b)

@@ -44,10 +44,8 @@ from .search import (
     plan_array,
 )
 from .workloads import (
-    WORKLOADS,
     Workload,
     adi_workload,
-    get_workload,
     hand_schedule_cost,
     pic_workload,
     plan_workload,
@@ -76,8 +74,6 @@ __all__ = [
     "adi_workload",
     "pic_workload",
     "smoothing_workload",
-    "get_workload",
     "plan_workload",
     "hand_schedule_cost",
-    "WORKLOADS",
 ]

@@ -1,10 +1,11 @@
-"""Named planner workloads — the paper's §4 programs as planning
-problems.
+"""The paper's §4 programs as planning problems.
 
 Each factory returns a :class:`Workload`: a phase sequence, a
 candidate-layout lattice, the declared initial layout, and (for
 comparison) the *hand* schedule the paper's programmer would have
-written.  They drive the ``python -m repro plan`` subcommand, the E12
+written.  The workload registry's ``.planning`` hooks
+(:mod:`repro.api.workloads`) are the name -> factory table; through
+them these drive the ``python -m repro plan`` subcommand, the E12
 bench, and the planner acceptance tests:
 
 - :func:`adi_workload` — Figure 1, built end-to-end from Vienna
@@ -44,10 +45,8 @@ __all__ = [
     "adi_workload",
     "pic_workload",
     "smoothing_workload",
-    "get_workload",
     "plan_workload",
     "hand_schedule_cost",
-    "WORKLOADS",
 ]
 
 
@@ -68,35 +67,6 @@ class Workload:
 
 
 def plan_workload(
-    workload: Workload,
-    cost_engine: CostEngine | None = None,
-    method: str = "auto",
-    cost_mode: str = "model",
-) -> Plan:
-    """Deprecated free-function spelling of the schedule search.
-
-    Use the session facade instead::
-
-        with repro.session(nprocs=4) as sess:
-            plan = sess.workload("adi", size=64).plan()
-
-    (:func:`_plan_workload` is the implementation; results are
-    bitwise-identical.)
-    """
-    import warnings
-
-    warnings.warn(
-        "plan_workload() is deprecated; use repro.session(...) and "
-        "Session.workload(name).plan(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _plan_workload(
-        workload, cost_engine=cost_engine, method=method, cost_mode=cost_mode
-    )
-
-
-def _plan_workload(
     workload: Workload,
     cost_engine: CostEngine | None = None,
     method: str = "auto",
@@ -377,26 +347,6 @@ def smoothing_workload(
             f"{machine.cost_model.name}"
         ),
     )
-
-
-# -- registry ----------------------------------------------------------------
-
-WORKLOADS = {
-    "adi": adi_workload,
-    "pic": pic_workload,
-    "smoothing": smoothing_workload,
-}
-
-
-def get_workload(name: str, **kwargs) -> Workload:
-    """Build a named workload (``adi`` | ``pic`` | ``smoothing``)."""
-    try:
-        factory = WORKLOADS[name]
-    except KeyError:
-        raise KeyError(
-            f"no workload named {name!r} (available: {sorted(WORKLOADS)})"
-        ) from None
-    return factory(**kwargs)
 
 
 def _find(candidates, dtype, grid=None):

@@ -20,7 +20,6 @@ from .redistribute import (
     communicate,
     default_plan_cache,
     transfer_matrix,
-    transfer_matrix_bruteforce,
     transfer_matrix_naive,
 )
 from .translation import DimTranslationTable, TranslationTable
@@ -42,7 +41,6 @@ __all__ = [
     "default_plan_cache",
     "transfer_matrix",
     "transfer_matrix_naive",
-    "transfer_matrix_bruteforce",
     "TranslationTable",
     "DimTranslationTable",
     "shift_exchange",

@@ -18,7 +18,6 @@ programs."  :class:`Engine` is that abstract machine's front door:
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,36 +64,6 @@ class Engine:
         plan_cache: PlanCache | None = None,
         backend: Backend | str | None = None,
     ):
-        warnings.warn(
-            "constructing Engine(...) directly is deprecated; open a "
-            "session with repro.session(...) and use Session.engine() "
-            "(or Session.workload(...) for the named workloads)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(machine, plan_cache, backend)
-
-    @classmethod
-    def _create(
-        cls,
-        machine: Machine,
-        plan_cache: PlanCache | None = None,
-        backend: Backend | str | None = None,
-    ) -> "Engine":
-        """Internal constructor: same semantics as ``Engine(...)``
-        without the deprecation warning.  :meth:`repro.api.Session.engine`
-        and the in-package callers use this; user code should go
-        through the session facade."""
-        self = object.__new__(cls)
-        self._init(machine, plan_cache, backend)
-        return self
-
-    def _init(
-        self,
-        machine: Machine,
-        plan_cache: PlanCache | None,
-        backend: Backend | str | None,
-    ) -> None:
         self.machine = machine
         if backend is None:
             self.backend = machine.backend  # may be None: inline serial

@@ -44,7 +44,6 @@ from .darray import DistributedArray
 __all__ = [
     "transfer_matrix",
     "transfer_matrix_naive",
-    "transfer_matrix_bruteforce",
     "communicate",
     "RedistributionReport",
     "PlanCache",
@@ -141,8 +140,7 @@ def transfer_matrix_naive(
     path reaches it: :func:`communicate`, the planner's cost engines
     and the SPMD backends all go through :func:`transfer_matrix`
     (usually :class:`PlanCache`-mediated), which is asserted by
-    ``tests/runtime/test_redistribute.py``.  Also exported as
-    ``transfer_matrix_bruteforce``.
+    ``tests/runtime/test_redistribute.py``.
     """
     if old.domain != new.domain:
         raise ValueError("redistribution must preserve the index domain")
@@ -153,10 +151,6 @@ def transfer_matrix_naive(
             if d != s:
                 T[s, d] += 1
     return T
-
-
-#: the name the experiment write-ups use for the E4 ablation baseline
-transfer_matrix_bruteforce = transfer_matrix_naive
 
 
 _PLAN_CACHE_LOOKUPS = _obs.counter(

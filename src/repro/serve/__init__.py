@@ -21,8 +21,7 @@ Layers (each usable on its own):
   in-process testing);
 - :mod:`repro.serve.loadtest` — N concurrent clients × registered
   workloads, writing p50/p99 latency and cache hit rates to
-  ``BENCH_SERVE.json`` (``python -m repro serve --loadtest``);
-- :mod:`repro.serve.fastapi_app` — optional FastAPI adapter (extra).
+  ``BENCH_SERVE.json`` (``python -m repro serve --loadtest``).
 
 Quickstart::
 

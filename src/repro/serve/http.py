@@ -18,10 +18,6 @@ Three entry points:
   the load-test harness get a real HTTP endpoint in-process;
 - :func:`serve_forever` — the blocking CLI spelling
   (``python -m repro serve``).
-
-For a FastAPI/uvicorn deployment instead, see
-:func:`repro.serve.fastapi_app.create_app` (optional extra — the
-stdlib server is the supported default).
 """
 
 from __future__ import annotations

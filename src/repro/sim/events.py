@@ -320,7 +320,7 @@ def record(machine: "Machine", log: EventLog | None = None):
 
         log = EventLog()
         with record(machine, log):
-            run_adi(machine, 32, 32, 2, "dynamic")
+            execute_adi(machine, 32, 32, 2, "dynamic")
         timeline = simulate(log, machine.cost_model, machine.nprocs)
 
     Note that a workload which calls ``machine.reset_network()``

@@ -1,10 +1,15 @@
 """AdaptiveController: determinism, wins, checkpoints, observability."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.adapt import AdaptiveController, MODES, supported_workloads
-from repro.adapt.controller import PIC_PROBE
+from repro.adapt import AdaptiveController, MODES
+from repro.adapt.bench import SMOKE_SCENARIOS
+from repro.api import REGISTRY
+from repro.apps.pic import PICDrift
 from repro.obs import metrics as obs_metrics
 from repro.obs.flight import flight_recorder
 
@@ -22,8 +27,8 @@ def pic():
 
 
 def test_constructor_validation():
-    assert supported_workloads() == ("irregular", "pic")
-    with pytest.raises(ValueError):
+    assert REGISTRY.adaptable_names() == ("irregular", "pic")
+    with pytest.raises(ValueError, match="no adaptive driver"):
         AdaptiveController("adi")
     with pytest.raises(ValueError):
         AdaptiveController("pic", nprocs=0)
@@ -113,8 +118,8 @@ def test_irregular_driver_wins_too():
 
 def test_probe_is_small_and_fast(pic):
     run = pic.probe(drift=0.02)
-    assert run.params["ncell"] == PIC_PROBE["ncell"]
-    assert run.steps == PIC_PROBE["steps"]
+    assert run.params["ncell"] == PICDrift.probe["ncell"]
+    assert run.steps == PICDrift.probe["steps"]
     # without drift only diffusion remains, so the loop fires less
     calm = pic.probe(drift=0.0)
     assert len(calm.replans) < len(pic.probe(drift=0.02).replans)
@@ -150,3 +155,28 @@ def test_every_decision_leaves_a_flight_note_and_metrics(pic):
     finally:
         obs_metrics.disable()
         flight_recorder.reset()
+
+
+# recorded at the commit before the per-workload drivers were folded
+# into the one generic driver: the workload-agnostic controller must
+# reproduce every run document exactly (makespans to the last digit,
+# digests, decisions, replans, checkpoints, recorded params)
+PIN = json.loads(
+    (Path(__file__).parent / "fixtures" / "adaptive_runs_pin.json").read_text()
+)
+
+
+@pytest.mark.parametrize("scenario", SMOKE_SCENARIOS, ids=lambda s: s["name"])
+def test_smoke_scenarios_reproduce_the_pinned_runs(scenario):
+    ctl = AdaptiveController(
+        scenario["workload"], nprocs=scenario["nprocs"],
+        cost_model=scenario["cost_model"], seed=0,
+        params=dict(scenario["params"]),
+    )
+    for mode in MODES:
+        assert ctl.run(mode).to_json() == PIN["scenarios"][scenario["name"]][mode]
+
+
+@pytest.mark.parametrize("name", sorted(PIN["probes"]))
+def test_probe_reproduces_the_pinned_run(name):
+    assert AdaptiveController(name).probe().to_json() == PIN["probes"][name]

@@ -1,13 +1,12 @@
-"""Session-path results are bitwise-identical to the legacy paths.
+"""Session-path results are bitwise-identical to the direct paths.
 
 The acceptance bar of the API redesign: for every registered workload,
-``Session`` runs reproduce the legacy free-function results exactly —
-solutions, per-processor clocks, recorded event logs — and
-``handle.plan()`` reproduces the legacy planner CLI path's schedules.
-Property-tested over sizes and seeds.
+``Session`` runs reproduce a direct call of the application's
+``execute_*`` function exactly — solutions, per-processor clocks,
+recorded event logs — and ``handle.plan()`` reproduces the schedule of
+the planner factory called by hand.  Property-tested over sizes and
+seeds.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -103,7 +102,8 @@ def test_run_bitwise_identical_to_legacy(name, size, seed):
 @given(seed=st.integers(0, 2))
 @settings(max_examples=3, deadline=None)
 def test_plan_identical_to_legacy(name, seed):
-    from repro.planner import CostEngine, get_workload, plan_workload
+    from repro import planner
+    from repro.planner import CostEngine, plan_workload
 
     size = 16
     steps = 4
@@ -124,12 +124,10 @@ def test_plan_identical_to_legacy(name, seed):
         name, **handle_params
     ).plan()
 
-    legacy_workload = get_workload(name, **legacy_kwargs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_plan = plan_workload(
-            legacy_workload, cost_engine=CostEngine(legacy_workload.machine)
-        )
+    legacy_workload = getattr(planner, f"{name}_workload")(**legacy_kwargs)
+    legacy_plan = plan_workload(
+        legacy_workload, cost_engine=CostEngine(legacy_workload.machine)
+    )
     assert result.plan.layouts() == legacy_plan.layouts()
     assert result.plan.total_cost == legacy_plan.total_cost
     assert result.plan.to_dict() == legacy_plan.to_dict()

@@ -21,7 +21,8 @@ from repro.api import (
     session,
 )
 from repro.backend import SerialBackend
-from repro.machine import PARAGON
+from repro.core.distribution import dist_type
+from repro.machine import PARAGON, Machine, ProcessorArray
 
 
 # -- config ----------------------------------------------------------------
@@ -94,6 +95,29 @@ def test_session_engine_does_not_warn():
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             sess.engine()
+
+
+def test_bare_engine_matches_session_engine():
+    """``Engine(machine)`` is the one constructor; ``Session.engine()``
+    only adds the session's plan cache and backend on top of it."""
+    from repro.runtime.engine import Engine
+
+    def flip(vfe):
+        v = vfe.declare("V", (12, 12), dist=dist_type(":", "BLOCK"),
+                        dynamic=True)
+        v.from_global(np.arange(144.0).reshape(12, 12))
+        reports = vfe.distribute("V", dist_type("BLOCK", ":"))
+        return (
+            v.to_global(),
+            [(r.messages, r.bytes) for r in reports],
+            tuple(vfe.machine.network.clocks),
+        )
+
+    bare = flip(Engine(Machine(ProcessorArray("R", (4,)), cost_model=PARAGON)))
+    with session(nprocs=4) as sess:
+        via_session = flip(sess.engine(name="R"))
+    assert np.array_equal(bare[0], via_session[0])
+    assert bare[1:] == via_session[1:]
 
 
 def test_session_engine_attaches_and_closes_backend():

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.smoothing import (
     best_distribution,
     predicted_step_cost,
-    run_smoothing,
+    execute_smoothing,
     smoothing_reference,
 )
 from repro.machine.cost_model import IPSC860, MODERN_CLUSTER, CostModel
@@ -17,19 +17,19 @@ class TestCorrectness:
     def test_matches_sequential(self, distribution):
         g = np.random.default_rng(0).standard_normal((32, 32))
         ref = smoothing_reference(g, 4)
-        r = run_smoothing(32, 4, distribution, 4, IPSC860, grid=g.copy())
+        r = execute_smoothing(32, 4, distribution, 4, IPSC860, grid=g.copy())
         assert np.allclose(r.solution, ref)
 
     def test_distributions_agree(self):
-        r1 = run_smoothing(32, 3, "columns", 4, IPSC860, seed=5)
-        r2 = run_smoothing(32, 3, "blocks2d", 4, IPSC860, seed=5)
+        r1 = execute_smoothing(32, 3, "columns", 4, IPSC860, seed=5)
+        r2 = execute_smoothing(32, 3, "blocks2d", 4, IPSC860, seed=5)
         assert np.allclose(r1.solution, r2.solution)
 
 
 class TestPaperMessageCounts:
     def test_columns_interior_two_messages_per_proc(self):
         """'2 messages per processor, each of size N, per step'."""
-        r = run_smoothing(32, 1, "columns", 4, IPSC860, seed=0)
+        r = execute_smoothing(32, 1, "columns", 4, IPSC860, seed=0)
         # 3 interior boundaries x 2 directions = 6 total messages;
         # interior processors send/receive 2 each
         assert r.messages == 6
@@ -39,23 +39,23 @@ class TestPaperMessageCounts:
     def test_blocks2d_four_messages_per_interior_proc(self):
         """'4 messages of size N/p each' (2 per distributed dim here
         on a 2x2 grid where every processor has 1 neighbour per dim)."""
-        r = run_smoothing(32, 1, "blocks2d", 4, IPSC860, seed=0)
+        r = execute_smoothing(32, 1, "blocks2d", 4, IPSC860, seed=0)
         # 2x2 grid: 4 boundaries total (2 per dim) x 2 directions = 8
         assert r.messages == 8
         assert r.bytes == 8 * 16 * 8  # N/p = 16 elements per message
 
     def test_larger_grid_3x3(self):
-        r = run_smoothing(36, 1, "blocks2d", 9, IPSC860, seed=0)
+        r = execute_smoothing(36, 1, "blocks2d", 9, IPSC860, seed=0)
         # 3x3: per dim 6 boundaries x 2 dirs = 12, two dims -> 24
         assert r.messages == 24
 
     def test_blocks_needs_square_proc_count(self):
         with pytest.raises(ValueError):
-            run_smoothing(16, 1, "blocks2d", 6, IPSC860)
+            execute_smoothing(16, 1, "blocks2d", 6, IPSC860)
 
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
-            run_smoothing(16, 1, "rows", 4, IPSC860)
+            execute_smoothing(16, 1, "rows", 4, IPSC860)
 
 
 class TestPredictedCost:
@@ -113,8 +113,8 @@ class TestMeasuredMatchesPredictedShape:
         for model in (IPSC860, MODERN_CLUSTER):
             pred_col = predicted_step_cost(n, p, "columns", model)
             pred_blk = predicted_step_cost(n, p, "blocks2d", model)
-            r_col = run_smoothing(n, 2, "columns", p, model, seed=1)
-            r_blk = run_smoothing(n, 2, "blocks2d", p, model, seed=1)
+            r_col = execute_smoothing(n, 2, "columns", p, model, seed=1)
+            r_blk = execute_smoothing(n, 2, "blocks2d", p, model, seed=1)
             if pred_col < pred_blk:
                 assert r_col.time <= r_blk.time * 1.5
             else:

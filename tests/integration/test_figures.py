@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.apps.adi import adi_reference
-from repro.apps.pic import PICConfig, run_pic
+from repro.apps.pic import PICConfig, execute_pic
 from repro.apps.tridiag import thomas_const
 from repro.compiler.codegen import LineSweepKernel
 from repro.compiler.comm_analysis import estimate_ref
@@ -120,11 +120,11 @@ class TestPICIntegration:
         wins = 0
         for seed in range(5):
             cfg = dict(ncell=48, npart=1200, max_time=30, nprocs=4, seed=seed)
-            rb = run_pic(
+            rb = execute_pic(
                 Machine(parse_processors("P(1:4)"), cost_model=PARAGON),
                 PICConfig(strategy="bblock", **cfg),
             )
-            rs = run_pic(
+            rs = execute_pic(
                 Machine(parse_processors("P(1:4)"), cost_model=PARAGON),
                 PICConfig(strategy="static", **cfg),
             )

@@ -221,18 +221,18 @@ def test_forced_500_dumps_incident_with_request_ids(service):
 def test_stage_failure_incident_carries_finished_spans(service):
     import repro.planner.workloads as pw
 
-    orig = pw._plan_workload
+    orig = pw.plan_workload
 
     def boom(*args, **kwargs):
         raise RuntimeError("planner exploded")
 
-    pw._plan_workload = boom
+    pw.plan_workload = boom
     try:
         resp = service.dispatch(
             "POST", "/plan", b'{"workload": "adi", "size": 8}'
         )
     finally:
-        pw._plan_workload = orig
+        pw.plan_workload = orig
     assert resp.status == 500
     record = flight_recorder.last_incident()
     # the session.plan span finished (exception path) before the dump

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps.adi import adi_reference, run_adi
-from repro.apps.pic import PICConfig, run_pic
+from repro.apps.adi import adi_reference, execute_adi
+from repro.apps.pic import PICConfig, execute_pic
 from repro.apps.smoothing import best_distribution, planned_distribution
 from repro.machine import (
     IPSC860,
@@ -24,26 +24,26 @@ class TestADIPlanned:
     def test_solution_matches_reference(self):
         grid = np.random.default_rng(0).standard_normal((32, 32))
         ref = adi_reference(grid, 2, -1.0, 4.0)
-        r = run_adi(machine(), 32, 32, 2, "planned", grid=grid)
+        r = execute_adi(machine(), 32, 32, 2, "planned", grid=grid)
         assert np.allclose(r.solution, ref)
 
     def test_matches_hand_dynamic_on_paragon(self):
         """Where the flip is profitable the planned run is
         message-for-message the paper's dynamic strategy."""
-        dyn = run_adi(machine(), 64, 64, 2, "dynamic", seed=0)
-        pln = run_adi(machine(), 64, 64, 2, "planned", seed=0)
+        dyn = execute_adi(machine(), 64, 64, 2, "dynamic", seed=0)
+        pln = execute_adi(machine(), 64, 64, 2, "planned", seed=0)
         assert pln.sweep_messages == dyn.sweep_messages == 0
         assert pln.redistribution.messages == dyn.redistribution.messages
         assert pln.total_time == pytest.approx(dyn.total_time)
 
     def test_zero_cost_model_never_redistributes(self):
-        r = run_adi(machine(ZERO_COST), 32, 32, 2, "planned", seed=0)
+        r = execute_adi(machine(ZERO_COST), 32, 32, 2, "planned", seed=0)
         assert r.redistribution.messages == 0
 
     def test_beats_static_on_paragon(self):
-        pln = run_adi(machine(), 64, 64, 2, "planned", seed=0)
+        pln = execute_adi(machine(), 64, 64, 2, "planned", seed=0)
         for s in ("static_cols", "static_rows"):
-            static = run_adi(machine(), 64, 64, 2, s, seed=0)
+            static = execute_adi(machine(), 64, 64, 2, s, seed=0)
             assert pln.total_time < static.total_time
 
 
@@ -55,17 +55,17 @@ class TestPICPlanned:
         )
 
     def test_runs_and_rebalances(self):
-        r = run_pic(machine(shape=(4,)), self.cfg("planned"))
+        r = execute_pic(machine(shape=(4,)), self.cfg("planned"))
         assert r.redistributions > 0
 
     def test_no_worse_imbalance_than_static(self):
-        static = run_pic(machine(shape=(4,)), self.cfg("static"))
-        planned = run_pic(machine(shape=(4,)), self.cfg("planned"))
+        static = execute_pic(machine(shape=(4,)), self.cfg("static"))
+        planned = execute_pic(machine(shape=(4,)), self.cfg("planned"))
         assert planned.mean_imbalance <= static.mean_imbalance
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValueError):
-            run_pic(machine(shape=(4,)), self.cfg("nope"))
+            execute_pic(machine(shape=(4,)), self.cfg("nope"))
 
 
 class TestSmoothingPlanned:
@@ -102,7 +102,7 @@ class TestPlannedRegressions:
             strategy="planned", ncell=64, npart=2000, max_time=10,
             nprocs=4, rebalance_every=10, drift=0.02, seed=1,
         )
-        r = run_pic(machine(shape=(4,)), cfg)
+        r = execute_pic(machine(shape=(4,)), cfg)
         assert not r.steps[-1].redistributed
 
     def test_plan_program_empty_arrays_override_plans_nothing(self):

@@ -16,10 +16,10 @@ from repro.machine import (
     PARAGON,
     ZERO_COST,
 )
+from repro.api import REGISTRY, WorkloadContext
 from repro.planner import (
     CostEngine,
     adi_workload,
-    get_workload,
     hand_schedule_cost,
     pic_workload,
     plan_workload,
@@ -27,6 +27,11 @@ from repro.planner import (
 )
 
 ALL_MODELS = [IPSC860, PARAGON, MODERN_CLUSTER]
+FACTORIES = {
+    "adi": adi_workload,
+    "pic": pic_workload,
+    "smoothing": smoothing_workload,
+}
 
 
 class TestADI:
@@ -121,7 +126,7 @@ class TestAcceptance:
     @pytest.mark.parametrize("name", ["adi", "pic", "smoothing"])
     @pytest.mark.parametrize("cm", ALL_MODELS)
     def test_planned_beats_every_static(self, name, cm):
-        workload = get_workload(name, cost_model=cm)
+        workload = FACTORIES[name](cost_model=cm)
         plan = plan_workload(workload)
         assert plan.static
         for dist, cost in plan.static.items():
@@ -133,6 +138,15 @@ class TestAcceptance:
 
 class TestRegistry:
     def test_get_workload_names(self):
-        assert get_workload("adi").name == "adi"
+        """The workload registry's ``.planning`` hooks are the one
+        name -> planning-problem table."""
+        assert REGISTRY.plannable_names() == tuple(sorted(FACTORIES))
+        for name in FACTORIES:
+            spec = REGISTRY.get(name)
+            ctx = WorkloadContext(
+                name, nprocs=4, cost_model=PARAGON, seed=0,
+                params=spec.resolve_params({}),
+            )
+            assert spec.planning_problem(ctx).name == name
         with pytest.raises(KeyError):
-            get_workload("nope")
+            REGISTRY.get("nope")

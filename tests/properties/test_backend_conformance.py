@@ -103,14 +103,14 @@ def test_random_redistribution_chains_bitwise_identical(data, n):
 # -- app smoke coverage: every §4 workload, both backends ----------------
 
 def test_adi_conformance_all_strategies():
-    from repro.apps.adi import run_adi
+    from repro.apps.adi import execute_adi
 
     for strategy in ("dynamic", "planned", "static_cols", "two_arrays"):
-        serial = run_adi(
+        serial = execute_adi(
             Machine(ProcessorArray("R", (4,)), cost_model=PARAGON),
             16, 16, 2, strategy, seed=1,
         )
-        multi = run_adi(
+        multi = execute_adi(
             Machine(ProcessorArray("R", (4,)), cost_model=PARAGON),
             16, 16, 2, strategy, seed=1, backend="multiprocess",
         )
@@ -120,16 +120,16 @@ def test_adi_conformance_all_strategies():
 
 
 def test_pic_conformance():
-    from repro.apps.pic import PICConfig, run_pic
+    from repro.apps.pic import PICConfig, execute_pic
 
     cfg = PICConfig(
         strategy="bblock", ncell=32, npart=400, max_time=12,
         nprocs=4, seed=5,
     )
-    serial = run_pic(
+    serial = execute_pic(
         Machine(ProcessorArray("P", (4,)), cost_model=PARAGON), cfg
     )
-    multi = run_pic(
+    multi = execute_pic(
         Machine(ProcessorArray("P", (4,)), cost_model=PARAGON), cfg,
         backend="multiprocess",
     )
@@ -141,7 +141,7 @@ def test_pic_conformance():
 
 
 def test_pic_explicit_rng_is_deterministic():
-    from repro.apps.pic import PICConfig, run_pic
+    from repro.apps.pic import PICConfig, execute_pic
 
     cfg = PICConfig(
         strategy="bblock", ncell=32, npart=400, max_time=8, nprocs=4,
@@ -150,7 +150,7 @@ def test_pic_explicit_rng_is_deterministic():
     runs = []
     for backend in (None, "multiprocess"):
         rng = np.random.default_rng(1234)  # overrides config.seed
-        r = run_pic(
+        r = execute_pic(
             Machine(ProcessorArray("P", (4,)), cost_model=PARAGON),
             cfg, rng=rng, backend=backend,
         )
@@ -159,13 +159,13 @@ def test_pic_explicit_rng_is_deterministic():
 
 
 def test_smoothing_conformance_both_distributions():
-    from repro.apps.smoothing import run_smoothing
+    from repro.apps.smoothing import execute_smoothing
 
     for distribution, nprocs in (("columns", 4), ("blocks2d", 4)):
-        serial = run_smoothing(
+        serial = execute_smoothing(
             16, 3, distribution, nprocs, PARAGON, seed=2
         )
-        multi = run_smoothing(
+        multi = execute_smoothing(
             16, 3, distribution, nprocs, PARAGON, seed=2,
             backend="multiprocess",
         )

@@ -158,19 +158,10 @@ class TestBBlockRedistribution:
 
 
 class TestBruteforceIsolation:
-    """The quadratic per-element oracle (``transfer_matrix_naive``,
-    a.k.a. ``transfer_matrix_bruteforce``) must only be reachable from
-    the E4 bench and the property tests — never from a production
-    path (communicate, the planner's cost engines, or anything
-    PlanCache-mediated)."""
-
-    def test_bruteforce_alias_exported(self):
-        from repro.runtime.redistribute import (
-            transfer_matrix_bruteforce,
-            transfer_matrix_naive,
-        )
-
-        assert transfer_matrix_bruteforce is transfer_matrix_naive
+    """The quadratic per-element oracle (``transfer_matrix_naive``)
+    must only be reachable from the E4 bench and the property tests —
+    never from a production path (communicate, the planner's cost
+    engines, or anything PlanCache-mediated)."""
 
     def test_production_paths_never_call_bruteforce(self, monkeypatch):
         import repro.runtime.redistribute as mod
@@ -181,7 +172,6 @@ class TestBruteforceIsolation:
             )
 
         monkeypatch.setattr(mod, "transfer_matrix_naive", _forbidden)
-        monkeypatch.setattr(mod, "transfer_matrix_bruteforce", _forbidden)
 
         # 1. the run time: DISTRIBUTE through the engine (PlanCache path)
         machine = Machine(P4, cost_model=PARAGON)

@@ -57,12 +57,12 @@ class TestReplayBlocking:
         assert r.clocks == [0.0, 0.0, 0.0] and r.makespan == 0.0
 
     def test_matches_network_on_app_trace(self):
-        from repro.apps.adi import run_adi
+        from repro.apps.adi import execute_adi
 
         machine = Machine(ProcessorArray("R", (4,)), cost_model=PARAGON)
         log = EventLog()
         with record(machine, log):
-            run_adi(machine, 16, 16, 2, "dynamic", seed=0)
+            execute_adi(machine, 16, 16, 2, "dynamic", seed=0)
         fast = replay_blocking(log.to_arrays(), PARAGON, 4)
         assert fast.clocks == machine.network.clocks
 

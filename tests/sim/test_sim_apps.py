@@ -13,25 +13,25 @@ def _trace(app: str):
     m_kw = dict(cost_model=PARAGON)
     log = EventLog()
     if app == "adi":
-        from repro.apps.adi import run_adi
+        from repro.apps.adi import execute_adi
 
         machine = Machine(ProcessorArray("R", (4,)), **m_kw)
         with record(machine, log):
-            run_adi(machine, 24, 24, 2, strategy="dynamic", seed=0)
+            execute_adi(machine, 24, 24, 2, strategy="dynamic", seed=0)
     elif app == "smoothing":
-        from repro.apps.smoothing import run_smoothing
+        from repro.apps.smoothing import execute_smoothing
 
         machine = Machine((4,), **m_kw)
         with record(machine, log):
-            run_smoothing(
+            execute_smoothing(
                 24, 4, "columns", 4, PARAGON, seed=0, machine=machine
             )
     elif app == "pic":
-        from repro.apps.pic import PICConfig, run_pic
+        from repro.apps.pic import PICConfig, execute_pic
 
         machine = Machine(ProcessorArray("P", (4,)), **m_kw)
         with record(machine, log):
-            run_pic(
+            execute_pic(
                 machine,
                 PICConfig(
                     strategy="bblock", ncell=32, npart=256, max_time=5,
@@ -78,12 +78,12 @@ def test_multiprocess_backend_trace_is_bitwise_identical():
     """The backend seam: SPMD backends drive the same master-side
     accounting, so a recorded trace replays bitwise regardless of
     which backend physically moved the data."""
-    from repro.apps.adi import run_adi
+    from repro.apps.adi import execute_adi
 
     machine = Machine(ProcessorArray("R", (2,)), cost_model=PARAGON)
     log = EventLog()
     with record(machine, log):
-        run_adi(machine, 16, 16, 1, "dynamic", seed=0,
+        execute_adi(machine, 16, 16, 1, "dynamic", seed=0,
                 backend="multiprocess")
     tl = simulate(log, machine.cost_model, machine.nprocs)
     assert tl.clocks == machine.network.clocks

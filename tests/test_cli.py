@@ -147,6 +147,7 @@ def test_serve_loadtest_json_roundtrip(tmp_path, capsys):
         capsys,
         ["serve", "--loadtest", "--smoke", "--clients", "2", "--rounds", "3",
          "--out", str(out), "--metrics-out", str(metrics_out),
+         "--trajectory", str(tmp_path / "trajectory.jsonl"),
          "--check", "--json"],
     )
     assert report["schema"] == "repro-bench-serve/2"
@@ -165,7 +166,8 @@ def test_serve_check_gate_fails_loudly(tmp_path):
     # non-zero (this is the CI contract of the serve smoke step)
     with pytest.raises(SystemExit):
         main(["serve", "--url", "http://127.0.0.1:9", "--clients", "1",
-              "--rounds", "1", "--smoke", "--check", "--out", ""])
+              "--rounds", "1", "--smoke", "--check", "--out", "",
+              "--trajectory", str(tmp_path / "trajectory.jsonl")])
 
 
 def test_obs_command_prometheus_text(capsys):

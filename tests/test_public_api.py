@@ -61,7 +61,7 @@ EXPORT_SNAPSHOT = sorted([
     "SimulatedCostEngine", "StencilKernel", "Stmt", "TOP", "Timeline",
     "TraceResult", "TrajectoryStore",
     "TranslationTable", "Transport", "TransportBroken", "TransportTimeout",
-    "TypePattern", "VFProgram", "VFSyntaxError", "WORKLOADS", "Wild",
+    "TypePattern", "VFProgram", "VFSyntaxError", "Wild",
     "Workload", "WorkloadHandle", "WorkloadRegistry", "WorkloadSpec",
     "ZERO_COST", "__version__", "adapt", "adi_workload", "analyze", "api", "apps",
     "attached_backend", "attribution",
@@ -77,7 +77,7 @@ EXPORT_SNAPSHOT = sorted([
     "fit_alpha_beta",
     "flight_recorder",
     "forall", "forall_batched", "forall_gathered", "gantt", "gather_to",
-    "get_generator", "get_request_id", "get_trace_id", "get_workload",
+    "get_generator", "get_request_id", "get_trace_id",
     "greedy_schedule", "grid_shapes",
     "hand_schedule_cost", "idt", "infer_overlap", "intern_dimdist",
     "intern_distribution", "lang", "link_matrix", "lower_line_sweep",
@@ -97,7 +97,7 @@ EXPORT_SNAPSHOT = sorted([
     "smoothing_workload", "span", "summary", "timeline_summary",
     "timeline_table",
     "to_chrome_trace", "to_json", "transfer_matrix",
-    "transfer_matrix_bruteforce", "transfer_matrix_naive", "transfer_plan",
+    "transfer_matrix_naive", "transfer_plan",
 ])
 
 
