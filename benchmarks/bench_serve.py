@@ -11,7 +11,7 @@ asyncio HTTP server:
    cache hit rate exceeds 50% (each distinct config computed once,
    every other request replayed from stored bytes).
 
-The report (``repro-bench-serve/1`` schema: per-phase p50/p99/mean
+The report (``repro-bench-serve/2`` schema: per-phase p50/p99/mean
 latency, hit rates, server-side cache and pool counters) is written to
 ``BENCH_SERVE.json`` next to ``BENCH_PERF.json``.  The CLI spelling is
 ``python -m repro serve --loadtest [--smoke] [--check]``; this bench

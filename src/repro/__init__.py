@@ -347,8 +347,7 @@ from .obs import (
     MetricsRegistry,
     TrajectoryStore,
     attribution,
-    compare_adapt_reports,
-    compare_perf_reports,
+    compare_reports,
     flight_recorder,
     get_request_id,
     get_trace_id,
@@ -397,8 +396,7 @@ __all__ = [
     "Attribution",
     "TrajectoryStore",
     "attribution",
-    "compare_adapt_reports",
-    "compare_perf_reports",
+    "compare_reports",
     "flight_recorder",
     # adaptive redistribution (repro.adapt)
     "AdaptiveController",

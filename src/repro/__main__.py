@@ -193,6 +193,18 @@ def trace_command(args: argparse.Namespace) -> None:
     print(f"split-phase {critical_path(split).summary()}")
 
 
+def _run_bench(runner, args: argparse.Namespace, **extra) -> dict:
+    """Call a bench runner with the flags :func:`_bench_flags` parsed
+    and echo its report under ``--json``."""
+    report = runner(
+        smoke=args.smoke, out=args.out, check=args.check,
+        trajectory=args.trajectory or None, quiet=args.json, **extra,
+    )
+    if args.json:
+        print(json.dumps(report, indent=2))
+    return report
+
+
 def bench_command(args: argparse.Namespace) -> None:
     """Time the vectorized hot paths against their reference oracles;
     with ``--compare``, diff the run against a baseline (the regression
@@ -201,48 +213,37 @@ def bench_command(args: argparse.Namespace) -> None:
     from .perf import run_harness
 
     mode = "smoke" if args.smoke else "full"
-    trajectory = args.trajectory or None
     if not args.json:
         print(f"perf harness ({mode} sizes; wall-clock informational, "
               f"op counts asserted{' [--check]' if args.check else ''}):")
     if not args.compare:
-        report = run_harness(
-            smoke=args.smoke,
-            out=args.out,
-            check=args.check,
-            benches=args.only or None,
-            quiet=args.json,
-            trajectory=trajectory,
-        )
-        if args.json:
-            print(json.dumps(report, indent=2))
+        _run_bench(run_harness, args, benches=args.only or None)
         return
 
-    from .obs.compare import compare_perf_reports, resolve_baseline
+    from .obs.compare import compare_reports, finish_bench, resolve_baseline
     from .obs.trajectory import TrajectoryStore
 
     # resolve the baseline *before* the harness runs: the run must not
-    # land in the trajectory first (it would baseline itself), and the
-    # harness overwrites --out (default BENCH_PERF.json) — the very
-    # file the snapshot fallback would otherwise read back
-    store = TrajectoryStore(trajectory) if trajectory else None
+    # land in the trajectory first (it would baseline itself, so it is
+    # appended after the diff), and the harness overwrites --out
+    # (default BENCH_PERF.json) — the very file the snapshot fallback
+    # would otherwise read back
+    store = TrajectoryStore(args.trajectory) if args.trajectory else None
     baseline, source = resolve_baseline(
         {"smoke": bool(args.smoke)},
         kind="perf", baseline_path=args.baseline, trajectory=store,
     )
     report = run_harness(
-        smoke=args.smoke,
-        out=args.out,
-        check=args.check,
-        benches=args.only or None,
-        quiet=args.json,
+        smoke=args.smoke, out=args.out, check=args.check,
+        benches=args.only or None, quiet=args.json,
     )
-    comparison = compare_perf_reports(
-        baseline, report, baseline_source=source, trajectory=store,
+    comparison = compare_reports(
+        "perf", report, baseline, baseline_source=source, trajectory=store,
         wall_tolerance=args.wall_tolerance,
     )
-    if store is not None:
-        store.append("perf", report)
+    finish_bench(
+        "perf", report, out="", trajectory=args.trajectory, quiet=True
+    )
     if args.json:
         print(json.dumps(
             {"report": report, "comparison": comparison.to_json()}, indent=2
@@ -300,30 +301,14 @@ def serve_command(args: argparse.Namespace) -> None:
     from .serve import PlanningService, run_loadtest, serve_forever
 
     if args.loadtest or args.url or args.chaos:
-        out = args.out
         metrics_out = args.metrics_out
-        if args.chaos:
-            # chaos gets its own artifacts; never clobber the
-            # steady-state bench snapshot or metrics scrape
-            if out == "BENCH_SERVE.json":
-                out = "BENCH_CHAOS.json"
-            if metrics_out == "METRICS_SERVE.prom":
-                metrics_out = ""
-        report = run_loadtest(
-            url=args.url,
-            clients=args.clients,
-            rounds=args.rounds,
-            smoke=args.smoke,
-            out=out,
-            metrics_out=metrics_out,
-            trajectory=args.trajectory or None,
-            check=args.check,
-            quiet=args.json,
-            chaos=args.chaos,
+        if args.chaos and metrics_out == "METRICS_SERVE.prom":
+            metrics_out = ""  # never clobber the steady-state scrape
+        _run_bench(
+            run_loadtest, args, url=args.url, clients=args.clients,
+            rounds=args.rounds, metrics_out=metrics_out, chaos=args.chaos,
             chaos_seed=args.chaos_seed,
         )
-        if args.json:
-            print(json.dumps(report, indent=2))
         return
     service = PlanningService(
         max_idle_sessions=args.pool_size,
@@ -352,17 +337,9 @@ def adapt_command(args: argparse.Namespace) -> None:
 
     from .adapt import run_adapt_bench
 
-    report = run_adapt_bench(
-        smoke=args.smoke,
-        out=args.out,
-        coverage_out=args.coverage_out,
-        check=args.check,
-        trajectory=args.trajectory or None,
-        quiet=args.json,
-        seed=args.seed,
+    _run_bench(
+        run_adapt_bench, args, coverage_out=args.coverage_out, seed=args.seed
     )
-    if args.json:
-        print(json.dumps(report, indent=2))
 
 
 def obs_command(args: argparse.Namespace) -> None:
@@ -393,14 +370,7 @@ def obs_command(args: argparse.Namespace) -> None:
         return
 
     if args.action == "compare":
-        from .obs.compare import (
-            compare_adapt_reports,
-            compare_chaos_reports,
-            compare_perf_reports,
-            compare_serve_reports,
-            load_report,
-            resolve_baseline,
-        )
+        from .obs.compare import compare_reports, load_report, resolve_baseline
         from .obs.trajectory import TrajectoryStore
 
         current = load_report(args.current)
@@ -409,26 +379,10 @@ def obs_command(args: argparse.Namespace) -> None:
             current, kind=args.kind, baseline_path=args.baseline,
             trajectory=store,
         )
-        if args.kind == "serve":
-            comparison = compare_serve_reports(
-                baseline, current, baseline_source=source,
-                wall_tolerance=args.wall_tolerance,
-            )
-        elif args.kind == "chaos":
-            comparison = compare_chaos_reports(
-                baseline, current, baseline_source=source,
-                wall_tolerance=args.wall_tolerance,
-            )
-        elif args.kind == "adapt":
-            comparison = compare_adapt_reports(
-                baseline, current, baseline_source=source,
-                wall_tolerance=args.wall_tolerance,
-            )
-        else:
-            comparison = compare_perf_reports(
-                baseline, current, baseline_source=source, trajectory=store,
-                wall_tolerance=args.wall_tolerance,
-            )
+        comparison = compare_reports(
+            args.kind, current, baseline, baseline_source=source,
+            trajectory=store, wall_tolerance=args.wall_tolerance,
+        )
         if args.json:
             print(json.dumps(comparison.to_json(), indent=2))
         else:
@@ -455,8 +409,26 @@ def obs_command(args: argparse.Namespace) -> None:
         print(obs.render_prometheus(), end="")
 
 
+def _bench_flags(p, kind: str, *, smoke: str, check: str) -> None:
+    """The flags every bench family's command shares: its run ends in
+    :func:`repro.obs.compare.finish_bench`."""
+    from .obs.compare import FAMILIES
+
+    p.add_argument("--smoke", action="store_true", help=smoke)
+    p.add_argument("--check", action="store_true", help=check)
+    p.add_argument("--out", default=None,
+                   help=f"report path (default {FAMILIES[kind].snapshot}; "
+                        f"'' to skip writing)")
+    p.add_argument("--trajectory", default="BENCH_TRAJECTORY.jsonl",
+                   help="append the report to the JSONL trajectory "
+                        "history ('' to skip)")
+    p.add_argument("--json", action="store_true",
+                   help="emit the report as machine-readable JSON")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .api import REGISTRY
+    from .obs.compare import FAMILIES
     from .perf import BENCHES
 
     workload_names = REGISTRY.names()
@@ -551,17 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the vectorized hot paths against their per-element/"
              "per-event reference oracles and write BENCH_PERF.json",
     )
-    b.add_argument("--smoke", action="store_true",
-                   help="CI-sized problems (fast; same op-count checks)")
-    b.add_argument("--check", action="store_true",
-                   help="exit non-zero if any vectorized path's op "
-                        "counts or results diverge from its reference")
-    b.add_argument("--out", default="BENCH_PERF.json",
-                   help="output JSON path ('' to skip writing)")
+    _bench_flags(
+        b, "perf", smoke="CI-sized problems (fast; same op-count checks)",
+        check="exit non-zero if any vectorized path's op counts or "
+              "results diverge from its reference")
     b.add_argument("--only", nargs="*", choices=sorted(BENCHES),
                    help="run only the named benches")
-    b.add_argument("--json", action="store_true",
-                   help="emit the bench report as machine-readable JSON")
     b.add_argument("--compare", action="store_true",
                    help="regression sentinel: diff this run against a "
                         "baseline; op-count drift exits 2 (hard), "
@@ -572,9 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "or a trajectory .jsonl; default: latest "
                         "compatible trajectory entry, then the committed "
                         "BENCH_PERF.json)")
-    b.add_argument("--trajectory", default="BENCH_TRAJECTORY.jsonl",
-                   help="append this run to the JSONL trajectory history "
-                        "('' to skip)")
     b.add_argument("--wall-tolerance", type=float, default=1.0,
                    help="relative wall-clock tolerance when the "
                         "trajectory has too little history for a noise "
@@ -604,8 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent load-test clients")
     s.add_argument("--rounds", type=int, default=3,
                    help="repeated-config phase replays per client")
-    s.add_argument("--smoke", action="store_true",
-                   help="CI-sized workload parameters")
     s.add_argument("--chaos", action="store_true",
                    help="load-test under a seeded fault plan (injected "
                         "request faults + worker-crash recovery phase); "
@@ -613,22 +575,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "in-process server only)")
     s.add_argument("--chaos-seed", type=int, default=None,
                    help="fault-plan seed (defaults to the request seed)")
-    s.add_argument("--check", action="store_true",
-                   help="exit non-zero unless zero failures, "
-                        "byte-identical responses, and > 50%% repeated-"
-                        "phase cache hit rate (under --chaos: zero "
-                        "byte-identity violations, incident IDs on "
-                        "every 5xx, and bitwise-identical recovery)")
-    s.add_argument("--out", default="BENCH_SERVE.json",
-                   help="load-test report path ('' to skip writing)")
+    _bench_flags(
+        s, "serve", smoke="CI-sized workload parameters",
+        check="exit non-zero unless zero failures, byte-identical "
+              "responses, and > 50%% repeated-phase cache hit rate (under "
+              "--chaos: zero byte-identity violations, incident IDs on "
+              "every 5xx, and bitwise-identical recovery)")
     s.add_argument("--metrics-out", default="METRICS_SERVE.prom",
                    help="load-test /metrics snapshot path "
                         "('' to skip writing)")
-    s.add_argument("--trajectory", default="BENCH_TRAJECTORY.jsonl",
-                   help="append the load-test report to the JSONL "
-                        "trajectory history ('' to skip)")
-    s.add_argument("--json", action="store_true",
-                   help="emit the load-test report as JSON on stdout")
 
     a = sub.add_parser(
         "adapt",
@@ -637,22 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
              "write BENCH_ADAPT.json + ADAPT_COVERAGE.json (--workload "
              "for a single adaptive run instead)",
     )
-    a.add_argument("--smoke", action="store_true",
-                   help="CI-sized drifting-load scenarios")
-    a.add_argument("--check", action="store_true",
-                   help="exit 2 unless every scenario's gates pass "
-                        "(adaptive beats static and offline, replans "
-                        "fired, bitwise-deterministic, identical "
-                        "solutions across modes)")
-    a.add_argument("--out", default="BENCH_ADAPT.json",
-                   help="bench report path ('' to skip writing)")
+    _bench_flags(
+        a, "adapt", smoke="CI-sized drifting-load scenarios",
+        check="exit non-zero unless every scenario's gates pass (adaptive "
+              "beats static and offline, replans fired, bitwise-"
+              "deterministic, identical solutions across modes)")
     a.add_argument("--coverage-out", default="ADAPT_COVERAGE.json",
                    help="policy-coverage sweep path ('' to skip)")
-    a.add_argument("--trajectory", default="BENCH_TRAJECTORY.jsonl",
-                   help="append the report to the JSONL trajectory "
-                        "history ('' to skip)")
-    a.add_argument("--json", action="store_true",
-                   help="emit the report / run as machine-readable JSON")
     a.add_argument("--seed", type=int, default=0,
                    help="bench and single-run seed")
     a.add_argument("--workload", choices=workload_names, default=None,
@@ -714,8 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare: the current report file")
     o.add_argument("--baseline", default=None,
                    help="compare: the baseline report or trajectory file")
-    o.add_argument("--kind", default="perf",
-                   choices=("perf", "serve", "chaos", "adapt"),
+    o.add_argument("--kind", default="perf", choices=tuple(FAMILIES),
                    help="compare: which bench family the reports are")
     o.add_argument("--trajectory", default="BENCH_TRAJECTORY.jsonl",
                    help="compare: trajectory history for baseline "

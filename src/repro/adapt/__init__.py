@@ -23,7 +23,7 @@ path exactly when a tiered policy says the move pays for itself.
   deterministically (``BENCH_ADAPT.json``, ``repro-bench-adapt/1``).
 """
 
-from .bench import ADAPT_SCHEMA, run_adapt_bench
+from .bench import run_adapt_bench
 from .controller import (
     MODES,
     AdaptiveController,
@@ -57,6 +57,5 @@ __all__ = [
     "Checkpoint",
     "ReplanRecord",
     "MODES",
-    "ADAPT_SCHEMA",
     "run_adapt_bench",
 ]

@@ -18,23 +18,19 @@ compares modeled makespans.  The claims under test:
 
 ``python -m repro adapt`` writes the ``repro-bench-adapt/1`` report to
 ``BENCH_ADAPT.json`` plus the policy coverage sweep to
-``ADAPT_COVERAGE.json``; ``--check`` turns gate failures into exit
-code 2 (the CI contract), ``--trajectory`` appends the report to the
-bench history the regression sentinel reads.
+``ADAPT_COVERAGE.json``; the gates are the ``adapt`` row of
+:data:`repro.obs.compare.FAMILIES` (``--check``: the CI contract), and
+``--trajectory`` appends to the bench history the sentinel reads.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Mapping
 
 from .controller import AdaptiveController
 from .policies import PolicyLibrary, dump_coverage
 
-__all__ = ["ADAPT_SCHEMA", "SCENARIOS", "SMOKE_SCENARIOS", "run_adapt_bench"]
-
-#: schema of the BENCH_ADAPT.json document
-ADAPT_SCHEMA = "repro-bench-adapt/1"
+__all__ = ["SCENARIOS", "SMOKE_SCENARIOS", "run_adapt_bench"]
 
 #: full-size drifting-load scenarios (the committed baseline)
 SCENARIOS: tuple[dict, ...] = (
@@ -60,28 +56,16 @@ SCENARIOS: tuple[dict, ...] = (
     },
 )
 
+
+def _smoke(scenario: dict, **params) -> dict:
+    return {**scenario, "params": {**scenario["params"], **params}}
+
+
 #: CI-sized scenarios (same structure, minutes -> seconds)
 SMOKE_SCENARIOS: tuple[dict, ...] = (
-    {
-        "name": "pic-drift",
-        "workload": "pic",
-        "nprocs": 4,
-        "cost_model": "Paragon",
-        "params": {
-            "ncell": 48, "npart": 1500, "steps": 24, "window": 4,
-            "drift": 0.02, "diffusion": 0.012, "cluster_width": 0.06,
-        },
-    },
-    {
-        "name": "irregular-hotspot",
-        "workload": "irregular",
-        "nprocs": 4,
-        "cost_model": "Paragon",
-        "params": {
-            "n": 96, "sweeps": 20, "window": 4, "drift": 0.045,
-            "amp": 6.0, "width": 0.06,
-        },
-    },
+    _smoke(SCENARIOS[0], ncell=48, npart=1500, steps=24, window=4,
+           drift=0.02, diffusion=0.012),
+    _smoke(SCENARIOS[1], n=96, sweeps=20, window=4, drift=0.045),
 )
 
 
@@ -147,7 +131,7 @@ def _run_scenario(scenario: Mapping, seed: int) -> dict:
 
 def run_adapt_bench(
     smoke: bool = False,
-    out: str | None = "BENCH_ADAPT.json",
+    out: str | None = None,
     coverage_out: str | None = "ADAPT_COVERAGE.json",
     check: bool = False,
     trajectory: str | None = None,
@@ -156,12 +140,12 @@ def run_adapt_bench(
 ) -> dict:
     """Run the E16 adaptive-redistribution bench; returns the report.
 
-    ``out``/``coverage_out`` name the JSON artifacts (``None`` skips
-    writing); ``check`` raises ``SystemExit(2)`` when any scenario
-    gate fails; ``trajectory`` appends the report to the bench-history
-    JSONL (kind ``"adapt"``).
+    ``coverage_out`` names the policy-coverage artifact (``None``
+    skips it); ``out``, ``trajectory`` and ``check`` are
+    :func:`~repro.obs.compare.finish_bench`'s, family ``"adapt"``.
     """
-    from ..obs.trajectory import TrajectoryStore, environment_fingerprint
+    from ..obs.compare import FAMILIES, finish_bench
+    from ..obs.trajectory import environment_fingerprint
 
     scenarios = SMOKE_SCENARIOS if smoke else SCENARIOS
     results = []
@@ -186,19 +170,13 @@ def run_adapt_bench(
                 f"gates {'PASS' if record['pass'] else 'FAIL'}"
             )
     report = {
-        "schema": ADAPT_SCHEMA,
+        "schema": FAMILIES["adapt"].schema,
         "smoke": bool(smoke),
         "seed": int(seed),
         "env": environment_fingerprint(),
         "scenarios": results,
         "pass": all(r["pass"] for r in results),
     }
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        if not quiet:
-            print(f"  wrote {out}")
     if coverage_out:
         coverage = PolicyLibrary().coverage_report(seed=seed)
         dump_coverage(coverage, coverage_out)
@@ -206,17 +184,7 @@ def run_adapt_bench(
             n = len(coverage["entries"])
             print(f"  wrote {coverage_out} ({n} registry entries, "
                   f"complete={coverage['complete']})")
-    if trajectory:
-        entry = TrajectoryStore(trajectory).append("adapt", report)
-        if not quiet:
-            print(f"  appended to {trajectory} (env {entry['env_digest']})")
-    if check and not report["pass"]:
-        failing = [
-            f"{r['name']}: " + ", ".join(
-                g for g, ok in r["gates"].items() if not ok
-            )
-            for r in results if not r["pass"]
-        ]
-        print("adapt bench gate failed -- " + "; ".join(failing))
-        raise SystemExit(2)
-    return report
+    return finish_bench(
+        "adapt", report, out=out, trajectory=trajectory, check=check,
+        quiet=quiet,
+    )

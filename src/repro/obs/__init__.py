@@ -12,10 +12,11 @@ timelines into one ``chrome://tracing`` file.
 Analysis tier (ISSUE 8): the **bench trajectory store**
 (:class:`TrajectoryStore` — append-only JSONL history of every bench
 run, stamped with schema version, git SHA and a machine fingerprint),
-the **regression sentinel** (:func:`compare_perf_reports` /
-:func:`compare_serve_reports` behind ``python -m repro bench
---compare`` — op-count drift is a hard fail, wall-clock drift beyond
-the trajectory's noise band a soft fail), the **attribution layer**
+the **regression sentinel** (:func:`compare_reports` walking
+:data:`FAMILIES`, the one table of bench families and their gates,
+behind ``bench --compare`` / ``obs compare`` and, via
+:func:`finish_bench`, every ``--check`` — contract drift is a hard
+fail, wall-clock drift beyond the noise band a soft fail), the **attribution layer**
 (:func:`attribution` / ``obs analyze`` — per-phase compute/comm/idle
 breakdowns that sum to the simulated makespan, plus top-N slowness
 reasons), and the always-on bounded **flight recorder**
@@ -46,10 +47,10 @@ from .compare import (
     CompareReport,
     EXIT_HARD,
     EXIT_SOFT,
-    compare_adapt_reports,
-    compare_chaos_reports,
-    compare_perf_reports,
-    compare_serve_reports,
+    FAMILIES,
+    GateFailure,
+    compare_reports,
+    finish_bench,
     load_report,
     resolve_baseline,
 )
@@ -98,7 +99,9 @@ __all__ = [
     "DEFAULT_TRAJECTORY_PATH",
     "EXIT_HARD",
     "EXIT_SOFT",
+    "FAMILIES",
     "FlightRecorder",
+    "GateFailure",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -110,10 +113,7 @@ __all__ = [
     "attribution",
     "chrome_trace",
     "clear_spans",
-    "compare_adapt_reports",
-    "compare_chaos_reports",
-    "compare_perf_reports",
-    "compare_serve_reports",
+    "compare_reports",
     "counter",
     "disable",
     "dump_chrome_trace",
@@ -121,6 +121,7 @@ __all__ = [
     "enabled",
     "env_digest",
     "environment_fingerprint",
+    "finish_bench",
     "finished_spans",
     "flight_recorder",
     "gauge",

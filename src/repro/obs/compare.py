@@ -1,53 +1,56 @@
-"""The regression sentinel: diff a bench run against a baseline.
+"""The bench-family table and the regression sentinel that walks it.
 
-``python -m repro bench --compare`` (and ``python -m repro obs
-compare``) answer "did this change make anything slower, and where?"
-with an automated verdict instead of a human eyeballing two JSON
-files:
+Every bench family (``perf | serve | chaos | adapt``) is one row of
+:data:`FAMILIES`: schema string, committed snapshot file, and its
+**gates as data** (:class:`Gate`: severity, scope, needs a baseline or
+not).  One evaluator, :func:`compare_reports`, walks the row, with one
+rule between its two uses: ``--check`` (:func:`finish_bench`, no
+baseline) requires every gate that needs no baseline to pass — hard or
+soft, any failure is fatal; ``bench --compare`` / ``obs compare``
+(baseline resolved) run all gates and severity picks the exit code: 0
+clean, :data:`EXIT_HARD` (2) on any hard failure, :data:`EXIT_SOFT`
+(3) when only soft failures exist.
 
-- **hard fail** — the bitwise contract broke: a bench's op counts
-  (messages, bytes, remote reads, events, plan costs) drifted from the
-  baseline, or a vectorized path diverged from its reference
-  (``match: false``).  Op counts are deterministic functions of the
-  code, so *any* drift is a real behaviour change.
-- **soft fail** — wall-clock drifted beyond a tolerance band.  The
-  band comes from the trajectory's own noise when enough comparable
-  history exists (``mean + 3σ`` over same-size, same-machine-class
-  samples), else from a relative tolerance on the baseline figure.
-  Wall clock is machine-dependent, so this is a separate, softer exit
-  code CI can choose to tolerate.
-
-Exit-code contract (the CI gate): 0 clean, :data:`EXIT_HARD` (2) on
-any hard failure, :data:`EXIT_SOFT` (3) when only soft failures exist.
+**hard** — a bitwise contract broke (op counts drifted, a vectorized
+path left its reference, service bytes differed, a recovered run
+diverged): deterministic functions of the code, so *any* drift is a
+real behaviour change.  **soft** — a machine-dependent figure drifted:
+wall clock beyond the trajectory's noise band (``mean + 3σ`` over
+same-size, same-machine-class samples) or, with too little history, a
+relative tolerance on the baseline figure.  A soft gate only fires on
+an item nothing else has failed; a gate whose input field is absent
+from a report does not fire.
 
 Baselines resolve in order: an explicit report path, the latest
-compatible trajectory entry (same kind and smoke flag), then the
-committed snapshot (``BENCH_PERF.json`` / ``BENCH_SERVE.json``).  A
-smoke-run report is **refused** as a baseline for a full-size run
-(:class:`BaselineError`): smoke sizes make its op counts and timings
-meaningless as a full-size reference.
+compatible trajectory entry (same kind and smoke flag, not a run that
+failed its own gates), then the family's committed snapshot.  A smoke
+run is **refused** as the baseline of a full-size run
+(:class:`BaselineError`): its op counts and timings mean nothing there.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import List, Optional
+import sys
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .trajectory import TrajectoryStore, env_digest
 
 __all__ = [
     "BaselineError",
     "BenchDelta",
+    "BenchFamily",
     "CompareReport",
     "EXIT_HARD",
     "EXIT_SOFT",
     "DEFAULT_WALL_TOLERANCE",
-    "compare_adapt_reports",
-    "compare_chaos_reports",
-    "compare_perf_reports",
-    "compare_serve_reports",
+    "FAMILIES",
+    "Gate",
+    "GateFailure",
+    "compare_reports",
+    "finish_bench",
     "load_report",
     "resolve_baseline",
 ]
@@ -68,7 +71,6 @@ class BaselineError(SystemExit):
 
     def __init__(self, message: str):
         super().__init__(f"baseline error: {message}")
-        self.message = message
 
 
 @dataclass
@@ -84,15 +86,7 @@ class BenchDelta:
     wall_source: Optional[str] = None  # "trajectory_noise" | "relative"
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "reasons": list(self.reasons),
-            "baseline_seconds": self.baseline_seconds,
-            "current_seconds": self.current_seconds,
-            "wall_limit": self.wall_limit,
-            "wall_source": self.wall_source,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -156,6 +150,329 @@ class CompareReport:
         return "\n".join(lines)
 
 
+class GateFailure(SystemExit):
+    """``--check`` failed: a bench run broke its own gates.  Exits
+    with the failing :class:`CompareReport`'s code."""
+
+    def __init__(self, report: CompareReport):
+        super().__init__(report.exit_code)
+        self.report = report
+
+    def __str__(self) -> str:
+        return f"{self.report.kind} bench gate failed -- " + "; ".join(
+            f"{d.name}: {', '.join(d.reasons)}"
+            for d in self.report.deltas if d.verdict.endswith("_fail")
+        )
+
+
+# -- the family table: gates as data ----------------------------------------
+
+@dataclass(frozen=True)
+class Gate:
+    """One machine-checked claim about a bench report.
+
+    ``check(current, baseline)`` sees the scope's item (the report, or
+    one bench / phase / scenario) and its baseline counterpart and
+    returns the failure reason or ``None``.  ``needs_baseline=False``
+    gates are the run's own contract (what ``--check`` enforces); the
+    baseline the others get carries ``"_wall"``: the item's (seconds,
+    band limit, band source, tolerance).
+    """
+
+    name: str
+    severity: str  # "hard" | "soft"
+    scope: str  # "report" | "per-bench" | "per-phase" | "per-scenario"
+    needs_baseline: bool
+    check: Callable[[dict, Optional[dict]], Optional[str]]
+
+
+@dataclass(frozen=True)
+class BenchFamily:
+    """One row of :data:`FAMILIES`.  ``contract`` names the delta that
+    collects the report-scope gates (always listed); without one that
+    delta takes its first gate's name and is listed only when it fires."""
+
+    schema: str
+    snapshot: str
+    contract: Optional[str]
+    gates: Tuple[Gate, ...]
+
+
+def _dig(doc, path: str, default=None):
+    """``doc[a][b]`` for ``path="a.b"``; ``default`` where absent."""
+    for key in path.split("."):
+        if not isinstance(doc, dict) or key not in doc:
+            return default
+        doc = doc[key]
+    return doc
+
+
+def _num(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+def _true(path: str, reason: str, *, absent):
+    """The flag or count at ``path`` must be truthy."""
+    return lambda cur, _base: None if _dig(cur, path, absent) else reason
+
+
+def _zero(path: str, reason: str):
+    """The count at ``path`` must be zero (``reason`` formats it)."""
+    return lambda cur, _base: (
+        reason.format(_dig(cur, path)) if _dig(cur, path, 0) else None
+    )
+
+
+def _byte_identical(diverged: str):
+    def check(report, _base):
+        same = report.get("byte_identical", True)
+        if same is None:
+            return "no responses were compared"
+        return None if same else diverged
+    return check
+
+
+def _metrics_scraped(report, _base):
+    if not _dig(report, "metrics.scraped", True):
+        return f"/metrics scrape failed: {_dig(report, 'metrics.error')}"
+
+
+def _metrics_series(report, _base):
+    missing = _dig(report, "metrics.missing_series")
+    if missing and _dig(report, "metrics.scraped"):
+        return "required metric series missing samples: " + ", ".join(missing)
+
+
+def _ops_drift(side: str):
+    def check(bench, base):
+        b_ops, c_ops = base.get(side, {}), bench.get(side, {})
+        drifted = ", ".join(
+            f"{k}: {b_ops.get(k)} -> {c_ops.get(k)}"
+            for k in sorted(set(b_ops) | set(c_ops))
+            if b_ops.get(k) != c_ops.get(k)
+        )
+        return f"{side} drifted ({drifted})" if drifted else None
+    return check
+
+
+def _over_band(reason: str):
+    """Soft wall-clock gate: the item's wall seconds must stay inside
+    the band the evaluator derived for it (``reason`` speaks ms)."""
+    def check(_item, base):
+        cur, limit, source, tolerance = base["_wall"]
+        if cur is not None and limit is not None and cur > limit:
+            return reason.format(cur=cur * 1e3, limit=limit * 1e3,
+                                 source=source, tolerance=tolerance)
+    return check
+
+
+def _hit_rate_floor(phase, _base):
+    if phase.get("name") == "repeated" and "cache_hit_rate" in phase:
+        rate = phase["cache_hit_rate"]
+        if rate is None or rate <= 0.5:
+            shown = "n/a" if rate is None else f"{rate:.0%}"
+            return f"repeated-config cache hit rate {shown} (need > 50%)"
+
+
+def _hit_rate_drift(phase, base):
+    was, now = base.get("cache_hit_rate"), phase.get("cache_hit_rate")
+    if (phase.get("name") == "repeated" and _num(was) and _num(now)
+            and now < was - 0.2):
+        return f"repeated-phase hit rate fell {was:.0%} -> {now:.0%}"
+
+
+def _scenario(flag: str, severity: str, reason: str) -> Gate:
+    return Gate(flag, severity, "per-scenario", False,
+                _true(f"gates.{flag}", reason, absent=False))
+
+
+#: THE table of bench families; registering one is one row (producers
+#: read their schema from it, ``obs compare --kind`` its keys).  Hard
+#: gates precede soft ones within a scope.  Injected failures are
+#: *expected* under chaos: serve's zero-failure gate has no chaos twin.
+FAMILIES: Dict[str, BenchFamily] = {
+    "perf": BenchFamily("repro-bench-perf/2", "BENCH_PERF.json", None, (
+        Gate("ops_match", "hard", "per-bench", False, _true(
+            "match", "vectorized path diverged from its reference oracle "
+            "(match: false)", absent=False)),
+        Gate("reference_ops", "hard", "per-bench", True,
+             _ops_drift("reference_ops")),
+        Gate("vectorized_ops", "hard", "per-bench", True,
+             _ops_drift("vectorized_ops")),
+        Gate("wall_clock", "soft", "per-bench", True, _over_band(
+            "wall clock {cur:.2f} ms exceeds the {source} "
+            "band ({limit:.2f} ms)")),
+    )),
+    "serve": BenchFamily(
+        "repro-bench-serve/2", "BENCH_SERVE.json", "serving_contract", (
+            Gate("zero_failures", "hard", "report", False,
+                 _zero("total_failures", "{} failed request(s)")),
+            Gate("byte_identical", "hard", "report", False, _byte_identical(
+                "identical requests returned non-identical bytes")),
+            Gate("metrics_scraped", "hard", "report", False, _metrics_scraped),
+            Gate("metrics_series", "hard", "report", False, _metrics_series),
+            Gate("hit_rate_floor", "soft", "per-phase", False,
+                 _hit_rate_floor),
+            Gate("hit_rate_drift", "soft", "per-phase", True,
+                 _hit_rate_drift),
+            Gate("p50_latency", "soft", "per-phase", True, _over_band(
+                "p50 latency {cur:.1f} ms exceeds {limit:.1f} "
+                "ms ({tolerance:.0%} over baseline)")),
+        )),
+    "chaos": BenchFamily(
+        "repro-bench-chaos/1", "BENCH_CHAOS.json", "robustness_contract", (
+            Gate("byte_identical", "hard", "report", False, _byte_identical(
+                "identical requests returned non-identical bytes under "
+                "faults")),
+            Gate("incident_ids", "hard", "report", False, _zero(
+                "chaos.uncovered_5xx",
+                "{} 5xx response(s) without an X-Repro-Incident-Id")),
+            Gate("no_client_errors", "hard", "report", False, _zero(
+                "chaos.client_errors", "{} 4xx response(s) — injected "
+                "faults must not surface as client errors")),
+            Gate("recovery_failures", "hard", "report", False, _zero(
+                "chaos.recovery.failures",
+                "{} recovery-phase request(s) failed")),
+            Gate("recovery_identical", "hard", "report", False, _true(
+                "chaos.recovery.identical", "recovered runs diverged from "
+                "the serial reference", absent=True)),
+            Gate("metrics_scraped", "hard", "report", False, _metrics_scraped),
+            Gate("fleet_restarted", "soft", "report", False, _true(
+                "chaos.recovery.fleet_restarts", "no fleet restart observed "
+                "— the crash fault never fired", absent=0)),
+        )),
+    "adapt": BenchFamily("repro-bench-adapt/1", "BENCH_ADAPT.json", None, (
+        Gate("adaptive_contract", "hard", "report", False, _true(
+            "scenarios", "report contains no scenarios", absent=False)),
+        _scenario("adaptive_beats_static", "hard",
+                  "adaptive makespan does not beat the best static layout"),
+        _scenario("adaptive_beats_offline", "hard",
+                  "adaptive makespan does not beat the offline plan"),
+        _scenario("deterministic", "hard",
+                  "same-seed repeats diverged (solution or decision log)"),
+        _scenario("solutions_identical", "hard",
+                  "solutions differ across layout modes"),
+        _scenario("adaptive_replanned", "soft", "the adaptive arm never "
+                  "redistributed — the feedback loop did not fire"),
+    )),
+}
+
+
+# -- the evaluator ----------------------------------------------------------
+
+def _absent(what: str):
+    note = f"{what} absent from baseline"
+    return lambda _cur, base: note if base is None else None
+
+
+def _bench_unpaired(bench, base):
+    if base is None:
+        return "bench absent from baseline; ops not compared"
+    if base.get("size") != bench.get("size"):
+        return (f"sizes differ (baseline {base.get('size')} vs current "
+                f"{bench.get('size')}); op counts not comparable")
+
+
+def _p50_seconds(phase):
+    p50 = _dig(phase, "latency.p50_ms")
+    return p50 / 1e3 if _num(p50) else None
+
+
+#: how a gate scope cuts a report into items: (report key of the item
+#: list, delta-name format, item -> wall seconds, why an item cannot be
+#: held against its baseline counterpart, note on baseline items not run)
+_SCOPES: Dict[str, tuple] = {
+    "report": (None, "{}", lambda report: None, _absent("report"), None),
+    "per-bench": ("benches", "{}", lambda b: b.get("vectorized_seconds"),
+                  _bench_unpaired,
+                  "present in baseline but not run (e.g. --only)"),
+    "per-phase": ("phases", "phase:{}", _p50_seconds, _absent("phase"), None),
+    "per-scenario": ("scenarios", "{}", lambda scenario: None,
+                     _absent("scenario"), None),
+}
+
+
+def _apply(delta: BenchDelta, gates, cur, base) -> None:
+    """Run ``gates`` in order; a soft gate only fires on a clean delta."""
+    for gate in gates:
+        if gate.severity == "soft" and delta.verdict != "ok":
+            continue
+        reason = gate.check(cur, base)
+        if reason:
+            delta.verdict = f"{gate.severity}_fail"
+            delta.reasons.append(reason)
+
+
+def compare_reports(
+    kind: str,
+    current: dict,
+    baseline: dict | None = None,
+    *,
+    baseline_source: str = "baseline",
+    trajectory: TrajectoryStore | None = None,
+    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
+) -> CompareReport:
+    """Evaluate ``kind``'s gates over ``current``.
+
+    With ``baseline=None`` only the gates that need no baseline run
+    (the ``--check`` contract); with one, all of them.  ``trajectory``
+    is the wall-clock noise model where it has comparable samples (perf
+    benches); elsewhere the band is ``wall_tolerance`` over the baseline.
+    """
+    family = FAMILIES[kind]
+    report = CompareReport(kind=kind, baseline_source=baseline_source)
+    env_key = env_digest(current["env"]) if current.get("env") else None
+    for scope, (key, label, seconds, unpaired, missing) in _SCOPES.items():
+        gates = [g for g in family.gates if g.scope == scope]
+        own = [g for g in gates if not g.needs_baseline]
+        paired = [g for g in gates
+                  if g.needs_baseline and baseline is not None]
+        if not own and not paired:
+            continue
+        in_base: Dict[str, dict] = {}
+        if key is None:
+            pairs = [(family.contract or gates[0].name, current, baseline)]
+        else:
+            in_base = {b.get("name"): b for b in (baseline or {}).get(key) or ()}
+            pairs = [(item.get("name", "?"), item, in_base.get(item.get("name")))
+                     for item in current.get(key) or ()]
+        for name, cur, base in pairs:
+            delta = BenchDelta(
+                name=label.format(name), verdict="ok",
+                current_seconds=seconds(cur),
+                baseline_seconds=seconds(base) if base else None,
+            )
+            _apply(delta, own, cur, base)
+            note = unpaired(cur, base) if paired else None
+            if note:
+                delta.reasons.append(note)
+            elif paired:
+                # the store's noise model samples perf benches only: any
+                # other item has no history there and gets the relative band
+                limit, source = None, "trajectory_noise"
+                if trajectory is not None:
+                    limit = trajectory.noise_band(
+                        name, smoke=bool(current.get("smoke")),
+                        size=cur.get("size"), env_key=env_key,
+                    )
+                if limit is None and delta.baseline_seconds is not None:
+                    limit = delta.baseline_seconds * (1.0 + wall_tolerance)
+                    source = "relative"
+                if limit is not None:
+                    delta.wall_limit, delta.wall_source = limit, source
+                wall = (delta.current_seconds, limit, source, wall_tolerance)
+                _apply(delta, paired, cur, {**base, "_wall": wall})
+            if key is not None or family.contract or delta.reasons:
+                report.deltas.append(delta)
+        if paired and missing:
+            ran = {d.name for d in report.deltas}
+            report.deltas.extend(
+                BenchDelta(name=name, verdict="skipped", reasons=[missing])
+                for name in sorted(set(in_base) - ran)
+            )
+    return report
+
+
 # -- baseline resolution ----------------------------------------------------
 
 def load_report(path: str) -> dict:
@@ -175,29 +492,6 @@ def load_report(path: str) -> dict:
             raise BaselineError(f"unparseable baseline {path!r}: {exc}")
 
 
-def _check_baseline_compatible(
-    baseline: dict, current: dict, source: str, kind: str
-) -> None:
-    expected = {
-        "perf": "repro-bench-perf",
-        "serve": "repro-bench-serve",
-        "chaos": "repro-bench-chaos",
-        "adapt": "repro-bench-adapt",
-    }[kind]
-    schema = str(baseline.get("schema", ""))
-    if not schema.startswith(expected):
-        raise BaselineError(
-            f"{source} is not a {kind} bench report "
-            f"(schema {schema!r}, expected {expected}/*)"
-        )
-    if bool(baseline.get("smoke")) and not bool(current.get("smoke")):
-        raise BaselineError(
-            f"{source} is a smoke-sized run and cannot baseline a "
-            f"full-size run — regenerate it with "
-            f"`python -m repro bench` (no --smoke) and commit the result"
-        )
-
-
 def resolve_baseline(
     current: dict,
     *,
@@ -207,326 +501,74 @@ def resolve_baseline(
 ) -> tuple[dict, str]:
     """Find the baseline report for ``current``; returns (report, source).
 
-    Explicit path > latest compatible trajectory entry (same kind and
-    smoke flag) > the committed snapshot file.  Every candidate passes
-    the smoke-as-baseline refusal check.
+    Explicit path > latest ``ok`` trajectory entry of the same kind and
+    smoke flag > the family's committed snapshot; the winner must carry
+    the family's schema and pass the smoke-as-baseline refusal.
     """
-    if baseline_path:
-        report = load_report(baseline_path)
-        _check_baseline_compatible(report, current, baseline_path, kind)
-        return report, baseline_path
-
-    if trajectory is not None:
+    fallback = FAMILIES[kind].snapshot
+    entry = None
+    if trajectory is not None and not baseline_path:
         entry = trajectory.latest(kind=kind, smoke=bool(current.get("smoke")))
-        if entry is not None:
-            source = f"{trajectory.path} (latest {kind} entry)"
-            _check_baseline_compatible(entry["report"], current, source, kind)
-            return entry["report"], source
+    if baseline_path:
+        report, source = load_report(baseline_path), baseline_path
+    elif entry is not None:
+        report = entry["report"]
+        source = f"{trajectory.path} (latest {kind} entry)"
+    elif os.path.exists(fallback):
+        report, source = load_report(fallback), fallback
+    else:
+        raise BaselineError(
+            f"no baseline found: pass --baseline, append runs to the "
+            f"trajectory, or commit {fallback}"
+        )
+    expected = FAMILIES[kind].schema.rsplit("/", 1)[0]
+    schema = str(report.get("schema", ""))
+    if not schema.startswith(expected):
+        raise BaselineError(
+            f"{source} is not a {kind} bench report "
+            f"(schema {schema!r}, expected {expected}/*)"
+        )
+    if bool(report.get("smoke")) and not bool(current.get("smoke")):
+        raise BaselineError(
+            f"{source} is a smoke-sized run and cannot baseline a "
+            f"full-size run — regenerate it with "
+            f"`python -m repro bench` (no --smoke) and commit the result"
+        )
+    return report, source
 
-    fallback = {
-        "perf": "BENCH_PERF.json",
-        "serve": "BENCH_SERVE.json",
-        "chaos": "BENCH_CHAOS.json",
-        "adapt": "BENCH_ADAPT.json",
-    }[kind]
-    if os.path.exists(fallback):
-        report = load_report(fallback)
-        _check_baseline_compatible(report, current, fallback, kind)
-        return report, fallback
-    raise BaselineError(
-        f"no baseline found: pass --baseline, append runs to the "
-        f"trajectory, or commit {fallback}"
-    )
 
+# -- the one bench tail -----------------------------------------------------
 
-# -- perf comparison --------------------------------------------------------
-
-def _wall_limit(
-    bench: dict,
-    baseline_bench: dict,
+def finish_bench(
+    kind: str,
+    report: dict,
     *,
-    trajectory: TrajectoryStore | None,
-    current: dict,
-    wall_tolerance: float,
-) -> tuple[Optional[float], str]:
-    """The upper wall-clock bound for one bench and where it came from."""
-    if trajectory is not None:
-        env = current.get("env") or {}
-        band = trajectory.noise_band(
-            bench["name"],
-            smoke=bool(current.get("smoke")),
-            size=bench.get("size"),
-            env_key=env_digest(env) if env else None,
-        )
-        if band is not None:
-            return band, "trajectory_noise"
-    base = baseline_bench.get("vectorized_seconds")
-    if isinstance(base, (int, float)):
-        return float(base) * (1.0 + wall_tolerance), "relative"
-    return None, "none"
+    out: str | None = None,
+    trajectory: str | None = None,
+    check: bool = False,
+    quiet: bool = False,
+) -> dict:
+    """How every bench run ends: evaluate -> write -> append -> raise.
 
-
-def compare_perf_reports(
-    baseline: dict,
-    current: dict,
-    *,
-    baseline_source: str = "baseline",
-    trajectory: TrajectoryStore | None = None,
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
-) -> CompareReport:
-    """Diff two ``repro-bench-perf`` reports bench by bench."""
-    report = CompareReport(kind="perf", baseline_source=baseline_source)
-    base_by_name = {b["name"]: b for b in baseline.get("benches", ())}
-    for bench in current.get("benches", ()):
-        name = bench["name"]
-        delta = BenchDelta(
-            name=name,
-            verdict="ok",
-            current_seconds=bench.get("vectorized_seconds"),
-        )
-        report.deltas.append(delta)
-
-        # the run's own bitwise contract is a hard gate regardless of
-        # what the baseline says
-        if not bench.get("match", False):
-            delta.verdict = "hard_fail"
-            delta.reasons.append(
-                "vectorized path diverged from its reference oracle "
-                "(match: false)"
-            )
-
-        base = base_by_name.get(name)
-        if base is None:
-            delta.reasons.append("bench absent from baseline; ops not compared")
-            continue
-        delta.baseline_seconds = base.get("vectorized_seconds")
-
-        if base.get("size") != bench.get("size"):
-            delta.reasons.append(
-                f"sizes differ (baseline {base.get('size')} vs current "
-                f"{bench.get('size')}); op counts not comparable"
-            )
-            continue
-
-        # hard gate: op/byte-count drift against the baseline
-        for side in ("reference_ops", "vectorized_ops"):
-            b_ops, c_ops = base.get(side, {}), bench.get(side, {})
-            if b_ops != c_ops:
-                drifted = sorted(
-                    k
-                    for k in set(b_ops) | set(c_ops)
-                    if b_ops.get(k) != c_ops.get(k)
-                )
-                details = ", ".join(
-                    f"{k}: {b_ops.get(k)} -> {c_ops.get(k)}" for k in drifted
-                )
-                delta.verdict = "hard_fail"
-                delta.reasons.append(f"{side} drifted ({details})")
-
-        # soft gate: wall-clock drift beyond the tolerance band
-        cur_s = bench.get("vectorized_seconds")
-        limit, source = _wall_limit(
-            bench, base, trajectory=trajectory, current=current,
-            wall_tolerance=wall_tolerance,
-        )
-        delta.wall_limit = limit
-        delta.wall_source = source
-        if (
-            delta.verdict == "ok"
-            and isinstance(cur_s, (int, float))
-            and limit is not None
-            and cur_s > limit
-        ):
-            delta.verdict = "soft_fail"
-            delta.reasons.append(
-                f"wall clock {cur_s * 1e3:.2f} ms exceeds the "
-                f"{source} band ({limit * 1e3:.2f} ms)"
-            )
-    missing = sorted(set(base_by_name) - {d.name for d in report.deltas})
-    for name in missing:
-        report.deltas.append(
-            BenchDelta(
-                name=name,
-                verdict="skipped",
-                reasons=["present in baseline but not run (e.g. --only)"],
-            )
-        )
-    return report
-
-
-# -- serve comparison -------------------------------------------------------
-
-def compare_serve_reports(
-    baseline: dict,
-    current: dict,
-    *,
-    baseline_source: str = "baseline",
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
-) -> CompareReport:
-    """Diff two ``repro-bench-serve`` reports.
-
-    Hard gates: failed requests and byte-identity (the serving
-    contract).  Soft gates: repeated-phase hit-rate drop and p50
-    latency drift per phase.
+    The run's own gates are evaluated first and the trajectory entry is
+    stamped ``ok``, so a failed run never becomes a baseline or a noise
+    sample.  ``out=None`` writes the family's snapshot, ``""`` nothing;
+    ``check`` raises :class:`GateFailure` on any failure, hard or soft.
     """
-    report = CompareReport(kind="serve", baseline_source=baseline_source)
-    overall = BenchDelta(name="serving_contract", verdict="ok")
-    report.deltas.append(overall)
-    if current.get("total_failures", 0):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            f"{current['total_failures']} failed request(s)"
-        )
-    if not current.get("byte_identical", True):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            "identical requests returned non-identical bytes"
-        )
-
-    base_phases = {p["name"]: p for p in baseline.get("phases", ())}
-    for phase in current.get("phases", ()):
-        name = phase["name"]
-        delta = BenchDelta(name=f"phase:{name}", verdict="ok")
-        report.deltas.append(delta)
-        base = base_phases.get(name)
-        cur_p50 = (phase.get("latency") or {}).get("p50_ms")
-        delta.current_seconds = (
-            cur_p50 / 1e3 if isinstance(cur_p50, (int, float)) else None
-        )
-        if base is None:
-            delta.reasons.append("phase absent from baseline")
-            continue
-        base_rate = base.get("cache_hit_rate")
-        cur_rate = phase.get("cache_hit_rate")
-        if (
-            name == "repeated"
-            and isinstance(base_rate, (int, float))
-            and isinstance(cur_rate, (int, float))
-            and cur_rate < base_rate - 0.2
-        ):
-            delta.verdict = "soft_fail"
-            delta.reasons.append(
-                f"repeated-phase hit rate fell {base_rate:.0%} -> {cur_rate:.0%}"
-            )
-        base_p50 = (base.get("latency") or {}).get("p50_ms")
-        if isinstance(base_p50, (int, float)) and isinstance(
-            cur_p50, (int, float)
-        ):
-            delta.baseline_seconds = base_p50 / 1e3
-            limit = base_p50 * (1.0 + wall_tolerance)
-            delta.wall_limit = limit / 1e3
-            delta.wall_source = "relative"
-            if delta.verdict == "ok" and cur_p50 > limit:
-                delta.verdict = "soft_fail"
-                delta.reasons.append(
-                    f"p50 latency {cur_p50:.1f} ms exceeds "
-                    f"{limit:.1f} ms ({wall_tolerance:.0%} over baseline)"
-                )
-    return report
-
-
-# -- chaos comparison -------------------------------------------------------
-
-def compare_chaos_reports(
-    baseline: dict,
-    current: dict,
-    *,
-    baseline_source: str = "baseline",
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
-) -> CompareReport:
-    """Diff two ``repro-bench-chaos`` reports.
-
-    Injected failures are *expected* in chaos runs, so the serve
-    tier's zero-failure gate does not apply.  Hard gates here are the
-    robustness contract: byte-identity under faults, an incident ID on
-    every 5xx, and recovered multiprocess runs bitwise-identical to
-    the serial reference.  Soft gate: the crash fault must actually
-    have fired (at least one fleet restart observed).
-    """
-    del baseline, wall_tolerance  # chaos gates are absolute, not drifts
-    report = CompareReport(kind="chaos", baseline_source=baseline_source)
-    overall = BenchDelta(name="robustness_contract", verdict="ok")
-    report.deltas.append(overall)
-    if not current.get("byte_identical", True):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            "identical requests returned non-identical bytes under faults"
-        )
-    chaos = current.get("chaos") or {}
-    if chaos.get("uncovered_5xx"):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            f"{chaos['uncovered_5xx']} 5xx response(s) without an "
-            f"X-Repro-Incident-Id"
-        )
-    recovery = chaos.get("recovery") or {}
-    if recovery.get("failures"):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            f"{recovery['failures']} recovery-phase request(s) failed"
-        )
-    if not recovery.get("identical", True):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            "recovered runs diverged from the serial reference"
-        )
-    if overall.verdict == "ok" and recovery.get("fleet_restarts", 0) < 1:
-        overall.verdict = "soft_fail"
-        overall.reasons.append(
-            "no fleet restart observed — the crash fault never fired"
-        )
-    return report
-
-
-# -- adapt comparison -------------------------------------------------------
-
-def compare_adapt_reports(
-    baseline: dict,
-    current: dict,
-    *,
-    baseline_source: str = "baseline",
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
-) -> CompareReport:
-    """Diff two ``repro-bench-adapt`` reports.
-
-    Like the chaos gates, the adaptive contract is absolute, not a
-    drift band: every scenario's adaptive arm must beat both the best
-    static layout and the offline plan, must be bitwise-deterministic
-    across same-seed repeats, and must keep the solution identical
-    across layout modes.  Soft gate: the adaptive arm must actually
-    have replanned at least once (a loop that never fires is
-    indistinguishable from the static baseline it claims to beat).
-    """
-    del baseline, wall_tolerance  # adapt gates are absolute, not drifts
-    report = CompareReport(kind="adapt", baseline_source=baseline_source)
-    scenarios = current.get("scenarios") or []
-    if not scenarios:
-        overall = BenchDelta(name="adaptive_contract", verdict="hard_fail")
-        overall.reasons.append("report contains no scenarios")
-        report.deltas.append(overall)
-        return report
-    for scenario in scenarios:
-        name = str(scenario.get("name", "?"))
-        delta = BenchDelta(name=name, verdict="ok")
-        report.deltas.append(delta)
-        gates = scenario.get("gates") or {}
-        for gate, label in (
-            ("adaptive_beats_static",
-             "adaptive makespan does not beat the best static layout"),
-            ("adaptive_beats_offline",
-             "adaptive makespan does not beat the offline plan"),
-            ("deterministic",
-             "same-seed repeats diverged (solution or decision log)"),
-            ("solutions_identical",
-             "solutions differ across layout modes"),
-        ):
-            if not gates.get(gate, False):
-                delta.verdict = "hard_fail"
-                delta.reasons.append(label)
-        if delta.verdict == "ok" and not gates.get("adaptive_replanned", False):
-            delta.verdict = "soft_fail"
-            delta.reasons.append(
-                "the adaptive arm never redistributed — the feedback "
-                "loop did not fire"
-            )
+    verdict = compare_reports(kind, report)
+    out = FAMILIES[kind].snapshot if out is None else out
+    if out:
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        if not quiet:
+            print(f"  wrote {out}")
+    if trajectory:
+        entry = TrajectoryStore(trajectory).append(kind, report, ok=verdict.ok)
+        if not quiet:
+            print(f"  appended to {trajectory} (env {entry['env_digest']})")
+    if check and not verdict.ok:
+        failure = GateFailure(verdict)
+        print(failure, file=sys.stderr)
+        raise failure
     return report

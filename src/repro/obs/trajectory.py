@@ -1,8 +1,8 @@
 """Bench trajectory store: append-only JSONL history of bench runs.
 
-``BENCH_PERF.json`` and ``BENCH_SERVE.json`` are *snapshots* — each run
-overwrites the last, so "did this PR make anything slower?" cannot be
-answered from them alone.  The trajectory store keeps every run: one
+The ``BENCH_*.json`` files are *snapshots* — each run overwrites the
+last, so "did this PR make anything slower?" cannot be answered from
+them alone.  The trajectory store keeps every run: one
 JSON line per bench report, stamped with a schema version, the
 recording time, and an environment fingerprint (repro/python/numpy
 versions, best-effort git SHA, and calibrate-style machine probes), so
@@ -10,10 +10,11 @@ entries remain attributable and comparable months later.
 
 The store is deliberately dumb and robust: append-only writes under an
 exclusive lock, reads that skip corrupt lines instead of failing, and
-filters by ``kind`` (``"perf"`` | ``"serve"``) and smoke flag.  The
-regression sentinel (:mod:`repro.obs.compare`) uses it both as a
-baseline source (latest compatible entry) and as the noise model for
-its wall-clock tolerance band.
+filters by ``kind`` (a bench family of :data:`repro.obs.compare.FAMILIES`)
+and smoke flag.  The regression sentinel (:mod:`repro.obs.compare`)
+uses it both as a baseline source (latest compatible entry) and as the
+noise model for its wall-clock tolerance band; an entry stamped
+``"ok": false`` (the run failed its own gates) serves as neither.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ DEFAULT_TRAJECTORY_PATH = "BENCH_TRAJECTORY.jsonl"
 
 #: schema stamp on every trajectory entry
 TRAJECTORY_SCHEMA = "repro-trajectory/1"
-
-#: entry kinds the store accepts (one per bench JSON family)
-KINDS = ("perf", "serve", "chaos", "adapt")
 
 _append_lock = threading.Lock()
 
@@ -145,6 +143,7 @@ class TrajectoryStore:
 
         {"schema": "repro-trajectory/1", "kind": "perf",
          "recorded_at": <unix seconds>, "env": {...}, "env_digest": ...,
+         "ok": <the run passed its own gates>,
          "report": {... the full BENCH_*.json document ...}}
     """
 
@@ -152,10 +151,15 @@ class TrajectoryStore:
         self.path = str(path)
 
     # -- writing -----------------------------------------------------------
-    def append(self, kind: str, report: dict, env: dict | None = None) -> dict:
+    def append(self, kind: str, report: dict, env: dict | None = None,
+               ok: bool = True) -> dict:
         """Append one bench report; returns the stored entry."""
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        from .compare import FAMILIES
+
+        if kind not in FAMILIES:
+            raise ValueError(
+                f"kind must be one of {tuple(FAMILIES)}, got {kind!r}"
+            )
         env = env if env is not None else report.get("env") or {}
         entry = {
             "schema": TRAJECTORY_SCHEMA,
@@ -163,6 +167,7 @@ class TrajectoryStore:
             "recorded_at": time.time(),
             "env": env,
             "env_digest": env_digest(env),
+            "ok": bool(ok),
             "report": report,
         }
         line = json.dumps(entry, sort_keys=True)
@@ -207,9 +212,10 @@ class TrajectoryStore:
     def latest(
         self, kind: str | None = None, smoke: bool | None = None
     ) -> Optional[dict]:
-        """The most recent matching entry, or ``None``."""
-        entries = self.entries(kind=kind, smoke=smoke)
-        return entries[-1] if entries else None
+        """The most recent matching entry that passed its own gates
+        (entries without an ``ok`` stamp count as ok), or ``None``."""
+        passed = [e for e in self.entries(kind, smoke) if e.get("ok", True)]
+        return passed[-1] if passed else None
 
     def __len__(self) -> int:
         return len(self.entries())
@@ -231,6 +237,8 @@ class TrajectoryStore:
         """
         samples: List[float] = []
         for entry in self.entries(kind="perf", smoke=smoke):
+            if not entry.get("ok", True):
+                continue  # a failed run's timings are not noise samples
             if env_key is not None and entry.get("env_digest") != env_key:
                 continue
             for b in entry["report"].get("benches", ()):

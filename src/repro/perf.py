@@ -28,13 +28,12 @@ or import :func:`run_harness` directly.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["run_harness", "BENCHES", "PERF_SCHEMA"]
+__all__ = ["run_harness", "BENCHES"]
 
 
 def _timed(fn: Callable[[], object]) -> tuple[float, object]:
@@ -309,31 +308,24 @@ BENCHES: dict[str, Callable[[bool], dict]] = {
 }
 
 
-#: schema of the BENCH_PERF.json document (v2: env provenance stamp)
-PERF_SCHEMA = "repro-bench-perf/2"
-
-
 def run_harness(
     smoke: bool = False,
-    out: str | None = "BENCH_PERF.json",
+    out: str | None = None,
     check: bool = False,
     benches: list[str] | None = None,
     quiet: bool = False,
     trajectory: str | None = None,
 ) -> dict:
-    """Run the perf benches; optionally write JSON and enforce the
-    op-count gate.
+    """Run the perf benches; ``out`` / ``trajectory`` / ``check`` are
+    :func:`~repro.obs.compare.finish_bench`'s, family ``"perf"``.
 
-    ``check=True`` raises ``SystemExit`` if any bench's vectorized op
-    counts / results diverge from its reference — the CI regression
-    gate.  Wall-clock numbers are reported but never asserted (the
-    wall-clock gate lives in the regression sentinel,
-    ``python -m repro bench --compare``).  ``trajectory`` names a JSONL
-    file the report is appended to as one
-    :class:`~repro.obs.trajectory.TrajectoryStore` entry, building the
-    queryable perf history the sentinel diffs against.
+    ``check=True`` raises if any bench's vectorized op counts / results
+    diverge from its reference — the CI regression gate.  Wall-clock
+    numbers are reported but never asserted here (that gate needs a
+    baseline: ``python -m repro bench --compare``).
     """
-    from .obs.trajectory import TrajectoryStore, environment_fingerprint
+    from .obs.compare import FAMILIES, finish_bench
+    from .obs.trajectory import environment_fingerprint
 
     names = benches if benches is not None else list(BENCHES)
     unknown = [b for b in names if b not in BENCHES]
@@ -351,26 +343,12 @@ def run_harness(
                 f"  ops-match {res['match']}"
             )
     report = {
-        "schema": PERF_SCHEMA,
+        "schema": FAMILIES["perf"].schema,
         "smoke": bool(smoke),
         "env": environment_fingerprint(),
         "benches": results,
     }
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-        if not quiet:
-            print(f"  wrote {out}")
-    if trajectory:
-        entry = TrajectoryStore(trajectory).append("perf", report)
-        if not quiet:
-            print(f"  appended to {trajectory} "
-                  f"(env {entry['env_digest']})")
-    if check:
-        bad = [r["name"] for r in results if not r["match"]]
-        if bad:
-            raise SystemExit(
-                f"op-count regression: vectorized path diverged from its "
-                f"reference in {', '.join(bad)}"
-            )
-    return report
+    return finish_bench(
+        "perf", report, out=out, trajectory=trajectory, check=check,
+        quiet=quiet,
+    )

@@ -23,9 +23,9 @@ Two phases drive those properties:
 Latency p50/p99/mean per phase, cache behaviour (from the
 ``X-Repro-Cache`` response headers *and* the server's ``/stats``), and
 the byte-identity verdict land in ``BENCH_SERVE.json`` next to
-``BENCH_PERF.json``; ``check=True`` turns the three properties into a
-CI gate.  Run via ``python -m repro serve --loadtest`` or
-``benchmarks/bench_serve.py``.
+``BENCH_PERF.json``; the properties are the ``serve`` gates of
+:data:`repro.obs.compare.FAMILIES`, a CI gate under ``check=True``.  Run
+via ``python -m repro serve --loadtest`` or ``benchmarks/bench_serve.py``.
 
 **Chaos mode** (``chaos=True`` / ``--chaos``) reruns the same phases
 with a seeded :class:`~repro.faults.FaultPlan` active — injected
@@ -34,10 +34,10 @@ then drives a *recovery* phase: multiprocess ``/run`` requests under
 a worker-crash + transport-delay plan, whose ``solution_sha256`` must
 match a serial run of the same config bit for bit (the fleet restarts
 mid-op and replays from the last barrier).  The report lands in
-``BENCH_CHAOS.json`` and the ``check`` gate flips to the robustness
+``BENCH_CHAOS.json`` and the gates are the ``chaos`` row's robustness
 properties: zero byte-identity violations, every 5xx carrying an
-``X-Repro-Incident-Id``, and the recovered runs bitwise-identical
-with at least one fleet restart observed.
+``X-Repro-Incident-Id``, no 4xx, and the recovered runs
+bitwise-identical with at least one fleet restart observed.
 """
 
 from __future__ import annotations
@@ -55,18 +55,7 @@ import numpy as np
 from ..api.registry import REGISTRY, WorkloadRegistry
 from ..defaults import DEFAULT_SEED
 
-__all__ = ["run_loadtest", "LoadtestError", "SERVE_SCHEMA", "CHAOS_SCHEMA"]
-
-#: schema of the BENCH_SERVE.json document (v2: env provenance stamp)
-SERVE_SCHEMA = "repro-bench-serve/2"
-
-#: schema of the BENCH_CHAOS.json document (chaos-mode load test)
-CHAOS_SCHEMA = "repro-bench-chaos/1"
-
-
-class LoadtestError(SystemExit):
-    """The load test's ``check`` gate failed (zero-failure /
-    byte-identity / hit-rate property violated)."""
+__all__ = ["run_loadtest"]
 
 
 @dataclass
@@ -109,11 +98,11 @@ def _scrape_metrics(base_url: str, timeout: float) -> dict:
     """GET /metrics and summarize which required series have samples."""
     try:
         status, body = _http_get(f"{base_url}/metrics", timeout)
+        error = None if status == 200 else f"HTTP {status}"
     except Exception as exc:
-        return {"scraped": False, "error": str(exc), "text": None,
-                "missing_series": list(REQUIRED_SERIES)}
-    if status != 200:
-        return {"scraped": False, "error": f"HTTP {status}", "text": None,
+        error = str(exc)
+    if error:
+        return {"scraped": False, "error": error, "text": None,
                 "missing_series": list(REQUIRED_SERIES)}
     text = body.decode()
     # a series "exists" when a sample line starts with its name (HELP /
@@ -367,7 +356,7 @@ def run_loadtest(
     *,
     smoke: bool = False,
     seed: int = DEFAULT_SEED,
-    out: str | None = "BENCH_SERVE.json",
+    out: str | None = None,
     metrics_out: str | None = None,
     trajectory: str | None = None,
     check: bool = False,
@@ -382,24 +371,23 @@ def run_loadtest(
     around a fresh :class:`~repro.serve.PlanningService` and tears it
     down afterwards; otherwise the running server at ``url`` is
     tested (its caches are *not* cleared — hit rates then reflect its
-    real state).  ``check=True`` raises :class:`LoadtestError` unless
-    all three serving properties hold *and* the final ``/metrics``
-    scrape contains samples for every series in :data:`REQUIRED_SERIES`.
-    The raw Prometheus exposition is written to ``metrics_out`` (the
-    snapshot artifact CI uploads next to ``BENCH_SERVE.json``), and
-    ``trajectory`` names a JSONL file the report is appended to as one
-    :class:`~repro.obs.trajectory.TrajectoryStore` entry (kind
-    ``"serve"``, or ``"chaos"`` in chaos mode) for the regression
-    sentinel's history.
+    real state).  The run ends through
+    :func:`~repro.obs.compare.finish_bench` as family ``"serve"`` (or
+    ``"chaos"``), whose ``out`` / ``trajectory`` / ``check`` these are:
+    ``check=True`` raises unless all three serving properties hold *and*
+    the final ``/metrics`` scrape has samples for every series in
+    :data:`REQUIRED_SERIES`.  The raw Prometheus exposition is written
+    to ``metrics_out`` (the artifact CI uploads next to the report).
 
     ``chaos=True`` activates a seeded :class:`~repro.faults.FaultPlan`
     for the duration of the test (in-process server only — the plan
     lives in this process), injects request-level faults during both
     phases, and appends a *recovery* phase exercising worker-crash
-    fleet restarts; the ``check`` gate then asserts the robustness
-    properties instead of the steady-state ones (see module docstring).
+    fleet restarts; the gates are then the robustness properties
+    instead of the steady-state ones (see module docstring).
     """
-    from ..obs.trajectory import TrajectoryStore, environment_fingerprint
+    from ..obs.compare import FAMILIES, finish_bench
+    from ..obs.trajectory import environment_fingerprint
 
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
@@ -511,8 +499,9 @@ def run_loadtest(
         _phase_report("unique", observations),
         _phase_report("repeated", observations),
     ]
+    kind = "chaos" if chaos else "serve"
     report = {
-        "schema": CHAOS_SCHEMA if chaos else SERVE_SCHEMA,
+        "schema": FAMILIES[kind].schema,
         "smoke": bool(smoke),
         "env": environment_fingerprint(),
         "base_url": base_url,
@@ -526,7 +515,8 @@ def run_loadtest(
         "phases": phases,
         "total_requests": len(observations),
         "total_failures": sum(p["failures"] for p in phases),
-        "byte_identical": not divergent,
+        # None, not a vacuous True, when no 200 response was grouped
+        "byte_identical": (not divergent) if groups else None,
         "divergent_requests": divergent[:5],
         "latency": _percentiles([o.seconds for o in observations]),
         "latency_method": LATENCY_METHOD,
@@ -537,18 +527,18 @@ def run_loadtest(
         # injected failures are expected; what must hold is that every
         # server-side failure is *attributable* — a 5xx without an
         # incident ID is a hole in the post-mortem story
-        uncovered = [
-            o for o in observations if o.status >= 500 and not o.incident
-        ]
-        injected_failures = sum(
-            1 for o in observations if o.status >= 500 or o.status == 0
-        )
+        def count(pred) -> int:
+            return sum(1 for o in observations if pred(o))
+
         report["chaos"] = {
             "seed": cseed,
             "request_fault_plan": chaos_plan.to_json(),
             "recovery_fault_plan": recovery_plan.to_json(),
-            "injected_failures": injected_failures,
-            "uncovered_5xx": len(uncovered),
+            "injected_failures": count(
+                lambda o: o.status >= 500 or o.status == 0),
+            "uncovered_5xx": count(lambda o: o.status >= 500 and not o.incident),
+            # injected faults must never surface as client errors
+            "client_errors": count(lambda o: 400 <= o.status < 500),
             "recovery": recovery,
         }
 
@@ -572,92 +562,12 @@ def run_loadtest(
                 f"recovery identical: {c['recovery']['identical']}"
             )
 
-    if chaos and out == "BENCH_SERVE.json":
-        out = "BENCH_CHAOS.json"  # never clobber the steady-state bench
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-        if not quiet:
-            print(f"  wrote {out}")
     if metrics_out and metrics.get("text"):
         with open(metrics_out, "w") as fh:
             fh.write(metrics["text"])
         if not quiet:
             print(f"  wrote {metrics_out}")
-    if trajectory:
-        entry = TrajectoryStore(trajectory).append(
-            "chaos" if chaos else "serve", report
-        )
-        if not quiet:
-            print(f"  appended to {trajectory} (env {entry['env_digest']})")
-
-    if check and chaos:
-        problems = []
-        if not report["byte_identical"]:
-            problems.append(
-                f"non-identical responses for identical requests under "
-                f"chaos: {divergent[:2]}"
-            )
-        if report["chaos"]["uncovered_5xx"]:
-            problems.append(
-                f"{report['chaos']['uncovered_5xx']} 5xx response(s) "
-                f"without an X-Repro-Incident-Id header"
-            )
-        client_errors = sum(
-            1 for o in observations if 400 <= o.status < 500
-        )
-        if client_errors:
-            problems.append(
-                f"{client_errors} 4xx response(s) — injected faults must "
-                f"not surface as client errors"
-            )
-        rec = report["chaos"]["recovery"]
-        if rec["failures"]:
-            problems.append(
-                f"{rec['failures']} recovery-phase request(s) failed"
-            )
-        if not rec["identical"]:
-            problems.append(
-                "recovered multiprocess runs are not bitwise-identical "
-                "to the serial reference"
-            )
-        if rec["fleet_restarts"] < 1:
-            problems.append(
-                "no fleet restart observed — the crash fault never fired"
-            )
-        if not metrics["scraped"]:
-            problems.append(f"/metrics scrape failed: {metrics['error']}")
-        if problems:
-            raise LoadtestError(
-                "chaos load test failed: " + "; ".join(problems)
-            )
-        return report
-
-    if check:
-        problems = []
-        if report["total_failures"]:
-            problems.append(f"{report['total_failures']} failed request(s)")
-        if not report["byte_identical"]:
-            problems.append(
-                f"non-identical responses for identical requests: "
-                f"{divergent[:2]}"
-            )
-        repeated_rate = phases[1]["cache_hit_rate"]
-        if repeated_rate is None or repeated_rate <= 0.5:
-            problems.append(
-                f"repeated-config cache hit rate "
-                f"{'n/a' if repeated_rate is None else f'{repeated_rate:.0%}'} "
-                f"(need > 50%)"
-            )
-        if not metrics["scraped"]:
-            problems.append(f"/metrics scrape failed: {metrics['error']}")
-        elif metrics["missing_series"]:
-            problems.append(
-                "required metric series missing samples: "
-                + ", ".join(metrics["missing_series"])
-            )
-        if problems:
-            raise LoadtestError(
-                "serve load test failed: " + "; ".join(problems)
-            )
-    return report
+    return finish_bench(
+        kind, report, out=out, trajectory=trajectory, check=check,
+        quiet=quiet,
+    )

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from repro.adapt import run_adapt_bench
-from repro.adapt.bench import ADAPT_SCHEMA, SMOKE_SCENARIOS
-from repro.obs import TrajectoryStore, compare_adapt_reports
+from repro.adapt.bench import SMOKE_SCENARIOS
+from repro.obs import FAMILIES, TrajectoryStore, compare_reports
 from repro.obs.compare import EXIT_HARD, EXIT_SOFT, resolve_baseline
 
 
@@ -26,7 +26,7 @@ def smoke_report(tmp_path_factory):
 
 def test_smoke_report_passes_every_gate(smoke_report):
     report, _, _, _ = smoke_report
-    assert report["schema"] == ADAPT_SCHEMA
+    assert report["schema"] == FAMILIES["adapt"].schema
     assert report["smoke"] is True
     assert report["pass"] is True
     assert len(report["scenarios"]) == len(SMOKE_SCENARIOS)
@@ -41,7 +41,7 @@ def test_smoke_report_passes_every_gate(smoke_report):
 def test_artifacts_are_written_and_loadable(smoke_report):
     report, out, coverage, _ = smoke_report
     on_disk = json.loads(out.read_text())
-    assert on_disk["schema"] == ADAPT_SCHEMA
+    assert on_disk["schema"] == FAMILIES["adapt"].schema
     assert on_disk["pass"] is True
     cov = json.loads(coverage.read_text())
     assert cov["schema"] == "repro-adapt-coverage/1"
@@ -52,7 +52,7 @@ def test_trajectory_records_the_adapt_kind(smoke_report):
     _, _, _, trajectory = smoke_report
     entries = TrajectoryStore(str(trajectory)).entries(kind="adapt")
     assert len(entries) == 1
-    assert entries[0]["report"]["schema"] == ADAPT_SCHEMA
+    assert entries[0]["report"]["schema"] == FAMILIES["adapt"].schema
 
 
 def test_resolve_baseline_prefers_the_trajectory(smoke_report):
@@ -60,13 +60,13 @@ def test_resolve_baseline_prefers_the_trajectory(smoke_report):
     baseline, source = resolve_baseline(
         report, kind="adapt", trajectory=TrajectoryStore(str(trajectory)),
     )
-    assert baseline["schema"] == ADAPT_SCHEMA
+    assert baseline["schema"] == FAMILIES["adapt"].schema
     assert "latest adapt entry" in source
 
 
 def test_compare_adapt_clean_on_a_passing_report(smoke_report):
     report, _, _, _ = smoke_report
-    comparison = compare_adapt_reports(report, report)
+    comparison = compare_reports("adapt", report, report)
     assert comparison.exit_code == 0
     assert "VERDICT: clean" in comparison.summary()
 
@@ -75,7 +75,7 @@ def test_compare_adapt_hard_fails_on_a_doctored_gate(smoke_report):
     report, _, _, _ = smoke_report
     doctored = copy.deepcopy(report)
     doctored["scenarios"][0]["gates"]["adaptive_beats_offline"] = False
-    comparison = compare_adapt_reports(report, doctored)
+    comparison = compare_reports("adapt", doctored, report)
     assert comparison.exit_code == EXIT_HARD
     assert "offline" in comparison.summary()
 
@@ -85,13 +85,13 @@ def test_compare_adapt_soft_fails_when_the_loop_never_fired(smoke_report):
     doctored = copy.deepcopy(report)
     for scenario in doctored["scenarios"]:
         scenario["gates"]["adaptive_replanned"] = False
-    comparison = compare_adapt_reports(report, doctored)
+    comparison = compare_reports("adapt", doctored, report)
     assert comparison.exit_code == EXIT_SOFT
 
 
 def test_compare_adapt_hard_fails_on_an_empty_report(smoke_report):
     report, _, _, _ = smoke_report
-    comparison = compare_adapt_reports(report, {"scenarios": []})
+    comparison = compare_reports("adapt", {"scenarios": []}, report)
     assert comparison.exit_code == EXIT_HARD
 
 

@@ -168,3 +168,50 @@ def test_noise_band_zero_variance(tmp_path):
     for _ in range(3):
         store.append("perf", _perf_report(seconds=0.010))
     assert store.noise_band("forall") == pytest.approx(0.010)
+
+
+# -- runs that failed their own gates ------------------------------------------
+
+
+def test_failed_entries_are_neither_baseline_nor_noise_sample(tmp_path):
+    store = TrajectoryStore(tmp_path / "traj.jsonl")
+    store.append("perf", _perf_report(seconds=0.010, elements=1))
+    store.append("perf", _perf_report(seconds=9.0, elements=2), ok=False)
+    assert [e["ok"] for e in store.entries()] == [True, False]
+    assert store.latest(kind="perf")["report"]["benches"][0][
+        "reference_ops"] == {"elements": 1}
+    assert store.wall_samples("forall") == [0.010]
+    # entries written before the stamp existed count as ok
+    legacy = {k: v for k, v in store.entries()[1].items() if k != "ok"}
+    with open(store.path, "a") as fh:
+        fh.write(json.dumps(legacy) + "\n")
+    assert store.latest(kind="perf")["report"]["benches"][0][
+        "reference_ops"] == {"elements": 2}
+
+
+def test_a_run_that_fails_its_gates_cannot_become_the_baseline(tmp_path):
+    """ROADMAP 1(b): the all-refused ``127.0.0.1:9`` load test used to
+    be appended before ``--check`` ran and then resolved as the latest
+    smoke ``serve`` baseline."""
+    from repro.__main__ import main
+    from repro.obs.compare import resolve_baseline
+
+    path = tmp_path / "traj.jsonl"
+    store = TrajectoryStore(path)
+    good = {"schema": "repro-bench-serve/2", "smoke": True,
+            "total_failures": 0, "byte_identical": True, "marker": "good"}
+    store.append("serve", good)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--url", "http://127.0.0.1:9", "--clients", "1",
+              "--rounds", "1", "--smoke", "--check", "--out", "",
+              "--metrics-out", "", "--trajectory", str(path)])
+    assert exc.value.code not in (0, None)
+    failed = store.entries(kind="serve")[-1]
+    assert failed["ok"] is False
+    assert failed["report"]["total_failures"] > 0
+    # nothing answered, so nothing was compared: null, not a vacuous true
+    assert failed["report"]["byte_identical"] is None
+    baseline, _ = resolve_baseline(
+        {"smoke": True}, kind="serve", trajectory=store
+    )
+    assert baseline["marker"] == "good"

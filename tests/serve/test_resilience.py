@@ -15,10 +15,11 @@ import pytest
 from repro.backend import BackendError
 from repro.faults import FaultPlan, RequestFault, deactivate, injected
 from repro.faults.breaker import CLOSED, OPEN
-from repro.obs import compare_chaos_reports, flight_recorder
+from repro.obs import FAMILIES, compare_reports, flight_recorder
 from repro.serve import PlanningService, run_loadtest
 from repro.serve.http import ServerThread
-from repro.serve.loadtest import CHAOS_SCHEMA
+
+CHAOS_SCHEMA = FAMILIES["chaos"].schema
 from repro.serve.service import ServeResponse
 
 from repro.api.config import SessionConfig
@@ -209,7 +210,7 @@ class TestHttpFrontEnd:
 class TestChaosLoadtest:
     def test_chaos_needs_in_process_server(self):
         with pytest.raises(ValueError, match="in-process server"):
-            run_loadtest(url="http://127.0.0.1:1", chaos=True, out=None)
+            run_loadtest(url="http://127.0.0.1:1", chaos=True, out="")
 
     def test_chaos_smoke_passes_the_check_gate(self):
         """The acceptance run: request faults + a worker-crash recovery
@@ -217,7 +218,7 @@ class TestChaosLoadtest:
         and the recovered multiprocess run identical to serial."""
         report = run_loadtest(
             clients=2, rounds=1, smoke=True, chaos=True, check=True,
-            out=None, quiet=True,
+            out="", quiet=True,
         )
         assert report["schema"] == CHAOS_SCHEMA
         assert report["byte_identical"]
@@ -228,7 +229,7 @@ class TestChaosLoadtest:
         assert chaos["recovery"]["fleet_restarts"] >= 1
         assert not chaos["recovery"]["failures"]
         # the sentinel accepts its own artifact
-        verdict = compare_chaos_reports(report, report)
+        verdict = compare_reports("chaos", report, report)
         assert verdict.ok
 
 
@@ -253,24 +254,24 @@ class TestChaosSentinel:
         return base
 
     def test_clean_report_passes(self):
-        assert compare_chaos_reports(self._report(), self._report()).ok
+        assert compare_reports("chaos", self._report(), self._report()).ok
 
     def test_byte_divergence_is_a_hard_failure(self):
         bad = self._report(byte_identical=False)
-        verdict = compare_chaos_reports(self._report(), bad)
+        verdict = compare_reports("chaos", bad, self._report())
         assert verdict.hard_failures
 
     def test_uncovered_5xx_is_a_hard_failure(self):
         bad = self._report(**{"chaos.uncovered_5xx": 3})
-        assert compare_chaos_reports(self._report(), bad).hard_failures
+        assert compare_reports("chaos", bad, self._report()).hard_failures
 
     def test_recovery_divergence_is_a_hard_failure(self):
         bad = self._report(**{"chaos.recovery.identical": False})
-        assert compare_chaos_reports(self._report(), bad).hard_failures
+        assert compare_reports("chaos", bad, self._report()).hard_failures
 
     def test_no_restart_is_a_soft_failure(self):
         meh = self._report(**{"chaos.recovery.fleet_restarts": 0})
-        verdict = compare_chaos_reports(self._report(), meh)
+        verdict = compare_reports("chaos", meh, self._report())
         assert not verdict.hard_failures
         assert verdict.soft_failures
 

@@ -67,8 +67,7 @@ EXPORT_SNAPSHOT = sorted([
     "attached_backend", "attribution",
     "available_workloads", "backend", "bind_pattern",
     "broadcast_from", "build_cfg", "calibrate", "classify_tag",
-    "clear_interning_caches", "communicate", "compare_adapt_reports",
-    "compare_perf_reports",
+    "clear_interning_caches", "communicate", "compare_reports",
     "compiler", "config_fingerprint", "construct",
     "critical_path", "decide_pattern", "decide_querylist",
     "default_plan_cache", "dim_implies", "dim_menu", "dim_overlaps",
