@@ -23,39 +23,17 @@ path exactly when a tiered policy says the move pays for itself.
   deterministically (``BENCH_ADAPT.json``, ``repro-bench-adapt/1``).
 """
 
-from .bench import run_adapt_bench
-from .controller import (
-    MODES,
-    AdaptiveController,
-    AdaptiveRun,
-    Checkpoint,
-    ReplanRecord,
-)
-from .monitor import LoadMonitor, WindowSample
-from .policies import (
-    COVERAGE_SCHEMA,
-    POLICY_SCHEMA,
-    TIER_NAMES,
-    Decision,
-    PolicyLibrary,
-    Rule,
-    dump_coverage,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LoadMonitor",
-    "WindowSample",
-    "PolicyLibrary",
-    "Rule",
-    "Decision",
-    "POLICY_SCHEMA",
-    "COVERAGE_SCHEMA",
-    "TIER_NAMES",
-    "dump_coverage",
-    "AdaptiveController",
-    "AdaptiveRun",
-    "Checkpoint",
-    "ReplanRecord",
-    "MODES",
-    "run_adapt_bench",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "bench": ("run_adapt_bench",),
+    "controller": (
+        "MODES", "AdaptiveController", "AdaptiveRun", "Checkpoint",
+        "ReplanRecord",
+    ),
+    "monitor": ("LoadMonitor", "WindowSample"),
+    "policies": (
+        "COVERAGE_SCHEMA", "POLICY_SCHEMA", "TIER_NAMES", "Decision",
+        "PolicyLibrary", "Rule", "dump_coverage",
+    ),
+})

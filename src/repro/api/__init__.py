@@ -19,52 +19,23 @@ same registry, so a registered workload immediately gains ``plan`` /
 ``run`` / ``trace`` / ``bench`` spellings everywhere.
 """
 
-from .config import BACKEND_NAMES, DEFAULT_SEED, SessionConfig, resolve_cost_model
-from .registry import (
-    REGISTRY,
-    ExecutionOutcome,
-    WorkloadContext,
-    WorkloadRegistry,
-    WorkloadSpec,
-    available_workloads,
-    register_workload,
-)
-from .results import (
-    AdaptResult,
-    BenchResult,
-    PlanResult,
-    RunResult,
-    SessionResult,
-    TraceResult,
-    config_fingerprint,
-)
-from .handles import WorkloadHandle
-from .session import Session, SessionClosedError, session
-from . import workloads as _builtin_workloads  # registers adi/pic/smoothing/...
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKEND_NAMES",
-    "DEFAULT_SEED",
-    "SessionConfig",
-    "resolve_cost_model",
-    "REGISTRY",
-    "ExecutionOutcome",
-    "WorkloadContext",
-    "WorkloadRegistry",
-    "WorkloadSpec",
-    "available_workloads",
-    "register_workload",
-    "SessionResult",
-    "PlanResult",
-    "RunResult",
-    "TraceResult",
-    "BenchResult",
-    "AdaptResult",
-    "config_fingerprint",
-    "WorkloadHandle",
-    "Session",
-    "SessionClosedError",
-    "session",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "config": (
+        "BACKEND_NAMES", "DEFAULT_SEED", "SessionConfig", "resolve_cost_model",
+    ),
+    "registry": (
+        "REGISTRY", "ExecutionOutcome", "WorkloadContext", "WorkloadRegistry",
+        "WorkloadSpec", "available_workloads", "register_workload",
+    ),
+    "results": (
+        "AdaptResult", "BenchResult", "PlanResult", "RunResult",
+        "SessionResult", "TraceResult", "config_fingerprint",
+    ),
+    "handles": ("WorkloadHandle",),
+    "session": ("Session", "SessionClosedError", "session"),
+})
 
-del _builtin_workloads
+# registers the built-in workloads (adi, pic, smoothing, irregular)
+from . import workloads  # noqa: E402,F401

@@ -146,7 +146,7 @@ class WorkloadHandle:
         contract, so callers only notice the incident record and the
         ``repro_degradation_total`` metric.
         """
-        from ..backend.multiprocess import BackendError
+        from ..backend.base import BackendError
         from ..sim.events import record
 
         machine: "Machine" = ctx.machine

@@ -30,7 +30,7 @@ from ..machine.machine import Machine
 from ..machine.topology import ProcessorArray
 from .registry import ExecutionOutcome, WorkloadContext, register_workload
 
-__all__ = ["adi", "pic", "smoothing"]
+__all__ = ["adi", "pic", "smoothing", "irregular"]
 
 
 # -- ADI (Figure 1) ----------------------------------------------------------
@@ -230,59 +230,54 @@ def _smoothing_planning(ctx: WorkloadContext):
     )
 
 
-# -- irregular (PARTI unstructured mesh; optional networkx) ------------------
+# -- irregular (PARTI unstructured mesh) -------------------------------------
 
-try:
-    from ..apps import irregular as _irregular_app
 
-    _HAVE_NETWORKX = True
-except ImportError:  # pragma: no cover - exercised only without networkx
-    _HAVE_NETWORKX = False
+@register_workload(
+    "irregular",
+    defaults={
+        "size": 32,       # mesh nodes
+        "steps": 10,      # relaxation sweeps
+        "distribution": "partitioned",
+        "kind": "geometric",
+        "drift": 0.0,     # hot-spot motion per sweep (0 = historical)
+    },
+    description="unstructured-mesh relaxation via INDIRECT (PARTI)",
+)
+def irregular(ctx: WorkloadContext) -> ExecutionOutcome:
+    from ..apps.irregular import make_mesh, run_relaxation
 
-if _HAVE_NETWORKX:
-
-    @register_workload(
-        "irregular",
-        defaults={
-            "size": 32,       # mesh nodes
-            "steps": 10,      # relaxation sweeps
-            "distribution": "partitioned",
-            "kind": "geometric",
-            "drift": 0.0,     # hot-spot motion per sweep (0 = historical)
-        },
-        description="unstructured-mesh relaxation via INDIRECT (PARTI)",
+    graph = make_mesh(
+        int(ctx.params["size"]), seed=ctx.seed, kind=str(ctx.params["kind"])
     )
-    def irregular(ctx: WorkloadContext) -> ExecutionOutcome:
-        graph = _irregular_app.make_mesh(
-            int(ctx.params["size"]), seed=ctx.seed, kind=str(ctx.params["kind"])
-        )
-        r = _irregular_app.run_relaxation(
-            ctx.machine,
-            graph,
-            str(ctx.params["distribution"]),
-            sweeps=int(ctx.params["steps"]),
-            seed=ctx.seed,
-            drift=float(ctx.params["drift"]),
-        )
-        return ExecutionOutcome(
-            solution=r.solution,
-            headline={
-                "cut_edges": r.cut_edges,
-                "messages": r.messages,
-                "modeled_time_ms": r.time * 1e3,
-            },
-            result=r,
-        )
+    r = run_relaxation(
+        ctx.machine,
+        graph,
+        str(ctx.params["distribution"]),
+        sweeps=int(ctx.params["steps"]),
+        seed=ctx.seed,
+        drift=float(ctx.params["drift"]),
+    )
+    return ExecutionOutcome(
+        solution=r.solution,
+        headline={
+            "cut_edges": r.cut_edges,
+            "messages": r.messages,
+            "modeled_time_ms": r.time * 1e3,
+        },
+        result=r,
+    )
 
-    @irregular.adaptive
-    def _irregular_adaptive(ctx: WorkloadContext):
-        steps = int(ctx.params["steps"])
-        return _irregular_app.DriftingRelaxation(
-            n=int(ctx.params["size"]),
-            sweeps=steps,
-            window=max(1, steps // 4),
-            drift=float(ctx.params["drift"]),
-            kind=str(ctx.params["kind"]),
-        )
 
-    __all__.append("irregular")
+@irregular.adaptive
+def _irregular_adaptive(ctx: WorkloadContext):
+    from ..apps.irregular import DriftingRelaxation
+
+    steps = int(ctx.params["steps"])
+    return DriftingRelaxation(
+        n=int(ctx.params["size"]),
+        sweeps=steps,
+        window=max(1, steps // 4),
+        drift=float(ctx.params["drift"]),
+        kind=str(ctx.params["kind"]),
+    )

@@ -7,58 +7,28 @@
   choice (columns vs. 2-D blocks) with the paper's cost model;
 - :mod:`~repro.apps.pic` — the Figure 2 particle-in-cell loop with
   B_BLOCK load balancing;
+- :mod:`~repro.apps.irregular` — relaxation on an unstructured mesh
+  with INDIRECT distributions and the PARTI inspector/executor (the
+  one module that needs ``networkx``, imported when a mesh is built);
 - :mod:`~repro.apps.load_balance` — the ``balance`` routine (greedy
   and optimal contiguous partitioners).
 """
 
-from .adi import ADIResult, PhaseStats, adi_reference, execute_adi
+from .._lazy import lazy_exports
 
-try:  # the unstructured-mesh workload needs networkx (optional)
-    from .irregular import (  # noqa: F401
-        RelaxationResult,
-        edge_cut,
-        make_mesh,
-        partition_bfs,
-        relaxation_reference,
-        run_relaxation,
-    )
-
-    _HAVE_NETWORKX = True
-except ImportError:  # pragma: no cover - exercised only without networkx
-    _HAVE_NETWORKX = False
-from .load_balance import balance_greedy, balance_optimal, block_loads, imbalance
-from .pic import PICConfig, PICResult, StepRecord, execute_pic, initpos
-from .smoothing import (
-    SmoothingResult,
-    best_distribution,
-    execute_smoothing,
-    predicted_step_cost,
-    smooth_step_func,
-    smoothing_reference,
-)
-from .tridiag import thomas, thomas_const, tridiag_matvec
-
-__all__ = [
-    "ADIResult",
-    "PhaseStats",
-    "execute_adi",
-    "adi_reference",
-    "balance_greedy",
-    "balance_optimal",
-    "block_loads",
-    "imbalance",
-    "PICConfig",
-    "PICResult",
-    "StepRecord",
-    "execute_pic",
-    "initpos",
-    "SmoothingResult",
-    "execute_smoothing",
-    "smoothing_reference",
-    "smooth_step_func",
-    "predicted_step_cost",
-    "best_distribution",
-    "thomas",
-    "thomas_const",
-    "tridiag_matvec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "adi": ("ADIResult", "PhaseStats", "adi_reference", "execute_adi"),
+    "irregular": (
+        "RelaxationResult", "edge_cut", "make_mesh", "partition_bfs",
+        "relaxation_reference", "run_relaxation",
+    ),
+    "load_balance": (
+        "balance_greedy", "balance_optimal", "block_loads", "imbalance",
+    ),
+    "pic": ("PICConfig", "PICResult", "StepRecord", "execute_pic", "initpos"),
+    "smoothing": (
+        "SmoothingResult", "best_distribution", "execute_smoothing",
+        "predicted_step_cost", "smooth_step_func", "smoothing_reference",
+    ),
+    "tridiag": ("thomas", "thomas_const", "tridiag_matvec"),
+})

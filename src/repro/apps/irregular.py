@@ -36,9 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
-import networkx as nx
 import numpy as np
 
 from ..backend.base import Backend, attached_backend
@@ -47,6 +46,9 @@ from ..core.distribution import DistributionType
 from ..defaults import DEFAULT_SEED
 from ..machine.machine import Machine
 from ..runtime.engine import Engine
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "make_mesh",
@@ -58,6 +60,18 @@ __all__ = [
     "drifting_weights",
     "DriftingRelaxation",
 ]
+
+def _networkx():
+    """networkx, imported when a mesh is built: no other workload and
+    no other layer needs it."""
+    try:
+        import networkx
+    except ImportError as exc:
+        raise ImportError(
+            "the 'irregular' workload builds and partitions its meshes "
+            "with networkx, which is not installed"
+        ) from exc
+    return networkx
 
 
 def make_mesh(
@@ -76,6 +90,7 @@ def make_mesh(
     not given, reproducing the historical stream exactly); note the
     geometric kind also seeds networkx's own generator from ``seed``.
     """
+    nx = _networkx()
     if rng is None:
         rng = np.random.default_rng(seed)
     if kind == "geometric":
@@ -111,6 +126,7 @@ def partition_bfs(
     partitioner (recursive bisection, METIS) would improve on, but
     enough to demonstrate the paper's point.
     """
+    nx = _networkx()
     n = graph.number_of_nodes()
     if nparts < 1:
         raise ValueError("need at least one part")

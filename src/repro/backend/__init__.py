@@ -27,31 +27,17 @@ Attach a backend through the session facade::
         ...  # DISTRIBUTE / kernels now execute in worker processes
 """
 
-from . import calibrate  # noqa: F401  (the calibration namespace)
-from .base import Backend, SerialBackend, attached_backend, resolve_backend
-from .calibrate import fit_alpha_beta, measured_machine
-from .multiprocess import BackendError, FleetSupervisor, MultiprocessBackend
-from .plan import segment_moves, shift_plan, transfer_plan
-from .shm import BlockMeta, SharedSegmentAllocator
-from .transport import Transport, TransportBroken, TransportTimeout
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Backend",
-    "SerialBackend",
-    "MultiprocessBackend",
-    "BackendError",
-    "FleetSupervisor",
-    "resolve_backend",
-    "attached_backend",
-    "calibrate",
-    "fit_alpha_beta",
-    "measured_machine",
-    "transfer_plan",
-    "segment_moves",
-    "shift_plan",
-    "Transport",
-    "TransportTimeout",
-    "TransportBroken",
-    "BlockMeta",
-    "SharedSegmentAllocator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".": ("calibrate",),
+    "base": (
+        "Backend", "BackendError", "SerialBackend", "attached_backend",
+        "resolve_backend",
+    ),
+    "calibrate": ("fit_alpha_beta", "measured_machine"),
+    "multiprocess": ("FleetSupervisor", "MultiprocessBackend"),
+    "plan": ("segment_moves", "shift_plan", "transfer_plan"),
+    "shm": ("BlockMeta", "SharedSegmentAllocator"),
+    "transport": ("Transport", "TransportBroken", "TransportTimeout"),
+})

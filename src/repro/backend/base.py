@@ -29,11 +29,35 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Backend",
+    "BackendError",
     "SerialBackend",
     "serial_move",
     "resolve_backend",
     "attached_backend",
 ]
+
+
+class BackendError(RuntimeError):
+    """A worker failed or did not respond.
+
+    ``retryable`` marks fleet-level faults (dead/hung workers) that a
+    fleet restart plus op replay can recover from, as opposed to
+    deterministic op errors that would fail identically on replay.
+    ``dead_ranks``/``hung_ranks`` name the detected culprits.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        retryable: bool = False,
+        dead_ranks: tuple = (),
+        hung_ranks: tuple = (),
+    ):
+        super().__init__(message)
+        self.retryable = bool(retryable)
+        self.dead_ranks = tuple(dead_ranks)
+        self.hung_ranks = tuple(hung_ranks)
 
 
 def serial_move(array: "DistributedArray", new_dist) -> None:

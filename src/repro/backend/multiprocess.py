@@ -32,13 +32,14 @@ import pickle
 import sys
 import time
 from collections import defaultdict
+from multiprocessing import resource_tracker
 from queue import Empty
 from typing import TYPE_CHECKING, Callable
 
 from ..faults import plan as _faults
 from ..obs import flight as _flight
 from ..obs import metrics as _obs
-from .base import Backend
+from .base import Backend, BackendError
 from .ops import (
     op_local_kernel,
     op_noop,
@@ -53,30 +54,7 @@ if TYPE_CHECKING:
     from ..machine.machine import Machine
     from ..runtime.darray import DistributedArray
 
-__all__ = ["BackendError", "FleetSupervisor", "MultiprocessBackend"]
-
-
-class BackendError(RuntimeError):
-    """A worker failed or did not respond.
-
-    ``retryable`` marks fleet-level faults (dead/hung workers) that a
-    fleet restart plus op replay can recover from, as opposed to
-    deterministic op errors that would fail identically on replay.
-    ``dead_ranks``/``hung_ranks`` name the detected culprits.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        retryable: bool = False,
-        dead_ranks: tuple = (),
-        hung_ranks: tuple = (),
-    ):
-        super().__init__(message)
-        self.retryable = bool(retryable)
-        self.dead_ranks = tuple(dead_ranks)
-        self.hung_ranks = tuple(hung_ranks)
+__all__ = ["FleetSupervisor", "MultiprocessBackend"]
 
 
 _BACKEND_OPS = _obs.counter(
@@ -267,8 +245,6 @@ class MultiprocessBackend(Backend):
         # their own — the premise of the fork branch of
         # shm.unregister_on_attach.
         try:
-            from multiprocessing import resource_tracker
-
             resource_tracker.ensure_running()
         except Exception as exc:  # pragma: no cover - tracker internals vary
             _flight.note(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
+from queue import Empty
 from typing import Any
 
 from ..obs import metrics as _obs
@@ -168,8 +169,6 @@ class Transport:
             self.received_messages += 1
             _TRANSPORT_MESSAGES.inc(direction="received")
             return stashed.pop(0)
-        from queue import Empty
-
         while True:
             try:
                 msg_src, msg_tag, payload = self._inbox.get(

@@ -30,6 +30,7 @@ from typing import Any
 
 import numpy as np
 
+from . import shm as _shm
 from .shm import BlockMeta, attach
 from .transport import Transport
 
@@ -83,8 +84,6 @@ def worker_main(
     faults=None,
 ) -> None:
     """Command loop body of one worker process."""
-    from . import shm as _shm
-
     _shm.unregister_on_attach = unregister_on_attach
     transport = Transport(
         rank, nprocs, inbox, outboxes, barrier_obj, timeout=timeout,

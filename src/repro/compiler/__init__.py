@@ -7,87 +7,27 @@ communication and memory estimates, and SPMD lowering of the paper's
 access patterns into executable kernels.
 """
 
-from .cfg import CFG, CFGEdge, CFGNode, build_cfg
-from .codegen import LineSweepKernel, StencilKernel, lower_line_sweep, lower_stencil
-from .comm_analysis import (
-    CommEstimate,
-    MemoryEstimate,
-    estimate_memory,
-    estimate_ref,
-    infer_overlap,
-)
-from .optimize import OptimizeStats, optimize
-from .ir import (
-    AccessKind,
-    ArrayRef,
-    Assign,
-    Block,
-    Call,
-    DCaseStmt,
-    DistributeStmt,
-    If,
-    IRProgram,
-    Loop,
-    ProcDef,
-    Stmt,
-)
-from .partial_eval import (
-    ALWAYS,
-    MAYBE,
-    NEVER,
-    TOP,
-    PlausibleSet,
-    decide_pattern,
-    decide_querylist,
-    dim_implies,
-    dim_overlaps,
-    pattern_implies,
-    pattern_overlaps,
-    refine_pattern,
-)
-from .reaching import AnalysisResult, ReachingDistributions, analyze
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccessKind",
-    "ArrayRef",
-    "Assign",
-    "Block",
-    "Call",
-    "DCaseStmt",
-    "DistributeStmt",
-    "If",
-    "IRProgram",
-    "Loop",
-    "ProcDef",
-    "Stmt",
-    "CFG",
-    "CFGEdge",
-    "CFGNode",
-    "build_cfg",
-    "ALWAYS",
-    "MAYBE",
-    "NEVER",
-    "TOP",
-    "PlausibleSet",
-    "decide_pattern",
-    "decide_querylist",
-    "dim_implies",
-    "dim_overlaps",
-    "pattern_implies",
-    "pattern_overlaps",
-    "refine_pattern",
-    "AnalysisResult",
-    "ReachingDistributions",
-    "analyze",
-    "CommEstimate",
-    "MemoryEstimate",
-    "estimate_ref",
-    "estimate_memory",
-    "infer_overlap",
-    "OptimizeStats",
-    "optimize",
-    "StencilKernel",
-    "LineSweepKernel",
-    "lower_stencil",
-    "lower_line_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cfg": ("CFG", "CFGEdge", "CFGNode", "build_cfg"),
+    "codegen": (
+        "LineSweepKernel", "StencilKernel", "lower_line_sweep",
+        "lower_stencil",
+    ),
+    "comm_analysis": (
+        "CommEstimate", "MemoryEstimate", "estimate_memory", "estimate_ref",
+        "infer_overlap",
+    ),
+    "optimize": ("OptimizeStats", "optimize"),
+    "ir": (
+        "AccessKind", "ArrayRef", "Assign", "Block", "Call", "DCaseStmt",
+        "DistributeStmt", "If", "IRProgram", "Loop", "ProcDef", "Stmt",
+    ),
+    "partial_eval": (
+        "ALWAYS", "MAYBE", "NEVER", "TOP", "PlausibleSet", "decide_pattern",
+        "decide_querylist", "dim_implies", "dim_overlaps", "pattern_implies",
+        "pattern_overlaps", "refine_pattern",
+    ),
+    "reaching": ("AnalysisResult", "ReachingDistributions", "analyze"),
+})

@@ -7,70 +7,29 @@ relation (§2.3), run-time descriptors (§3.2.1), and the query
 machinery behind RANGE / IDT / DCASE (§2.5).
 """
 
-from .alignment import Alignment, AxisMap, construct
-from .descriptor import ArrayDescriptor, DistributionUndefinedError
-from .dimdist import (
-    Block,
-    Cyclic,
-    DimDist,
-    GenBlock,
-    Indirect,
-    NoDist,
-    Replicated,
-    SBlock,
-)
-from .distribution import Distribution, DistributionType, dist_type
-from .dynamic import Aligned, ConnectClass, Connection, DynamicAttr, Extraction
-from .generators import (
-    DistributionGenerator,
-    get_generator,
-    register_generator,
-)
-from .index_domain import IndexDomain
-from .interning import (
-    clear_interning_caches,
-    intern_dimdist,
-    intern_distribution,
-    owners_cache_stats,
-)
-from .query import ANY, DCase, DEFAULT, QueryList, Range, TypePattern, Wild, idt
+from .._lazy import lazy_exports
 
-__all__ = [
-    "IndexDomain",
-    "DimDist",
-    "Block",
-    "Cyclic",
-    "GenBlock",
-    "SBlock",
-    "NoDist",
-    "Replicated",
-    "Indirect",
-    "DistributionType",
-    "Distribution",
-    "dist_type",
-    "Alignment",
-    "AxisMap",
-    "construct",
-    "DynamicAttr",
-    "ConnectClass",
-    "Connection",
-    "Extraction",
-    "Aligned",
-    "ArrayDescriptor",
-    "DistributionUndefinedError",
-    "DistributionGenerator",
-    "register_generator",
-    "get_generator",
-    "ANY",
-    "DEFAULT",
-    "Wild",
-    "TypePattern",
-    "Range",
-    "idt",
-    "DCase",
-    "QueryList",
-    "intern_dimdist",
-    "intern_distribution",
-    "owners_cache_stats",
-    "clear_interning_caches",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "alignment": ("Alignment", "AxisMap", "construct"),
+    "descriptor": ("ArrayDescriptor", "DistributionUndefinedError"),
+    "dimdist": (
+        "Block", "Cyclic", "DimDist", "GenBlock", "Indirect", "NoDist",
+        "Replicated", "SBlock",
+    ),
+    "distribution": ("Distribution", "DistributionType", "dist_type"),
+    "dynamic": (
+        "Aligned", "ConnectClass", "Connection", "DynamicAttr", "Extraction",
+    ),
+    "generators": (
+        "DistributionGenerator", "get_generator", "register_generator",
+    ),
+    "index_domain": ("IndexDomain",),
+    "interning": (
+        "clear_interning_caches", "intern_dimdist", "intern_distribution",
+        "owners_cache_stats",
+    ),
+    "query": (
+        "ANY", "DCase", "DEFAULT", "QueryList", "Range", "TypePattern", "Wild",
+        "idt",
+    ),
+})

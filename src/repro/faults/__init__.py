@@ -11,34 +11,13 @@ serial backend, :mod:`repro.serve.service` sheds load through the
 :class:`CircuitBreaker` defined here.
 """
 
-from .breaker import CircuitBreaker
-from .plan import (
-    FAULT_PLAN_SCHEMA,
-    FaultPlan,
-    KernelStall,
-    RequestFault,
-    ShmAllocFailure,
-    TransportDelay,
-    TransportDrop,
-    WorkerCrash,
-    activate,
-    active_plan,
-    deactivate,
-    injected,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_PLAN_SCHEMA",
-    "FaultPlan",
-    "WorkerCrash",
-    "KernelStall",
-    "TransportDelay",
-    "TransportDrop",
-    "ShmAllocFailure",
-    "RequestFault",
-    "CircuitBreaker",
-    "activate",
-    "deactivate",
-    "active_plan",
-    "injected",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "breaker": ("CircuitBreaker",),
+    "plan": (
+        "FAULT_PLAN_SCHEMA", "FaultPlan", "KernelStall", "RequestFault",
+        "ShmAllocFailure", "TransportDelay", "TransportDrop", "WorkerCrash",
+        "activate", "active_plan", "deactivate", "injected",
+    ),
+})

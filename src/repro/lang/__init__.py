@@ -6,31 +6,15 @@ processor declarations, declaration-statement parsing, program scopes
 calls with implicit argument redistribution.
 """
 
-from .declarations import Declaration, parse_declaration
-from .frontend import parse_program
-from .parser import (
-    VFSyntaxError,
-    parse_alignment,
-    parse_dist_expr,
-    parse_pattern,
-    parse_processors,
-    parse_section,
-)
-from .procedures import FormalArg, Procedure
-from .program import Scope, VFProgram
+from .._lazy import lazy_exports
 
-__all__ = [
-    "VFSyntaxError",
-    "parse_dist_expr",
-    "parse_pattern",
-    "parse_alignment",
-    "parse_processors",
-    "parse_section",
-    "parse_program",
-    "Declaration",
-    "parse_declaration",
-    "VFProgram",
-    "Scope",
-    "Procedure",
-    "FormalArg",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "declarations": ("Declaration", "parse_declaration"),
+    "frontend": ("parse_program",),
+    "parser": (
+        "VFSyntaxError", "parse_alignment", "parse_dist_expr", "parse_pattern",
+        "parse_processors", "parse_section",
+    ),
+    "procedures": ("FormalArg", "Procedure"),
+    "program": ("Scope", "VFProgram"),
+})

@@ -8,42 +8,20 @@ the distribution model, the Vienna Fortran Engine, the compiler — is
 machine-independent, exactly as the paper argues.
 """
 
-from .cost_model import CostModel, IPSC860, MODERN_CLUSTER, PARAGON, PRESETS, ZERO_COST
-from .machine import Machine
-from .measured import Calibration, MeasuredMachine
-from .memory import AllocationRecord, LocalMemory, MemoryError_
-from .network import MessageRecord, Network, NetworkStats
-from .report import (
-    link_matrix,
-    per_processor_table,
-    summary,
-    timeline_summary,
-    timeline_table,
-)
-from .topology import ProcessorArray, ProcessorSection, grid_shapes
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "IPSC860",
-    "PARAGON",
-    "MODERN_CLUSTER",
-    "ZERO_COST",
-    "PRESETS",
-    "Machine",
-    "MeasuredMachine",
-    "Calibration",
-    "LocalMemory",
-    "MemoryError_",
-    "AllocationRecord",
-    "Network",
-    "NetworkStats",
-    "MessageRecord",
-    "ProcessorArray",
-    "ProcessorSection",
-    "grid_shapes",
-    "per_processor_table",
-    "link_matrix",
-    "summary",
-    "timeline_table",
-    "timeline_summary",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cost_model": (
+        "CostModel", "IPSC860", "MODERN_CLUSTER", "PARAGON", "PRESETS",
+        "ZERO_COST",
+    ),
+    "machine": ("Machine",),
+    "measured": ("Calibration", "MeasuredMachine"),
+    "memory": ("AllocationRecord", "LocalMemory", "MemoryError_"),
+    "network": ("MessageRecord", "Network", "NetworkStats"),
+    "report": (
+        "link_matrix", "per_processor_table", "summary", "timeline_summary",
+        "timeline_table",
+    ),
+    "topology": ("ProcessorArray", "ProcessorSection", "grid_shapes"),
+})

@@ -33,121 +33,32 @@ and cheap, so a crash in an un-instrumented process still dumps a
 recent history.
 """
 
-from .analyze import (
-    Attribution,
-    PhaseRow,
-    Reason,
-    analyze_workload,
-    attribution,
-    span_breakdown,
-)
-from .compare import (
-    BaselineError,
-    BenchDelta,
-    CompareReport,
-    EXIT_HARD,
-    EXIT_SOFT,
-    FAMILIES,
-    GateFailure,
-    compare_reports,
-    finish_bench,
-    load_report,
-    resolve_baseline,
-)
-from .export import chrome_trace, dump_chrome_trace
-from .flight import FlightRecorder, flight_recorder, incident, note
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    disable,
-    enable,
-    enabled,
-    gauge,
-    histogram,
-    registry,
-    render_prometheus,
-    set_enabled,
-)
-from .tracing import (
-    SpanRecord,
-    clear_spans,
-    finished_spans,
-    get_request_id,
-    get_trace_id,
-    new_request_id,
-    request_scope,
-    set_request_id,
-    span,
-)
-from .trajectory import (
-    DEFAULT_TRAJECTORY_PATH,
-    TrajectoryStore,
-    env_digest,
-    environment_fingerprint,
-    git_sha,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Attribution",
-    "BaselineError",
-    "BenchDelta",
-    "CompareReport",
-    "Counter",
-    "DEFAULT_TRAJECTORY_PATH",
-    "EXIT_HARD",
-    "EXIT_SOFT",
-    "FAMILIES",
-    "FlightRecorder",
-    "GateFailure",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PhaseRow",
-    "Reason",
-    "SpanRecord",
-    "TrajectoryStore",
-    "analyze_workload",
-    "attribution",
-    "chrome_trace",
-    "clear_spans",
-    "compare_reports",
-    "counter",
-    "disable",
-    "dump_chrome_trace",
-    "enable",
-    "enabled",
-    "env_digest",
-    "environment_fingerprint",
-    "finish_bench",
-    "finished_spans",
-    "flight_recorder",
-    "gauge",
-    "get_request_id",
-    "get_trace_id",
-    "git_sha",
-    "histogram",
-    "incident",
-    "load_report",
-    "new_request_id",
-    "note",
-    "registry",
-    "render_prometheus",
-    "request_scope",
-    "reset",
-    "resolve_baseline",
-    "set_enabled",
-    "set_request_id",
-    "span",
-    "span_breakdown",
-]
-
-
-def reset() -> None:
-    """Zero every metric sample, drop recorded spans, and clear the
-    flight recorder's notes and incidents (for tests)."""
-    registry.reset()
-    clear_spans()
-    flight_recorder.reset()
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "analyze": (
+        "Attribution", "PhaseRow", "Reason", "analyze_workload", "attribution",
+        "span_breakdown",
+    ),
+    "compare": (
+        "BaselineError", "BenchDelta", "CompareReport", "EXIT_HARD",
+        "EXIT_SOFT", "FAMILIES", "GateFailure", "compare_reports",
+        "finish_bench", "load_report", "resolve_baseline",
+    ),
+    "export": ("chrome_trace", "dump_chrome_trace"),
+    "flight": ("FlightRecorder", "flight_recorder", "incident", "note"),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "counter",
+        "disable", "enable", "enabled", "gauge", "histogram", "registry",
+        "render_prometheus", "set_enabled",
+    ),
+    "tracing": (
+        "SpanRecord", "clear_spans", "finished_spans", "get_request_id",
+        "get_trace_id", "new_request_id", "request_scope", "reset",
+        "set_request_id", "span",
+    ),
+    "trajectory": (
+        "DEFAULT_TRAJECTORY_PATH", "TrajectoryStore", "env_digest",
+        "environment_fingerprint", "git_sha",
+    ),
+})

@@ -26,7 +26,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-from .metrics import _SWITCH, counter
+from .flight import flight_recorder
+from .metrics import _SWITCH, counter, registry
 
 __all__ = [
     "SpanRecord",
@@ -36,6 +37,7 @@ __all__ = [
     "get_trace_id",
     "new_request_id",
     "request_scope",
+    "reset",
     "set_request_id",
     "span",
 ]
@@ -191,3 +193,11 @@ def clear_spans() -> None:
     """Empty the finished-span ring buffer."""
     with _spans_lock:
         _finished.clear()
+
+
+def reset() -> None:
+    """Zero every metric sample, drop recorded spans, and clear the
+    flight recorder's notes and incidents (for tests)."""
+    registry.reset()
+    clear_spans()
+    flight_recorder.reset()

@@ -26,54 +26,21 @@ The headline guarantee (property-tested): a planned schedule's modeled
 cost is never worse than the best static single-layout alternative.
 """
 
-from .binding import PlanExecutor, bind_pattern, plan_program
-from .candidates import dim_menu, enumerate_layouts
-from .costs import CostEngine, SimulatedCostEngine
-from .phases import (
-    ArrayLoad,
-    HandDistribute,
-    Phase,
-    PhaseSequence,
-    extract_phases,
-)
-from .search import (
-    Plan,
-    ScheduleStep,
-    dp_schedule,
-    greedy_schedule,
-    plan_array,
-)
-from .workloads import (
-    Workload,
-    adi_workload,
-    hand_schedule_cost,
-    pic_workload,
-    plan_workload,
-    smoothing_workload,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArrayLoad",
-    "Phase",
-    "PhaseSequence",
-    "HandDistribute",
-    "extract_phases",
-    "dim_menu",
-    "enumerate_layouts",
-    "CostEngine",
-    "SimulatedCostEngine",
-    "ScheduleStep",
-    "Plan",
-    "plan_array",
-    "dp_schedule",
-    "greedy_schedule",
-    "PlanExecutor",
-    "bind_pattern",
-    "plan_program",
-    "Workload",
-    "adi_workload",
-    "pic_workload",
-    "smoothing_workload",
-    "plan_workload",
-    "hand_schedule_cost",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "binding": ("PlanExecutor", "bind_pattern", "plan_program"),
+    "candidates": ("dim_menu", "enumerate_layouts"),
+    "costs": ("CostEngine", "SimulatedCostEngine"),
+    "phases": (
+        "ArrayLoad", "HandDistribute", "Phase", "PhaseSequence",
+        "extract_phases",
+    ),
+    "search": (
+        "Plan", "ScheduleStep", "dp_schedule", "greedy_schedule", "plan_array",
+    ),
+    "workloads": (
+        "Workload", "adi_workload", "hand_schedule_cost", "pic_workload",
+        "plan_workload", "smoothing_workload",
+    ),
+})

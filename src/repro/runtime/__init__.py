@@ -7,44 +7,21 @@ inspector/executor, and the :class:`Engine` facade tying them to a
 simulated machine.
 """
 
-from .batched import BatchedReadAccessor, forall_batched
-from .communication import broadcast_from, gather_to, reduce_scalar, shift_exchange
-from .darray import DistributedArray
-from .engine import Engine
-from .forall import ReadAccessor, forall, forall_gathered
-from .inspector import CommSchedule, Inspector
-from .overlap import OverlapManager
-from .redistribute import (
-    PlanCache,
-    RedistributionReport,
-    communicate,
-    default_plan_cache,
-    transfer_matrix,
-    transfer_matrix_naive,
-)
-from .translation import DimTranslationTable, TranslationTable
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DistributedArray",
-    "Engine",
-    "forall",
-    "forall_gathered",
-    "forall_batched",
-    "ReadAccessor",
-    "BatchedReadAccessor",
-    "Inspector",
-    "CommSchedule",
-    "OverlapManager",
-    "RedistributionReport",
-    "PlanCache",
-    "communicate",
-    "default_plan_cache",
-    "transfer_matrix",
-    "transfer_matrix_naive",
-    "TranslationTable",
-    "DimTranslationTable",
-    "shift_exchange",
-    "gather_to",
-    "broadcast_from",
-    "reduce_scalar",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "batched": ("BatchedReadAccessor", "forall_batched"),
+    "communication": (
+        "broadcast_from", "gather_to", "reduce_scalar", "shift_exchange",
+    ),
+    "darray": ("DistributedArray",),
+    "engine": ("Engine",),
+    "forall": ("ReadAccessor", "forall", "forall_gathered"),
+    "inspector": ("CommSchedule", "Inspector"),
+    "overlap": ("OverlapManager",),
+    "redistribute": (
+        "PlanCache", "RedistributionReport", "communicate",
+        "default_plan_cache", "transfer_matrix", "transfer_matrix_naive",
+    ),
+    "translation": ("DimTranslationTable", "TranslationTable"),
+})

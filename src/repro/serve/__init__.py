@@ -43,21 +43,12 @@ JSON bodies whether computed or replayed from cache, and the bodies
 are exactly the CLI's ``--json`` payloads.
 """
 
-from .cache import ResponseCache, request_fingerprint
-from .http import ServeServer, ServerThread, serve_forever
-from .loadtest import run_loadtest
-from .pool import SessionPool
-from .service import ENDPOINTS, PlanningService, ServeResponse
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ENDPOINTS",
-    "PlanningService",
-    "ResponseCache",
-    "ServeResponse",
-    "ServeServer",
-    "ServerThread",
-    "SessionPool",
-    "request_fingerprint",
-    "run_loadtest",
-    "serve_forever",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cache": ("ResponseCache", "request_fingerprint"),
+    "http": ("ServeServer", "ServerThread", "serve_forever"),
+    "loadtest": ("run_loadtest",),
+    "pool": ("SessionPool",),
+    "service": ("ENDPOINTS", "PlanningService", "ServeResponse"),
+})

@@ -48,7 +48,7 @@ from ..api.config import BACKEND_NAMES, SessionConfig, resolve_cost_model
 from ..api.registry import REGISTRY, WorkloadRegistry
 from ..api.results import _jsonable
 from ..api.session import SessionClosedError
-from ..backend.multiprocess import BackendError
+from ..backend.base import BackendError
 from ..defaults import DEFAULT_SEED
 from ..faults.breaker import CircuitBreaker
 from ..obs import metrics as _obs

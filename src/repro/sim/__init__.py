@@ -23,42 +23,20 @@ planner's ``cost_mode="simulated"`` prices schedules against these
 semantics instead of the closed-form aggregates.
 """
 
-from .clock import BUSY_KINDS, Interval, ProcClock, Timeline
-from .critical_path import CriticalPath, critical_path
-from .events import Event, EventArrays, EventKind, EventLog, classify_tag, record
-from .overlap import overlappable_phases, relaxed_barriers
-from .replay import BlockingReplay, replay_blocking, replay_split_exchange
-from .simulate import simulate
-from .trace import (
-    dump_json,
-    gantt,
-    to_chrome_trace,
-    to_json,
-    windowed_imbalance,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventArrays",
-    "EventKind",
-    "EventLog",
-    "BlockingReplay",
-    "replay_blocking",
-    "replay_split_exchange",
-    "classify_tag",
-    "record",
-    "Interval",
-    "ProcClock",
-    "Timeline",
-    "BUSY_KINDS",
-    "simulate",
-    "relaxed_barriers",
-    "overlappable_phases",
-    "CriticalPath",
-    "critical_path",
-    "gantt",
-    "to_json",
-    "dump_json",
-    "to_chrome_trace",
-    "windowed_imbalance",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "clock": ("BUSY_KINDS", "Interval", "ProcClock", "Timeline"),
+    "critical_path": ("CriticalPath", "critical_path"),
+    "events": (
+        "Event", "EventArrays", "EventKind", "EventLog", "classify_tag",
+        "record",
+    ),
+    "overlap": ("overlappable_phases", "relaxed_barriers"),
+    "replay": ("BlockingReplay", "replay_blocking", "replay_split_exchange"),
+    "simulate": ("simulate",),
+    "trace": (
+        "dump_json", "gantt", "to_chrome_trace", "to_json",
+        "windowed_imbalance",
+    ),
+})

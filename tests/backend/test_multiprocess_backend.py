@@ -237,6 +237,49 @@ def test_run_op_after_close_rejected():
         be.run_op(_op_allgather_rank, [{} for _ in range(4)])
 
 
+def test_forked_worker_imports_nothing_after_start(monkeypatch, tmp_path):
+    """A fleet is forked per ``run()``, so whatever a worker needs must
+    be in the parent's ``sys.modules`` before the fork: a module only
+    the worker loop imported would be imported again by every fleet.
+    Once the parent has run a workload, the next fleet's workers gain
+    no ``repro`` module between start and shutdown."""
+    import json
+    import sys
+
+    import repro
+    from repro.backend import multiprocess
+
+    if multiprocess._pick_start_method(None) != "fork":
+        pytest.skip("spawned workers start from a fresh import")
+    worker_main = multiprocess.worker_main
+
+    def traced(rank, *args, **kwargs):
+        before = set(sys.modules)
+        try:
+            worker_main(rank, *args, **kwargs)
+        finally:
+            gained = sorted(m for m in set(sys.modules) - before
+                            if m.startswith("repro"))
+            (tmp_path / f"{os.getpid()}.json").write_text(json.dumps(gained))
+
+    with repro.session(nprocs=2, backend="multiprocess") as sess:
+        handles = [
+            sess.workload("adi", size=16, iterations=1),
+            sess.workload("pic", size=16, steps=2),
+            sess.workload("smoothing", size=16, steps=2),
+            sess.workload("irregular", size=16, steps=2),
+        ]
+        assert {h.name for h in handles} == set(sess.registry.names())
+        for handle in handles:
+            handle.run()  # the parent imports the app
+        monkeypatch.setattr(multiprocess, "worker_main", traced)
+        for handle in handles:
+            handle.run()
+    reports = sorted(tmp_path.iterdir())
+    assert len(reports) == 2 * len(handles)
+    assert [json.loads(r.read_text()) for r in reports] == [[]] * len(reports)
+
+
 # -- module-level worker payloads (picklable by reference) ---------------
 
 _MASTER_SENTINEL: list = []

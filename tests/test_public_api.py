@@ -259,9 +259,12 @@ def test_main_module_runs(capsys):
     assert "dynamic" in out
 
 
-def test_apps_optional_networkx_flag():
+def test_irregular_workload_is_always_exported():
+    """networkx is an install requirement, imported where a mesh is
+    built: the mesh app and its registration are unconditional."""
     import repro.apps as apps
+    from repro.api import REGISTRY
 
-    # this environment has networkx, so the mesh workload is exported
-    assert apps._HAVE_NETWORKX
-    assert hasattr(apps, "run_relaxation")
+    assert "run_relaxation" in apps.__all__
+    assert callable(apps.run_relaxation) and callable(apps.make_mesh)
+    assert "irregular" in REGISTRY
