@@ -24,6 +24,9 @@ from repro.serve import PlanningService, ServerThread
 
 WORKLOAD = "adi"
 SIZE, ITERATIONS = 32, 2
+#: a parameter only this workload declares: the CLI's --strategy flag
+#: and the service's strategy= key are built from the same table row
+STRATEGY = "static_cols"
 
 
 def fetch(url: str, payload: dict | None = None) -> tuple[dict, bytes]:
@@ -74,7 +77,7 @@ def main() -> None:
 
         # -- every stage for one workload -------------------------------
         request = {"workload": WORKLOAD, "size": SIZE,
-                   "iterations": ITERATIONS}
+                   "iterations": ITERATIONS, "strategy": STRATEGY}
         headers, plan_body = fetch(f"{base}/plan", request)
         print(f"/plan      -> {len(plan_body)} bytes "
               f"(cache {headers['X-Repro-Cache']})")
@@ -91,17 +94,15 @@ def main() -> None:
               f"{stats['response_cache']['hits']} hit(s)")
 
         # -- the consistency contract: service bytes == CLI bytes --------
-        size, iters = str(SIZE), str(ITERATIONS)
-        cli_plan = cli_json("plan", WORKLOAD, "--size", size,
-                            "--iterations", iters)
+        flags = ("--size", str(SIZE), "--iterations", str(ITERATIONS),
+                 "--strategy", STRATEGY)
+        cli_plan = cli_json("plan", WORKLOAD, *flags)
         assert plan_body.rstrip(b"\n") == cli_plan, "/plan diverged from CLI"
-        cli_trace = cli_json("trace", WORKLOAD, "--size", size,
-                             "--iterations", iters)
+        cli_trace = cli_json("trace", WORKLOAD, *flags)
         assert trace_body.rstrip(b"\n") == cli_trace, "/trace diverged from CLI"
         # the CLI's run report adds one CLI-only key (its serial
         # cross-check verdict); everything else must match exactly
-        cli_run = json.loads(cli_json("run", WORKLOAD, "--size", size,
-                                      "--iterations", iters))
+        cli_run = json.loads(cli_json("run", WORKLOAD, *flags))
         cli_run.pop("verified_against_serial")
         assert json.loads(run_body) == cli_run, "/run diverged from CLI"
         print("service responses are byte-identical to the CLI --json output")

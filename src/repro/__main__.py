@@ -1,55 +1,18 @@
 """``python -m repro`` — the session facade on the command line.
 
 With no arguments, runs a miniature version of each paper artifact
-(Figure 1 ADI, Figure 2 PIC, the §4 smoothing choice) and prints the
-headline comparisons.  Subcommands::
+(Figure 1 ADI, Figure 2 PIC, the §4 smoothing choice); ``--help`` lists
+the subcommands.  Every one goes through :mod:`repro.api` — one
+:func:`repro.session` per invocation — accepts ``--json`` and exits
+nonzero with one stderr line on failure, never a traceback.
 
-    python -m repro plan adi --nprocs 4 --cost-model Paragon
-    python -m repro plan adi --cost-mode simulated --json
-    python -m repro run adi --backend multiprocess
-    python -m repro run smoothing --backend multiprocess --nprocs 4
-    python -m repro trace adi --nprocs 4 --size 32
-    python -m repro calibrate --nprocs 2
-    python -m repro bench --smoke --check
-    python -m repro bench --compare --smoke
-    python -m repro serve --port 8642
-    python -m repro serve --loadtest --clients 8 --check
-    python -m repro obs --workload adi --stage plan --json
-    python -m repro obs analyze --workload adi
-    python -m repro obs compare --baseline old/BENCH_PERF.json
-
-Every subcommand goes through :mod:`repro.api`: one
-:func:`repro.session` per invocation owns the machine policy, backend,
-plan cache and seed, and the workload lists are enumerated from the
-:data:`repro.api.REGISTRY` — registering a new workload makes it
-appear in ``plan`` / ``run`` / ``trace`` automatically.
-
-``plan`` runs the automatic distribution planner (``--cost-mode
-simulated`` prices against split-phase overlap semantics); ``run``
-executes a workload on an SPMD backend (``serial`` |
-``multiprocess``), verifying multiprocess results bitwise against the
-serial reference; ``trace`` replays a workload's typed event stream
-through the discrete-event simulator under blocking and split-phase
-semantics; ``calibrate`` fits measured transport constants and plans
-against them; ``bench`` times the vectorized hot paths; ``serve``
-exposes all of it as a multi-tenant asyncio HTTP service (with
-``--loadtest``, it instead hammers a fresh in-process server — or
-``--url``, a running one — and writes ``BENCH_SERVE.json`` plus a
-``/metrics`` snapshot); ``obs`` flips observability on, optionally
-drives one workload stage, and dumps the metrics registry (Prometheus
-text, ``--json`` snapshot, ``--chrome-out`` span trace).  ``bench
---compare`` is the regression sentinel: it diffs the fresh run against
-a baseline (op-count drift exits 2, wall-clock drift beyond the
-trajectory's noise band exits 3) and appends every run to the
-``BENCH_TRAJECTORY.jsonl`` history; ``obs analyze`` renders a
-per-phase attribution table (summing to the simulated makespan) with
-the top-3 slowness reasons; ``obs compare`` runs the sentinel over two
-existing report files.  All
-subcommands accept ``--json`` for machine-readable reports and exit
-nonzero on failure instead of printing a traceback.
-
-The full tables live in ``benchmarks/`` (run
-``pytest benchmarks/ --benchmark-disable -s``).
+The workload-taking commands (``plan``, ``run``, ``trace``, ``adapt
+--workload``, ``obs --workload``) declare no parameter themselves:
+their workload choices come from :data:`repro.api.REGISTRY` and their
+flags from the parameter table in :mod:`repro.api.params` — the rows
+the HTTP service validates queries against, and README's parameter
+table is written from — so registering a workload adds it, and one
+``--flag`` per registered parameter, to all of them.
 """
 
 from __future__ import annotations
@@ -59,32 +22,46 @@ import json
 import sys
 from typing import Sequence
 
-COST_MODEL_CHOICES = ("iPSC/860", "Paragon", "modern", "zero")
-BACKEND_CHOICES = ("serial", "multiprocess")
+#: The per-command defaults that differ from the registry's — the
+#: planner and the adaptive controller are shown at a larger problem
+#: than ``run``/``trace``.  They stay, as data: the e2e benchmark's
+#: ``stdout_sha256.plan`` pin is ``plan adi --size 64`` at iterations=4.
+CLI_DEFAULTS = {
+    "plan": {"size": 64, "iterations": 4, "steps": 50},
+    "adapt": {"size": 64, "steps": 40},
+}
 
 
-def _workload_params(args: argparse.Namespace) -> dict:
-    """Map the CLI's generic knobs onto the workload's registered
-    parameters (only the ones the workload accepts)."""
-    from .api import REGISTRY
+def _request(args: argparse.Namespace, stage: str | None):
+    """The typed request of a workload-taking command: its supplied
+    flags (over the command's :data:`CLI_DEFAULTS`) resolved against
+    the parameter table.  A parameter flag the named workload does not
+    declare is not forwarded — and said so on stderr."""
+    from .api import REGISTRY, accepted_names, resolve, supplied
 
-    defaults = REGISTRY.get(args.workload).defaults
-    params: dict = {}
-    for key in ("size", "iterations", "steps"):
-        if key in defaults and hasattr(args, key):
-            params[key] = getattr(args, key)
-    return params
+    spec = REGISTRY.get(args.workload)
+    flags = supplied(args)
+    accepted = accepted_names(spec, stage)
+    dropped = sorted(set(flags) - accepted)  # another workload's parameters
+    if dropped:
+        print(f"note: {', '.join('--' + n.replace('_', '-') for n in dropped)} "
+              f"not applied: workload {spec.name!r} accepts "
+              f"{sorted(spec.params)}", file=sys.stderr)
+    raw = {name: flags[name] for name in flags if name in accepted}
+    return resolve(
+        spec, stage, {**spec.accepted(CLI_DEFAULTS.get(stage, {})), **raw}
+    )
 
 
-def _session(args: argparse.Namespace, **overrides):
-    from .api import session
+def _stage(args: argparse.Namespace, stage: str, req, **overrides):
+    """Run one stage of the named workload on a fresh session."""
+    from .api import invoke, session
 
-    kwargs = {
-        "nprocs": args.nprocs,
-        "cost_model": getattr(args, "cost_model", "Paragon"),
-    }
-    kwargs.update(overrides)
-    return session(**kwargs)
+    config = {"nprocs": req.nprocs, "cost_model": req.cost_model,
+              "backend": req.backend, **overrides}
+    with session(**config) as sess:
+        handle = sess.workload(args.workload, seed=req.seed, **req.params)
+        return invoke(handle, stage, req.options)
 
 
 def tour() -> None:
@@ -130,28 +107,22 @@ def tour() -> None:
     print("`python -m repro plan <adi|pic|smoothing>` for the planner.")
 
 
-def plan_command(args: argparse.Namespace) -> None:
-    """Run the automatic distribution planner on a named workload."""
-    with _session(args) as sess:
-        handle = sess.workload(args.workload, **_workload_params(args))
-        result = handle.plan(cost_mode=args.cost_mode, method=args.method)
-    if args.json:
-        print(result.json_str())
-    else:
-        print(result.summary())
+def stage_command(args: argparse.Namespace) -> None:
+    """``plan`` / ``adapt --workload``: one stage, one typed result."""
+    stage = args.command
+    result = _stage(args, stage, _request(args, stage))
+    print(result.json_str() if args.json else result.summary())
 
 
 def run_command(args: argparse.Namespace) -> None:
     """Execute a workload on a chosen SPMD execution backend."""
     import numpy as np
 
-    params = _workload_params(args)
-    with _session(args, backend=args.backend) as sess:
-        result = sess.workload(args.workload, **params).run()
+    req = _request(args, "run")
+    result = _stage(args, "run", req)
     verified: bool | None = None
-    if args.backend != "serial" and not args.no_verify:
-        with _session(args, backend="serial") as sess:
-            reference = sess.workload(args.workload, **params).run()
+    if req.backend not in (None, "serial") and not args.no_verify:
+        reference = _stage(args, "run", req, backend="serial")
         verified = bool(np.array_equal(result.solution, reference.solution))
     if args.json:
         print(json.dumps(
@@ -164,33 +135,34 @@ def run_command(args: argparse.Namespace) -> None:
             print(f"  identical to serial backend: {verified}")
     if verified is False:
         raise SystemExit(
-            f"{args.backend} backend diverged from the serial reference"
+            f"{req.backend} backend diverged from the serial reference"
         )
 
 
 def trace_command(args: argparse.Namespace) -> None:
     """Record a workload's events; simulate blocking vs split-phase."""
+    result = _stage(args, "trace", _request(args, "trace"))
+    if args.json:
+        print(result.json_str())
+        return
+
     from .machine import timeline_table, timeline_summary
     from .sim import critical_path, gantt
 
-    with _session(args) as sess:
-        result = sess.workload(args.workload, **_workload_params(args)).trace()
-
-    if args.json:
-        print(json.dumps(result.to_json(intervals=not args.compact), indent=2))
-        return
-
-    blocking, split = result.blocking, result.split
+    timelines = [(name, tl) for name, tl in (
+        ("blocking", result.blocking), ("split-phase", result.split),
+    ) if tl is not None]
     print(result.summary())
-    print(f"\nper-processor timeline ({blocking.cost_model}, blocking):")
-    print(timeline_table(blocking))
-    print(f"\n{timeline_summary(blocking)}")
-    print("\nblocking:")
-    print(gantt(blocking, width=args.width))
-    print("\nsplit-phase:")
-    print(gantt(split, width=args.width))
-    print(f"\nblocking    {critical_path(blocking).summary()}")
-    print(f"split-phase {critical_path(split).summary()}")
+    first = timelines[0][1]
+    print(f"\nper-processor timeline ({first.cost_model}, {timelines[0][0]}):")
+    print(timeline_table(first))
+    print(f"\n{timeline_summary(first)}")
+    for name, tl in timelines:
+        print(f"\n{name}:")
+        print(gantt(tl, width=args.width))
+    print()
+    for name, tl in timelines:
+        print(f"{name:11s} {critical_path(tl).summary()}")
 
 
 def _run_bench(runner, args: argparse.Namespace, **extra) -> dict:
@@ -323,22 +295,16 @@ def adapt_command(args: argparse.Namespace) -> None:
     """Run the adaptive-redistribution bench (default) or, with
     --workload, one adaptive run through the session facade."""
     if args.workload:
-        with _session(args) as sess:
-            params = _workload_params(args)
-            if args.drift is not None:
-                params["drift"] = args.drift
-            handle = sess.workload(args.workload, seed=args.seed, **params)
-            result = handle.adapt(mode=args.mode, window=args.window)
-        if args.json:
-            print(result.json_str())
-        else:
-            print(result.summary())
-        return
+        return stage_command(args)
 
     from .adapt import run_adapt_bench
+    from .api import SESSION_FIELDS, supplied
 
+    seed = SESSION_FIELDS["seed"]
+    raw = supplied(args).get("seed", seed.default)
     _run_bench(
-        run_adapt_bench, args, coverage_out=args.coverage_out, seed=args.seed
+        run_adapt_bench, args, coverage_out=args.coverage_out,
+        seed=seed.coerce(raw, "seed"),
     )
 
 
@@ -353,12 +319,10 @@ def obs_command(args: argparse.Namespace) -> None:
     if args.action == "analyze":
         if not args.workload:
             raise ValueError("obs analyze needs --workload")
+        req = _request(args, None)
         attr = obs.analyze_workload(
-            args.workload,
-            nprocs=args.nprocs,
-            cost_model=args.cost_model,
-            overlap=args.overlap,
-            **_workload_params(args),
+            args.workload, nprocs=req.nprocs, cost_model=req.cost_model,
+            overlap=args.overlap, seed=req.seed, **req.params,
         )
         if args.json:
             print(json.dumps(attr.to_json(), indent=2))
@@ -393,9 +357,7 @@ def obs_command(args: argparse.Namespace) -> None:
 
     obs.enable()
     if args.workload:
-        with _session(args) as sess:
-            handle = sess.workload(args.workload, **_workload_params(args))
-            getattr(handle, args.stage)()
+        _stage(args, args.stage, _request(args, None))
     if args.chrome_out:
         doc = obs.dump_chrome_trace(args.chrome_out)
         if not args.json:
@@ -427,85 +389,48 @@ def _bench_flags(p, kind: str, *, smoke: str, check: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .api import REGISTRY
+    from .api import REGISTRY, WORKLOAD, add_arguments
     from .obs.compare import FAMILIES
     from .perf import BENCHES
 
     workload_names = REGISTRY.names()
-    plannable = REGISTRY.plannable_names()
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Vienna Fortran dynamic-distribution reproduction.",
     )
     sub = parser.add_subparsers(dest="command")
-    p = sub.add_parser(
-        "plan", help="run the automatic distribution planner on a workload"
-    )
-    p.add_argument("workload", choices=plannable)
-    p.add_argument("--nprocs", type=int, default=4)
-    p.add_argument("--size", type=int, default=64,
-                   help="grid/cell extent (NX=NY for adi, NCELL for pic, N "
-                        "for smoothing)")
-    p.add_argument("--iterations", type=int, default=4,
-                   help="ADI outer iterations")
-    p.add_argument("--steps", type=int, default=50,
-                   help="time steps (pic, smoothing)")
-    p.add_argument("--cost-model", default="Paragon",
-                   choices=COST_MODEL_CHOICES)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "dp", "greedy"))
-    p.add_argument("--cost-mode", default="model",
-                   choices=("model", "simulated"),
-                   help="pricing semantics: closed-form aggregates or "
-                        "the discrete-event simulator's split-phase "
-                        "overlap")
-    p.add_argument("--json", action="store_true",
-                   help="emit the plan as machine-readable JSON")
 
-    r = sub.add_parser(
-        "run", help="execute a workload on an SPMD execution backend"
+    def stage_parser(stage: str, names, json_help: str, **kwargs):
+        """A workload-taking command: the workload, then one flag per
+        row of the parameter table (session fields, the stage's
+        options, every registered workload parameter)."""
+        p = sub.add_parser(stage, **kwargs)
+        p.add_argument("workload", choices=names, help=WORKLOAD.help)
+        p.add_argument("--json", action="store_true", help=json_help)
+        add_arguments(p, stage)
+        return p
+
+    stage_parser(
+        "plan", REGISTRY.plannable_names(),
+        "emit the plan as machine-readable JSON",
+        help="run the automatic distribution planner on a workload",
     )
-    r.add_argument("workload", choices=workload_names)
-    r.add_argument("--backend", default="serial", choices=BACKEND_CHOICES)
-    r.add_argument("--nprocs", type=int, default=4)
-    r.add_argument("--size", type=int, default=32,
-                   help="grid/cell/mesh extent (NX=NY for adi, NCELL for "
-                        "pic, N for smoothing, nodes for irregular)")
-    r.add_argument("--iterations", type=int, default=2,
-                   help="ADI outer iterations")
-    r.add_argument("--steps", type=int, default=10,
-                   help="time steps / sweeps (pic, smoothing, irregular)")
-    r.add_argument("--cost-model", default="Paragon",
-                   choices=COST_MODEL_CHOICES)
+    r = stage_parser(
+        "run", workload_names, "emit the run report as machine-readable JSON",
+        help="execute a workload on an SPMD execution backend",
+    )
     r.add_argument("--no-verify", action="store_true",
                    help="skip the bitwise comparison against the "
                         "serial backend")
-    r.add_argument("--json", action="store_true",
-                   help="emit the run report as machine-readable JSON")
-
-    t = sub.add_parser(
-        "trace",
+    t = stage_parser(
+        "trace", workload_names,
+        "emit both timelines as machine-readable JSON",
         help="record a workload's typed events and replay them through "
              "the discrete-event simulator (blocking vs split-phase)",
     )
-    t.add_argument("workload", choices=workload_names)
-    t.add_argument("--nprocs", type=int, default=4)
-    t.add_argument("--size", type=int, default=32,
-                   help="grid/cell/mesh extent (NX=NY for adi, NCELL for "
-                        "pic, N for smoothing, nodes for irregular)")
-    t.add_argument("--iterations", type=int, default=2,
-                   help="ADI outer iterations")
-    t.add_argument("--steps", type=int, default=10,
-                   help="time steps / sweeps (pic, smoothing, irregular)")
-    t.add_argument("--cost-model", default="Paragon",
-                   choices=COST_MODEL_CHOICES)
     t.add_argument("--width", type=int, default=72,
                    help="Gantt chart width in characters")
-    t.add_argument("--json", action="store_true",
-                   help="emit both timelines as machine-readable JSON")
-    t.add_argument("--compact", action="store_true",
-                   help="with --json: metrics only, no interval lists")
 
     c = sub.add_parser(
         "calibrate",
@@ -599,27 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
               "deterministic, identical solutions across modes)")
     a.add_argument("--coverage-out", default="ADAPT_COVERAGE.json",
                    help="policy-coverage sweep path ('' to skip)")
-    a.add_argument("--seed", type=int, default=0,
-                   help="bench and single-run seed")
     a.add_argument("--workload", choices=workload_names, default=None,
                    help="run one adaptive session stage instead of the "
-                        "bench (pic and irregular have drivers)")
-    a.add_argument("--mode", default="adaptive",
-                   choices=("static", "balanced", "offline", "adaptive"),
-                   help="layout policy for the single run")
-    a.add_argument("--window", type=int, default=None,
-                   help="steps per monitoring window (default: the "
-                        "workload's natural phase length)")
-    a.add_argument("--nprocs", type=int, default=4)
-    a.add_argument("--size", type=int, default=64,
-                   help="grid/cell/mesh extent for --workload")
-    a.add_argument("--steps", type=int, default=40,
-                   help="time steps / sweeps for --workload")
-    a.add_argument("--drift", type=float, default=None,
-                   help="per-step load drift for --workload "
-                        "(default: the registered workload default)")
-    a.add_argument("--cost-model", default="Paragon",
-                   choices=COST_MODEL_CHOICES)
+                        "bench (pic and irregular have drivers); the "
+                        "flags below apply to it (--seed to both)")
+    add_arguments(a, "adapt")
 
     o = sub.add_parser(
         "obs",
@@ -638,15 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--stage", default="plan",
                    choices=("plan", "run", "trace", "bench"),
                    help="which stage to drive on --workload")
-    o.add_argument("--nprocs", type=int, default=4)
-    o.add_argument("--size", type=int, default=32,
-                   help="grid/cell/mesh extent for --workload")
-    o.add_argument("--iterations", type=int, default=2,
-                   help="ADI outer iterations")
-    o.add_argument("--steps", type=int, default=10,
-                   help="time steps / sweeps (pic, smoothing, irregular)")
-    o.add_argument("--cost-model", default="Paragon",
-                   choices=COST_MODEL_CHOICES)
     o.add_argument("--chrome-out", default=None,
                    help="also write recorded spans as a chrome://tracing "
                         "JSON file")
@@ -668,11 +568,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "('' to skip)")
     o.add_argument("--wall-tolerance", type=float, default=1.0,
                    help="compare: relative wall-clock tolerance fallback")
+    add_arguments(o, None)  # after --kind: here that is the bench family
     return parser
 
 
 COMMANDS = {
-    "plan": plan_command,
+    "plan": stage_command,
     "run": run_command,
     "trace": trace_command,
     "calibrate": calibrate_command,

@@ -79,6 +79,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.generators import get_generator
+from ..defaults import ADAPT_MODES as MODES
 from ..machine.cost_model import PRESETS, CostModel
 from ..machine.machine import Machine
 from ..machine.topology import ProcessorArray
@@ -98,8 +99,6 @@ __all__ = [
     "AdaptiveRun",
     "AdaptiveController",
 ]
-
-MODES = ("static", "balanced", "offline", "adaptive")
 
 _REPLANS = _obs.counter(
     "repro_adapt_replans_total",

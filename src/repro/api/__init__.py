@@ -16,7 +16,9 @@ All four stage results share ``.summary()`` / ``.to_json()`` /
 ``.json_str()``.  New scenarios plug in with one decorator
 (:func:`register_workload`); the CLI and the session enumerate the
 same registry, so a registered workload immediately gains ``plan`` /
-``run`` / ``trace`` / ``bench`` spellings everywhere.
+``run`` / ``trace`` / ``bench`` spellings everywhere — and its
+parameters their CLI flags and query keys, from the one parameter
+table in :mod:`repro.api.params`.
 """
 
 from .._lazy import lazy_exports
@@ -26,8 +28,13 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "BACKEND_NAMES", "DEFAULT_SEED", "SessionConfig", "resolve_cost_model",
     ),
     "registry": (
-        "REGISTRY", "ExecutionOutcome", "WorkloadContext", "WorkloadRegistry",
-        "WorkloadSpec", "available_workloads", "register_workload",
+        "REGISTRY", "ExecutionOutcome", "Param", "WorkloadContext",
+        "WorkloadRegistry", "WorkloadSpec", "available_workloads",
+        "register_workload",
+    ),
+    "params": (
+        "SESSION_FIELDS", "STAGE_OPTIONS", "WORKLOAD", "Request",
+        "accepted_names", "add_arguments", "invoke", "resolve", "supplied",
     ),
     "results": (
         "AdaptResult", "BenchResult", "PlanResult", "RunResult",

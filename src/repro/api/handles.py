@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 from ..obs import metrics as _obs
 from ..obs.flight import flight_recorder as _flight
 from ..obs.tracing import span as _span
+from .params import STAGE_OPTIONS
 from .registry import ExecutionOutcome, WorkloadContext, WorkloadSpec
 from .results import BenchResult, PlanResult, RunResult, TraceResult
 
@@ -31,6 +32,11 @@ if TYPE_CHECKING:
     from .session import Session
 
 __all__ = ["WorkloadHandle"]
+
+# the stage methods below take their defaults from the parameter table
+_PLAN, _TRACE, _BENCH, _ADAPT = (
+    STAGE_OPTIONS[stage] for stage in ("plan", "trace", "bench", "adapt")
+)
 
 _STAGES_TOTAL = _obs.counter(
     "repro_session_stages_total",
@@ -117,6 +123,14 @@ class WorkloadHandle:
             f"seed={self.seed})"
         )
 
+    def _typed(self, rows: dict, **options) -> list:
+        """``options`` checked against their table rows: a bad choice
+        reads the same here as on the CLI and the service."""
+        return [
+            rows[name].coerce(value, name, self.name)
+            for name, value in options.items()
+        ]
+
     # -- context building --------------------------------------------------
     def _context(self, with_machine: bool = True) -> WorkloadContext:
         sess = self._session
@@ -200,7 +214,11 @@ class WorkloadHandle:
 
     # -- stages ------------------------------------------------------------
     @_staged("plan")
-    def plan(self, cost_mode: str = "model", method: str = "auto") -> PlanResult:
+    def plan(
+        self,
+        cost_mode: str = _PLAN["cost_mode"].default,
+        method: str = _PLAN["method"].default,
+    ) -> PlanResult:
         """Run the automatic distribution planner on this workload.
 
         ``cost_mode`` is ``"model"`` (closed-form aggregates) or
@@ -211,17 +229,16 @@ class WorkloadHandle:
         from ..planner.costs import CostEngine, SimulatedCostEngine
         from ..planner.workloads import hand_schedule_cost, plan_workload
 
+        cost_mode, method = self._typed(
+            _PLAN, cost_mode=cost_mode, method=method
+        )
         ctx = self._context(with_machine=False)
         workload = self._spec.planning_problem(ctx)
         if cost_mode == "simulated":
             engine: CostEngine = SimulatedCostEngine(workload.machine)
-        elif cost_mode == "model":
+        else:
             engine = CostEngine(
                 workload.machine, plan_cache=self._session.plan_cache
-            )
-        else:
-            raise ValueError(
-                f"cost_mode must be 'model' or 'simulated', got {cost_mode!r}"
             )
         plan = plan_workload(workload, cost_engine=engine, method=method)
         hand = hand_schedule_cost(workload, cost_engine=engine)
@@ -266,12 +283,18 @@ class WorkloadHandle:
         )
 
     @_staged("trace")
-    def trace(self, overlap: bool | None = None) -> TraceResult:
+    def trace(
+        self,
+        overlap: bool | None = _TRACE["overlap"].default,
+        compact: bool = _TRACE["compact"].default,
+    ) -> TraceResult:
         """Execute the workload recording typed events, then replay
         them through the discrete-event simulator.
 
         ``overlap=None`` simulates both semantics (blocking and
         split-phase); ``False`` or ``True`` simulates just one.
+        ``compact`` makes the result's JSON metrics-only (no
+        per-processor interval lists).
         """
         from ..sim.events import EventLog
         from ..sim.simulate import simulate
@@ -301,10 +324,11 @@ class WorkloadHandle:
             blocking=blocking,
             split=split,
             matches_aggregate=matches,
+            compact=compact,
         )
 
     @_staged("bench")
-    def bench(self, repeats: int = 3) -> BenchResult:
+    def bench(self, repeats: int = _BENCH["repeats"].default) -> BenchResult:
         """Wall-clock the workload over ``repeats`` independent runs
         (fresh machine each time; modeled machine time rides along)."""
         if repeats < 1:
@@ -331,7 +355,11 @@ class WorkloadHandle:
         )
 
     @_staged("adapt")
-    def adapt(self, mode: str = "adaptive", window: int | None = None):
+    def adapt(
+        self,
+        mode: str = _ADAPT["mode"].default,
+        window: int | None = _ADAPT["window"].default,
+    ):
         """Drive the workload under the online adaptive controller.
 
         ``mode`` selects the layout policy (``"adaptive"`` — the
@@ -341,17 +369,16 @@ class WorkloadHandle:
         its ``.adaptive`` hook).  Only workloads registered with that
         hook support this stage; others raise ``ValueError``.
         """
-        from ..adapt.controller import MODES, AdaptiveController
+        from ..adapt.controller import AdaptiveController
         from .results import AdaptResult
 
+        mode, window = self._typed(_ADAPT, mode=mode, window=window)
         if not self._spec.adaptable:
             supported = self._session.registry.adaptable_names()
             raise ValueError(
                 f"workload {self.name!r} has no adaptive driver "
                 f"(supported: {list(supported)})"
             )
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         model = self._spec.adaptive_model(self._context(with_machine=False))
         window = min(
             int(model.window if window is None else window), int(model.steps)

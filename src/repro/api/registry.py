@@ -7,6 +7,11 @@ themselves.  A spec packages —
 
 - a **runner** (``fn(ctx) -> ExecutionOutcome``): execute the workload
   on ``ctx.machine`` with ``ctx.seed`` and ``ctx.params``;
+- its **parameter table** (``spec.params``): one typed :class:`Param`
+  row per registered default — the only declaration of the name, type,
+  default, choices and help that the CLI flags, the service's query
+  validation and ``sess.workload(...)`` all read (see
+  :mod:`repro.api.params`);
 - an optional **machine factory** (the default is a 1-D processor
   array of ``ctx.nprocs``);
 - an optional **planning problem** factory for ``handle.plan()``;
@@ -18,9 +23,12 @@ themselves.  A spec packages —
 and :func:`register_workload` wires it into the global registry.
 Adding a scenario is one decorator::
 
-    from repro.api import ExecutionOutcome, register_workload
+    from repro.api import ExecutionOutcome, Param, register_workload
 
-    @register_workload("mywork", defaults={"size": 32, "steps": 10})
+    @register_workload("mywork", defaults={
+        "size": 32,                     # shorthand for Param(int, 32)
+        "tol": Param(float, None, help="stop early below this residual"),
+    })
     def mywork(ctx):
         ...  # build arrays on ctx.machine, run, measure
         return ExecutionOutcome(solution=values, headline={"steps": ...})
@@ -28,8 +36,10 @@ Adding a scenario is one decorator::
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from numbers import Real
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -38,6 +48,7 @@ if TYPE_CHECKING:
     from ..machine.machine import Machine
 
 __all__ = [
+    "Param",
     "ExecutionOutcome",
     "WorkloadContext",
     "WorkloadSpec",
@@ -46,6 +57,62 @@ __all__ = [
     "register_workload",
     "available_workloads",
 ]
+
+
+@dataclass(frozen=True)
+class Param:
+    """One row of a parameter table (the row's key there is its name).
+
+    ``type`` is ``int``, ``float``, ``str`` or ``bool``; a ``None``
+    default makes the row nullable, which is why it must declare its
+    type.  :meth:`coerce` is the one place an incoming value is typed.
+    """
+
+    type: type
+    default: Any = None
+    help: str = ""
+    choices: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.type not in (int, float, str, bool):
+            raise TypeError(
+                f"a parameter is int, float, str or bool, not {self.type!r} "
+                f"(a None default declares its type: Param(int, None))"
+            )
+
+    def coerce(self, value: Any, name: str, workload: str = "") -> Any:
+        """``value`` as this row's type.  It may be a Python or JSON
+        value or a CLI/query string spelling one, so ``16``, ``"16"``
+        and ``16.0`` are all the int 16; anything else is a
+        ``ValueError`` naming the workload, the parameter (this row's
+        ``name``), what the row expects and the offending value."""
+        v = value
+        if isinstance(v, str) and (
+            self.type is not str or v[:1] == '"' or v == "null"
+        ):  # a string spelling a JSON scalar (a str row's bare word is itself)
+            try:
+                v = json.loads(v)
+            except ValueError:
+                pass
+        if isinstance(v, Real) and not isinstance(v, bool):
+            if self.type is float or (
+                self.type is int and float(v).is_integer()
+            ):
+                v = self.type(v)  # 16.0 -> 16, 1 -> 1.0, numpy -> Python
+        if v is None and self.default is None:
+            return None
+        if type(v) is not self.type or (
+            self.choices and v not in self.choices
+        ):
+            expects = (
+                f"one of {self.choices}" if self.choices
+                else self.type.__name__
+            )
+            where = f"workload {workload!r} " if workload else ""
+            raise ValueError(
+                f"{where}parameter {name!r} expects {expects}, got {value!r}"
+            )
+        return v
 
 
 @dataclass
@@ -90,7 +157,11 @@ class WorkloadSpec:
         description: str = "",
     ):
         self.name = str(name)
-        self.defaults: dict[str, Any] = dict(defaults or {})
+        #: the workload's parameter table, in registration order
+        self.params: dict[str, Param] = {
+            str(k): v if isinstance(v, Param) else Param(type(v), v)
+            for k, v in (defaults or {}).items()
+        }
         self.description = description or (runner.__doc__ or "").strip()
         self._runner = runner
         self._machine: Callable[[WorkloadContext], "Machine"] | None = None
@@ -117,6 +188,11 @@ class WorkloadSpec:
 
     # -- session-facing API --------------------------------------------------
     @property
+    def defaults(self) -> dict[str, Any]:
+        """``name -> default``, derived from the parameter table."""
+        return {name: row.default for name, row in self.params.items()}
+
+    @property
     def plannable(self) -> bool:
         return self._planning is not None
 
@@ -124,16 +200,27 @@ class WorkloadSpec:
     def adaptable(self) -> bool:
         return self._adaptive is not None
 
-    def resolve_params(self, overrides: Mapping[str, Any]) -> dict:
-        """Defaults overlaid with ``overrides``; unknown keys rejected."""
-        unknown = sorted(set(overrides) - set(self.defaults))
+    def accepted(self, values: Mapping[str, Any]) -> dict:
+        """The entries of ``values`` this workload declares — how a
+        generic knob set (the CLI's flags, the load test's sizes) is
+        narrowed to one workload; callers report what was dropped."""
+        return {k: v for k, v in values.items() if k in self.params}
+
+    def resolve_params(
+        self, overrides: Mapping[str, Any], also: Iterable[str] = ()
+    ) -> dict:
+        """Defaults overlaid with ``overrides``, each typed by its row;
+        unknown keys and ill-typed values rejected (``also``: names the
+        caller accepts beside these, for the message)."""
+        unknown = sorted(set(overrides) - set(self.params))
         if unknown:
             raise TypeError(
                 f"workload {self.name!r} got unknown parameter(s) "
-                f"{unknown} (accepted: {sorted(self.defaults)})"
+                f"{unknown} (accepted: {sorted({*self.params, *also})})"
             )
-        params = dict(self.defaults)
-        params.update(overrides)
+        params = self.defaults
+        for name, value in overrides.items():
+            params[name] = self.params[name].coerce(value, name, self.name)
         return params
 
     def make_machine(self, ctx: WorkloadContext) -> "Machine":

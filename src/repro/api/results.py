@@ -236,6 +236,8 @@ class TraceResult(SessionResult):
     split: "Timeline | None" = None
     #: blocking replay clocks == the aggregate accounting, bit for bit
     matches_aggregate: bool | None = None
+    #: ``handle.trace(compact=True)``: JSON without the interval lists
+    compact: bool = False
 
     def timeline(self, overlap: bool = False) -> "Timeline":
         """The requested timeline (``overlap=True`` for split-phase)."""
@@ -281,10 +283,13 @@ class TraceResult(SessionResult):
             )
         return "\n".join(lines)
 
-    def to_json(self, intervals: bool = True) -> dict:
+    def to_json(self, intervals: bool | None = None) -> dict:
+        """``intervals`` overrides the result's own ``compact`` choice."""
         from ..sim.critical_path import critical_path
         from ..sim.trace import to_json as timeline_json
 
+        if intervals is None:
+            intervals = not self.compact
         out: dict = {
             "workload": self.workload,
             "nprocs": self.nprocs,

@@ -2,17 +2,11 @@
 
 Each registration wraps the application's ``execute_*`` implementation,
 so the ``Session`` path is bitwise-identical to calling the
-application directly.  Parameter names and defaults mirror the
-historical CLI:
-
-========== ===============================================================
-workload   parameters (defaults)
-========== ===============================================================
-adi        size=32, iterations=2, strategy="dynamic"
-pic        size=32 (cells), steps=10, strategy="bblock", npart=8*size, ...
-smoothing  size=32, steps=10, distribution="columns"
-irregular  size=32 (nodes), steps=10, distribution="partitioned", kind=...
-========== ===============================================================
+application directly.  Each ``defaults=`` table below is the only
+declaration of that workload's parameters: README's parameter table,
+the CLI flags and the service's query validation are all written from
+it (a plain value is shorthand for a row of its own type; ``None``
+defaults declare theirs).
 
 The decorated name is bound to the :class:`~repro.api.WorkloadSpec`,
 whose ``.machine_factory`` / ``.planning`` / ``.adaptive`` decorators
@@ -28,7 +22,9 @@ import numpy as np
 
 from ..machine.machine import Machine
 from ..machine.topology import ProcessorArray
-from .registry import ExecutionOutcome, WorkloadContext, register_workload
+from .registry import (
+    ExecutionOutcome, Param, WorkloadContext, register_workload,
+)
 
 __all__ = ["adi", "pic", "smoothing", "irregular"]
 
@@ -38,19 +34,25 @@ __all__ = ["adi", "pic", "smoothing", "irregular"]
 
 @register_workload(
     "adi",
-    defaults={"size": 32, "iterations": 2, "strategy": "dynamic"},
+    defaults={
+        "size": Param(int, 32, "grid extent NX=NY"),
+        "iterations": Param(int, 2, "outer iterations"),
+        "strategy": Param(
+            str, "dynamic",
+            "dynamic / planned / static_cols / static_rows / two_arrays"),
+    },
     description="ADI iteration (Figure 1): x-sweep / y-sweep alternation",
 )
 def adi(ctx: WorkloadContext) -> ExecutionOutcome:
     from ..apps.adi import execute_adi
 
-    size = int(ctx.params["size"])
+    size = ctx.params["size"]
     r = execute_adi(
         ctx.machine,
         size,
         size,
-        int(ctx.params["iterations"]),
-        str(ctx.params["strategy"]),
+        ctx.params["iterations"],
+        ctx.params["strategy"],
         seed=ctx.seed,
     )
     return ExecutionOutcome(
@@ -73,11 +75,11 @@ def _adi_machine(ctx: WorkloadContext) -> Machine:
 def _adi_planning(ctx: WorkloadContext):
     from ..planner.workloads import adi_workload
 
-    size = int(ctx.params["size"])
+    size = ctx.params["size"]
     return adi_workload(
         nx=size,
         ny=size,
-        iterations=int(ctx.params["iterations"]),
+        iterations=ctx.params["iterations"],
         nprocs=ctx.nprocs,
         cost_model=ctx.cost_model,
     )
@@ -88,16 +90,18 @@ def _adi_planning(ctx: WorkloadContext):
 
 @register_workload(
     "pic",
+    # a None default defers to the PICConfig field of the same name
     defaults={
-        "size": 32,          # NCELL
-        "steps": 10,         # MAX_TIME
-        "strategy": "bblock",
-        "npart": None,       # None -> 8 * size (the historical CLI rule)
-        "drift": None,       # None -> the PICConfig default
-        "diffusion": None,
-        "rebalance_every": None,
-        "cluster_width": None,
-        "imbalance_threshold": None,
+        "size": Param(int, 32, "cells NCELL"),
+        "steps": Param(int, 10, "time steps MAX_TIME"),
+        "strategy": Param(str, "bblock", "bblock / static / planned"),
+        "npart": Param(int, None, "particles (default 8 * size)"),
+        "drift": Param(float, None, "mean particle velocity per step"),
+        "diffusion": Param(float, None, "random-walk scale"),
+        "rebalance_every": Param(int, None, "steps between checks"),
+        "cluster_width": Param(float, None, "initial cluster stddev"),
+        "imbalance_threshold": Param(
+            float, None, "max/mean load that triggers a rebalance"),
     },
     description="particle-in-cell with B_BLOCK load balancing (Figure 2)",
 )
@@ -105,7 +109,7 @@ def pic(ctx: WorkloadContext) -> ExecutionOutcome:
     from ..apps.pic import PICConfig, execute_pic
 
     p = ctx.params
-    size = int(p["size"])
+    size = p["size"]
     extra = {
         k: p[k]
         for k in (
@@ -115,10 +119,10 @@ def pic(ctx: WorkloadContext) -> ExecutionOutcome:
         if p[k] is not None
     }
     cfg = PICConfig(
-        strategy=str(p["strategy"]),
+        strategy=p["strategy"],
         ncell=size,
-        npart=int(p["npart"]) if p["npart"] is not None else 8 * size,
-        max_time=int(p["steps"]),
+        npart=p["npart"] if p["npart"] is not None else 8 * size,
+        max_time=p["steps"],
         nprocs=ctx.nprocs,
         seed=ctx.seed,
         **extra,
@@ -141,14 +145,14 @@ def _pic_planning(ctx: WorkloadContext):
     from ..planner.workloads import pic_workload
 
     kwargs: dict = {
-        "ncell": int(ctx.params["size"]),
-        "steps": int(ctx.params["steps"]),
+        "ncell": ctx.params["size"],
+        "steps": ctx.params["steps"],
         "nprocs": ctx.nprocs,
         "cost_model": ctx.cost_model,
         "seed": ctx.seed,
     }
     if ctx.params["npart"] is not None:
-        kwargs["npart"] = int(ctx.params["npart"])
+        kwargs["npart"] = ctx.params["npart"]
     return pic_workload(**kwargs)
 
 
@@ -157,18 +161,18 @@ def _pic_adaptive(ctx: WorkloadContext):
     from ..apps.pic import PICDrift
 
     p = ctx.params
-    size = int(p["size"])
+    size = p["size"]
     chosen = {
-        k: float(p[k])
+        k: p[k]
         for k in ("drift", "diffusion", "cluster_width")
         if p[k] is not None
     }
     return PICDrift(
         ncell=size,
-        npart=int(p["npart"]) if p["npart"] is not None else 8 * size,
-        steps=int(p["steps"]),
+        npart=p["npart"] if p["npart"] is not None else 8 * size,
+        steps=p["steps"],
         # Figure 2's every-10th-iteration checkpoint
-        window=int(p["rebalance_every"] or 10),
+        window=p["rebalance_every"] or 10,
         **chosen,
     )
 
@@ -178,16 +182,20 @@ def _pic_adaptive(ctx: WorkloadContext):
 
 @register_workload(
     "smoothing",
-    defaults={"size": 32, "steps": 10, "distribution": "columns"},
+    defaults={
+        "size": Param(int, 32, "grid extent N"),
+        "steps": Param(int, 10, "smoothing steps"),
+        "distribution": Param(str, "columns", "columns / blocks2d"),
+    },
     description="grid smoothing (§4): columns vs 2-D blocks choice",
 )
 def smoothing(ctx: WorkloadContext) -> ExecutionOutcome:
     from ..apps.smoothing import execute_smoothing
 
     r = execute_smoothing(
-        int(ctx.params["size"]),
-        int(ctx.params["steps"]),
-        str(ctx.params["distribution"]),
+        ctx.params["size"],
+        ctx.params["steps"],
+        ctx.params["distribution"],
         ctx.nprocs,
         ctx.cost_model,
         seed=ctx.seed,
@@ -205,7 +213,7 @@ def smoothing(ctx: WorkloadContext) -> ExecutionOutcome:
 
 @smoothing.machine_factory
 def _smoothing_machine(ctx: WorkloadContext) -> Machine:
-    dist = str(ctx.params["distribution"])
+    dist = ctx.params["distribution"]
     if dist == "blocks2d":
         side = int(round(ctx.nprocs ** 0.5))
         if side * side != ctx.nprocs:
@@ -223,9 +231,9 @@ def _smoothing_planning(ctx: WorkloadContext):
     from ..planner.workloads import smoothing_workload
 
     return smoothing_workload(
-        n=int(ctx.params["size"]),
+        n=ctx.params["size"],
         nprocs=ctx.nprocs,
-        steps=int(ctx.params["steps"]),
+        steps=ctx.params["steps"],
         cost_model=ctx.cost_model,
     )
 
@@ -236,11 +244,11 @@ def _smoothing_planning(ctx: WorkloadContext):
 @register_workload(
     "irregular",
     defaults={
-        "size": 32,       # mesh nodes
-        "steps": 10,      # relaxation sweeps
-        "distribution": "partitioned",
-        "kind": "geometric",
-        "drift": 0.0,     # hot-spot motion per sweep (0 = historical)
+        "size": Param(int, 32, "mesh nodes"),
+        "steps": Param(int, 10, "relaxation sweeps"),
+        "distribution": Param(str, "partitioned", "partitioned / block"),
+        "kind": Param(str, "geometric", "geometric / ring"),
+        "drift": Param(float, 0.0, "hot-spot motion per sweep"),
     },
     description="unstructured-mesh relaxation via INDIRECT (PARTI)",
 )
@@ -248,15 +256,15 @@ def irregular(ctx: WorkloadContext) -> ExecutionOutcome:
     from ..apps.irregular import make_mesh, run_relaxation
 
     graph = make_mesh(
-        int(ctx.params["size"]), seed=ctx.seed, kind=str(ctx.params["kind"])
+        ctx.params["size"], seed=ctx.seed, kind=ctx.params["kind"]
     )
     r = run_relaxation(
         ctx.machine,
         graph,
-        str(ctx.params["distribution"]),
-        sweeps=int(ctx.params["steps"]),
+        ctx.params["distribution"],
+        sweeps=ctx.params["steps"],
         seed=ctx.seed,
-        drift=float(ctx.params["drift"]),
+        drift=ctx.params["drift"],
     )
     return ExecutionOutcome(
         solution=r.solution,
@@ -273,11 +281,11 @@ def irregular(ctx: WorkloadContext) -> ExecutionOutcome:
 def _irregular_adaptive(ctx: WorkloadContext):
     from ..apps.irregular import DriftingRelaxation
 
-    steps = int(ctx.params["steps"])
+    steps = ctx.params["steps"]
     return DriftingRelaxation(
-        n=int(ctx.params["size"]),
+        n=ctx.params["size"],
         sweeps=steps,
         window=max(1, steps // 4),
-        drift=float(ctx.params["drift"]),
-        kind=str(ctx.params["kind"]),
+        drift=ctx.params["drift"],
+        kind=ctx.params["kind"],
     )

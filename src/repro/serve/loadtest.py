@@ -143,17 +143,14 @@ def _request_set(
     Sizes are deliberately small — the harness measures the *service*
     (dispatch, pooling, caching, concurrency), not the workloads.
     """
-    size = 12 if smoke else 24
+    knobs = (
+        {"size": 12, "iterations": 1, "steps": 2} if smoke
+        else {"size": 24, "iterations": 2, "steps": 4}
+    )
     items: list[tuple[str, str, dict]] = []
     for name in workloads or registry.names():
         spec = registry.get(name)
-        params: dict = {}
-        if "size" in spec.defaults:
-            params["size"] = size
-        if "iterations" in spec.defaults:
-            params["iterations"] = 1 if smoke else 2
-        if "steps" in spec.defaults:
-            params["steps"] = 2 if smoke else 4
+        params = spec.accepted(knobs)
         if spec.plannable:
             items.append(("plan", name, params))
         items.append(("run", name, params))
@@ -287,14 +284,9 @@ def _run_recovery(
     plan), restarts, and replays.  Recovered runs must produce the
     same ``solution_sha256`` as the uninterrupted serial run."""
     name = "adi" if "adi" in registry.names() else registry.names()[0]
-    spec = registry.get(name)
-    params: dict = {}
-    if "size" in spec.defaults:
-        params["size"] = 12 if smoke else 16
-    if "iterations" in spec.defaults:
-        params["iterations"] = 1
-    if "steps" in spec.defaults:
-        params["steps"] = 2
+    params = registry.get(name).accepted(
+        {"size": 12 if smoke else 16, "iterations": 1, "steps": 2}
+    )
 
     probes = []
     for probe_seed in (seed + 7701, seed + 7702):

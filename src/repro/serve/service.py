@@ -19,14 +19,14 @@ path       verbs  meaning
 /metrics   GET    Prometheus text exposition of the obs registry
 ========== ====== ======================================================
 
-Request parameters ride in the query string (values parsed as JSON
-scalars where possible) and/or a JSON object body; body keys win.
-Common knobs: ``workload`` (required on stage endpoints), ``nprocs``,
-``cost_model``, ``seed``, plus the stage options (``cost_mode`` /
-``method`` for plan, ``backend`` for run and bench, ``overlap`` /
-``compact`` for trace, ``repeats`` for bench).  Every other key must
-be a registered parameter of the named workload — unknown keys are a
-400, exactly like the session API's ``TypeError``.
+Request parameters ride in the query string and/or a JSON object body
+(body keys win).  Which keys a stage accepts, their types, defaults and
+choices is the parameter table of :mod:`repro.api.params` — the same
+rows the CLI's flags are built from: :func:`~repro.api.params.resolve`
+types every value before the request is fingerprinted, so ``size=16``,
+``"16"`` and ``16.0`` are one request, and an unknown key or an
+ill-typed value is a 400 naming the workload, the parameter, what it
+expects and what it got.
 
 Responses are the **byte-identical** ``json_str()`` payloads the CLI's
 ``--json`` flags print (that is the service/CLI consistency contract),
@@ -44,12 +44,12 @@ import time
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, urlsplit
 
-from ..api.config import BACKEND_NAMES, SessionConfig, resolve_cost_model
+from ..api.config import SessionConfig
+from ..api.params import STAGE_OPTIONS, WORKLOAD, invoke, resolve
 from ..api.registry import REGISTRY, WorkloadRegistry
 from ..api.results import _jsonable
 from ..api.session import SessionClosedError
 from ..backend.base import BackendError
-from ..defaults import DEFAULT_SEED
 from ..faults.breaker import CircuitBreaker
 from ..obs import metrics as _obs
 from ..obs.flight import flight_recorder
@@ -61,8 +61,8 @@ from .pool import SessionPool
 
 __all__ = ["PlanningService", "ServeResponse", "ENDPOINTS"]
 
-#: the service surface (stage endpoints enumerate the registry)
-ENDPOINTS = ("/workloads", "/plan", "/run", "/trace", "/bench", "/adapt",
+#: the service surface: one stage endpoint per row of the stage table
+ENDPOINTS = ("/workloads", *("/" + stage for stage in STAGE_OPTIONS),
              "/stats", "/healthz", "/metrics")
 
 #: one structured line per request lands here (serve_forever attaches a
@@ -99,15 +99,6 @@ RECOVERABLE = (BackendError, MemoryError, SessionClosedError)
 #: fingerprint (bench is wall-clock, so it is never cached)
 CACHEABLE = frozenset({"plan", "run", "trace", "adapt"})
 
-#: per-stage option knobs (everything else must be a workload param)
-_STAGE_OPTIONS = {
-    "plan": ("cost_mode", "method"),
-    "run": ("backend",),
-    "trace": ("overlap", "compact"),
-    "bench": ("backend", "repeats"),
-    "adapt": ("mode", "window"),
-}
-
 
 @dataclass
 class ServeResponse:
@@ -128,15 +119,6 @@ def _error(status: int, message: str) -> ServeResponse:
         status, json.dumps({"error": str(message)}, indent=2),
         {"X-Repro-Cache": "bypass"},
     )
-
-
-def _coerce(raw: str):
-    """Query-string value -> typed value: JSON scalar when it parses
-    (``64`` -> int, ``true`` -> bool, ``null`` -> None), else string."""
-    try:
-        return json.loads(raw)
-    except (json.JSONDecodeError, ValueError):
-        return raw
 
 
 class PlanningService:
@@ -276,7 +258,7 @@ class PlanningService:
     ) -> ServeResponse:
         parts = urlsplit(target)
         path = parts.path.rstrip("/") or "/"
-        params = {k: _coerce(v) for k, v in parse_qsl(parts.query)}
+        params = dict(parse_qsl(parts.query))
         if body:
             if isinstance(body, bytes):
                 body = body.decode("utf-8", errors="replace")
@@ -303,7 +285,7 @@ class PlanningService:
                 return self._count(path, self._healthz())
             if path == "/metrics":
                 return self._count(path, self._metrics())
-            if path in ("/plan", "/run", "/trace", "/bench", "/adapt"):
+            if path.lstrip("/") in STAGE_OPTIONS:
                 return self._count(
                     path, self._stage_guarded(path, params, method)
                 )
@@ -513,37 +495,12 @@ class PlanningService:
                 f"/{endpoint} needs a 'workload' parameter "
                 f"(registered: {', '.join(self.registry.names())})"
             )
-        spec = self.registry.get(str(workload))
-
-        nprocs = int(params.pop("nprocs", self.default_nprocs))
-        cost_model = resolve_cost_model(
-            params.pop("cost_model", self.default_cost_model)
-        ).name
-        seed = int(params.pop("seed", DEFAULT_SEED))
-        options = {}
-        for key in _STAGE_OPTIONS[endpoint]:
-            if key in params:
-                options[key] = params.pop(key)
-        backend = options.get("backend")
-        if backend is not None and backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {backend!r} (expected one of {BACKEND_NAMES})"
-            )
-
-        # what's left must be workload parameters — validated exactly
-        # like Session.workload() (unknown keys are a 400 up the stack)
-        workload_params = spec.resolve_params(params)
-
-        fingerprint = request_fingerprint(
-            endpoint,
-            spec.name,
-            nprocs=nprocs,
-            cost_model=cost_model,
-            backend=backend,
-            seed=seed,
-            params=workload_params,
-            options=options,
+        spec = self.registry.get(WORKLOAD.coerce(workload, "workload"))
+        req = resolve(
+            spec, endpoint, params,
+            nprocs=self.default_nprocs, cost_model=self.default_cost_model,
         )
+        fingerprint = request_fingerprint(endpoint, spec.name, **req._asdict())
         cacheable = endpoint in CACHEABLE
         if cacheable:
             cached = self.responses.get(fingerprint)
@@ -559,38 +516,12 @@ class PlanningService:
         # different seeds still reuse one session per (nprocs,
         # cost_model, backend) triple
         config = SessionConfig(
-            nprocs=nprocs, cost_model=cost_model, backend=backend
+            nprocs=req.nprocs, cost_model=req.cost_model, backend=req.backend
         )
         session = self.pool.acquire(config)
         try:
-            handle = session.workload(spec.name, seed=seed, **workload_params)
-            if endpoint == "plan":
-                result = handle.plan(
-                    cost_mode=str(options.get("cost_mode", "model")),
-                    method=str(options.get("method", "auto")),
-                )
-                body = result.json_str()
-            elif endpoint == "run":
-                body = handle.run().json_str()
-            elif endpoint == "trace":
-                overlap = options.get("overlap")
-                if overlap is not None:
-                    overlap = bool(overlap)
-                result = handle.trace(overlap=overlap)
-                body = json.dumps(
-                    result.to_json(intervals=not options.get("compact", False)),
-                    indent=2,
-                )
-            elif endpoint == "adapt":
-                window = options.get("window")
-                result = handle.adapt(
-                    mode=str(options.get("mode", "adaptive")),
-                    window=None if window is None else int(window),
-                )
-                body = result.json_str()
-            else:  # bench
-                result = handle.bench(repeats=int(options.get("repeats", 3)))
-                body = result.json_str()
+            handle = session.workload(spec.name, seed=req.seed, **req.params)
+            body = invoke(handle, endpoint, req.options).json_str()
         finally:
             self.pool.release(session)
 

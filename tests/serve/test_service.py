@@ -150,6 +150,49 @@ def test_unknown_param_400(service):
     resp = service.dispatch("GET", "/run?workload=adi&sizzle=16")
     assert resp.status == 400
     assert "sizzle" in resp.json["error"]
+    # ... and so is an ill-typed one: the 400 names the workload, the
+    # parameter, what its table row expects and the offending value
+    for stage, key, value, expects in [
+        ("run", "size", "16.9", "int"),
+        ("run", "size", "true", "int"),
+        ("run", "size", "abc", "int"),
+        ("run", "iterations", "null", "int"),
+        ("run", "nprocs", "2.5", "int"),
+        ("trace", "compact", "no", "bool"),
+        ("plan", "method", "bogus", "one of ('auto', 'dp', 'greedy')"),
+    ]:
+        resp = service.dispatch("GET", f"/{stage}?workload=adi&{key}={value}")
+        assert resp.status == 400, (key, value)
+        assert resp.json["error"] == (
+            f"workload 'adi' parameter {key!r} expects {expects}, "
+            f"got {value!r}")
+        as_json = json.loads(value) if value not in ("abc", "bogus", "no") \
+            else value
+        resp = service.dispatch(
+            "POST", f"/{stage}", json.dumps({"workload": "adi", key: as_json}))
+        assert resp.status == 400, (key, as_json)
+        assert f"parameter {key!r} expects {expects}" in resp.json["error"]
+    # nothing ill-typed ran, so nothing was cached under a fingerprint
+    assert service.responses.stats()["size"] == 0
+
+
+def test_equivalent_spellings_share_one_cache_entry(service):
+    """``16``, ``"16"`` and ``16.0`` are one value: one ``params`` echo,
+    one fingerprint, one response-cache entry."""
+    first = service.dispatch("GET", "/run?workload=adi&size=16&iterations=1")
+    assert first.headers["X-Repro-Cache"] == "miss"
+    assert first.json["params"]["size"] == 16
+    for spelled in ("GET /run?workload=adi&size=16.0&iterations=1",
+                    'GET /run?workload="adi"&size=16&iterations=1.0',
+                    'POST /run {"workload": "adi", "size": "16", '
+                    '"iterations": 1.0}'):
+        method, target, *body = spelled.split(" ", 2)
+        again = service.dispatch(method, target, *body)
+        assert again.headers["X-Repro-Cache"] == "hit", spelled
+        assert again.body == first.body
+        assert (again.headers["X-Repro-Fingerprint"]
+                == first.headers["X-Repro-Fingerprint"])
+    assert service.responses.stats()["size"] == 1
 
 
 def test_unknown_backend_400(service):
