@@ -112,7 +112,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "Backend", "BackendError", "BlockMeta", "FleetSupervisor",
         "MultiprocessBackend", "SerialBackend", "SharedSegmentAllocator",
         "Transport", "TransportBroken", "TransportTimeout", "attached_backend",
-        "calibrate", "fit_alpha_beta", "measured_machine", "resolve_backend",
+        "calibrate", "fit_alpha_beta", "measured_machine",
         "segment_moves", "shift_plan", "transfer_plan",
     ),
     "compiler": (
@@ -165,7 +165,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "DistributedArray", "Engine", "Inspector", "OverlapManager",
         "PlanCache", "ReadAccessor", "RedistributionReport",
         "TranslationTable", "broadcast_from", "communicate",
-        "default_plan_cache", "forall", "forall_batched", "forall_gathered",
+        "default_plan_cache", "forall", "forall_batched",
         "gather_to", "reduce_scalar", "shift_exchange", "transfer_matrix",
         "transfer_matrix_naive",
     ),

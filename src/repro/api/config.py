@@ -52,10 +52,11 @@ class SessionConfig:
     #: machine cost model — a :class:`CostModel` or a preset name
     #: (``"iPSC/860"``, ``"Paragon"``, ``"modern"``, ``"zero"``)
     cost_model: CostModel | str = "Paragon"
-    #: execution backend — ``None`` (in-process), ``"serial"``,
-    #: ``"multiprocess"``, or a :class:`Backend` *subclass* constructed
-    #: fresh per run (instances are rejected: a backend binds to one
-    #: machine, and the session builds a machine per run)
+    #: execution backend — ``None`` or ``"serial"`` (the serial backend
+    #: every machine starts on), ``"multiprocess"``, or a
+    #: :class:`Backend` *subclass* constructed fresh per run (instances
+    #: are rejected: a backend binds to one machine, and the session
+    #: builds a machine per run)
     backend: str | type | None = None
     #: record typed events on every ``.run()`` (``.trace()`` always does)
     record_events: bool = False
@@ -88,7 +89,7 @@ class SessionConfig:
 
     @property
     def backend_name(self) -> str:
-        """The backend's display name (``"serial"`` when in-process)."""
+        """The backend's display name (``"serial"`` for ``None``)."""
         b = self.backend
         if b is None:
             return "serial"

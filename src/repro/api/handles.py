@@ -27,7 +27,6 @@ from .registry import ExecutionOutcome, WorkloadContext, WorkloadSpec
 from .results import BenchResult, PlanResult, RunResult, TraceResult
 
 if TYPE_CHECKING:
-    from ..machine.machine import Machine
     from ..sim.events import EventLog
     from .session import Session
 
@@ -145,35 +144,47 @@ class WorkloadHandle:
             ctx.machine = self._spec.make_machine(ctx)
         return ctx
 
-    def _execute(
+    def _recorded(
         self, ctx: WorkloadContext, log: "EventLog | None"
     ) -> ExecutionOutcome:
+        """Run the spec on ``ctx.machine``, recording typed events
+        into ``log`` when one is given."""
+        if log is None:
+            return self._spec.execute(ctx)
+        from ..sim.events import record
+
+        with record(ctx.machine, log):
+            return self._spec.execute(ctx)
+
+    def _execute(
+        self, ctx: WorkloadContext, log: "EventLog | None"
+    ) -> tuple[ExecutionOutcome, str]:
         """Run the spec on ``ctx.machine`` under the session backend,
-        optionally recording typed events into ``log``.
+        optionally recording typed events into ``log``.  Returns the
+        outcome and the name of the backend that executed it.
 
         Degradation tier 2 (ISSUE 9): if the configured backend fails
         unrecoverably — the fleet supervisor's restart budget is spent,
         or a shared-memory allocation failed — and the session allows
-        degradation, rerun the stage from scratch on the
-        :class:`~repro.backend.base.SerialBackend`.  The rerun is
-        bitwise-identical to a healthy parallel run by the conformance
-        contract, so callers only notice the incident record and the
-        ``repro_degradation_total`` metric.
+        degradation, rerun the stage from scratch on the serial
+        backend a fresh machine carries.  The context is rebuilt
+        (fresh machine, untouched seed-derived state) and any
+        half-recorded events are dropped, so the rerun is
+        indistinguishable from a run that was serial from the start —
+        and bitwise-identical to a healthy parallel run by the
+        conformance contract, so callers only notice the incident
+        record, the ``repro_degradation_total`` metric and the
+        result's ``backend``.
         """
         from ..backend.base import BackendError
-        from ..sim.events import record
 
-        machine: "Machine" = ctx.machine
         try:
-            with self._session.attach(machine):
-                if log is not None:
-                    with record(machine, log):
-                        return self._spec.execute(ctx)
-                return self._spec.execute(ctx)
+            with self._session.attach(ctx.machine) as backend:
+                return self._recorded(ctx, log), backend.name
         except (BackendError, MemoryError) as exc:
             sess = self._session
             backend_name = sess.config.backend_name
-            if not sess.degrade or backend_name in (None, "serial"):
+            if not sess.degrade or backend_name == "serial":
                 raise
             sess.mark_poisoned(f"{type(exc).__name__}: {exc}")
             _DEGRADATIONS.inc(tier="serial_fallback", workload=self.name)
@@ -185,32 +196,10 @@ class WorkloadHandle:
                     "from_backend": backend_name,
                 },
             )
-            return self._execute_serial_fallback(ctx, log)
-
-    def _execute_serial_fallback(
-        self, ctx: WorkloadContext, log: "EventLog | None"
-    ) -> ExecutionOutcome:
-        """Rerun a failed stage on a fresh machine with the serial
-        backend.  The context is rebuilt (fresh machine, untouched
-        seed-derived state) and any half-recorded events are dropped,
-        so the rerun is indistinguishable from a run that was serial
-        from the start."""
-        from ..backend.base import SerialBackend
-        from ..sim.events import record
-
-        fresh = self._context()
-        ctx.machine = fresh.machine
-        if log is not None:
-            log.clear()
-        fallback = SerialBackend()
-        fallback.attach(ctx.machine)
-        try:
+            ctx.machine = self._context().machine
             if log is not None:
-                with record(ctx.machine, log):
-                    return self._spec.execute(ctx)
-            return self._spec.execute(ctx)
-        finally:
-            fallback.close()
+                log.clear()
+            return self._recorded(ctx, log), ctx.machine.backend.name
 
     # -- stages ------------------------------------------------------------
     @_staged("plan")
@@ -262,12 +251,12 @@ class WorkloadHandle:
 
         ctx = self._context()
         log = EventLog() if self._session.config.record_events else None
-        outcome = self._execute(ctx, log)
+        outcome, backend = self._execute(ctx, log)
         machine = ctx.machine
         stats = machine.stats()
         return RunResult(
             workload=self.name,
-            backend=self._session.config.backend_name,
+            backend=backend,
             nprocs=self._session.config.nprocs,
             seed=self.seed,
             cost_model=self._session.cost_model.name,
@@ -339,12 +328,12 @@ class WorkloadHandle:
         for _ in range(repeats):
             ctx = self._context()
             t0 = time.perf_counter()
-            outcome = self._execute(ctx, None)
+            outcome, backend = self._execute(ctx, None)
             wall.append(time.perf_counter() - t0)
             machine = ctx.machine
         return BenchResult(
             workload=self.name,
-            backend=self._session.config.backend_name,
+            backend=backend,
             nprocs=self._session.config.nprocs,
             seed=self.seed,
             cost_model=self._session.cost_model.name,

@@ -22,10 +22,10 @@ and backend already wired::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack
 from typing import Sequence
 
-from ..backend.base import Backend, attached_backend, resolve_backend
+from ..backend.base import SERIAL, attached_backend
 from ..defaults import DEFAULT_SEED
 from ..obs import flight as _flight
 from ..machine.cost_model import CostModel
@@ -54,8 +54,9 @@ class Session:
 
     Owns the plan cache, the backend policy, the cost model and the
     RNG seed; builds machines and engines on demand; enumerates the
-    workload registry.  Context-manager use closes any backends the
-    session constructed for ad-hoc engines.
+    workload registry.  Every backend that runs under the session is
+    attached through :meth:`attach`; context-manager use closes the
+    ones still attached for ad-hoc engines.
 
     Sessions are cheap to construct (no machine, backend, or worker is
     built until a stage runs) and safe to pool: :meth:`close` is
@@ -87,7 +88,8 @@ class Session:
         #: part of SessionConfig — it must not change config
         #: fingerprints or pool keys.
         self.degrade = bool(degrade)
-        self._owned_backends: list[Backend] = []
+        #: the backends :meth:`engine` attached, closed with the session
+        self._engine_backends = ExitStack()
         self._closed = False
         self._poisoned = False
         self._poison_reason: str | None = None
@@ -127,11 +129,7 @@ class Session:
 
     def close(self) -> None:
         """Close every backend this session constructed (idempotent)."""
-        if self._closed:
-            return
-        backends, self._owned_backends = self._owned_backends, []
-        for backend in backends:
-            backend.close()
+        self._engine_backends.close()
         self._closed = True
 
     def __enter__(self) -> "Session":
@@ -142,25 +140,15 @@ class Session:
         self.close()
 
     # -- machines and engines ----------------------------------------------
-    @contextmanager
     def attach(self, machine: Machine):
-        """Attach the session's backend policy to ``machine`` for one
-        run.  A name spec ("serial"/"multiprocess") or a Backend
-        subclass constructs a fresh backend and closes it on exit
-        (workers and shared segments released); ``None`` runs with
-        whatever is already attached."""
+        """Context manager: the session's backend policy attached to
+        ``machine`` for one run (see
+        :func:`~repro.backend.base.attached_backend` — a fresh backend,
+        closed on exit with workers and shared segments released;
+        ``None`` runs on what the machine carries).  Yields the backend
+        that executes the run."""
         self._require_open()
-        b = self.config.backend
-        if isinstance(b, type):
-            backend = b()
-            backend.attach(machine)
-            try:
-                yield backend
-            finally:
-                backend.close()
-        else:
-            with attached_backend(machine, b) as backend:
-                yield backend
+        return attached_backend(machine, self.config.backend)
 
     def machine(
         self,
@@ -182,16 +170,14 @@ class Session:
         name: str = "P",
     ) -> Engine:
         """A Vienna Fortran Engine on ``machine`` (or a fresh session
-        machine), sharing the session's plan cache and backend.
+        machine), sharing the session's plan cache, with the session's
+        backend attached until the session closes.
         """
         self._require_open()
         if machine is None:
             machine = self.machine(shape=shape, name=name)
-        if self.config.backend is not None and machine.backend is None:
-            b = self.config.backend
-            backend = resolve_backend(b() if isinstance(b, type) else b)
-            backend.attach(machine)
-            self._owned_backends.append(backend)
+        if machine.backend is SERIAL:  # nothing attached yet
+            self._engine_backends.enter_context(self.attach(machine))
         return Engine(machine, plan_cache=self.plan_cache)
 
     # -- workloads ---------------------------------------------------------

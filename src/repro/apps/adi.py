@@ -40,7 +40,6 @@ from functools import partial
 
 import numpy as np
 
-from ..backend.base import Backend, attached_backend
 from ..compiler.codegen import LineSweepKernel
 from ..core.distribution import dist_type
 from ..defaults import DEFAULT_SEED
@@ -153,7 +152,6 @@ def execute_adi(
     grid: np.ndarray | None = None,
     *,
     seed: int = DEFAULT_SEED,
-    backend: Backend | str | None = None,
 ) -> ADIResult:
     """Run the Figure 1 ADI iteration under ``strategy``.
 
@@ -162,11 +160,9 @@ def execute_adi(
     random field.  The returned solution is always identical across
     strategies (checked in tests against :func:`adi_reference`).
 
-    ``backend`` selects the execution backend (``"serial"``,
-    ``"multiprocess"``, or an attached/attachable
-    :class:`~repro.backend.base.Backend`): with ``"multiprocess"``,
-    redistributions and local sweeps execute in per-processor worker
-    processes and the solution is bitwise-identical to serial (the
+    Redistributions and local sweeps execute on ``machine``'s backend
+    (with the multiprocess backend attached: in per-processor worker
+    processes); the solution is bitwise-identical either way (the
     backend conformance suite asserts this).
     """
     if strategy not in STRATEGIES:
@@ -178,20 +174,6 @@ def execute_adi(
     if grid.shape != (nx, ny):
         raise ValueError(f"grid shape {grid.shape} != ({nx}, {ny})")
 
-    with attached_backend(machine, backend):
-        return _run_adi(machine, nx, ny, iterations, strategy, a, b, grid)
-
-
-def _run_adi(
-    machine: Machine,
-    nx: int,
-    ny: int,
-    iterations: int,
-    strategy: str,
-    a: float,
-    b: float,
-    grid: np.ndarray,
-) -> ADIResult:
     engine = Engine(machine)
     machine.reset_network()
     result = ADIResult(strategy, nx, ny, iterations, machine.nprocs)

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from ..backend.base import Backend, attached_backend
 from ..core.dimdist import Block, GenBlock, Indirect
 from ..core.distribution import DistributionType
 from ..defaults import DEFAULT_SEED
@@ -258,10 +257,11 @@ def _relax_update(
 ) -> None:
     """Owner-computes Jacobi update of one rank's owned nodes.
 
-    Module-level (and closed over via :func:`functools.partial`) so an
-    SPMD backend can pickle it into its worker processes; the serial
-    path calls it in the same rank order, so the arithmetic — and
-    therefore the solution — is bitwise-identical either way.
+    Module-level (and closed over via :func:`functools.partial`) so
+    the multiprocess backend can pickle it into its worker processes;
+    the serial backend calls it in the same rank order, so the
+    arithmetic — and therefore the solution — is bitwise-identical
+    either way.
     """
     vals = gathered[rank]
     staged = np.empty_like(local)
@@ -280,7 +280,6 @@ def run_relaxation(
     sweeps: int = 3,
     seed: int = DEFAULT_SEED,
     rng: np.random.Generator | None = None,
-    backend: Backend | str | None = None,
     drift: float = 0.0,
 ) -> RelaxationResult:
     """Edge-based Jacobi relaxation through the inspector/executor.
@@ -292,13 +291,10 @@ def run_relaxation(
     a PARTI gather; the schedule is built once and reused across
     sweeps, invalidated only by redistribution.
 
-    ``backend`` selects the execution backend (``"serial"``,
-    ``"multiprocess"``, ``None`` to reuse whatever is attached, or a
-    :class:`~repro.backend.base.Backend`), matching the ``backend=``
-    variants the other registered workloads grew: with
-    ``"multiprocess"`` each sweep's node updates run in per-processor
-    worker processes against shared-memory segments, bitwise-identical
-    to the serial reference.
+    Each sweep's node updates execute on ``machine``'s backend: with
+    the multiprocess backend attached, in per-processor worker
+    processes against shared-memory segments, bitwise-identical to the
+    serial reference.
 
     With ``rng=None`` the partitioner and the initial node values each
     draw from a fresh ``default_rng(seed)`` (the historical streams,
@@ -311,19 +307,6 @@ def run_relaxation(
     while the solution arithmetic is untouched.  ``drift=0.0`` (the
     default) takes exactly the historical code path, bit for bit.
     """
-    with attached_backend(machine, backend):
-        return _relax(machine, graph, distribution, sweeps, seed, rng, drift)
-
-
-def _relax(
-    machine: Machine,
-    graph: nx.Graph,
-    distribution: str,
-    sweeps: int,
-    seed: int,
-    rng: np.random.Generator | None,
-    drift: float = 0.0,
-) -> RelaxationResult:
     n = graph.number_of_nodes()
     p = machine.nprocs
     engine = Engine(machine)
@@ -364,17 +347,9 @@ def _relax(
     t0 = machine.time
     for sweep in range(sweeps):
         gathered = inspector.gather(schedule)  # schedule reused
-        update = partial(_relax_update, gathered, node_slices)
-        backend = machine.backend
-        if (
-            backend is not None
-            and backend.executes_spmd
-            and backend.can_ship(update)
-        ):
-            backend.run_kernel(arr, update)
-        else:
-            for rank in arr.owning_ranks():
-                update(rank, arr.local(rank), arr.local_indices(rank))
+        machine.backend.run_kernel(
+            arr, partial(_relax_update, gathered, node_slices)
+        )
         # accounting is identical regardless of which process executed
         # the update — the backend executes, the network accounts
         if drift == 0.0:

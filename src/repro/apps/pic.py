@@ -47,7 +47,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..backend.base import Backend, attached_backend
 from ..core.dimdist import Block, GenBlock, NoDist
 from ..core.distribution import DistributionType
 from ..defaults import DEFAULT_SEED
@@ -164,7 +163,6 @@ def execute_pic(
     machine: Machine,
     config: PICConfig,
     rng: np.random.Generator | None = None,
-    backend: Backend | str | None = None,
 ) -> PICResult:
     """Run the Figure 2 PIC loop; see the module docstring.
 
@@ -173,8 +171,8 @@ def execute_pic(
     across runs, or leave it ``None`` to derive a fresh one from
     ``config.seed`` (the historical behaviour, bit for bit).  With the
     same generator state, two runs are deterministic regardless of the
-    execution ``backend`` — the property the backend conformance suite
-    relies on.
+    backend attached to ``machine`` — the property the backend
+    conformance suite relies on.
     """
     if machine.nprocs != config.nprocs:
         raise ValueError(
@@ -184,8 +182,7 @@ def execute_pic(
         raise ValueError("strategy must be 'bblock', 'static' or 'planned'")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    with attached_backend(machine, backend):
-        return _run_pic(machine, config, rng)
+    return _run_pic(machine, config, rng)
 
 
 #: FIELD(NCELL, NFIELD): the second dim holds a small record per cell,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend.base import Backend, attached_backend
 from ..compiler.codegen import StencilKernel
 from ..core.distribution import dist_type
 from ..defaults import DEFAULT_SEED
@@ -87,7 +86,6 @@ def execute_smoothing(
     grid: np.ndarray | None = None,
     *,
     seed: int = DEFAULT_SEED,
-    backend: Backend | str | None = None,
     machine: Machine | None = None,
 ) -> SmoothingResult:
     """Run ``steps`` smoothing sweeps of an N x N grid.
@@ -97,15 +95,13 @@ def execute_smoothing(
     (``(BLOCK, BLOCK)`` on a sqrt(p) x sqrt(p) grid; ``nprocs`` must be
     a perfect square, matching the paper's p^2 processor array).
 
-    With ``backend="multiprocess"`` every halo exchange and stencil
-    update executes in per-processor worker processes over the
-    message-passing transport; results are bitwise-identical to the
-    serial reference.
-
     An explicit ``machine`` (shape and cost model must match the
     requested distribution) lets callers keep a handle on the machine
-    that runs the sweeps — the ``repro trace`` CLI uses this to
-    install an event recorder before the run.
+    that runs the sweeps — to install an event recorder before the
+    run, or to attach a backend: on the multiprocess backend every
+    halo exchange and stencil update executes in per-processor worker
+    processes over the message-passing transport, bitwise-identical
+    to the serial reference.
     """
     if distribution == "columns":
         expected_shape: tuple[int, ...] = (nprocs,)
@@ -139,25 +135,24 @@ def execute_smoothing(
     if grid.shape != (n, n):
         raise ValueError(f"grid shape {grid.shape} != ({n}, {n})")
 
-    with attached_backend(machine, backend):
-        engine = Engine(machine)
-        u = engine.declare("U", (n, n), dist=dtype)
-        u.from_global(grid)
-        kernel = StencilKernel(u, (1, 1), smooth_step_func)
-        for _ in range(steps):
-            kernel.step()
-        stats = machine.stats()
-        return SmoothingResult(
-            distribution=distribution,
-            n=n,
-            nprocs=nprocs,
-            steps=steps,
-            messages=stats.messages,
-            bytes=stats.bytes,
-            time=machine.time,
-            msgs_per_proc_step=stats.messages / (nprocs * steps),
-            solution=u.to_global(),
-        )
+    engine = Engine(machine)
+    u = engine.declare("U", (n, n), dist=dtype)
+    u.from_global(grid)
+    kernel = StencilKernel(u, (1, 1), smooth_step_func)
+    for _ in range(steps):
+        kernel.step()
+    stats = machine.stats()
+    return SmoothingResult(
+        distribution=distribution,
+        n=n,
+        nprocs=nprocs,
+        steps=steps,
+        messages=stats.messages,
+        bytes=stats.bytes,
+        time=machine.time,
+        msgs_per_proc_step=stats.messages / (nprocs * steps),
+        solution=u.to_global(),
+    )
 
 
 def predicted_step_cost(

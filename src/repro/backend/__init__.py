@@ -5,14 +5,14 @@ executes Vienna Fortran object programs" SPMD on distributed
 hardware.  This subpackage gives the reproduction that execution
 path:
 
-- :class:`~repro.backend.base.SerialBackend` — the in-process
-  reference semantics (bitwise ground truth);
+- :mod:`~repro.backend.base` — the seam itself: which bulk ops a
+  backend executes, what the master accounts for each, and the
+  in-process :class:`~repro.backend.base.SerialBackend` every machine
+  starts on (bitwise ground truth);
 - :class:`~repro.backend.multiprocess.MultiprocessBackend` — one
   worker process per simulated processor, local segments in
-  ``multiprocessing.shared_memory``, transfer plans / halo exchanges
-  / owner-computes kernels executed through an explicit
-  message-passing :class:`~repro.backend.transport.Transport`
-  (send/recv + barrier/allgather);
+  ``multiprocessing.shared_memory``, an explicit message-passing
+  :class:`~repro.backend.transport.Transport`;
 - :mod:`~repro.backend.calibrate` — microbenchmarks the transport and
   fits real alpha/beta/flop-rate constants into a
   :class:`~repro.machine.measured.MeasuredMachine`, so the planner

@@ -1,21 +1,46 @@
-"""The execution-backend seam.
+"""The execution-backend seam: who executes a bulk op, and who owns
+that executor's lifetime.
 
-The paper's object programs "execute on distributed-memory machines in
-SPMD mode"; the reproduction historically executed everything in one
-Python process against the simulated machine.  A :class:`Backend`
-makes that execution tier pluggable:
+The paper's object program is SPMD — "each processor executes
+essentially the same code, but on a local data set", with DISTRIBUTE
+"a run-time routine executed on each processor".  A backend
+**executes**; the simulated :class:`~repro.machine.network.Network`
+**accounts**.  Every bulk op has one call site in the run time, and it
+reads the same on either backend: post the op's messages and compute
+charges on the network, bump the obs counters, then call
+``machine.backend.<op>(...)`` — so messages / bytes / modeled time, the
+typed event stream and the metrics are backend-independent by
+construction, and only the physical execution differs:
 
-- :class:`SerialBackend` — today's in-process semantics, unchanged;
-  it is the bitwise *reference* every other backend must match;
-- :class:`~repro.backend.multiprocess.MultiprocessBackend` — one real
-  OS process per simulated processor, segments in shared memory,
-  transfer plans / halo exchanges / kernels executed through an
-  explicit message-passing transport.
+==============  ========================  ======================  ======================
+op              the master accounts       SerialBackend           MultiprocessBackend
+==============  ========================  ======================  ======================
+move            one aggregated message    global reassembly:      the segment-move plan:
+(DISTRIBUTE     per communicating pair    gather, re-describe,    workers send/recv
+data motion)    (``communicate``)         reallocate, scatter     their shares
+run_kernel      per-rank compute charges  rank-ordered loop over  one worker per owning
+(owner-         (``foreach_owned``, the   the owners' segments    rank, on its shared
+computes)       local line sweep, the                             segment
+                irregular sweep)
+stencil_step    one exchange phase per    slabs copied into the   slabs sent/received
+(halo exchange  haloed dim + per-rank     neighbours' padded      between workers, then
++ update)       compute charges           buffers, then the       the update on local
+                (``StencilKernel.step``)  update rank by rank     data
+==============  ========================  ======================  ======================
 
-A backend **executes**; the simulated :class:`~repro.machine.network.Network`
-still **accounts**.  Both backends drive the same accounting code, so
-messages/bytes/modeled-time reports are identical by construction and
-only the physical execution differs.
+Both columns run the *same* kernel bodies (:mod:`repro.backend.ops`)
+and place halos with the same :func:`~repro.backend.plan.halo_dest_slice`;
+``move`` stays two implementations on purpose — the serial one is the
+bitwise reference the other is conformance-tested against.  A function
+the workers cannot unpickle runs through the inherited serial loop
+inside ``MultiprocessBackend``: call sites never branch on the backend.
+
+Lifetime: a machine always has a backend.  A fresh
+:class:`~repro.machine.machine.Machine` carries :data:`SERIAL`;
+:meth:`Backend.attach` replaces it and :meth:`Backend.close` restores
+it (array contents intact).  :func:`attached_backend` is the one place
+a backend *name* becomes an attached backend — the session calls it,
+nothing below the session does.
 """
 
 from __future__ import annotations
@@ -23,15 +48,19 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable
 
+from .ops import stencil_apply
+from .plan import halo_dest_slice
+
 if TYPE_CHECKING:
     from ..machine.machine import Machine
     from ..runtime.darray import DistributedArray
+    from ..runtime.overlap import OverlapManager
 
 __all__ = [
     "Backend",
     "BackendError",
     "SerialBackend",
-    "serial_move",
+    "SERIAL",
     "resolve_backend",
     "attached_backend",
 ]
@@ -60,34 +89,15 @@ class BackendError(RuntimeError):
         self.hung_ranks = tuple(hung_ranks)
 
 
-def serial_move(array: "DistributedArray", new_dist) -> None:
-    """The reference data motion of a redistribution: global
-    reassembly, descriptor update, reallocation, scatter.
-
-    This single implementation IS the bitwise baseline — both the
-    run time's in-process path (:func:`repro.runtime.redistribute.communicate`
-    without an SPMD backend) and :class:`SerialBackend` call it, so
-    the conformance oracle cannot drift from the executed semantics.
-    """
-    gvals = array.to_global()
-    array.descriptor.set_dist(new_dist)
-    array._allocate_segments(fill=None)
-    array.from_global(gvals)
-
-
 class Backend:
     """Abstract SPMD execution backend.
 
-    Lifecycle: construct, :meth:`attach` to one machine (the
-    :class:`~repro.runtime.engine.Engine` does this), run, and
-    :meth:`close`.  Backends are context managers.
+    Lifecycle: construct, :meth:`attach` to one machine, run, and
+    :meth:`close` (:func:`attached_backend` does all four).
     """
 
     #: short name used by CLIs and reports
     name = "abstract"
-    #: True if operations execute in per-processor workers (and the
-    #: run time must route bulk data motion through the backend).
-    executes_spmd = False
 
     def __init__(self) -> None:
         self.machine: "Machine | None" = None
@@ -101,7 +111,7 @@ class Backend:
             raise RuntimeError(
                 f"{self.name} backend is already attached to a machine"
             )
-        if machine.backend is not None and machine.backend is not self:
+        if machine.backend is not SERIAL:
             raise RuntimeError(
                 f"machine already has a {machine.backend.name} backend"
             )
@@ -121,47 +131,18 @@ class Backend:
         """Subclass hook: spawn workers, install allocators, ..."""
 
     def close(self) -> None:
-        """Release workers and shared resources; detach the machine."""
+        """Release workers and shared resources; the machine goes back
+        to the serial default."""
         machine, self.machine = self.machine, None
         if machine is not None and machine.backend is self:
-            machine.backend = None
+            machine.backend = SERIAL
             machine.set_segment_allocator(None)
 
-    def __enter__(self) -> "Backend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- event recording ---------------------------------------------------
-    @property
-    def recorder(self):
-        """The event recorder of the attached machine's network.
-
-        Every backend drives the same master-side accounting code the
-        serial reference does, so an installed
-        :class:`repro.sim.events.EventLog` captures an identical
-        typed-event stream regardless of which backend physically
-        moves the data — the simulator's backend seam.
-        """
-        return self.machine.network.recorder if self.machine is not None else None
-
-    def record_events(self, log=None):
-        """Record this backend's execution as typed events (context
-        manager; requires an attached machine).  See
-        :func:`repro.sim.record`."""
-        if self.machine is None:
-            raise RuntimeError("backend is not attached to a machine")
-        from ..sim.events import record
-
-        return record(self.machine, log)
-
-    # -- operations ------------------------------------------------------
+    # -- operations (network accounting is the caller's job) -------------
     def move(self, array: "DistributedArray", new_dist, plan_cache=None) -> None:
         """Physically move ``array`` to ``new_dist`` (descriptor update
-        and segment reallocation included).  Network accounting is the
-        caller's job; ``plan_cache`` lets backends share memoized
-        transfer plans with the run time."""
+        and segment reallocation included).  ``plan_cache`` lets
+        backends share memoized transfer plans with the run time."""
         raise NotImplementedError
 
     def run_kernel(
@@ -172,77 +153,117 @@ class Backend:
         global index arrays)."""
         raise NotImplementedError
 
-    @staticmethod
-    def can_ship(fn) -> bool:
-        """True if ``fn`` can be dispatched to this backend's workers
-        (serial execution can run anything in-process)."""
-        return True
+    def stencil_step(
+        self,
+        array: "DistributedArray",
+        overlap: "OverlapManager",
+        func: Callable,
+        dim_entries: list,
+    ) -> None:
+        """One halo-exchanged stencil sweep: load each segment into its
+        padded ``overlap`` buffer, deliver the boundary slabs of
+        ``dim_entries`` (``[(dim, shift_plan entries), ...]`` — the
+        plan the caller has just accounted), then
+        ``func(padded, out, widths)`` per owner, stored back into the
+        segment."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         state = "attached" if self.machine is not None else "detached"
         return f"{type(self).__name__}({state})"
 
 
+def _owned(array: "DistributedArray"):
+    """``(rank, segment)`` per owning rank.  A rank owns elements iff
+    its segment is non-empty, which is read off local memory instead of
+    re-deriving ``owning_ranks()`` from the distribution (the caller's
+    accounting loop has just paid for that walk)."""
+    for rank in range(array.machine.nprocs):
+        local = array.local(rank)
+        if local.size:
+            yield rank, local
+
+
 class SerialBackend(Backend):
-    """The in-process reference backend — today's semantics, verbatim.
+    """The in-process reference backend.
 
     Redistribution moves data by global reassembly, kernels run as a
     rank-ordered loop in the master process.  This is the behaviour
     every other backend is conformance-tested against, bit for bit.
+    It keeps no per-machine state, so one instance (:data:`SERIAL`)
+    serves every machine nothing else is attached to.
     """
 
     name = "serial"
-    executes_spmd = False
 
     def move(self, array: "DistributedArray", new_dist, plan_cache=None) -> None:
-        serial_move(array, new_dist)
+        gvals = array.to_global()
+        array.descriptor.set_dist(new_dist)
+        array._allocate_segments(fill=None)
+        array.from_global(gvals)
 
     def run_kernel(self, array: "DistributedArray", fn: Callable) -> None:
-        for rank in array.owning_ranks():
-            idx = array.local_indices(rank)
-            fn(rank, array.local(rank), idx)
+        for rank, local in _owned(array):
+            fn(rank, local, array.local_indices(rank))
+
+    def stencil_step(self, array, overlap, func, dim_entries) -> None:
+        widths = overlap.widths
+        overlap.load_interior()
+        for dim, entries in dim_entries:
+            for src, dst, key, src_sl, _count in entries:
+                dest = halo_dest_slice(array.local(dst).shape, widths, dim, key)
+                overlap.padded(dst)[dest] = array.local(src)[src_sl]
+        for rank, local in _owned(array):
+            stencil_apply(local, overlap.padded(rank), widths, func)
 
 
-@contextmanager
-def attached_backend(machine: "Machine", spec):
-    """Attach a backend spec to ``machine`` for the duration of a run.
-
-    ``None`` reuses whatever is already attached (possibly nothing);
-    an already-constructed :class:`Backend` is attached but its
-    lifecycle stays with the caller; a *name* (``"serial"``,
-    ``"multiprocess"``) constructs a fresh backend and closes it on
-    exit — the convenience path of the apps' ``backend=`` parameters.
-    """
-    if spec is None:
-        yield machine.backend
-        return
-    owns = not isinstance(spec, Backend)
-    backend = resolve_backend(spec)
-    backend.attach(machine)
-    try:
-        yield backend
-    finally:
-        if owns:
-            backend.close()
+#: the backend of every machine nothing else is attached to
+SERIAL = SerialBackend()
 
 
 def resolve_backend(spec) -> Backend:
-    """Turn a backend spec (instance, name, or ``None``) into a backend.
+    """Turn a backend spec into a backend the caller owns.
 
     ``None`` and ``"serial"`` give a fresh :class:`SerialBackend`;
-    ``"multiprocess"`` gives a fresh
-    :class:`~repro.backend.multiprocess.MultiprocessBackend` (the
-    caller owns its lifecycle); an instance passes through.
+    ``"multiprocess"`` a fresh
+    :class:`~repro.backend.multiprocess.MultiprocessBackend`; a
+    :class:`Backend` subclass is constructed; an instance passes
+    through.
     """
     if spec is None or spec == "serial":
         return SerialBackend()
     if isinstance(spec, Backend):
         return spec
+    if isinstance(spec, type) and issubclass(spec, Backend):
+        return spec()
     if spec == "multiprocess":
         from .multiprocess import MultiprocessBackend
 
         return MultiprocessBackend()
     raise ValueError(
         f"unknown backend {spec!r} (expected 'serial', 'multiprocess', "
-        f"or a Backend instance)"
+        f"a Backend subclass or a Backend instance)"
     )
+
+
+@contextmanager
+def attached_backend(machine: "Machine", spec):
+    """Run a block with backend ``spec`` attached to ``machine``.
+
+    ``None`` leaves the machine on what it carries (the serial default
+    unless the caller attached something); a name or a
+    :class:`Backend` subclass constructs a fresh backend and closes it
+    on exit (workers and shared segments released, the machine back on
+    the serial default); an already-constructed :class:`Backend` is
+    attached but its lifetime stays with the caller.
+    """
+    if spec is None:
+        yield machine.backend
+        return
+    owns = not isinstance(spec, Backend)
+    backend = resolve_backend(spec).attach(machine)
+    try:
+        yield backend
+    finally:
+        if owns:
+            backend.close()

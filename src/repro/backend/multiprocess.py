@@ -9,7 +9,9 @@ send/recv and barrier/allgather collectives
 (:mod:`~repro.backend.transport`).  Transfer plans, halo exchanges
 and owner-computes kernels execute *in the workers*
 (:mod:`~repro.backend.ops`); the master only plans, accounts on the
-simulated network, and reads results back through shared memory.
+simulated network, and reads results back through shared memory.  A
+kernel function the workers cannot unpickle runs through the
+inherited serial loops instead — same contents, different process.
 
 Fault tolerance (ISSUE 9): every op boundary is a consistent cut —
 workers are quiescent between acks, and all array state lives in the
@@ -39,14 +41,14 @@ from typing import TYPE_CHECKING, Callable
 from ..faults import plan as _faults
 from ..obs import flight as _flight
 from ..obs import metrics as _obs
-from .base import Backend, BackendError
+from .base import BackendError, SerialBackend
 from .ops import (
     op_local_kernel,
     op_noop,
     op_redistribute,
     op_stencil_step,
 )
-from .plan import halo_dest_slice, segment_moves, shift_plan
+from .plan import halo_dest_slice, segment_moves
 from .shm import SharedSegmentAllocator
 from .worker import worker_main
 
@@ -72,6 +74,15 @@ _FLEET_RESTARTS = _obs.counter(
     "Worker-fleet teardown/respawn recoveries at the master, by cause.",
     ("cause",),
 )
+
+
+def _can_ship(fn) -> bool:
+    """True if ``fn`` can be sent to workers (pickles by value/ref)."""
+    try:
+        pickle.dumps(fn)
+        return True
+    except Exception:
+        return False
 
 
 def _pick_start_method(requested: str | None) -> str:
@@ -167,7 +178,7 @@ class FleetSupervisor:
         b._restore_segments(snapshot)
 
 
-class MultiprocessBackend(Backend):
+class MultiprocessBackend(SerialBackend):
     """SPMD execution over ``nprocs`` worker processes.
 
     Parameters
@@ -190,7 +201,6 @@ class MultiprocessBackend(Backend):
     """
 
     name = "multiprocess"
-    executes_spmd = True
 
     def __init__(
         self,
@@ -223,8 +233,6 @@ class MultiprocessBackend(Backend):
         #: so a replay after a fleet restart can re-ship what the dead
         #: workers' memos knew
         self._plan_payloads: dict[int, dict] = {}
-        #: ops dispatched to the worker fleet (for tests/reports)
-        self.ops_executed = 0
 
     @property
     def effective_hang_timeout(self) -> float:
@@ -418,23 +426,14 @@ class MultiprocessBackend(Backend):
         """Fix up a replayed op for a freshly restarted fleet.
 
         Redistribute replays that relied on the dead workers' plan
-        memos (``sends=None``) get the stored plan payload back."""
+        memos (``moves=None``) get the stored plan payload back."""
         if op is not op_redistribute:
             return per_rank_kwargs
-        out = []
-        for rank, kwargs in enumerate(per_rank_kwargs):
-            if kwargs.get("sends") is None:
-                moves = self._plan_payloads.get(
-                    kwargs.get("plan_id"), {}
-                ).get(rank)
-                kwargs = dict(
-                    kwargs,
-                    sends=moves.sends if moves is not None else [],
-                    recvs=moves.recvs if moves is not None else [],
-                    keeps=moves.keeps if moves is not None else [],
-                )
-            out.append(kwargs)
-        return out
+        return [
+            kwargs if kwargs["moves"] is not None
+            else dict(kwargs, moves=self._plan_payloads[kwargs["plan_id"]][rank])
+            for rank, kwargs in enumerate(per_rank_kwargs)
+        ]
 
     def _run_op_once(self, op: Callable, per_rank_kwargs: list[dict]) -> list:
         """One dispatch/collect cycle, with mid-op fault detection."""
@@ -518,7 +517,6 @@ class MultiprocessBackend(Backend):
                 f"-- worker {rank} --\n{msg}" for rank, msg in errors
             )
             raise BackendError(f"{len(errors)} worker(s) failed:\n{detail}")
-        self.ops_executed += 1
         _BACKEND_OPS.inc(op=op_name, status="ok")
         return results
 
@@ -557,23 +555,16 @@ class MultiprocessBackend(Backend):
 
         # recurring layout pairs ship their position arrays to the
         # fleet once; afterwards only the plan id crosses the queues
+        # (and the cache lookup of a replay reads as the hit it is)
         plan_key = (old_dist, new_dist, nprocs)
-        plan_id = self._plan_ids.get(plan_key)
-        if plan_id is None:
-            plan_id = len(self._plan_ids) + 1
-            self._plan_ids[plan_key] = plan_id
+        plan_id = self._plan_ids.setdefault(plan_key, len(self._plan_ids) + 1)
         ship = plan_id not in self._shipped_plans
-        if ship:
-            if plan_cache is not None:
-                moves = plan_cache.segment_moves(old_dist, new_dist, nprocs)
-            else:
-                moves = segment_moves(old_dist, new_dist, nprocs)
-            self._plan_payloads[plan_id] = moves
+        if plan_cache is not None:
+            moves = plan_cache.segment_moves(old_dist, new_dist, nprocs)
         else:
-            moves = {}
-            if plan_cache is not None:
-                # count the replay as a cache hit: the fleet IS the cache
-                plan_cache.hits += 1
+            moves = segment_moves(old_dist, new_dist, nprocs) if ship else {}
+        if ship:
+            self._plan_payloads[plan_id] = moves
 
         # keep old physical segments alive across the reallocation
         stashed = {}
@@ -587,20 +578,16 @@ class MultiprocessBackend(Backend):
 
             self._op_counter += 1
             tag = f"redist:{array.name}:{self._op_counter}"
-            per_rank = []
-            for rank in range(nprocs):
-                m = moves.get(rank)
-                per_rank.append(
-                    dict(
-                        old_meta=stashed[rank][1] if rank in stashed else None,
-                        new_meta=self.allocator.meta(rank, block),
-                        plan_id=plan_id,
-                        sends=(m.sends if m is not None else []) if ship else None,
-                        recvs=(m.recvs if m is not None else []) if ship else None,
-                        keeps=(m.keeps if m is not None else []) if ship else None,
-                        tag=tag,
-                    )
+            per_rank = [
+                dict(
+                    old_meta=stashed[rank][1] if rank in stashed else None,
+                    new_meta=self.allocator.meta(rank, block),
+                    plan_id=plan_id,
+                    moves=moves[rank] if ship else None,
+                    tag=tag,
                 )
+                for rank in range(nprocs)
+            ]
             self.run_op(op_redistribute, per_rank)
             self._shipped_plans.add(plan_id)
         finally:
@@ -611,64 +598,38 @@ class MultiprocessBackend(Backend):
                 shm.unlink()
 
     def run_kernel(self, array: "DistributedArray", fn: Callable) -> None:
-        owning = set(array.owning_ranks())
+        if not _can_ship(fn):
+            return super().run_kernel(array, fn)
+        # a rank that owns nothing has no block, hence no meta: its
+        # worker only joins the barrier
         block = array._block_name()
-        per_rank = []
-        for rank in range(self.nprocs):
-            if rank in owning:
-                per_rank.append(
-                    dict(
-                        meta=self.allocator.meta(rank, block),
-                        fn=fn,
-                        idx=array.local_indices(rank),
-                    )
-                )
-            else:
-                per_rank.append(dict(meta=None, fn=fn, idx=None))
+        per_rank = [
+            dict(
+                meta=self.allocator.meta(rank, block),
+                fn=fn,
+                idx=array.local_indices(rank),
+            )
+            for rank in range(self.nprocs)
+        ]
         self.run_op(op_local_kernel, per_rank)
 
-    def stencil_step(
-        self,
-        array: "DistributedArray",
-        overlap,
-        func: Callable,
-        dim_entries=None,
-    ) -> None:
-        """One halo-exchanged stencil sweep across the worker fleet.
-
-        ``overlap`` is the array's
-        :class:`~repro.runtime.overlap.OverlapManager` (its padded
-        buffers are shared-memory blocks like any other allocation).
-        ``dim_entries`` — ``[(dim, shift_plan entries), ...]`` — lets
-        a caller that already planned the exchange for accounting
-        (``StencilKernel._step_spmd``) reuse the plan here.
-        """
-        dist = array.dist
+    def stencil_step(self, array, overlap, func, dim_entries) -> None:
+        """One halo-exchanged stencil sweep across the worker fleet
+        (``overlap``'s padded buffers are shared-memory blocks like
+        any other allocation)."""
+        if not _can_ship(func):
+            return super().stencil_step(array, overlap, func, dim_entries)
         widths = overlap.widths
         seg_block = array._block_name()
         pad_block = overlap._buf_name()
-        if dim_entries is None:
-            dim_entries = [
-                (dim, shift_plan(dist, dim, w))
-                for dim, w in enumerate(widths)
-                if w > 0
-            ]
-        local_shapes = {
-            rank: dist.local_shape(rank) for rank in range(self.nprocs)
-        }
         dim_plans: dict[int, list] = {r: [] for r in range(self.nprocs)}
         for dim, entries in dim_entries:
             sends = defaultdict(list)
             recvs = defaultdict(list)
             for src, dst, key, src_sl, _count in entries:
                 sends[src].append((dst, key, src_sl))
-                recvs[dst].append(
-                    (
-                        src,
-                        key,
-                        halo_dest_slice(local_shapes[dst], widths, dim, key),
-                    )
-                )
+                dest = halo_dest_slice(array.local(dst).shape, widths, dim, key)
+                recvs[dst].append((src, key, dest))
             for rank in range(self.nprocs):
                 dim_plans[rank].append(
                     (dim, sends.get(rank, []), recvs.get(rank, []))
@@ -684,13 +645,3 @@ class MultiprocessBackend(Backend):
             for rank in range(self.nprocs)
         ]
         self.run_op(op_stencil_step, per_rank)
-
-    # -- introspection ---------------------------------------------------
-    @staticmethod
-    def can_ship(fn) -> bool:
-        """True if ``fn`` can be sent to workers (pickles by value/ref)."""
-        try:
-            pickle.dumps(fn)
-            return True
-        except Exception:
-            return False

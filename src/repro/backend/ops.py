@@ -1,6 +1,6 @@
-"""SPMD worker operations.
+"""SPMD worker operations and the kernel bodies both backends run.
 
-Every function here runs *inside a worker process* with a
+Every ``op_*`` function runs *inside a worker process* with a
 :class:`~repro.backend.worker.WorkerContext`: attach the rank's
 shared-memory segments, move real bytes through the message-passing
 transport, compute on local data, acknowledge.  The master never
@@ -8,8 +8,12 @@ moves array data on these paths — if an op mis-addresses a send, the
 array contents diverge from the serial reference and the conformance
 suite fails, which is exactly the point.
 
-All ops are module-level (picklable by reference), and every payload
-they exchange is a numpy array or plain Python data.
+The per-rank kernel bodies (:func:`line_sweep_kernel`,
+:func:`stencil_apply`) are what a worker runs on its segment *and*
+what :class:`~repro.backend.base.SerialBackend` runs rank by rank in
+the master, so the two cannot drift.  Everything here is numpy-only
+and module-level (picklable by reference); every payload ops exchange
+is a numpy array or plain Python data.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ __all__ = [
     "op_stencil_step",
     "op_pingpong",
     "op_flop_bench",
+    "solve_lines",
     "line_sweep_kernel",
+    "stencil_apply",
 ]
 
 
@@ -39,45 +45,37 @@ def op_noop(ctx) -> int:
 #: id — a recurring redistribution (the ADI steady state) ships its
 #: position arrays once and replays them by id afterwards.  Bounded in
 #: practice by the number of distinct layout pairs a program uses.
-_PLAN_MEMO: dict[int, tuple] = {}
+_PLAN_MEMO: dict = {}
 
 
-def op_redistribute(
-    ctx,
-    old_meta,
-    new_meta,
-    plan_id,
-    sends,
-    recvs,
-    keeps,
-    tag,
-) -> dict:
+def op_redistribute(ctx, old_meta, new_meta, plan_id, moves, tag) -> dict:
     """Execute this rank's share of a DISTRIBUTE transfer plan.
 
+    ``moves`` is the rank's :class:`~repro.backend.plan.SegmentMoves`:
     ``sends``/``recvs`` are ``(peer, positions)`` lists in plan order
     (positions index the flattened old/new segment); ``keeps`` is a
     list of ``(old_positions, new_positions)`` local copies.  Values
     ship as raw numpy arrays over the transport — the receiver derives
-    *where* they land from the same deterministic plan.  ``sends is
+    *where* they land from the same deterministic plan.  ``moves is
     None`` means "replay the memoized plan ``plan_id``" (shipped by a
     previous op for the same layout pair).
     """
-    if sends is None:
-        sends, recvs, keeps = _PLAN_MEMO[plan_id]
+    if moves is None:
+        moves = _PLAN_MEMO[plan_id]
     else:
-        _PLAN_MEMO[plan_id] = (sends, recvs, keeps)
+        _PLAN_MEMO[plan_id] = moves
     old = ctx.attach(old_meta)
     new = ctx.attach(new_meta)
     old_flat = old.reshape(-1) if old is not None else None
     new_flat = new.reshape(-1) if new is not None else None
     sent = 0
     received = 0
-    for dst, positions in sends:
+    for dst, positions in moves.sends:
         ctx.transport.send(dst, tag, old_flat[positions].copy())
         sent += len(positions)
-    for old_pos, new_pos in keeps:
+    for old_pos, new_pos in moves.keeps:
         new_flat[new_pos] = old_flat[old_pos]
-    for src, positions in recvs:
+    for src, positions in moves.recvs:
         values = ctx.transport.recv(src, tag)
         new_flat[positions] = values
         received += len(positions)
@@ -98,12 +96,43 @@ def op_local_kernel(ctx, meta, fn, idx) -> None:
     ctx.transport.barrier()
 
 
-def line_sweep_kernel(rank, local, idx, dim, line_func) -> None:
-    """The local line-sweep body (ADI's TRIDIAG over local lines)."""
-    moved = np.moveaxis(local, dim, -1)
+def solve_lines(moved: np.ndarray, line_func, batched=None) -> int:
+    """Run ``line_func`` over every trailing-axis line of ``moved`` in
+    place: one whole-batch call when the caller resolved a ``batched``
+    form of the solver (``(nlines, n)`` in, ``(nlines, n)`` out), the
+    per-line reference loop otherwise.  Returns the line count."""
     flat = moved.reshape(-1, moved.shape[-1])
-    for i in range(flat.shape[0]):
-        flat[i, :] = line_func(flat[i, :])
+    if batched is not None:
+        moved[...] = np.asarray(
+            batched(np.ascontiguousarray(flat))
+        ).reshape(moved.shape)
+    else:
+        view = np.shares_memory(flat, moved)
+        for i in range(flat.shape[0]):
+            flat[i, :] = line_func(flat[i, :])
+        if not view:  # reshape had to copy: write the results back
+            moved[...] = flat.reshape(moved.shape)
+    return flat.shape[0]
+
+
+def line_sweep_kernel(rank, local, idx, dim, line_func, batched=None) -> None:
+    """The local line-sweep body (ADI's TRIDIAG over local lines)."""
+    solve_lines(np.moveaxis(local, dim, -1), line_func, batched)
+
+
+def _interior(seg, widths) -> tuple:
+    """Where ``seg`` sits inside its halo-padded buffer."""
+    return tuple(slice(w, w + s) for s, w in zip(seg.shape, widths))
+
+
+def stencil_apply(seg, pad, widths, func) -> None:
+    """One stencil update of a segment from its halo-padded buffer:
+    ``func(pad, out, widths)`` computes the new interior, which is
+    stored into the segment and the buffer's interior alike."""
+    new = np.empty_like(seg)
+    func(pad, new, tuple(widths))
+    seg[...] = new
+    pad[_interior(seg, widths)] = new
 
 
 def op_stencil_step(
@@ -130,10 +159,7 @@ def op_stencil_step(
             ctx.transport.barrier()
         ctx.transport.barrier()
         return
-    interior = tuple(
-        slice(w, w + s) for s, w in zip(seg.shape, widths)
-    )
-    pad[interior] = seg
+    pad[_interior(seg, widths)] = seg
     for dim, sends, recvs in dim_plans:
         # ctx.seq scopes the tag to this op: slabs a failed step left
         # behind can never satisfy a later step's receives
@@ -146,10 +172,7 @@ def op_stencil_step(
                 peer, ("halo", ctx.seq, dim, key)
             )
         ctx.transport.barrier()
-    new = np.empty_like(seg)
-    func(pad, new, tuple(widths))
-    seg[...] = new
-    pad[interior] = new
+    stencil_apply(seg, pad, widths, func)
     ctx.transport.barrier()
 
 

@@ -22,7 +22,6 @@ state is touched, and all outputs are picklable.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -140,29 +139,21 @@ def _positions(
 def segment_moves(
     old: "Distribution", new: "Distribution", nprocs: int
 ) -> dict[int, SegmentMoves]:
-    """Lower :func:`transfer_plan` to per-rank local segment moves."""
+    """Lower :func:`transfer_plan` to per-rank local segment moves
+    (one entry per rank; an idle rank's is empty)."""
     plan = transfer_plan(old, new, nprocs)
     old_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     new_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    moves: dict[int, SegmentMoves] = defaultdict(
-        lambda: SegmentMoves(-1)
-    )
-
-    def of(rank: int) -> SegmentMoves:
-        m = moves[rank]
-        if m.rank < 0:
-            m.rank = rank
-        return m
-
+    moves = {rank: SegmentMoves(rank) for rank in range(nprocs)}
     for s, d, gidx in plan:
         opos = _positions(old, s, gidx, old_cache)
         npos = _positions(new, d, gidx, new_cache)
         if s == d:
-            of(s).keeps.append((opos, npos))
+            moves[s].keeps.append((opos, npos))
         else:
-            of(s).sends.append((d, opos))
-            of(d).recvs.append((s, npos))
-    return dict(moves)
+            moves[s].sends.append((d, opos))
+            moves[d].recvs.append((s, npos))
+    return moves
 
 
 # -- halo exchange planning ------------------------------------------------

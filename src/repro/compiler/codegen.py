@@ -34,6 +34,8 @@ from typing import Callable
 
 import numpy as np
 
+from ..backend.ops import line_sweep_kernel, solve_lines
+from ..runtime.communication import post_shift
 from ..runtime.darray import DistributedArray
 from ..runtime.engine import Engine
 from ..runtime.overlap import OverlapManager
@@ -106,70 +108,27 @@ class StencilKernel:
         return self._overlap
 
     def step(self) -> None:
-        """One sweep: load, exchange halos, compute, store."""
-        machine = self.array.machine
-        backend = machine.backend
-        if (
-            backend is not None
-            and backend.executes_spmd
-            and backend.can_ship(self.func)
-        ):
-            self._step_spmd(backend)
-            return
-        ov = self._manager()
-        ov.load_interior()
-        ov.exchange()
-        for rank in self.array.owning_ranks():
-            pad = ov.padded(rank)
-            out = ov.interior(rank)
-            new = np.empty_like(out)
-            self.func(pad, new, self.widths)
-            out[...] = new
-            machine.network.compute(
-                rank, self.flops_per_element * out.size,
-                tag=f"stencil:{self.array.name}",
-            )
-        machine.network.synchronize()
-        ov.store_interior()
+        """One sweep: load, exchange halos, compute, store.
 
-    def _step_spmd(self, backend) -> None:
-        """The same sweep with halo exchange and compute executed in
-        the backend's worker processes.
-
-        The master performs the identical network *accounting* the
-        serial path would (same per-dimension exchange phases, same
-        compute charges), then dispatches one SPMD stencil op: workers
-        load their interior, exchange boundary slabs through the
-        message-passing transport, run ``func`` on local data, and
-        store — the real data motion of the modeled messages.
+        The master accounts the sweep — one exchange phase per haloed
+        dimension, then the per-rank compute charges — and the
+        machine's backend executes it against the (re)allocated padded
+        buffers, reusing the slab plans the accounting looked up.
         """
-        ov = self._manager()  # (re)allocates shared padded buffers
+        ov = self._manager()
         machine = self.array.machine
-        dist = self.array.dist
-        itemsize = self.array.itemsize
-        # one (cached) shift plan per dimension, used twice: accounting
-        # here, worker slab routing inside backend.stencil_step
         dim_entries = [
-            (dim, self.plan_cache.shift_plan(dist, dim, w))
+            (dim, post_shift(self.array, dim, w, self.plan_cache))
             for dim, w in enumerate(self.widths)
             if w > 0
         ]
-        for dim, entries in dim_entries:
-            machine.network.exchange(
-                [
-                    (src, dst, count * itemsize,
-                     f"shift:{self.array.name}:d{dim}")
-                    for src, dst, _key, _sl, count in entries
-                ]
-            )
-            machine.network.synchronize()
         for rank in self.array.owning_ranks():
             machine.network.compute(
-                rank, self.flops_per_element * dist.local_size(rank),
+                rank, self.flops_per_element * self.array.local(rank).size,
                 tag=f"stencil:{self.array.name}",
             )
         machine.network.synchronize()
-        backend.stencil_step(self.array, ov, self.func, dim_entries)
+        machine.backend.stencil_step(self.array, ov, self.func, dim_entries)
 
 
 class LineSweepKernel:
@@ -226,69 +185,25 @@ class LineSweepKernel:
         return self._sweep_distributed()
 
     def _sweep_local(self, reference: bool = False) -> dict[str, int]:
+        """Every line is local to its owner: the master charges the
+        compute, the machine's backend solves each owner's lines
+        (``line_func`` must be picklable to run in worker processes —
+        use ``functools.partial`` over module-level solvers)."""
         machine = self.array.machine
-        backend = machine.backend
-        if (
-            not reference  # the oracle path always runs in-process
-            and backend is not None
-            and backend.executes_spmd
-            and backend.can_ship(self.line_func)
-        ):
-            return self._sweep_local_spmd(backend)
         nlines = 0
         for rank in self.array.owning_ranks():
             local = self.array.local(rank)
-            moved = np.moveaxis(local, self.dim, -1)
-            nlines += self._solve_lines(moved, batched=not reference)
+            nlines += local.size // local.shape[self.dim]
             machine.network.compute(
                 rank, self.flops_per_element * local.size,
                 tag=f"sweep:{self.array.name}",
             )
-        machine.network.synchronize()
-        return {"lines": nlines, "remote_lines": 0}
-
-    def _solve_lines(self, moved: np.ndarray, batched: bool = True) -> int:
-        """Run ``line_func`` over every trailing-axis line of ``moved``
-        in place: one whole-batch call when the solver advertises a
-        batched form, the per-line reference loop otherwise.  Returns
-        the line count."""
-        flat = moved.reshape(-1, moved.shape[-1])
-        if batched and self._batched is not None:
-            moved[...] = np.asarray(
-                self._batched(np.ascontiguousarray(flat))
-            ).reshape(moved.shape)
-        else:
-            view = np.shares_memory(flat, moved)
-            for i in range(flat.shape[0]):
-                flat[i, :] = self.line_func(flat[i, :])
-            if not view:  # reshape had to copy: write the results back
-                moved[...] = flat.reshape(moved.shape)
-        return flat.shape[0]
-
-    def _sweep_local_spmd(self, backend) -> dict[str, int]:
-        """Local sweep executed in the backend's worker processes.
-
-        Each worker solves its own lines against its shared-memory
-        segment; the master only charges the (identical) compute
-        accounting.  ``line_func`` must be picklable to land here —
-        use ``functools.partial`` over module-level solvers.
-        """
-        from ..backend.ops import line_sweep_kernel
-
-        machine = self.array.machine
-        dist = self.array.dist
-        nlines = 0
-        for rank in self.array.owning_ranks():
-            size = dist.local_size(rank)
-            nlines += size // max(1, dist.local_shape(rank)[self.dim])
-            machine.network.compute(
-                rank, self.flops_per_element * size,
-                tag=f"sweep:{self.array.name}",
-            )
-        backend.run_kernel(
+        machine.backend.run_kernel(
             self.array,
             partial(
-                line_sweep_kernel, dim=self.dim, line_func=self.line_func
+                line_sweep_kernel, dim=self.dim, line_func=self.line_func,
+                # the per-line oracle is the scalar loop on any backend
+                batched=None if reference else self._batched,
             ),
         )
         machine.network.synchronize()
@@ -302,7 +217,8 @@ class LineSweepKernel:
         processor-slot combination share one precomputed head and
         message template instead of re-slicing the rank map and
         re-running ``np.unique`` per line, and the solves run through
-        :meth:`_solve_lines` (whole-batch when the solver allows).
+        :func:`~repro.backend.ops.solve_lines` (whole-batch when the
+        solver allows).
         The emitted messages, kernel charges and their order are
         identical to the per-line reference (property-tested).
         """
@@ -346,7 +262,7 @@ class LineSweepKernel:
         machine.network.synchronize()
 
         moved = np.moveaxis(gvals, self.dim, -1)
-        nlines = self._solve_lines(moved)
+        nlines = solve_lines(moved, self.line_func, self._batched)
         arr.from_global(gvals)
         return {"lines": nlines, "remote_lines": remote_lines}
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..backend.base import SERIAL
 from .cost_model import CostModel, ZERO_COST
 from .memory import LocalMemory
 from .network import Network, NetworkStats
@@ -55,10 +56,10 @@ class Machine:
         self.memories = [
             LocalMemory(rank, capacity=memory_capacity) for rank in processors.ranks()
         ]
-        #: execution backend attached to this machine (see
-        #: :mod:`repro.backend`); ``None`` until a backend attaches, in
-        #: which case the run time falls back to in-process semantics.
-        self.backend = None
+        #: the backend that executes this machine's bulk ops (see
+        #: :mod:`repro.backend.base`): the serial default until another
+        #: one attaches, and again after it closes
+        self.backend = SERIAL
 
     # -- convenience ------------------------------------------------------
     @property

@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ),
     "darray": ("DistributedArray",),
     "engine": ("Engine",),
-    "forall": ("ReadAccessor", "forall", "forall_gathered"),
+    "forall": ("ReadAccessor", "forall"),
     "inspector": ("CommSchedule", "Inspector"),
     "overlap": ("OverlapManager",),
     "redistribute": (

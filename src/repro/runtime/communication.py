@@ -28,6 +28,7 @@ from ..obs import metrics as _obs
 from .darray import DistributedArray
 
 __all__ = [
+    "post_shift",
     "shift_exchange",
     "gather_to",
     "broadcast_from",
@@ -44,6 +45,49 @@ _COMM_BYTES = _obs.counter(
     "Bytes posted on the machine network, by communication kind.",
     ("kind",),
 )
+
+
+def post_shift(
+    array: DistributedArray,
+    dim: int,
+    width: int = 1,
+    plan_cache=None,
+) -> list:
+    """Account one ``width``-deep boundary shift along ``dim``: look up
+    the slab plan, post its messages as one concurrent phase, bump the
+    halo counters.  Returns the plan entries ``(src, dst, key,
+    src_slices, count)`` for whoever moves the slabs —
+    :func:`shift_exchange` here, the machine's backend inside a
+    stencil step.
+
+    The plan is memoized per (distribution, dim, width) on
+    ``plan_cache`` (the engine's, or the shared default) — a
+    steady-state stencil loop re-derives its neighbour slices zero
+    times after the first step.
+    """
+    if width < 1:
+        raise ValueError("exchange width must be >= 1")
+    if plan_cache is None:
+        from .redistribute import default_plan_cache
+
+        plan_cache = default_plan_cache()
+    try:
+        entries = plan_cache.shift_plan(array.dist, dim, width)
+    except ValueError as exc:
+        raise ValueError(f"{array.name!r}: {exc}") from None
+    network = array.machine.network
+    itemsize = array.itemsize
+    # all boundary transfers of one sweep post concurrently
+    phase = [
+        (src, dst, count * itemsize, f"shift:{array.name}:d{dim}")
+        for src, dst, _key, _sl, count in entries
+    ]
+    network.exchange(phase)
+    network.synchronize()
+    if _obs.enabled() and phase:
+        _COMM_MESSAGES.inc(len(phase), kind="halo")
+        _COMM_BYTES.inc(sum(p[2] for p in phase), kind="halo")
+    return entries
 
 
 def shift_exchange(
@@ -65,41 +109,13 @@ def shift_exchange(
     column distribution of an N x N grid exchanges 2 messages of N
     elements per processor per step; a 2-D block distribution exchanges
     4 messages of N/p elements (two per distributed dimension).
-
-    The slab plan is memoized per (distribution, dim, width) on
-    ``plan_cache`` (the engine's, or the shared default) — a
-    steady-state stencil loop re-derives its neighbour slices zero
-    times after the first step.
     """
-    if width < 1:
-        raise ValueError("exchange width must be >= 1")
-    machine = array.machine
-
-    # the slab plan is shared, verbatim, with the SPMD worker op
-    # (repro.backend.ops.op_stencil_step): same neighbours, same
-    # slabs, same element counts — only the mover differs.
-    if plan_cache is None:
-        from .redistribute import default_plan_cache
-
-        plan_cache = default_plan_cache()
-    try:
-        entries = plan_cache.shift_plan(array.dist, dim, width)
-    except ValueError as exc:
-        raise ValueError(f"{array.name!r}: {exc}") from None
+    entries = post_shift(array, dim, width, plan_cache)
     received: dict[int, dict[str, np.ndarray]] = {
         r: {} for r in array.owning_ranks()
     }
-    phase: list[tuple[int, int, int, str]] = []
     for src, dst, key, src_sl, _count in entries:
-        slab = array.local(src)[src_sl].copy()
-        phase.append((src, dst, slab.nbytes, f"shift:{array.name}:d{dim}"))
-        received[dst][key] = slab
-    # all boundary transfers of one sweep post concurrently
-    machine.network.exchange(phase)
-    machine.network.synchronize()
-    if _obs.enabled() and phase:
-        _COMM_MESSAGES.inc(len(phase), kind="halo")
-        _COMM_BYTES.inc(sum(p[2] for p in phase), kind="halo")
+        received[dst][key] = array.local(src)[src_sl].copy()
     return received
 
 

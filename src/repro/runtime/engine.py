@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..backend.base import Backend, resolve_backend
 from ..core.alignment import Alignment
 from ..core.descriptor import ArrayDescriptor
 from ..core.distribution import Distribution, DistributionType
@@ -48,34 +47,30 @@ class Engine:
     plan_cache:
         Memoized transfer plans (§3.2 run-time optimization); pass one
         explicitly to share it across engines.
-    backend:
-        Execution backend — a :class:`~repro.backend.base.Backend`
-        instance, ``"serial"``, or ``"multiprocess"``.  ``None``
-        (default) reuses whatever backend is already attached to the
-        machine, or plain in-process semantics if there is none.  A
-        named backend constructed here is attached to the machine;
-        its lifecycle (``close()``) belongs to the caller via
-        :attr:`backend`.
+
+    DISTRIBUTE data motion and owner-computes kernels execute on the
+    machine's backend (:attr:`backend`; see :mod:`repro.backend.base`)
+    — attach one to the machine before declaring arrays, or let
+    :meth:`repro.api.Session.engine` do it.
     """
 
     def __init__(
         self,
         machine: Machine,
         plan_cache: PlanCache | None = None,
-        backend: Backend | str | None = None,
     ):
         self.machine = machine
-        if backend is None:
-            self.backend = machine.backend  # may be None: inline serial
-        else:
-            self.backend = resolve_backend(backend)
-            self.backend.attach(machine)
         self.arrays: dict[str, DistributedArray] = {}
         self._classes: dict[str, ConnectClass] = {}  # primary name -> class
         self.reports: list[RedistributionReport] = []
         #: memoized transfer plans (§3.2 run-time optimization); pass
         #: ``plan_cache=None`` explicitly to share one across engines
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
+
+    @property
+    def backend(self):
+        """The machine's execution backend."""
+        return self.machine.backend
 
     # -- declaration (§2.3) ----------------------------------------------
     def declare(
@@ -358,32 +353,16 @@ class Engine:
         """Owner-computes loop: run ``func(rank, local, global_indices)``
         on every owning processor, charging local compute time.
 
-        With an SPMD backend attached, a picklable ``func`` executes
-        in the worker processes (one per owning rank, against the
-        shared-memory segment); anything unpicklable falls back to the
-        in-process loop — contents are identical either way, only the
-        executing process differs.
+        The machine's backend executes the loop: on the multiprocess
+        backend a picklable ``func`` runs in the worker processes (one
+        per owning rank, against the shared-memory segment) and
+        anything unpicklable in the master — contents are identical
+        either way, only the executing process differs.
         """
         arr = self._get(name)
-        backend = self.machine.backend
-        if (
-            backend is not None
-            and backend.executes_spmd
-            and backend.can_ship(func)
-        ):
-            backend.run_kernel(arr, func)
-            if flops_per_element:
-                for rank in arr.owning_ranks():
-                    self.machine.network.compute(
-                        rank, flops_per_element * arr.dist.local_size(rank),
-                        tag=f"kernel:{name}",
-                    )
-            return
-        for rank in arr.owning_ranks():
-            idx = arr.local_indices(rank)
-            assert idx is not None
-            func(rank, arr.local(rank), idx)
-            if flops_per_element:
+        self.machine.backend.run_kernel(arr, func)
+        if flops_per_element:
+            for rank in arr.owning_ranks():
                 self.machine.network.compute(
                     rank, flops_per_element * arr.dist.local_size(rank),
                     tag=f"kernel:{name}",

@@ -9,9 +9,10 @@ owned locally" — and satisfies non-local reads with messages.
 :func:`forall` executes ``lhs(i) = func(i, read)`` for every index of
 the left-hand-side array: iterations are partitioned by ownership, the
 ``read`` accessor resolves global reads of other distributed arrays
-(local reads free, remote reads accounted), and an optional
-*inspector* pre-pass batches the remote reads PARTI-style when the
-index set is known up front.
+(local reads free, remote reads accounted).  The PARTI-style
+inspector/executor lowering for index sets known up front is
+:class:`~repro.runtime.inspector.Inspector`, as the irregular
+relaxation runs it.
 
 The per-element path is the semantic reference; production code uses
 the gather-batched :func:`repro.runtime.batched.forall_batched` (one
@@ -21,15 +22,14 @@ bitwise) or the vectorized lowerings in :mod:`repro.compiler.codegen`.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..obs import metrics as _obs
 from .darray import DistributedArray
-from .inspector import Inspector
 
-__all__ = ["ReadAccessor", "forall", "forall_gathered"]
+__all__ = ["ReadAccessor", "forall"]
 
 #: which forall implementation ran — the batched path increments
 #: ``path="batched"`` in :mod:`repro.runtime.batched`
@@ -115,65 +115,3 @@ def forall(
         lhs.local(rank)[...] = staged
     machine.network.synchronize()
     return remote_counts
-
-
-def forall_gathered(
-    lhs: DistributedArray,
-    index_func: Callable[[tuple[int, ...]], Sequence[tuple[int, ...]]],
-    combine: Callable[[tuple[int, ...], np.ndarray], float],
-    source: DistributedArray | None = None,
-    flops_per_element: float = 1.0,
-) -> dict[int, int]:
-    """Inspector/executor forall: remote reads batched PARTI-style.
-
-    ``index_func(i)`` names the global elements of ``source`` that the
-    body of iteration ``i`` reads; the inspector translates and batches
-    them (one aggregated message per processor pair) and the executor
-    calls ``combine(i, values)`` with the gathered values in
-    ``index_func`` order.  This is the lowering §4 prescribes for the
-    PIC particle loop.  Returns per-processor off-processor element
-    counts.
-    """
-    FORALL_CALLS.inc(path="gathered")
-    source = source if source is not None else lhs
-    machine = lhs.machine
-    inspector = Inspector(source)
-
-    # inspector phase: collect every processor's read set
-    requests: dict[int, np.ndarray] = {}
-    iter_slices: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
-    for rank in lhs.owning_ranks():
-        idx_arrays = lhs.local_indices(rank)
-        assert idx_arrays is not None
-        flat: list[tuple[int, ...]] = []
-        slices: list[tuple[tuple[int, ...], int, int]] = []
-        import itertools
-
-        for lidx in itertools.product(*(range(len(a)) for a in idx_arrays)):
-            gidx = tuple(int(idx_arrays[d][lidx[d]]) for d in range(lhs.ndim))
-            wanted = list(index_func(gidx))
-            slices.append((gidx, len(flat), len(flat) + len(wanted)))
-            flat.extend(wanted)
-        requests[rank] = (
-            np.asarray(flat, dtype=np.int64).reshape(-1, source.ndim)
-            if flat
-            else np.empty((0, source.ndim), dtype=np.int64)
-        )
-        iter_slices[rank] = slices
-    schedule = inspector.inspect(requests)
-
-    # executor phase: one batched gather, then pure-local computation
-    values = inspector.gather(schedule)
-    for rank in lhs.owning_ranks():
-        local = lhs.local(rank)
-        staged = np.empty_like(local)
-        vals = values[rank]
-        for gidx, lo, hi in iter_slices[rank]:
-            lidx = lhs.dist.global_to_local(rank, gidx)
-            staged[lidx] = combine(gidx, vals[lo:hi])
-        local[...] = staged
-        machine.network.compute(
-            rank, flops_per_element * local.size, tag=f"forall:{lhs.name}"
-        )
-    machine.network.synchronize()
-    return schedule.nonlocal_counts()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backend.plan import halo_dest_slice
 from .communication import shift_exchange
 from .darray import DistributedArray
 
@@ -135,14 +136,7 @@ class OverlapManager:
             )
             for rank, slabs in recv.items():
                 pad = self.padded(rank)
-                n_own = self.array.local(rank).shape[dim]
-                idx_all = [slice(w2, pad.shape[d] - w2) for d, w2 in enumerate(self.widths)]
-                if "lo" in slabs:
-                    sl = list(idx_all)
-                    sl[dim] = slice(0, w)
-                    pad[tuple(sl)] = slabs["lo"]
-                if "hi" in slabs:
-                    sl = list(idx_all)
-                    sl[dim] = slice(w + n_own, 2 * w + n_own)
-                    pad[tuple(sl)] = slabs["hi"]
+                shape = self.array.local(rank).shape
+                for key, slab in slabs.items():
+                    pad[halo_dest_slice(shape, self.widths, dim, key)] = slab
         return net.stats().messages - before

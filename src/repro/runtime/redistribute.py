@@ -31,7 +31,6 @@ import threading
 
 import numpy as np
 
-from ..backend.base import serial_move
 from ..backend.plan import segment_moves as _segment_moves
 from ..backend.plan import shift_plan as _shift_plan
 from ..backend.plan import sweep_plan as _sweep_plan
@@ -354,11 +353,10 @@ def _communicate(
     plan_cache: PlanCache | None,
 ) -> RedistributionReport:
     machine = array.machine
-    backend = machine.backend
     old_dist = array.descriptor.dist
     name = array.name
     tag = tag or f"redistribute:{name}"
-    backend_name = backend.name if backend is not None else "serial"
+    backend_name = machine.backend.name
 
     if not transfer:
         # Descriptor/access-function update only; element values are
@@ -392,13 +390,10 @@ def _communicate(
     machine.network.synchronize()
 
     # Physical data motion.  The network above *accounts* (identically
-    # for every backend); the attached execution backend *moves* —
+    # for every backend); the machine's execution backend *moves* —
     # in-process global reassembly for the serial reference, real
     # send/recv of segment data in worker processes for SPMD backends.
-    if backend is not None and backend.executes_spmd:
-        backend.move(array, new_dist, plan_cache=plan_cache)
-    else:
-        serial_move(array, new_dist)
+    machine.backend.move(array, new_dist, plan_cache=plan_cache)
 
     stats1 = machine.stats()
     moved = int(T.sum())

@@ -289,6 +289,11 @@ CLI_CALLS = {
         ("trace", "irregular", {"drift": 0.1}, {"compact": True}),
     "plan adi --seed 3 --json":
         ("plan", "adi", {"iterations": 4, "size": 64}, {"seed": 3}),
+    # ISSUE 17: CI drives every registered workload on worker processes
+    "run pic --backend multiprocess":
+        ("run", "pic", {}, {"backend": "multiprocess"}),
+    "run irregular --backend multiprocess":
+        ("run", "irregular", {}, {"backend": "multiprocess"}),
 }
 
 

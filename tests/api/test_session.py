@@ -123,9 +123,11 @@ def test_bare_engine_matches_session_engine():
 def test_session_engine_attaches_and_closes_backend():
     with session(nprocs=2, backend="serial") as sess:
         vfe = sess.engine()
-        assert isinstance(vfe.machine.backend, SerialBackend)
+        attached = vfe.machine.backend
+        assert isinstance(attached, SerialBackend)
         machine = vfe.machine
-    assert machine.backend is None  # closed with the session
+    assert attached.machine is None  # closed with the session
+    assert machine.backend is not attached
 
 
 def test_session_describe():

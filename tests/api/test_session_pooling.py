@@ -3,6 +3,7 @@ sharing: lifecycle guards, cheap construction, bitwise-identical plans from
 concurrent sessions over one shared cache, monotone hit counters."""
 
 import json
+import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -47,8 +48,9 @@ def test_session_closed_error_is_a_runtime_error():
 
 def test_construction_is_cheap():
     # pooling relies on sessions not building machines/backends eagerly
+    workers = multiprocessing.active_children()
     sess = Session(SessionConfig(nprocs=8, backend="multiprocess"))
-    assert sess._owned_backends == []
+    assert multiprocessing.active_children() == workers
     sess.close()  # nothing was built, nothing to tear down
     assert sess.closed
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.backend import BackendError, MultiprocessBackend
+from repro.backend.base import SERIAL
 from repro.core.distribution import dist_type
 from repro.machine import Machine, ProcessorArray
 from repro.runtime.engine import Engine
@@ -44,13 +45,14 @@ def test_lifecycle_and_cleanup(backend):
     v.from_global(np.arange(64, dtype=float).reshape(8, 8))
     assert len(backend.allocator) > 0
     backend.close()
-    assert m.backend is None
+    assert m.backend is SERIAL
     assert _shm_leftovers() == []
 
 
 def test_arrays_survive_backend_close():
     """Closing the backend withdraws the shared storage; array
-    contents must remain readable (private copies), not segfault."""
+    contents must remain readable (private copies), not segfault, and
+    the machine carries on with the serial default."""
     m = Machine(R)
     be = MultiprocessBackend()
     be.attach(m)
@@ -64,6 +66,11 @@ def test_arrays_survive_backend_close():
     assert np.array_equal(v.to_global(), g)  # reads ordinary memory now
     v.set((0, 0), 42.0)
     assert v.get((0, 0)) == 42.0
+    assert m.backend is SERIAL
+    (report,) = e.distribute("V", dist_type(":", "BLOCK"))
+    assert report.backend == "serial"
+    g[0, 0] = 42.0
+    assert np.array_equal(v.to_global(), g)
 
 
 def test_attach_after_allocation_rejected(backend):
@@ -73,7 +80,7 @@ def test_attach_after_allocation_rejected(backend):
         backend.attach(m)
     # failed attach must roll back completely: the machine stays a
     # perfectly usable serial machine
-    assert m.backend is None
+    assert m.backend is SERIAL
     assert backend.machine is None
     e = Engine(m)
     v = e.declare("W", (8, 4), dist=dist_type(":", "BLOCK"), dynamic=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backend import Backend, SerialBackend, resolve_backend
-from repro.backend.base import attached_backend
+from repro.backend.base import SERIAL, attached_backend
 from repro.core.distribution import dist_type
 from repro.machine import Machine, ProcessorArray
 from repro.runtime.engine import Engine
@@ -31,7 +31,7 @@ def test_attach_lifecycle():
     with pytest.raises(RuntimeError, match="already attached"):
         be.attach(other)
     be.close()
-    assert m.backend is None
+    assert m.backend is SERIAL  # back on the serial default
     assert be.machine is None
 
 
@@ -47,37 +47,20 @@ def test_engine_seam_defaults_to_machine_backend():
     be = SerialBackend().attach(m)
     engine = Engine(m)
     assert engine.backend is be
-    engine2 = Engine(Machine(R))
-    assert engine2.backend is None  # no implicit attachment
 
 
 def test_engine_accepts_backend_name():
     m = Machine(R)
-    engine = Engine(m, backend="serial")
-    assert isinstance(engine.backend, SerialBackend)
-    assert m.backend is engine.backend
-
-
-def test_serial_move_matches_inline_path():
-    def run(backend):
-        m = Machine(R)
-        e = Engine(m, backend=backend)
-        v = e.declare("V", (10, 6), dist=dist_type("BLOCK", ":"), dynamic=True)
-        g = np.random.default_rng(0).standard_normal((10, 6))
-        v.from_global(g)
-        e.distribute("V", dist_type(":", "BLOCK"))
-        return v.to_global(), m.stats()
-
-    sol_a, st_a = run(None)
-    sol_b, st_b = run(SerialBackend())
-    assert np.array_equal(sol_a, sol_b)
-    assert st_a.messages == st_b.messages
-    assert st_a.time == st_b.time
+    with attached_backend(m, "serial"):
+        engine = Engine(m)
+        assert isinstance(engine.backend, SerialBackend)
+        assert m.backend is engine.backend
 
 
 def test_serial_run_kernel():
     m = Machine(R)
-    e = Engine(m, backend=SerialBackend())
+    SerialBackend().attach(m)
+    e = Engine(m)
     v = e.declare("V", (8,), dist=dist_type("BLOCK"))
     v.from_global(np.zeros(8))
 
@@ -94,7 +77,7 @@ def test_attached_backend_context_owns_named_backends():
     m = Machine(R)
     with attached_backend(m, "serial") as be:
         assert m.backend is be
-    assert m.backend is None  # closed on exit
+    assert m.backend is SERIAL  # closed on exit
 
     keep = SerialBackend()
     with attached_backend(m, keep) as be:
@@ -109,3 +92,5 @@ def test_base_backend_is_abstract():
         be.move(None, None)
     with pytest.raises(NotImplementedError):
         be.run_kernel(None, None)
+    with pytest.raises(NotImplementedError):
+        be.stencil_step(None, None, None, [])

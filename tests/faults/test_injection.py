@@ -224,6 +224,7 @@ class TestGracefulDegradation:
                 result = sess.workload("adi", size=12, iterations=1).run()
                 assert sess.poisoned
         assert result.solution_digest() == reference.solution_digest()
+        assert result.backend == "serial"  # what ran, not what was asked for
 
     def test_degrade_false_raises(self):
         with injected(FaultPlan([ShmAllocFailure(at_alloc=1)])):

@@ -3,25 +3,153 @@
 The multiprocess backend executes transfer plans, halo exchanges and
 kernels in real worker processes over a real message-passing
 transport; its *only* contract is that nobody can tell from the
-results.  Property: for random programs over random distributions,
-array contents after every operation are bitwise-identical to the
-serial reference, and the simulated-network accounting is identical
-too.  All four §4 apps are smoke-covered under both backends.
+results.  Two layers of evidence:
+
+- every *registered* workload, at its registered defaults, measured on
+  both backends (:func:`measure`): solution bytes, per-processor
+  clocks, accounting, the typed event stream and the obs comm /
+  redistribute / forall counters are equal, and the plan-cache lookup
+  metric agrees with ``PlanCache.stats()`` — a workload registered
+  tomorrow is covered by registering it.  The same measurement must
+  reproduce ``fixtures/backend_seam_pin.json``, recorded on the tree
+  before the execution seam moved behind ``repro.backend`` (run this
+  file as a script to re-record);
+- for random programs over random distributions, array contents after
+  every operation are bitwise-identical to the serial reference, and
+  the per-app strategies the registry defaults do not reach are
+  smoke-covered under both backends.
 """
+
+import functools
+import hashlib
+import json
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import MultiprocessBackend
+import repro
+from repro.api import REGISTRY
+from repro.backend import MultiprocessBackend, attached_backend
 from repro.core.dimdist import Block, Cyclic, GenBlock, Replicated
 from repro.core.distribution import dist_type
 from repro.machine import Machine, PARAGON, ProcessorArray
+from repro.obs import metrics as obs_metrics
 from repro.runtime.engine import Engine
+from repro.runtime.redistribute import PlanCache, default_plan_cache
 
 P = 3
 R = ProcessorArray("R", (P,))
 
+PIN_PATH = Path(__file__).parent / "fixtures" / "backend_seam_pin.json"
+BACKENDS = ("serial", "multiprocess")
+NPROCS = (2, 4)
+LOOKUPS = "repro_plan_cache_lookups_total"
+OBS_SERIES = (
+    "repro_comm_", "repro_redistribute_", "repro_forall_calls_total", LOOKUPS,
+)
+
+
+# -- every registered workload, both backends ----------------------------
+
+def _obs_counters() -> dict:
+    return {
+        name + json.dumps(sample["labels"], sort_keys=True): sample["value"]
+        for name, doc in obs_metrics.registry.snapshot().items()
+        if name.startswith(OBS_SERIES)
+        for sample in doc["samples"]
+    }
+
+
+@functools.cache
+def measure(name: str, backend: str, nprocs: int) -> dict:
+    """One ``run()`` of a registered workload at its registered
+    defaults: everything the conformance contract compares.
+
+    ``plan_cache`` sums ``hits``/``misses`` over every
+    :class:`PlanCache` the run touched (the shared default, cleared
+    first so the counts do not depend on test order, plus every cache
+    constructed during the run); ``plan_cache_lookups`` is the same
+    count as the obs metric saw it.
+    """
+    caches = [default_plan_cache()]
+    caches[0].clear()
+    init = PlanCache.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        caches.append(self)
+
+    was_on = obs_metrics.set_enabled(True)
+    try:
+        before = _obs_counters()
+        with mock.patch.object(PlanCache, "__init__", tracked), repro.session(
+            nprocs=nprocs, backend=backend, record_events=True
+        ) as sess:
+            run = sess.workload(name).run()
+        after = _obs_counters()
+    finally:
+        obs_metrics.set_enabled(was_on)
+    obs = {
+        series: value - before.get(series, 0.0)
+        for series, value in after.items()
+        if value != before.get(series, 0.0)
+    }
+    events = hashlib.sha256()
+    for event in run.events.events:
+        events.update(repr(event).encode())
+    return {
+        "backend": run.backend,
+        "solution_sha256": run.solution_digest(),
+        "clocks": list(run.clocks),
+        "messages": run.messages,
+        "bytes": run.bytes,
+        "time": run.time,
+        "events": run.events.counts(),
+        "events_sha256": events.hexdigest(),
+        "plan_cache": {
+            "hits": sum(c.hits for c in caches),
+            "misses": sum(c.misses for c in caches),
+        },
+        "plan_cache_lookups": {
+            "hits": int(obs.get(LOOKUPS + '{"result": "hit"}', 0)),
+            "misses": int(obs.get(LOOKUPS + '{"result": "miss"}', 0)),
+        },
+        "obs": {k: v for k, v in obs.items() if not k.startswith(LOOKUPS)},
+    }
+
+
+@pytest.mark.parametrize("nprocs", NPROCS)
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_registered_workload_conforms(name, nprocs):
+    serial = measure(name, "serial", nprocs)
+    multi = measure(name, "multiprocess", nprocs)
+    assert (serial["backend"], multi["backend"]) == BACKENDS
+    for field in ("solution_sha256", "clocks", "messages", "bytes", "time",
+                  "events", "events_sha256", "obs"):
+        assert multi[field] == serial[field], field
+    # the workers' move plans are extra lookups, so the counts differ
+    # across backends — but the metric and stats() must tell one story
+    for cell in (serial, multi):
+        assert cell["plan_cache_lookups"] == cell["plan_cache"]
+
+
+PIN = json.loads(PIN_PATH.read_text())
+
+
+@pytest.mark.parametrize("cell", sorted(PIN["cells"]))
+def test_cell_reproduces_the_pin(cell):
+    name, backend, nprocs = cell.split("/")
+    want = dict(PIN["cells"][cell])
+    if backend == "multiprocess":  # the header's two permitted differences
+        want["obs"] = PIN["cells"][f"{name}/serial/{nprocs}"]["obs"]
+        want["plan_cache_lookups"] = want["plan_cache"]
+    assert measure(name, backend, int(nprocs)) == want
+
+
+# -- random redistribution chains ----------------------------------------
 
 @st.composite
 def dist_2d(draw, n):
@@ -100,19 +228,24 @@ def test_random_redistribution_chains_bitwise_identical(data, n):
         assert mp_r.elements_kept == ser_r.elements_kept
 
 
-# -- app smoke coverage: every §4 workload, both backends ----------------
+# -- app smoke coverage: the strategies the registry defaults skip -------
+
+def _on_both_backends(run, shape=(4,), name="R"):
+    """``run(machine)`` on a fresh machine per backend: (serial, multi)."""
+    results = []
+    for backend in BACKENDS:
+        machine = Machine(ProcessorArray(name, shape), cost_model=PARAGON)
+        with attached_backend(machine, backend):
+            results.append(run(machine))
+    return results
+
 
 def test_adi_conformance_all_strategies():
     from repro.apps.adi import execute_adi
 
     for strategy in ("dynamic", "planned", "static_cols", "two_arrays"):
-        serial = execute_adi(
-            Machine(ProcessorArray("R", (4,)), cost_model=PARAGON),
-            16, 16, 2, strategy, seed=1,
-        )
-        multi = execute_adi(
-            Machine(ProcessorArray("R", (4,)), cost_model=PARAGON),
-            16, 16, 2, strategy, seed=1, backend="multiprocess",
+        serial, multi = _on_both_backends(
+            lambda m: execute_adi(m, 16, 16, 2, strategy, seed=1)
         )
         assert np.array_equal(serial.solution, multi.solution), strategy
         assert serial.total_messages == multi.total_messages
@@ -126,12 +259,8 @@ def test_pic_conformance():
         strategy="bblock", ncell=32, npart=400, max_time=12,
         nprocs=4, seed=5,
     )
-    serial = execute_pic(
-        Machine(ProcessorArray("P", (4,)), cost_model=PARAGON), cfg
-    )
-    multi = execute_pic(
-        Machine(ProcessorArray("P", (4,)), cost_model=PARAGON), cfg,
-        backend="multiprocess",
+    serial, multi = _on_both_backends(
+        lambda m: execute_pic(m, cfg), name="P"
     )
     assert serial.redistributions == multi.redistributions
     assert serial.total_time == multi.total_time
@@ -147,27 +276,26 @@ def test_pic_explicit_rng_is_deterministic():
         strategy="bblock", ncell=32, npart=400, max_time=8, nprocs=4,
         seed=9,
     )
-    runs = []
-    for backend in (None, "multiprocess"):
-        rng = np.random.default_rng(1234)  # overrides config.seed
-        r = execute_pic(
-            Machine(ProcessorArray("P", (4,)), cost_model=PARAGON),
-            cfg, rng=rng, backend=backend,
+    runs = [
+        [s.imbalance for s in r.steps]
+        for r in _on_both_backends(
+            # a fresh generator per run overrides config.seed
+            lambda m: execute_pic(m, cfg, rng=np.random.default_rng(1234)),
+            name="P",
         )
-        runs.append([s.imbalance for s in r.steps])
+    ]
     assert runs[0] == runs[1]
 
 
 def test_smoothing_conformance_both_distributions():
     from repro.apps.smoothing import execute_smoothing
 
-    for distribution, nprocs in (("columns", 4), ("blocks2d", 4)):
-        serial = execute_smoothing(
-            16, 3, distribution, nprocs, PARAGON, seed=2
-        )
-        multi = execute_smoothing(
-            16, 3, distribution, nprocs, PARAGON, seed=2,
-            backend="multiprocess",
+    for distribution, shape in (("columns", (4,)), ("blocks2d", (2, 2))):
+        serial, multi = _on_both_backends(
+            lambda m: execute_smoothing(
+                16, 3, distribution, 4, PARAGON, seed=2, machine=m
+            ),
+            shape=shape, name="P",
         )
         assert np.array_equal(serial.solution, multi.solution)
         assert serial.messages == multi.messages
@@ -177,17 +305,41 @@ def test_smoothing_conformance_both_distributions():
 def test_irregular_conformance():
     networkx = pytest.importorskip("networkx")  # noqa: F841
     from repro.apps.irregular import make_mesh, run_relaxation
-    from repro.backend.base import attached_backend
 
     mesh = make_mesh(40, seed=4)
-    results = []
-    for backend in (None, "multiprocess"):
-        machine = Machine(ProcessorArray("P", (4,)), cost_model=PARAGON)
-        with attached_backend(machine, backend):
-            results.append(
-                run_relaxation(machine, mesh, "partitioned", sweeps=2, seed=4)
-            )
-    serial, multi = results
+    serial, multi = _on_both_backends(
+        lambda m: run_relaxation(m, mesh, "partitioned", sweeps=2, seed=4),
+        name="P",
+    )
     assert np.array_equal(serial.solution, multi.solution)
     assert serial.messages == multi.messages
     assert serial.cut_edges == multi.cut_edges
+
+
+if __name__ == "__main__":  # re-record the pin (on the tree to pin)
+    PIN_PATH.write_text(json.dumps({
+        "recorded": (
+            "on a124a04, the parent of PR 17, by running this file as a "
+            "script: measure(name, backend, nprocs) for every registered "
+            "workload at its registered defaults"
+        ),
+        "permitted_differences": [
+            "multiprocess cells, 'obs': the parent posted a worker-executed "
+            "stencil step's halo exchange to the network without the "
+            "repro_comm_*{kind=halo} counters the serial path bumps; with "
+            "one accounting site a multiprocess cell's 'obs' equals its "
+            "serial cell's (the parent's reading is what is recorded here)",
+            "multiprocess cells, 'plan_cache_lookups': the parent counted a "
+            "replayed move plan with a bare `plan_cache.hits += 1`, which "
+            "the metric never saw; it now equals the cell's 'plan_cache' "
+            "(stats(), unchanged)",
+            "RunResult.backend names the backend that executed the stage: "
+            "no cell degrades, so 'backend' reproduces on every cell",
+        ],
+        "cells": {
+            f"{name}/{backend}/{nprocs}": measure(name, backend, nprocs)
+            for name in REGISTRY.names()
+            for backend in BACKENDS
+            for nprocs in NPROCS
+        },
+    }, indent=1, sort_keys=True) + "\n")

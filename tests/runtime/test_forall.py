@@ -6,7 +6,7 @@ import pytest
 from repro.core.distribution import dist_type
 from repro.machine import IPSC860, Machine, ProcessorArray
 from repro.runtime.engine import Engine
-from repro.runtime.forall import forall, forall_gathered
+from repro.runtime.forall import forall
 
 
 def make(n=12, dist=None):
@@ -76,41 +76,3 @@ class TestForall:
 
         with pytest.raises(RuntimeError, match="non-local"):
             forall(a, body, reads={"B": b})
-
-
-class TestForallGathered:
-    def test_stencil_via_inspector(self):
-        machine, engine, a, b = make()
-
-        def neighbors(i):
-            n = 12
-            return [((i[0] - 1) % n,), ((i[0] + 1) % n,)]
-
-        counts = forall_gathered(
-            a,
-            neighbors,
-            lambda i, vals: float(vals.sum()),
-            source=b,
-        )
-        expect = np.roll(np.arange(12.0), 1) + np.roll(np.arange(12.0), -1)
-        assert np.array_equal(a.to_global(), expect)
-        # wrap-around + block boundaries: some reads off-processor
-        assert sum(counts.values()) > 0
-
-    def test_messages_aggregated_per_pair(self):
-        machine, engine, a, b = make()
-
-        def all_of_block_zero(i):
-            return [(j,) for j in range(3)]
-
-        machine.reset_network()
-        forall_gathered(
-            a, all_of_block_zero, lambda i, v: float(v.sum()), source=b
-        )
-        # ranks 1..3 each receive one aggregated message from rank 0
-        assert machine.stats().messages == 3
-
-    def test_empty_request_lists(self):
-        machine, engine, a, b = make()
-        forall_gathered(a, lambda i: [], lambda i, v: 7.0, source=b)
-        assert (a.to_global() == 7.0).all()

@@ -79,12 +79,12 @@ def test_multiprocess_backend_trace_is_bitwise_identical():
     accounting, so a recorded trace replays bitwise regardless of
     which backend physically moved the data."""
     from repro.apps.adi import execute_adi
+    from repro.backend import attached_backend
 
     machine = Machine(ProcessorArray("R", (2,)), cost_model=PARAGON)
     log = EventLog()
-    with record(machine, log):
-        execute_adi(machine, 16, 16, 1, "dynamic", seed=0,
-                backend="multiprocess")
+    with record(machine, log), attached_backend(machine, "multiprocess"):
+        execute_adi(machine, 16, 16, 1, "dynamic", seed=0)
     tl = simulate(log, machine.cost_model, machine.nprocs)
     assert tl.clocks == machine.network.clocks
     assert len(log.messages()) == machine.stats().messages

@@ -75,7 +75,7 @@ EXPORT_SNAPSHOT = sorted([
     "estimate_memory", "estimate_ref", "extract_phases", "faults",
     "fit_alpha_beta",
     "flight_recorder",
-    "forall", "forall_batched", "forall_gathered", "gantt", "gather_to",
+    "forall", "forall_batched", "gantt", "gather_to",
     "get_generator", "get_request_id", "get_trace_id",
     "greedy_schedule", "grid_shapes",
     "hand_schedule_cost", "idt", "infer_overlap", "intern_dimdist",
@@ -90,7 +90,7 @@ EXPORT_SNAPSHOT = sorted([
     "reduce_scalar", "refine_pattern", "register_generator",
     "run_adapt_bench",
     "register_workload", "relaxed_barriers", "replay_blocking",
-    "replay_split_exchange", "resolve_backend", "run_loadtest",
+    "replay_split_exchange", "run_loadtest",
     "segment_moves", "serve",
     "session", "shift_exchange", "shift_plan", "sim", "simulate",
     "smoothing_workload", "span", "summary", "timeline_summary",
