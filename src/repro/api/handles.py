@@ -319,7 +319,9 @@ class WorkloadHandle:
     @_staged("bench")
     def bench(self, repeats: int = _BENCH["repeats"].default) -> BenchResult:
         """Wall-clock the workload over ``repeats`` independent runs
-        (fresh machine each time; modeled machine time rides along)."""
+        (fresh machine each time; modeled machine time rides along).
+        On a multiprocess session only the first repeat can include a
+        fleet start."""
         if repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {repeats}")
         wall: list[float] = []

@@ -59,11 +59,12 @@ class Session:
     ones still attached for ad-hoc engines.
 
     Sessions are cheap to construct (no machine, backend, or worker is
-    built until a stage runs) and safe to pool: :meth:`close` is
-    idempotent, any use after close raises :class:`SessionClosedError`,
-    and an explicit ``plan_cache`` lets many sessions share one
-    memoized plan store (the cross-session seam ``repro.serve`` pools
-    are built on).
+    built until a stage runs; the first multiprocess stage starts the
+    fleet the session keeps until :meth:`close`) and safe to pool:
+    :meth:`close` is idempotent, any use after close raises
+    :class:`SessionClosedError`, and an explicit ``plan_cache`` lets
+    many sessions share one memoized plan store (the cross-session
+    seam ``repro.serve`` pools are built on).
     """
 
     def __init__(
@@ -90,6 +91,9 @@ class Session:
         self.degrade = bool(degrade)
         #: the backends :meth:`engine` attached, closed with the session
         self._engine_backends = ExitStack()
+        #: worker fleets by processor count: started by the first stage
+        #: or engine that needs one, stopped only by :meth:`close`
+        self._fleets: dict = {}
         self._closed = False
         self._poisoned = False
         self._poison_reason: str | None = None
@@ -127,9 +131,17 @@ class Session:
                 f"reused after close(); open a new one)"
             )
 
+    @property
+    def live_fleets(self) -> int:
+        """How many worker fleets this session currently keeps running."""
+        return sum(1 for fleet in self._fleets.values() if fleet.procs)
+
     def close(self) -> None:
-        """Close every backend this session constructed (idempotent)."""
+        """Release every engine's backend and stop the session's worker
+        fleets (idempotent)."""
         self._engine_backends.close()
+        while self._fleets:
+            self._fleets.popitem()[1].stop()
         self._closed = True
 
     def __enter__(self) -> "Session":
@@ -141,14 +153,15 @@ class Session:
 
     # -- machines and engines ----------------------------------------------
     def attach(self, machine: Machine):
-        """Context manager: the session's backend policy attached to
+        """Context manager: the session's backend policy bound to
         ``machine`` for one run (see
-        :func:`~repro.backend.base.attached_backend` — a fresh backend,
-        closed on exit with workers and shared segments released;
-        ``None`` runs on what the machine carries).  Yields the backend
-        that executes the run."""
+        :func:`~repro.backend.base.attached_backend` — a fresh backend
+        on the session's worker fleet, released on exit with its shared
+        segments unlinked and the workers left running; ``None`` runs
+        on what the machine carries).  Yields the backend that executes
+        the run."""
         self._require_open()
-        return attached_backend(machine, self.config.backend)
+        return attached_backend(machine, self.config.backend, self._fleets)
 
     def machine(
         self,

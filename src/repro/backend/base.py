@@ -37,10 +37,17 @@ inside ``MultiprocessBackend``: call sites never branch on the backend.
 
 Lifetime: a machine always has a backend.  A fresh
 :class:`~repro.machine.machine.Machine` carries :data:`SERIAL`;
-:meth:`Backend.attach` replaces it and :meth:`Backend.close` restores
-it (array contents intact).  :func:`attached_backend` is the one place
-a backend *name* becomes an attached backend — the session calls it,
-nothing below the session does.
+:meth:`Backend.attach` **binds** a backend to it and
+:meth:`Backend.close` **releases** it (array contents intact, the
+machine back on :data:`SERIAL`).  What executes for a backend may
+outlive the binding: worker fleets live in :attr:`Backend.fleets`,
+started by the first binding that needs one and stopped by the dict's
+owner — ``close()`` of a backend constructed by hand, the session's
+``close()`` for every backend the session attaches, so a session forks
+its workers once however many stages it runs.
+:func:`attached_backend` is the one place a backend *name* becomes an
+attached backend — the session calls it, nothing below the session
+does.
 """
 
 from __future__ import annotations
@@ -101,6 +108,9 @@ class Backend:
 
     def __init__(self) -> None:
         self.machine: "Machine | None" = None
+        #: worker fleets by processor count that bindings run on (see
+        #: the module docstring for who stops them)
+        self.fleets: dict = {}
 
     # -- lifecycle -------------------------------------------------------
     def attach(self, machine: "Machine") -> "Backend":
@@ -131,8 +141,9 @@ class Backend:
         """Subclass hook: spawn workers, install allocators, ..."""
 
     def close(self) -> None:
-        """Release workers and shared resources; the machine goes back
-        to the serial default."""
+        """Release the machine (shared segments included) and whatever
+        executors this backend owns; the machine goes back to the
+        serial default."""
         machine, self.machine = self.machine, None
         if machine is not None and machine.backend is self:
             machine.backend = SERIAL
@@ -247,21 +258,26 @@ def resolve_backend(spec) -> Backend:
 
 
 @contextmanager
-def attached_backend(machine: "Machine", spec):
+def attached_backend(machine: "Machine", spec, fleets: dict | None = None):
     """Run a block with backend ``spec`` attached to ``machine``.
 
     ``None`` leaves the machine on what it carries (the serial default
     unless the caller attached something); a name or a
     :class:`Backend` subclass constructs a fresh backend and closes it
-    on exit (workers and shared segments released, the machine back on
-    the serial default); an already-constructed :class:`Backend` is
-    attached but its lifetime stays with the caller.
+    on exit (shared segments released, the machine back on the serial
+    default); an already-constructed :class:`Backend` is attached but
+    its lifetime stays with the caller.  ``fleets`` is a dict the
+    caller owns: the backend runs on the worker fleets in it, adds the
+    one it has to start, and leaves stopping them to the caller.
     """
     if spec is None:
         yield machine.backend
         return
     owns = not isinstance(spec, Backend)
-    backend = resolve_backend(spec).attach(machine)
+    backend = resolve_backend(spec)
+    if fleets is not None:
+        backend.fleets = fleets
+    backend.attach(machine)
     try:
         yield backend
     finally:

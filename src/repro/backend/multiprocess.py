@@ -13,41 +13,65 @@ simulated network, and reads results back through shared memory.  A
 kernel function the workers cannot unpickle runs through the
 inherited serial loops instead — same contents, different process.
 
+Bind / release / close.  The processors of a running SPMD program
+outlive the phases it redistributes between, and so does a
+:class:`Fleet`: ``nprocs`` workers on one duplex pipe each, started by
+the first binding that needs them, restarted *in place* when one dies.
+A :class:`MultiprocessBackend` is one **binding** of a fleet to one
+machine.  ``attach`` binds: a fresh segment allocator, a fresh id, and
+``op_bind`` as op 1 — the fleet health check, which also starts the
+binding's transport on every worker, so op sequence numbers, per-link
+message ordinals, the latched fault plan and the allocation counter
+are all relative to the attach.  ``close`` releases: the machine's
+arrays move to ordinary memory, *its* segments are unlinked (workers
+drop their mappings with the next command they get), the machine is
+back on the serial default.  The fleet stops with whoever owns
+:attr:`~repro.backend.base.Backend.fleets` — a session, or the backend
+itself when it was constructed by hand.  Bindings that share a fleet
+(a session's engine and the stage running beside it) take turns, one
+op at a time; plan memos are fleet-wide, snapshots per binding.
+
+Barriers: ``op_bind``'s *is* the check that the collective works, and
+the calibration microbenchmarks fence their timings with one.  No
+other op ends in one: values travel between workers by copy, never by
+reading a peer's segment, so all an op needs is "every rank is done
+before the master moves on" (e.g. before it unlinks a redistribution's
+old segments) — which collecting the acks already establishes.
+
 Fault tolerance (ISSUE 9): every op boundary is a consistent cut —
 workers are quiescent between acks, and all array state lives in the
-master-owned shared segments.  :meth:`run_op` therefore snapshots the
-segments before dispatch; if the :class:`FleetSupervisor` detects a
-dead worker (exitcode) or a hung one (stale heartbeat) mid-op, it
-tears the fleet down, respawns it, restores the snapshot, and replays
-the op under a fresh sequence number — bitwise-identical to an
-uninterrupted run, because the replayed op starts from the same bytes
-and ops themselves are deterministic.  Deterministic worker errors
-(an op raising) are **not** retried: they would fail identically, so
-they surface as a non-retryable :class:`BackendError` and the session
-layer degrades to the serial backend instead.
+master-owned shared segments.  :meth:`MultiprocessBackend.run_op`
+therefore copies the blocks the op may write before dispatch, and the
+master waits on the pipes *and* the process sentinels: a dead worker
+is seen the moment it dies, a hung one (stale heartbeat) within
+``hang_timeout``.  Either way the fleet is killed, the
+:class:`FleetSupervisor` starts fresh workers and restores the copy,
+and the op is bound again and replayed under fresh sequence numbers —
+bitwise-identical to an uninterrupted run, because the replayed op
+starts from the same bytes and ops themselves are deterministic.
+Deterministic worker errors (an op raising) are **not** retried: they
+would fail identically, so they surface as a non-retryable
+:class:`BackendError` and the session layer degrades to the serial
+backend instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import pickle
 import sys
+import threading
 import time
 from collections import defaultdict
-from multiprocessing import resource_tracker
-from queue import Empty
+from multiprocessing import connection, resource_tracker
 from typing import TYPE_CHECKING, Callable
 
 from ..faults import plan as _faults
 from ..obs import flight as _flight
 from ..obs import metrics as _obs
 from .base import BackendError, SerialBackend
-from .ops import (
-    op_local_kernel,
-    op_noop,
-    op_redistribute,
-    op_stencil_step,
-)
+from .ops import op_bind, op_local_kernel, op_redistribute, op_stencil_step
 from .plan import halo_dest_slice, segment_moves
 from .shm import SharedSegmentAllocator
 from .worker import worker_main
@@ -69,11 +93,27 @@ _BACKEND_COMMANDS = _obs.counter(
     "Per-worker command sends and acknowledgements at the master.",
     ("direction",),
 )
+_FLEET_STARTS = _obs.counter(
+    "repro_backend_fleet_starts_total",
+    "Worker fleets started: a binding's first use, or a recovery.",
+    ("cause",),
+)
 _FLEET_RESTARTS = _obs.counter(
     "repro_backend_fleet_restarts_total",
     "Worker-fleet teardown/respawn recoveries at the master, by cause.",
     ("cause",),
 )
+_SNAPSHOT_BYTES = _obs.counter(
+    "repro_backend_snapshot_bytes_total",
+    "Bytes copied into op-boundary checkpoints before dispatch.",
+)
+
+#: binding and plan ids, process-wide: an id names one thing on every
+#: fleet, and a binding's id makes its shm names unique
+_IDS = itertools.count(1)
+#: move plans a fleet's workers keep memoized (oldest evicted; an
+#: evicted plan simply ships again on its next use)
+PLAN_MEMO_SIZE = 64
 
 
 def _can_ship(fn) -> bool:
@@ -98,66 +138,207 @@ def _pick_start_method(requested: str | None) -> str:
     return mp.get_start_method(allow_none=False)
 
 
-class FleetSupervisor:
-    """Detects dead/hung workers and restarts the fleet.
+class Fleet:
+    """``nprocs`` worker processes and their plumbing.
 
-    Death is an OS fact (``Process.exitcode``); hang is a liveness
-    judgement (a worker that received the current command — or was
-    sent it — more than ``hang_timeout`` seconds ago and has neither
-    stamped its heartbeat nor acked).  :meth:`recover` is the
-    restart-and-restore path :meth:`MultiprocessBackend.run_op`
-    invokes between replay attempts: terminate everything, respawn
-    fresh queues/barrier/processes, restore the op-boundary segment
-    snapshot, and force transfer plans to re-ship (the new workers'
-    plan memos are empty).
+    Not running until :meth:`start`; :meth:`exchange` kills it the
+    moment it finds it broken, so "running" always means "every worker
+    acked its last command".  ``generation`` counts starts: a binding
+    whose bind predates the current one must bind again.
+    """
+
+    def __init__(self, ctx, nprocs: int, timeout: float, hang_timeout: float):
+        self.ctx = ctx
+        self.nprocs = nprocs
+        self.timeout = timeout
+        self.hang_timeout = hang_timeout
+        #: one op at a time, whichever binding issues it
+        self.lock = threading.Lock()
+        self.generation = 0
+        self.procs: list = []
+        self.conns: list = []
+        self.inboxes: list = []
+        self.barrier = self.heartbeat = self.abort_board = None
+        #: layout pair -> id of the move plan the workers hold for it
+        self.shipped: dict = {}
+        #: shm names, binding ids and plan ids the workers may forget,
+        #: sent along with the next command
+        self.freed: list = []
+
+    def start(self, cause: str) -> None:
+        """Create pipes, inboxes, barrier and liveness state and spawn
+        the workers (the caller's bind op is their health check)."""
+        t0 = time.perf_counter()
+        ctx, n = self.ctx, self.nprocs
+        # Start the master's resource tracker *before* forking so the
+        # workers inherit (and share) it instead of lazily spawning
+        # their own — the premise of the fork branch of
+        # shm.unregister_on_attach.
+        resource_tracker.ensure_running()
+        self.inboxes = [ctx.Queue() for _ in range(n)]
+        pipes = [ctx.Pipe() for _ in range(n)]
+        self.conns = [ours for ours, _theirs in pipes]
+        self.barrier = ctx.Barrier(n)
+        self.heartbeat = ctx.Array("d", n, lock=False)
+        self.abort_board = ctx.Array("i", n, lock=False)
+        start_method = getattr(ctx, "_name", None) or mp.get_start_method()
+        self.procs = [
+            ctx.Process(
+                target=worker_main,
+                args=(
+                    rank, n, pipes[rank][1], self.inboxes[rank], self.inboxes,
+                    self.barrier, self.timeout, start_method != "fork",
+                    self.heartbeat, self.abort_board,
+                ),
+                daemon=True,
+                name=f"vfe-worker-{rank}",
+            )
+            for rank in range(n)
+        ]
+        for p in self.procs:
+            p.start()
+        for _ours, theirs in pipes:
+            theirs.close()
+        # fresh workers remember nothing
+        self.generation += 1
+        self.shipped.clear()
+        self.freed.clear()
+        _FLEET_STARTS.inc(cause=cause)
+        _flight.note(
+            "backend.fleet_start", cause=cause, nprocs=n,
+            start_ms=(time.perf_counter() - t0) * 1e3,
+        )
+
+    def stop(self, kill: bool = False) -> None:
+        """Stop the workers and drop the plumbing (idempotent).
+
+        Asked over their pipes by default; ``kill=True`` when the fleet
+        is known broken — nobody listens, so no grace period either."""
+        for conn, p in zip(self.conns, self.procs):
+            try:
+                if kill:
+                    p.kill()
+                else:
+                    conn.send(None)
+            except OSError:  # already gone
+                pass
+        for p in self.procs:
+            p.join(timeout=5.0)
+            if p.is_alive():  # pragma: no cover - wedged worker
+                p.kill()
+                p.join(timeout=1.0)
+        for conn in self.conns:
+            conn.close()
+        for q in self.inboxes:
+            q.close()
+            q.cancel_join_thread()
+        self.procs, self.conns, self.inboxes = [], [], []
+        self.barrier = self.heartbeat = self.abort_board = None
+
+    def exchange(self, binding: int, seq: int, op: Callable, per_rank_kwargs) -> list:
+        """One dispatch/collect cycle, with mid-op fault detection:
+        returns per-rank payloads or raises :class:`BackendError`
+        (``retryable``, with the fleet already killed, if it broke)."""
+        op_name = getattr(op, "__name__", str(op))
+        # popped one by one: allocators append to this very list
+        freed = [self.freed.pop() for _ in range(len(self.freed))]
+        for conn, kwargs in zip(self.conns, per_rank_kwargs):
+            try:
+                conn.send((binding, seq, op, kwargs, freed))
+            except OSError:  # died since its last ack: the sentinel says so
+                pass
+        _BACKEND_COMMANDS.inc(self.nprocs, direction="sent")
+        dispatched = time.monotonic()
+        deadline = dispatched + self.timeout
+        # wake before the deadline only to look for hung workers
+        watch = self.hang_timeout < self.timeout
+        nap = self.hang_timeout / 2 if watch else self.timeout
+        pending = dict(enumerate(self.conns))
+        results = [None] * self.nprocs
+        errors = []
+        while pending:
+            remaining = deadline - time.monotonic()
+            ready = connection.wait(
+                [*pending.values(), *(self.procs[r].sentinel for r in pending)],
+                max(min(remaining, nap), 0),
+            )
+            for rank in [r for r, conn in pending.items() if conn in ready]:
+                try:
+                    status, payload = pending[rank].recv()
+                except (EOFError, OSError):
+                    continue  # closed by a dying worker
+                del pending[rank]
+                if status == "error":
+                    errors.append((rank, payload))
+                else:
+                    results[rank] = payload
+            dead = [
+                (rank, self.procs[rank].exitcode) for rank in pending
+                if self.procs[rank].sentinel in ready
+            ]
+            now = time.monotonic()
+            hung = [
+                rank for rank in pending
+                if watch and not dead
+                and now - max(self.heartbeat[rank], dispatched) > self.hang_timeout
+            ]
+            if dead or hung or remaining <= 0:
+                dead_desc = [
+                    f"{self.procs[r].name} (exit {code})" for r, code in dead
+                ]
+                hung_desc = [self.procs[r].name for r in hung]
+                _flight.note(
+                    "backend.fleet_fault", op=op_name, seq=seq,
+                    dead=dead_desc, hung=hung_desc,
+                )
+                self.stop(kill=True)
+                raise BackendError(
+                    f"worker fleet failed during {op_name} "
+                    f"(dead workers: {dead_desc or 'none'}; "
+                    f"hung workers: {hung_desc or 'none'}; "
+                    f"{len(pending)} unacknowledged after {now - dispatched:.3f}s)",
+                    retryable=bool(dead or hung),
+                    dead_ranks=tuple(r for r, _ in dead),
+                    hung_ranks=tuple(hung),
+                )
+        _BACKEND_COMMANDS.inc(self.nprocs, direction="acked")
+        if errors:
+            # a failing worker aborts the collective barrier so peers
+            # waiting in one bail out fast; re-arm it (and the abort
+            # board) for the next op.  Deterministic op errors are NOT
+            # retryable: a replay would fail identically.
+            self.barrier.reset()
+            self.abort_board[:] = [0] * self.nprocs
+            _BACKEND_OPS.inc(op=op_name, status="error")
+            detail = "\n".join(
+                f"-- worker {rank} --\n{msg}" for rank, msg in errors
+            )
+            raise BackendError(f"{len(errors)} worker(s) failed:\n{detail}")
+        _BACKEND_OPS.inc(op=op_name, status="ok")
+        return results
+
+
+class FleetSupervisor:
+    """Restarts a broken fleet under one binding's restart budget.
+
+    Detection is :meth:`Fleet.exchange`'s: death is an OS fact (the
+    process sentinel); hang is a liveness judgement (a worker sent the
+    current command more than ``hang_timeout`` seconds ago that has
+    neither stamped its heartbeat since nor acked).  :meth:`recover`
+    is what :meth:`MultiprocessBackend.run_op` invokes between replay
+    attempts: fresh workers in the same fleet, and the op-boundary
+    snapshot restored.  They know no binding and no plan, so the
+    replay binds again and ships its plan again — as does the next op
+    of every other binding of the fleet.
     """
 
     def __init__(self, backend: "MultiprocessBackend", max_restarts: int = 2):
         self.backend = backend
         self.max_restarts = int(max_restarts)
-        #: lifetime fleet restarts performed by this supervisor
+        #: fleet restarts performed for this binding
         self.restarts = 0
 
-    # -- detection -------------------------------------------------------
-    def fleet_health(
-        self, acked_ranks=(), dispatch_time: float | None = None
-    ) -> tuple[list, list]:
-        """``(dead, hung)`` among ranks still owing an ack.
-
-        ``dead`` is ``[(rank, exitcode), ...]``; ``hung`` is
-        ``[rank, ...]``.  Hang detection references the later of the
-        worker's heartbeat and the op dispatch time, so idle-but-
-        healthy workers (stale heartbeat *between* ops) are never
-        misjudged.
-        """
-        b = self.backend
-        acked = set(acked_ranks)
-        dead = [
-            (rank, proc.exitcode)
-            for rank, proc in enumerate(b._procs)
-            if rank not in acked and not proc.is_alive()
-        ]
-        hung: list[int] = []
-        hang_timeout = b.effective_hang_timeout
-        if (
-            b._heartbeat is not None
-            and dispatch_time is not None
-            and hang_timeout < b.timeout
-        ):
-            now = time.monotonic()
-            for rank, proc in enumerate(b._procs):
-                if rank in acked or not proc.is_alive():
-                    continue
-                last_sign_of_life = max(b._heartbeat[rank], dispatch_time)
-                if now - last_sign_of_life > hang_timeout:
-                    hung.append(rank)
-        return dead, hung
-
-    # -- recovery --------------------------------------------------------
     def recover(self, *, cause: str, snapshot, detail: str = "") -> None:
-        """Terminate, respawn, restore the snapshot, re-arm plan
-        shipping.  Raises (propagating) if the new fleet fails its
-        health check — the caller's replay then surfaces the failure."""
         b = self.backend
         self.restarts += 1
         _FLEET_RESTARTS.inc(cause=cause)
@@ -170,16 +351,14 @@ class FleetSupervisor:
                 "nprocs": b.nprocs,
             },
         )
-        b._teardown_fleet(terminate=True)
-        # new workers have empty plan memos: recurring transfer plans
-        # must ship their index arrays again
-        b._shipped_plans.clear()
-        b._spawn_fleet()
-        b._restore_segments(snapshot)
+        b.fleet.start("recovery")
+        for key, data in snapshot:
+            b.allocator.view(*key)[...] = data
 
 
 class MultiprocessBackend(SerialBackend):
-    """SPMD execution over ``nprocs`` worker processes.
+    """SPMD execution over ``nprocs`` worker processes: one binding of
+    a :class:`Fleet` to one machine (see the module docstring).
 
     Parameters
     ----------
@@ -217,22 +396,15 @@ class MultiprocessBackend(SerialBackend):
         self.nprocs = 0
         self.allocator: SharedSegmentAllocator | None = None
         self.supervisor = FleetSupervisor(self, max_restarts=max_restarts)
-        self._procs: list = []
-        self._cmd_queues: list = []
-        self._inboxes: list = []
-        self._result_queue = None
-        self._barrier = None
-        self._heartbeat = None
-        self._abort_board = None
+        self.fleet: Fleet | None = None
+        #: the fleets this backend started itself and stops in close()
+        #: (nothing, once a longer-lived owner swapped ``fleets``)
+        self._own_fleets = self.fleets
+        self._id = 0
+        self._bound = 0  # fleet generation of this binding's last bind
         self._fault_plan = None
         self._op_counter = 0
-        self._seq = 0  # command sequence number (stale-ack fencing)
-        self._shipped_plans: set[int] = set()
-        self._plan_ids: dict = {}
-        #: shipped transfer-plan payloads by plan id, kept master-side
-        #: so a replay after a fleet restart can re-ship what the dead
-        #: workers' memos knew
-        self._plan_payloads: dict[int, dict] = {}
+        self._seq = 0  # command sequence number, 1 = the bind
 
     @property
     def effective_hang_timeout(self) -> float:
@@ -246,114 +418,26 @@ class MultiprocessBackend(SerialBackend):
                 "arrays: existing segments are not in shared memory"
             )
         self.nprocs = machine.nprocs
-        self.allocator = SharedSegmentAllocator(tag=f"{id(self):x}")
+        fleet = self.fleets.get(self.nprocs)
+        if fleet is None:
+            fleet = self.fleets[self.nprocs] = Fleet(
+                self._ctx, self.nprocs, self.timeout,
+                self.effective_hang_timeout,
+            )
+        self.fleet = fleet
+        self._id = next(_IDS)
+        self.allocator = SharedSegmentAllocator(str(self._id), fleet.freed)
         machine.set_segment_allocator(self.allocator)
-        # Start the master's resource tracker *before* forking so the
-        # workers inherit (and share) it instead of lazily spawning
-        # their own — the premise of the fork branch of
-        # shm.unregister_on_attach.
-        try:
-            resource_tracker.ensure_running()
-        except Exception as exc:  # pragma: no cover - tracker internals vary
-            _flight.note(
-                "backend.swallowed",
-                site="attach.resource_tracker",
-                error=repr(exc),
-            )
-        # the fault plan is latched at attach so every spawned fleet of
-        # this backend instance (including post-recovery respawns) runs
-        # under the same injected faults
+        # the fault plan is latched at attach: every op of this binding
+        # (including post-recovery replays) runs under the same faults
         self._fault_plan = _faults.active_plan()
-        self._spawn_fleet()
-
-    def _spawn_fleet(self) -> None:
-        """Create queues, barrier, liveness state, and worker
-        processes; health-check the fleet before returning."""
-        ctx = self._ctx
-        self._inboxes = [ctx.Queue() for _ in range(self.nprocs)]
-        self._cmd_queues = [ctx.Queue() for _ in range(self.nprocs)]
-        self._result_queue = ctx.Queue()
-        barrier = ctx.Barrier(self.nprocs)
-        self._barrier = barrier
-        self._heartbeat = ctx.Array("d", self.nprocs, lock=False)
-        self._abort_board = ctx.Array("i", self.nprocs, lock=False)
-        now = time.monotonic()
-        for rank in range(self.nprocs):
-            self._heartbeat[rank] = now
-            self._abort_board[rank] = 0
-        start_method = getattr(ctx, "_name", None) or mp.get_start_method()
-        self._procs = [
-            ctx.Process(
-                target=worker_main,
-                args=(
-                    rank,
-                    self.nprocs,
-                    self._cmd_queues[rank],
-                    self._result_queue,
-                    self._inboxes[rank],
-                    self._inboxes,
-                    barrier,
-                    self.timeout,
-                    start_method != "fork",
-                    self._heartbeat,
-                    self._abort_board,
-                    self._fault_plan,
-                ),
-                daemon=True,
-                name=f"vfe-worker-{rank}",
-            )
-            for rank in range(self.nprocs)
-        ]
-        for p in self._procs:
-            p.start()
-        # health check: every worker answers and the barrier works
-        ranks = self._run_op_once(op_noop, [{} for _ in range(self.nprocs)])
-        if sorted(ranks) != list(range(self.nprocs)):
-            raise BackendError(f"worker fleet failed to start: {ranks}")
-
-    def _teardown_fleet(self, terminate: bool = False) -> None:
-        """Stop workers and drop fleet plumbing; segments stay alive.
-
-        ``terminate=False`` asks workers to exit via the command
-        queues (normal close); ``terminate=True`` kills them (the
-        recovery path — the fleet is known broken, nobody listens)."""
-        if not terminate:
-            for q in self._cmd_queues:
-                try:
-                    q.put(None)
-                except Exception as exc:  # pragma: no cover - queue gone
-                    _flight.note(
-                        "backend.swallowed",
-                        site="teardown.cmd_queue.put",
-                        error=repr(exc),
-                    )
-        for p in self._procs:
-            if terminate and p.is_alive():
-                p.terminate()
-            p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover - wedged worker
-                p.terminate()
-                p.join(timeout=1.0)
-        self._procs = []
-        for q in [*self._cmd_queues, *self._inboxes]:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception as exc:  # pragma: no cover
-                _flight.note(
-                    "backend.swallowed",
-                    site="teardown.queue.close",
-                    error=repr(exc),
-                )
-        self._cmd_queues = []
-        self._inboxes = []
-        self._result_queue = None
-        self._barrier = None
-        self._heartbeat = None
-        self._abort_board = None
+        with fleet.lock:
+            self._sync()
 
     def close(self) -> None:
-        self._teardown_fleet(terminate=False)
+        """Release the binding (and stop the fleets this backend
+        started itself)."""
+        fleet, self.fleet = self.fleet, None
         if self.allocator is not None:
             # Copy every still-registered block into ordinary process
             # memory BEFORE unlinking: the simulated LocalMemory still
@@ -366,173 +450,89 @@ class MultiprocessBackend(SerialBackend):
                     self.machine.memory(rank).materialize(name)
             self.allocator.close()
             self.allocator = None
+        if fleet is not None:
+            with fleet.lock:
+                fleet.freed.append(self._id)
+                while self._own_fleets:
+                    self._own_fleets.popitem()[1].stop()
         super().close()
 
-    # -- op-boundary checkpoints -----------------------------------------
-    def _snapshot_segments(self) -> list:
-        """Copy every registered shared block into process memory —
-        the op-boundary checkpoint replays restore from."""
-        if self.allocator is None:
-            return []
-        snapshot = []
-        for key in self.allocator.registered():
-            view = self.allocator.view(*key)
-            if view is not None:
-                snapshot.append((key, view.copy()))
-        return snapshot
-
-    def _restore_segments(self, snapshot: list) -> None:
-        for key, data in snapshot:
-            view = self.allocator.view(*key) if self.allocator else None
-            if view is not None and view.shape == data.shape:
-                view[...] = data
-
     # -- command dispatch ------------------------------------------------
-    def run_op(self, op: Callable, per_rank_kwargs: list[dict]) -> list:
+    def _sync(self) -> None:
+        """Make sure the fleet runs and its workers know this binding
+        (fleet lock held).  The bind is an op like any other — op 1,
+        and the next sequence number again after every restart."""
+        fleet = self.fleet
+        if not fleet.procs:
+            fleet.start("first_use")
+        if self._bound != fleet.generation:
+            self._seq += 1
+            fleet.exchange(
+                self._id, self._seq, op_bind,
+                [dict(faults=self._fault_plan)] * self.nprocs,
+            )
+            self._bound = fleet.generation
+
+    def run_op(
+        self,
+        op: Callable,
+        per_rank_kwargs: list[dict],
+        writes: tuple | None = None,
+        replay: Callable | None = None,
+    ) -> list:
         """Broadcast one SPMD op; block until every worker acks.
 
         ``per_rank_kwargs[r]`` is worker ``r``'s keyword arguments.
         Returns per-rank payloads; raises :class:`BackendError` if any
         worker errored or went silent.  Fleet-level faults (dead/hung
         workers) are recovered in place: snapshot → restart → replay,
-        up to ``max_restarts`` times per op.
+        up to ``max_restarts`` times per op.  ``writes`` names the
+        blocks the op may write — all a replay needs restored, so all
+        the snapshot copies (``None``: every block of the binding);
+        ``replay()`` rebuilds the kwargs for workers that remember
+        nothing.
         """
         if len(per_rank_kwargs) != self.nprocs:
             raise ValueError(
                 f"need kwargs for every worker ({self.nprocs}), "
                 f"got {len(per_rank_kwargs)}"
             )
-        if not self._procs:
+        if self.fleet is None:
             raise BackendError("backend is not attached / already closed")
         max_restarts = self.supervisor.max_restarts
-        snapshot = self._snapshot_segments() if max_restarts > 0 else []
-        attempt = 0
-        while True:
-            try:
-                return self._run_op_once(op, per_rank_kwargs)
-            except BackendError as exc:
-                if not exc.retryable or attempt >= max_restarts:
-                    raise
-                attempt += 1
-                cause = "dead" if exc.dead_ranks else (
-                    "hung" if exc.hung_ranks else "timeout"
-                )
-                self.supervisor.recover(
-                    cause=cause, snapshot=snapshot, detail=str(exc)
-                )
-                per_rank_kwargs = self._rehydrated(op, per_rank_kwargs)
+        with self.fleet.lock:
+            snapshot = self._snapshot(writes) if max_restarts > 0 else []
+            attempt = 0
+            while True:
+                try:
+                    self._sync()
+                    self._seq += 1
+                    return self.fleet.exchange(
+                        self._id, self._seq, op, per_rank_kwargs
+                    )
+                except BackendError as exc:
+                    if not exc.retryable or attempt >= max_restarts:
+                        raise
+                    attempt += 1
+                    self.supervisor.recover(
+                        cause="dead" if exc.dead_ranks else "hung",
+                        snapshot=snapshot, detail=str(exc),
+                    )
+                    if replay is not None:
+                        per_rank_kwargs = replay()
 
-    def _rehydrated(self, op: Callable, per_rank_kwargs: list[dict]) -> list[dict]:
-        """Fix up a replayed op for a freshly restarted fleet.
-
-        Redistribute replays that relied on the dead workers' plan
-        memos (``moves=None``) get the stored plan payload back."""
-        if op is not op_redistribute:
-            return per_rank_kwargs
-        return [
-            kwargs if kwargs["moves"] is not None
-            else dict(kwargs, moves=self._plan_payloads[kwargs["plan_id"]][rank])
-            for rank, kwargs in enumerate(per_rank_kwargs)
+    def _snapshot(self, writes: tuple | None) -> list:
+        """Copy the blocks an op may write into process memory — the
+        op-boundary checkpoint a replay restores from."""
+        keys = self.allocator.registered() if writes is None else [
+            (rank, name) for rank in range(self.nprocs) for name in writes
         ]
-
-    def _run_op_once(self, op: Callable, per_rank_kwargs: list[dict]) -> list:
-        """One dispatch/collect cycle, with mid-op fault detection."""
-        self._seq += 1
-        seq = self._seq
-        for rank, kwargs in enumerate(per_rank_kwargs):
-            self._cmd_queues[rank].put((op, kwargs, seq))
-        _BACKEND_COMMANDS.inc(self.nprocs, direction="sent")
-        op_name = getattr(op, "__name__", str(op))
-        dispatched = time.monotonic()
-        deadline = dispatched + self.timeout
-        # poll the result queue in short slices so dead workers are
-        # detected in ~poll seconds, not after the full op timeout
-        poll = min(0.25, self.timeout)
-        results = [None] * self.nprocs
-        errors = []
-        acked_ranks: set[int] = set()
-        while len(acked_ranks) < self.nprocs:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._recover_barrier()
-                dead = [p.name for p in self._procs if not p.is_alive()]
-                raise BackendError(
-                    f"worker acknowledgement timed out after "
-                    f"{self.timeout}s (dead workers: {dead or 'none'})",
-                    retryable=bool(dead),
-                    dead_ranks=tuple(
-                        r for r, p in enumerate(self._procs)
-                        if not p.is_alive()
-                    ),
-                )
-            try:
-                rank, ack_seq, status, payload = self._result_queue.get(
-                    timeout=min(poll, remaining)
-                )
-            except Empty:
-                dead, hung = self.supervisor.fleet_health(
-                    acked_ranks, dispatched
-                )
-                if dead or hung:
-                    self._recover_barrier()
-                    dead_desc = [
-                        f"{self._procs[r].name} (exit {code})"
-                        for r, code in dead
-                    ]
-                    hung_desc = [self._procs[r].name for r in hung]
-                    _flight.note(
-                        "backend.fleet_fault",
-                        op=op_name,
-                        seq=seq,
-                        dead=dead_desc,
-                        hung=hung_desc,
-                    )
-                    raise BackendError(
-                        f"worker fleet failed during {op_name} "
-                        f"(dead workers: {dead_desc or 'none'}; "
-                        f"hung workers: {hung_desc or 'none'})",
-                        retryable=True,
-                        dead_ranks=tuple(r for r, _ in dead),
-                        hung_ranks=tuple(hung),
-                    )
-                continue
-            if ack_seq != seq:
-                # stale ack from an op that previously timed out on
-                # the master side — drop it, keep the streams aligned
-                continue
-            acked_ranks.add(rank)
-            if status == "error":
-                errors.append((rank, payload))
-            else:
-                results[rank] = payload
-        _BACKEND_COMMANDS.inc(len(acked_ranks), direction="acked")
-        if errors:
-            # a failing worker aborts the collective barrier so its
-            # peers bail out fast; re-arm it (and the abort board) for
-            # the next op.  Deterministic op errors are NOT retryable:
-            # a replay would fail identically.
-            self._recover_barrier()
-            _BACKEND_OPS.inc(op=op_name, status="error")
-            detail = "\n".join(
-                f"-- worker {rank} --\n{msg}" for rank, msg in errors
-            )
-            raise BackendError(f"{len(errors)} worker(s) failed:\n{detail}")
-        _BACKEND_OPS.inc(op=op_name, status="ok")
-        return results
-
-    def _recover_barrier(self) -> None:
-        if self._barrier is not None:
-            try:
-                self._barrier.reset()
-            except Exception as exc:  # pragma: no cover - already usable
-                _flight.note(
-                    "backend.swallowed",
-                    site="recover_barrier.reset",
-                    error=repr(exc),
-                )
-        if self._abort_board is not None:
-            for rank in range(self.nprocs):
-                self._abort_board[rank] = 0
+        snapshot = [
+            (key, view.copy()) for key in keys
+            if (view := self.allocator.view(*key)) is not None
+        ]
+        _SNAPSHOT_BYTES.inc(sum(data.nbytes for _key, data in snapshot))
+        return snapshot
 
     # -- operations ------------------------------------------------------
     def move(
@@ -548,23 +548,19 @@ class MultiprocessBackend(SerialBackend):
         when given); workers only ship values — both endpoints address
         them through the same deterministic plan.
         """
-        machine = array.machine
-        nprocs = machine.nprocs
+        nprocs = array.machine.nprocs
         old_dist = array.descriptor.dist
         block = array._block_name()
+        fleet = self.fleet
 
         # recurring layout pairs ship their position arrays to the
-        # fleet once; afterwards only the plan id crosses the queues
+        # fleet once; afterwards only the plan id crosses the pipes
         # (and the cache lookup of a replay reads as the hit it is)
         plan_key = (old_dist, new_dist, nprocs)
-        plan_id = self._plan_ids.setdefault(plan_key, len(self._plan_ids) + 1)
-        ship = plan_id not in self._shipped_plans
+        plan_id = fleet.shipped.get(plan_key) or next(_IDS)
+        moves = None
         if plan_cache is not None:
             moves = plan_cache.segment_moves(old_dist, new_dist, nprocs)
-        else:
-            moves = segment_moves(old_dist, new_dist, nprocs) if ship else {}
-        if ship:
-            self._plan_payloads[plan_id] = moves
 
         # keep old physical segments alive across the reallocation
         stashed = {}
@@ -575,33 +571,43 @@ class MultiprocessBackend(SerialBackend):
         try:
             array.descriptor.set_dist(new_dist)
             array._allocate_segments(fill=None)
-
             self._op_counter += 1
             tag = f"redist:{array.name}:{self._op_counter}"
-            per_rank = [
-                dict(
-                    old_meta=stashed[rank][1] if rank in stashed else None,
-                    new_meta=self.allocator.meta(rank, block),
-                    plan_id=plan_id,
-                    moves=moves[rank] if ship else None,
-                    tag=tag,
-                )
-                for rank in range(nprocs)
-            ]
-            self.run_op(op_redistribute, per_rank)
-            self._shipped_plans.add(plan_id)
+
+            def commands() -> list[dict]:
+                nonlocal moves
+                ship = plan_key not in fleet.shipped
+                if ship and moves is None:
+                    moves = segment_moves(old_dist, new_dist, nprocs)
+                return [
+                    dict(
+                        old_meta=stashed[rank][1] if rank in stashed else None,
+                        new_meta=self.allocator.meta(rank, block),
+                        plan_id=plan_id,
+                        moves=moves[rank] if ship else None,
+                        tag=tag,
+                    )
+                    for rank in range(nprocs)
+                ]
+
+            # nothing to snapshot: a replay reads the stashed old
+            # blocks again and overwrites every element of the new ones
+            self.run_op(op_redistribute, commands(), (), commands)
+            with fleet.lock:
+                fleet.shipped[plan_key] = plan_id
+                if len(fleet.shipped) > PLAN_MEMO_SIZE:
+                    fleet.freed.append(fleet.shipped.pop(next(iter(fleet.shipped))))
         finally:
             # release the old physical segments even if reallocation
             # or the worker op failed — never orphan /dev/shm blocks
             for shm, _meta in stashed.values():
-                shm.close()
-                shm.unlink()
+                self.allocator.unlink(shm)
 
     def run_kernel(self, array: "DistributedArray", fn: Callable) -> None:
         if not _can_ship(fn):
             return super().run_kernel(array, fn)
         # a rank that owns nothing has no block, hence no meta: its
-        # worker only joins the barrier
+        # worker only acknowledges
         block = array._block_name()
         per_rank = [
             dict(
@@ -611,7 +617,7 @@ class MultiprocessBackend(SerialBackend):
             )
             for rank in range(self.nprocs)
         ]
-        self.run_op(op_local_kernel, per_rank)
+        self.run_op(op_local_kernel, per_rank, (block,))
 
     def stencil_step(self, array, overlap, func, dim_entries) -> None:
         """One halo-exchanged stencil sweep across the worker fleet
@@ -644,4 +650,4 @@ class MultiprocessBackend(SerialBackend):
             )
             for rank in range(self.nprocs)
         ]
-        self.run_op(op_stencil_step, per_rank)
+        self.run_op(op_stencil_step, per_rank, (seg_block, pad_block))

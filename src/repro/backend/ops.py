@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 __all__ = [
-    "op_noop",
+    "op_bind",
     "op_redistribute",
     "op_local_kernel",
     "op_stencil_step",
@@ -35,17 +35,13 @@ __all__ = [
 ]
 
 
-def op_noop(ctx) -> int:
-    """Health check: barrier with the fleet, return own rank."""
+def op_bind(ctx, faults=None) -> int:
+    """Op 1 of every binding: start it on this worker (see
+    :meth:`~repro.backend.worker.WorkerContext.bind`) and health-check
+    the fleet — barrier with every peer, return own rank."""
+    ctx.bind(faults)
     ctx.transport.barrier()
     return ctx.rank
-
-
-#: per-worker memo of received move plans, keyed by the master's plan
-#: id — a recurring redistribution (the ADI steady state) ships its
-#: position arrays once and replays them by id afterwards.  Bounded in
-#: practice by the number of distinct layout pairs a program uses.
-_PLAN_MEMO: dict = {}
 
 
 def op_redistribute(ctx, old_meta, new_meta, plan_id, moves, tag) -> dict:
@@ -58,12 +54,13 @@ def op_redistribute(ctx, old_meta, new_meta, plan_id, moves, tag) -> dict:
     ship as raw numpy arrays over the transport — the receiver derives
     *where* they land from the same deterministic plan.  ``moves is
     None`` means "replay the memoized plan ``plan_id``" (shipped by a
-    previous op for the same layout pair).
+    previous op for the same layout pair; the master bounds the memo
+    and says which ids to forget).
     """
     if moves is None:
-        moves = _PLAN_MEMO[plan_id]
+        moves = ctx.plans[plan_id]
     else:
-        _PLAN_MEMO[plan_id] = moves
+        ctx.plans[plan_id] = moves
     old = ctx.attach(old_meta)
     new = ctx.attach(new_meta)
     old_flat = old.reshape(-1) if old is not None else None
@@ -79,7 +76,6 @@ def op_redistribute(ctx, old_meta, new_meta, plan_id, moves, tag) -> dict:
         values = ctx.transport.recv(src, tag)
         new_flat[positions] = values
         received += len(positions)
-    ctx.transport.barrier()
     return {"sent": sent, "received": received}
 
 
@@ -88,12 +84,11 @@ def op_local_kernel(ctx, meta, fn, idx) -> None:
 
     ``fn(rank, local, idx)`` mutates ``local`` in place; ``idx`` is
     the per-dimension global index arrays of the segment.  Ranks that
-    own nothing just hit the barrier.
+    own nothing just acknowledge.
     """
     local = ctx.attach(meta)
     if local is not None:
         fn(ctx.rank, local, idx)
-    ctx.transport.barrier()
 
 
 def solve_lines(moved: np.ndarray, line_func, batched=None) -> int:
@@ -153,11 +148,7 @@ def op_stencil_step(
     """
     seg = ctx.attach(seg_meta)
     pad = ctx.attach(pad_meta)
-    if seg is None:
-        # non-owner: participate in the per-dimension barriers only
-        for _ in dim_plans:
-            ctx.transport.barrier()
-        ctx.transport.barrier()
+    if seg is None:  # non-owner: nothing to exchange or update
         return
     pad[_interior(seg, widths)] = seg
     for dim, sends, recvs in dim_plans:
@@ -171,9 +162,9 @@ def op_stencil_step(
             pad[dest_sl] = ctx.transport.recv(
                 peer, ("halo", ctx.seq, dim, key)
             )
-        ctx.transport.barrier()
+    # slabs are cut from the segment, which nobody writes before this
+    # line, so the dimensions need no fence between them
     stencil_apply(seg, pad, widths, func)
-    ctx.transport.barrier()
 
 
 def op_pingpong(ctx, src, dst, sizes, repeats, tag=None) -> list:

@@ -7,7 +7,8 @@ bytes with zero copying.  The master allocates through
 :class:`SharedSegmentAllocator` (installed into each simulated
 :class:`~repro.machine.memory.LocalMemory` via the machine's
 ``set_segment_allocator`` hook); workers attach by :class:`BlockMeta`
-shipped inside op commands.
+shipped inside op commands and keep the mapping until the master tells
+them the block is gone (:attr:`SharedSegmentAllocator.freed`).
 
 CPython < 3.13 registers *attached* segments with the resource
 tracker, which then unlinks them when the attaching process exits
@@ -49,10 +50,6 @@ class BlockMeta:
     def np_dtype(self) -> np.dtype:
         return np.dtype(self.dtype)
 
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * self.np_dtype.itemsize
-
 
 def attach(meta: BlockMeta) -> tuple[shared_memory.SharedMemory, np.ndarray]:
     """Attach to a block from another process.
@@ -83,10 +80,13 @@ class SharedSegmentAllocator:
     one is filled.
     """
 
-    def __init__(self, tag: str):
+    def __init__(self, tag: str, freed: list | None = None):
         # shm names are a global namespace: include the pid and a tag
         self._prefix = f"vfe-{os.getpid()}-{tag}"
         self._counter = 0
+        #: shm names unlinked so far, for whoever must tell the workers
+        #: that mapped them (pass the list in to collect them elsewhere)
+        self.freed: list = [] if freed is None else freed
         self._blocks: dict[tuple[int, str], shared_memory.SharedMemory] = {}
         self._metas: dict[tuple[int, str], BlockMeta] = {}
 
@@ -128,8 +128,14 @@ class SharedSegmentAllocator:
         shm = self._blocks.pop(key, None)
         self._metas.pop(key, None)
         if shm is not None:
-            shm.close()
-            shm.unlink()
+            self.unlink(shm)
+
+    def unlink(self, shm: shared_memory.SharedMemory) -> None:
+        """Close and unlink a block of this allocator (one it still
+        holds, or one handed out by :meth:`stash`)."""
+        shm.close()
+        shm.unlink()
+        self.freed.append(shm.name)
 
     # -- backend-side access --------------------------------------------
     def meta(self, rank: int, name: str) -> BlockMeta | None:
@@ -139,8 +145,8 @@ class SharedSegmentAllocator:
     def view(self, rank: int, name: str) -> np.ndarray | None:
         """Master-side ndarray view of a live block (``None`` if the
         block is unknown).  The backbone of op-boundary checkpoints:
-        the fleet supervisor snapshots every registered block through
-        this before an op and restores through it after a restart."""
+        the blocks an op may write are copied through this before it
+        runs and restored through it after a fleet restart."""
         key = (rank, name)
         shm = self._blocks.get(key)
         meta = self._metas.get(key)
@@ -153,7 +159,7 @@ class SharedSegmentAllocator:
     ) -> tuple[shared_memory.SharedMemory, BlockMeta] | None:
         """Detach a block from the registry *without* unlinking it.
 
-        The caller becomes responsible for ``close()``/``unlink()``.
+        The caller becomes responsible for :meth:`unlink`.
         Used to keep an array's old segments alive across the
         same-name reallocation a redistribution performs.
         """

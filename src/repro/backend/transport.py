@@ -2,10 +2,13 @@
 
 The explicit communication layer of the multiprocess backend: each
 worker owns an inbox queue; point-to-point :meth:`Transport.send`
-posts ``(src, tag, payload)`` into the destination's inbox, and
-:meth:`Transport.recv` pulls from the own inbox, stashing messages
+posts ``(channel, src, tag, payload)`` into the destination's inbox,
+and :meth:`Transport.recv` pulls from the own inbox, stashing messages
 that arrive ahead of the one being waited for (queues preserve
-per-sender order, so a matching ``(src, tag)`` stream is FIFO).
+per-sender order, so a matching ``(src, tag)`` stream is FIFO).  A
+worker holds one transport per binding of its fleet, all on the same
+inbox; the channel (the binding's id) keeps what a failed op of one
+binding left behind from ever matching a receive of another.
 Collectives — :meth:`barrier` and :meth:`allgather` — are built from a
 ``multiprocessing.Barrier`` and point-to-point exchange.
 
@@ -92,6 +95,9 @@ class Transport:
     faults:
         Optional :class:`~repro.faults.FaultPlan` applied to outgoing
         messages (link delay/drop).  ``None`` disables injection.
+    channel:
+        Stamped on every message sent; messages of any other channel
+        are discarded on receipt.
     """
 
     def __init__(
@@ -105,6 +111,7 @@ class Transport:
         *,
         abort_board=None,
         faults=None,
+        channel: int = 0,
     ):
         self.rank = rank
         self.nprocs = nprocs
@@ -113,7 +120,8 @@ class Transport:
         self._barrier = barrier_obj
         self.timeout = timeout
         self._abort_board = abort_board
-        self._faults = faults
+        self.faults = faults
+        self.channel = channel
         self._stash: dict[tuple[int, Any], list[Any]] = {}
         #: messages sent per destination rank (1-based ordinal stream
         #: per link — the coordinate fault plans address links by)
@@ -143,11 +151,11 @@ class Transport:
             raise IndexError(f"destination rank {dst} out of range")
         nth = self._link_sent.get(dst, 0) + 1
         self._link_sent[dst] = nth
-        if self._faults is not None:
-            delay = self._faults.link_delay(self.rank, dst, nth)
+        if self.faults is not None:
+            delay = self.faults.link_delay(self.rank, dst, nth)
             if delay > 0:
                 time.sleep(delay)
-            if self._faults.drops_message(self.rank, dst, nth):
+            if self.faults.drops_message(self.rank, dst, nth):
                 # vanishes in flight: the sender believes it was sent
                 self.dropped_messages += 1
                 self.sent_messages += 1
@@ -157,7 +165,7 @@ class Transport:
             # local delivery without touching the queue
             self._stash.setdefault((dst, tag), []).append(payload)
         else:
-            self._outboxes[dst].put((self.rank, tag, payload))
+            self._outboxes[dst].put((self.channel, self.rank, tag, payload))
         self.sent_messages += 1
         _TRANSPORT_MESSAGES.inc(direction="sent")
 
@@ -171,7 +179,7 @@ class Transport:
             return stashed.pop(0)
         while True:
             try:
-                msg_src, msg_tag, payload = self._inbox.get(
+                channel, msg_src, msg_tag, payload = self._inbox.get(
                     timeout=self.timeout
                 )
             except Empty:
@@ -179,6 +187,8 @@ class Transport:
                     f"worker {self.rank}: no message from {src} tagged "
                     f"{tag!r} within {self.timeout}s"
                 ) from None
+            if channel != self.channel:
+                continue  # left behind by a failed op of another binding
             if msg_src == src and msg_tag == tag:
                 self.received_messages += 1
                 _TRANSPORT_MESSAGES.inc(direction="received")
@@ -214,11 +224,6 @@ class Transport:
             raise TransportTimeout(
                 f"worker {self.rank}: barrier timed out after "
                 f"{self.timeout}s (no peer aborted — a rank is hung)"
-            ) from exc
-        except Exception as exc:  # pragma: no cover - unexpected failure
-            raise TransportTimeout(
-                f"worker {self.rank}: barrier broken or timed out "
-                f"({exc})"
             ) from exc
         if t0 is not None:
             _TRANSPORT_BARRIER_SECONDS.observe(time.perf_counter() - t0)

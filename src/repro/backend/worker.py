@@ -2,19 +2,25 @@
 
 One worker per processor of the :class:`~repro.machine.topology.ProcessorArray`.
 Each worker runs :func:`worker_main`: an endless command loop that
-receives ``(op, kwargs)`` pairs from the master, executes the op
-against its rank's shared-memory segments and the message-passing
+receives ``(binding, seq, op, kwargs, freed)`` from the master over its
+own duplex pipe, executes the op against its rank's shared-memory
+segments and the binding's message-passing
 :class:`~repro.backend.transport.Transport`, and acknowledges on the
-shared result queue.  Ops are module-level functions from
+same pipe.  Ops are module-level functions from
 :mod:`~repro.backend.ops` (picklable by reference), so the command
 stream works under both ``fork`` and ``spawn`` start methods.
 
+A worker outlives the machines its fleet is bound to, so what it
+remembers is keyed by handles the master issued and dropped when the
+master says so (``freed``, piggy-backed on the next command): block
+mappings by shm name, per-binding transports and move plans by id.
+
 Liveness and fault hooks (ISSUE 9): the worker stamps a shared
 *heartbeat* slot at every command receipt and completion, which is
-what lets the master's :class:`~repro.backend.multiprocess.FleetSupervisor`
-tell a hung worker (stale heartbeat, process alive) from a dead one
-(exitcode set).  When a :class:`~repro.faults.FaultPlan` is threaded
-in, the loop consults it before each op: a matching
+what lets the master tell a hung worker (stale heartbeat, process
+alive) from a dead one (process sentinel).  A binding's
+:class:`~repro.faults.FaultPlan` arrives with its bind op and is
+consulted before each of its ops: a matching
 :class:`~repro.faults.WorkerCrash` hard-exits the process
 (``os._exit`` — no goodbye, exactly like a segfaulted node), a
 matching :class:`~repro.faults.KernelStall` sleeps before executing
@@ -24,9 +30,10 @@ matching :class:`~repro.faults.KernelStall` sleeps before executing
 from __future__ import annotations
 
 import os
+import signal
 import time
 import traceback
-from typing import Any
+from typing import Callable
 
 import numpy as np
 
@@ -40,96 +47,117 @@ __all__ = ["WorkerContext", "worker_main"]
 class WorkerContext:
     """What an op sees: its rank, the transport, and segment access."""
 
-    def __init__(self, rank: int, nprocs: int, transport: Transport):
+    def __init__(self, rank: int, nprocs: int, make_transport: Callable):
         self.rank = rank
         self.nprocs = nprocs
-        self.transport = transport
+        #: id of the binding whose op is executing, and its transport
+        #: (``None`` only while the binding's own bind op runs)
+        self.binding = 0
+        self.transport: Transport | None = None
         #: the master's command sequence number of the op currently
         #: executing — identical on every worker, so ops can scope
         #: their transport tags to the op (a failed op's unconsumed
         #: messages then never match a later op's receives)
         self.seq = 0
-        self._attached: list = []
+        self.transports: dict[int, Transport] = {}
+        #: received move plans by the master's plan id — a recurring
+        #: redistribution ships its position arrays once
+        self.plans: dict = {}
+        self._maps: dict[str, tuple] = {}
+        self._make_transport = make_transport
+
+    def bind(self, faults) -> None:
+        """Start the executing binding: a fresh transport, so message
+        ordinals, the stash and the latched fault plan all restart."""
+        self.transport = self.transports[self.binding] = (
+            self._make_transport(self.binding, faults)
+        )
 
     def attach(self, meta: BlockMeta | None) -> np.ndarray | None:
-        """Map a shared block; the view is valid until :meth:`release`."""
+        """This rank's view of a shared block, mapped on first use and
+        kept until the master frees the block (shm names are unique per
+        allocation, so a cached mapping is never the wrong block)."""
         if meta is None:
             return None
-        shm, arr = attach(meta)
-        self._attached.append((shm, arr))
-        return arr
+        mapping = self._maps.get(meta.shm_name)
+        if mapping is None:
+            mapping = self._maps[meta.shm_name] = attach(meta)
+        return mapping[1]
 
-    def release(self) -> None:
-        """Drop every mapping taken since the last release."""
-        views = self._attached
-        self._attached = []
-        while views:
-            shm, arr = views.pop()
-            del arr
-            shm.close()
+    def forget(self, freed) -> None:
+        """Drop what the master freed since its last command: block
+        mappings (by shm name), bindings and move plans (by id)."""
+        for key in freed:
+            self.transports.pop(key, None)
+            self.plans.pop(key, None)
+            if key in self._maps:
+                shm, arr = self._maps.pop(key)
+                del arr  # the view must go before the handle closes
+                shm.close()
 
 
 def worker_main(
     rank: int,
     nprocs: int,
-    cmd_queue,
-    result_queue,
+    conn,
     inbox,
     outboxes,
     barrier_obj,
     timeout: float,
-    unregister_on_attach: bool = True,
-    heartbeat=None,
-    abort_board=None,
-    faults=None,
+    unregister_on_attach: bool,
+    heartbeat,
+    abort_board,
 ) -> None:
     """Command loop body of one worker process."""
+    # a forked worker inherits the master's handlers; one that raises
+    # (SIGTERM -> SystemExit) would be caught below and survive
+    # terminate(), so take the default dispositions back
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     _shm.unregister_on_attach = unregister_on_attach
-    transport = Transport(
-        rank, nprocs, inbox, outboxes, barrier_obj, timeout=timeout,
-        abort_board=abort_board, faults=faults,
+    ctx = WorkerContext(
+        rank, nprocs,
+        lambda channel, faults: Transport(
+            rank, nprocs, inbox, outboxes, barrier_obj, timeout=timeout,
+            abort_board=abort_board, faults=faults, channel=channel,
+        ),
     )
-    ctx = WorkerContext(rank, nprocs, transport)
     while True:
-        cmd = cmd_queue.get()
+        cmd = conn.recv()
         if cmd is None:  # shutdown
             break
-        op, kwargs, seq = cmd
-        ctx.seq = seq
-        if heartbeat is not None:
-            heartbeat[rank] = time.monotonic()
+        ctx.binding, ctx.seq, op, kwargs, freed = cmd
+        ctx.forget(freed)
+        transport = ctx.transport = ctx.transports.get(ctx.binding)
+        faults = transport.faults if transport is not None else None
+        heartbeat[rank] = time.monotonic()
         if faults is not None:
-            crash = faults.crash_for(rank, seq)
+            crash = faults.crash_for(rank, ctx.seq)
             if crash is not None:
                 # a hard node failure: no ack, no barrier abort, no
-                # cleanup — the master finds out from the exitcode
+                # cleanup — the master finds out from the sentinel
                 os._exit(crash.exit_code)
-            stall = faults.stall_for(rank, seq)
+            stall = faults.stall_for(rank, ctx.seq)
             if stall is not None:
                 time.sleep(stall.seconds)
         try:
-            payload: Any = op(ctx, **kwargs)
-            result_queue.put((rank, seq, "ok", payload))
+            conn.send(("ok", op(ctx, **kwargs)))
         except BaseException as exc:  # report, never wedge the master
             # break the collective barrier so peers waiting on this
             # worker fail fast instead of riding out their timeout;
             # stamp the abort board first so their TransportBroken
             # names this rank (the master resets both after acks)
-            transport.mark_aborted()
+            if transport is not None:
+                transport.mark_aborted()
             try:
                 barrier_obj.abort()
             except Exception:  # pragma: no cover
                 pass
-            result_queue.put(
-                (
-                    rank,
-                    seq,
-                    "error",
-                    f"{type(exc).__name__}: {exc}\n"
-                    f"{traceback.format_exc()}",
-                )
-            )
+            conn.send((
+                "error",
+                f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
+            ))
         finally:
-            if heartbeat is not None:
-                heartbeat[rank] = time.monotonic()
-            ctx.release()
+            heartbeat[rank] = time.monotonic()
+    for q in outboxes:  # exit now: nobody will read what is unflushed
+        q.cancel_join_thread()

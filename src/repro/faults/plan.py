@@ -31,10 +31,13 @@ spec                   effect
 
 Op numbers are the master's command sequence numbers
 (:class:`~repro.backend.multiprocess.MultiprocessBackend` assigns them
-monotonically, never reusing one across fleet restarts), so a fault
-keyed on ``at_op`` fires **at most once** per backend instance — a
-replayed op gets a fresh sequence number and runs clean.  That is what
-makes recovery testable: inject, detect, restart, replay, succeed.
+monotonically from each attach — the bind is op 1 — never reusing one
+across fleet restarts), so a fault keyed on ``at_op`` fires **at most
+once per attach** — a replayed op gets a fresh sequence number and
+runs clean — and fires again in the next stage of the same session,
+whose attach starts counting afresh (as do link ordinals and
+``at_alloc``).  That is what makes recovery testable: inject, detect,
+restart, replay, succeed.
 
 :meth:`FaultPlan.chaos` derives a whole plan deterministically from a
 seed — the chaos load test's input (``python -m repro serve
@@ -109,7 +112,7 @@ class TransportDrop:
 @dataclass(frozen=True)
 class ShmAllocFailure:
     """The ``at_alloc``-th shared-memory block allocation (1-based,
-    counted per allocator) raises ``MemoryError``."""
+    counted per attach) raises ``MemoryError``."""
 
     at_alloc: int
 

@@ -437,11 +437,12 @@ def run_loadtest(
         if chaos:
             from ..faults import injected
 
-            def _restart_count() -> int:
-                return sum(
-                    1 for i in flight_recorder.incidents()
+            def _restarts() -> set:
+                # ids, not a count: the incident ring is bounded
+                return {
+                    i["incident_id"] for i in flight_recorder.incidents()
                     if i.get("reason") == "backend fleet restart"
-                )
+                }
 
             # phases run under the request-fault plan (delays / 500s /
             # dropped connections at the HTTP layer)
@@ -455,12 +456,12 @@ def run_loadtest(
             # the recovery phase swaps in the worker-crash + transport-
             # delay plan: every multiprocess run crashes a worker and
             # must restart + replay to a bitwise-identical result
-            restarts_before = _restart_count()
+            restarts_before = _restarts()
             with injected(recovery_plan):
                 recovery = _run_recovery(
                     base_url, registry, smoke, seed, timeout
                 )
-            recovery["fleet_restarts"] = _restart_count() - restarts_before
+            recovery["fleet_restarts"] = len(_restarts() - restarts_before)
         else:
             observations = _run_phase(base_url, "unique", unique_lists, timeout)
             observations += _run_phase(base_url, "repeated", repeated_lists, timeout)

@@ -39,7 +39,11 @@ class SessionPool:
 
     ``max_idle`` bounds the idle stack *per configuration*; sessions
     released beyond it (or released closed) are discarded.  All pooled
-    sessions share ``plan_cache`` (one is created if not given).
+    sessions share ``plan_cache`` (one is created if not given).  An
+    idle multiprocess session keeps its worker fleet, so an idle pool
+    can hold up to ``max_idle * nprocs`` sleeping worker processes per
+    configuration (``stats()["idle_with_fleet"]`` says how many
+    sessions do); :meth:`close` stops them.
     """
 
     def __init__(
@@ -139,6 +143,9 @@ class SessionPool:
     def stats(self) -> dict:
         with self._lock:
             idle = sum(len(s) for s in self._idle.values())
+            with_fleet = sum(
+                1 for s in self._idle.values() for sess in s if sess.live_fleets
+            )
             return {
                 "created": self.created,
                 "reused": self.reused,
@@ -146,6 +153,7 @@ class SessionPool:
                 "evictions": self.evictions,
                 "active": self.active,
                 "idle": idle,
+                "idle_with_fleet": with_fleet,
                 "configs": len(self._idle),
                 "max_idle": self.max_idle,
             }

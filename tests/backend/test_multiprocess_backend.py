@@ -178,7 +178,7 @@ def test_plan_replay_on_recurring_flips(backend):
         e.distribute("V", dist_type(*target))
         assert np.array_equal(v.to_global(), g)
     # both flip directions were shipped exactly once
-    assert len(backend._shipped_plans) == 2
+    assert len(backend.fleet.shipped) == 2
 
 
 def test_run_kernel_runs_in_workers_not_master(backend):
@@ -245,11 +245,11 @@ def test_run_op_after_close_rejected():
 
 
 def test_forked_worker_imports_nothing_after_start(monkeypatch, tmp_path):
-    """A fleet is forked per ``run()``, so whatever a worker needs must
-    be in the parent's ``sys.modules`` before the fork: a module only
-    the worker loop imported would be imported again by every fleet.
-    Once the parent has run a workload, the next fleet's workers gain
-    no ``repro`` module between start and shutdown."""
+    """A fleet is forked once per session, so whatever a worker needs
+    should be in the parent's ``sys.modules`` before the fork or come
+    with the command that needs it: once the parent has run a workload,
+    the workers of a fleet started afterwards gain no ``repro`` module
+    between start and shutdown, however many workloads they serve."""
     import json
     import sys
 
@@ -269,21 +269,24 @@ def test_forked_worker_imports_nothing_after_start(monkeypatch, tmp_path):
                             if m.startswith("repro"))
             (tmp_path / f"{os.getpid()}.json").write_text(json.dumps(gained))
 
-    with repro.session(nprocs=2, backend="multiprocess") as sess:
-        handles = [
+    def handles(sess):
+        return [
             sess.workload("adi", size=16, iterations=1),
             sess.workload("pic", size=16, steps=2),
             sess.workload("smoothing", size=16, steps=2),
             sess.workload("irregular", size=16, steps=2),
         ]
-        assert {h.name for h in handles} == set(sess.registry.names())
-        for handle in handles:
+
+    with repro.session(nprocs=2, backend="multiprocess") as sess:
+        assert {h.name for h in handles(sess)} == set(sess.registry.names())
+        for handle in handles(sess):
             handle.run()  # the parent imports the app
-        monkeypatch.setattr(multiprocess, "worker_main", traced)
-        for handle in handles:
+    monkeypatch.setattr(multiprocess, "worker_main", traced)
+    with repro.session(nprocs=2, backend="multiprocess") as sess:
+        for handle in handles(sess):
             handle.run()
     reports = sorted(tmp_path.iterdir())
-    assert len(reports) == 2 * len(handles)
+    assert len(reports) == 2  # one fleet served all four workloads
     assert [json.loads(r.read_text()) for r in reports] == [[]] * len(reports)
 
 

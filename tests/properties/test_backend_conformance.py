@@ -63,15 +63,15 @@ def _obs_counters() -> dict:
     }
 
 
-@functools.cache
-def measure(name: str, backend: str, nprocs: int) -> dict:
-    """One ``run()`` of a registered workload at its registered
-    defaults: everything the conformance contract compares.
+def measure_session(names: tuple, backend: str, nprocs: int) -> list[dict]:
+    """``run()`` of each named workload at its registered defaults,
+    back to back on **one** session: per run, everything the
+    conformance contract compares.
 
     ``plan_cache`` sums ``hits``/``misses`` over every
     :class:`PlanCache` the run touched (the shared default, cleared
     first so the counts do not depend on test order, plus every cache
-    constructed during the run); ``plan_cache_lookups`` is the same
+    constructed during the session); ``plan_cache_lookups`` is the same
     count as the obs metric saw it.
     """
     caches = [default_plan_cache()]
@@ -82,43 +82,56 @@ def measure(name: str, backend: str, nprocs: int) -> dict:
         init(self, *args, **kwargs)
         caches.append(self)
 
+    def lookups() -> dict:
+        return {"hits": sum(c.hits for c in caches),
+                "misses": sum(c.misses for c in caches)}
+
+    cells = []
     was_on = obs_metrics.set_enabled(True)
     try:
-        before = _obs_counters()
         with mock.patch.object(PlanCache, "__init__", tracked), repro.session(
             nprocs=nprocs, backend=backend, record_events=True
         ) as sess:
-            run = sess.workload(name).run()
-        after = _obs_counters()
+            for name in names:
+                before, looked = _obs_counters(), lookups()
+                run = sess.workload(name).run()
+                after = _obs_counters()
+                obs = {
+                    series: value - before.get(series, 0.0)
+                    for series, value in after.items()
+                    if value != before.get(series, 0.0)
+                }
+                events = hashlib.sha256()
+                for event in run.events.events:
+                    events.update(repr(event).encode())
+                cells.append({
+                    "backend": run.backend,
+                    "solution_sha256": run.solution_digest(),
+                    "clocks": list(run.clocks),
+                    "messages": run.messages,
+                    "bytes": run.bytes,
+                    "time": run.time,
+                    "events": run.events.counts(),
+                    "events_sha256": events.hexdigest(),
+                    "plan_cache": {
+                        k: v - looked[k] for k, v in lookups().items()
+                    },
+                    "plan_cache_lookups": {
+                        "hits": int(obs.get(LOOKUPS + '{"result": "hit"}', 0)),
+                        "misses": int(obs.get(LOOKUPS + '{"result": "miss"}', 0)),
+                    },
+                    "obs": {k: v for k, v in obs.items()
+                            if not k.startswith(LOOKUPS)},
+                })
     finally:
         obs_metrics.set_enabled(was_on)
-    obs = {
-        series: value - before.get(series, 0.0)
-        for series, value in after.items()
-        if value != before.get(series, 0.0)
-    }
-    events = hashlib.sha256()
-    for event in run.events.events:
-        events.update(repr(event).encode())
-    return {
-        "backend": run.backend,
-        "solution_sha256": run.solution_digest(),
-        "clocks": list(run.clocks),
-        "messages": run.messages,
-        "bytes": run.bytes,
-        "time": run.time,
-        "events": run.events.counts(),
-        "events_sha256": events.hexdigest(),
-        "plan_cache": {
-            "hits": sum(c.hits for c in caches),
-            "misses": sum(c.misses for c in caches),
-        },
-        "plan_cache_lookups": {
-            "hits": int(obs.get(LOOKUPS + '{"result": "hit"}', 0)),
-            "misses": int(obs.get(LOOKUPS + '{"result": "miss"}', 0)),
-        },
-        "obs": {k: v for k, v in obs.items() if not k.startswith(LOOKUPS)},
-    }
+    return cells
+
+
+@functools.cache
+def measure(name: str, backend: str, nprocs: int) -> dict:
+    """One ``run()`` of a registered workload on a session of its own."""
+    return measure_session((name,), backend, nprocs)[0]
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
@@ -134,6 +147,27 @@ def test_registered_workload_conforms(name, nprocs):
     # across backends — but the metric and stats() must tell one story
     for cell in (serial, multi):
         assert cell["plan_cache_lookups"] == cell["plan_cache"]
+
+
+@pytest.mark.parametrize("nprocs", NPROCS)
+def test_one_session_runs_equal_fresh_session_runs(nprocs):
+    """Nothing leaks from one binding of a session's worker fleet into
+    the next: every registered workload, back to back on one
+    multiprocess session, reads exactly as it does on a session of its
+    own — and again on a second lap (each workload now runs after every
+    other), where the only difference is the one a session exists for:
+    its plan cache may answer the same lookups with fewer misses."""
+    names = REGISTRY.names()
+    fresh = [measure(name, "multiprocess", nprocs) for name in names]
+    laps = measure_session(names * 2, "multiprocess", nprocs)
+    first, second = laps[:len(names)], laps[len(names):]
+    assert first == fresh
+    for cell, want in zip(second, fresh):
+        for counts in ("plan_cache", "plan_cache_lookups"):
+            looked = cell.pop(counts)
+            assert looked["misses"] <= want[counts]["misses"]
+            assert sum(looked.values()) == sum(want[counts].values())
+        assert cell == {k: v for k, v in want.items() if k in cell}
 
 
 PIN = json.loads(PIN_PATH.read_text())

@@ -63,6 +63,30 @@ def test_closed_sessions_are_not_restacked():
         assert pool.acquire(cfg) is not sess
 
 
+def test_idle_sessions_keep_their_fleet_until_the_pool_closes():
+    import multiprocessing
+
+    def workers():
+        return [p for p in multiprocessing.active_children()
+                if p.name.startswith("vfe-worker-")]
+
+    with SessionPool() as pool:
+        cfg = SessionConfig(nprocs=2, backend="multiprocess")
+        sess = pool.acquire(cfg)
+        assert pool.stats()["idle_with_fleet"] == 0
+        assert sess.workload("adi", size=12).run().backend == "multiprocess"
+        pool.release(sess)
+        pool.release(pool.acquire(SessionConfig(nprocs=2)))  # serial: no fleet
+        assert pool.stats()["idle"] == 2
+        assert pool.stats()["idle_with_fleet"] == 1
+        pids = {p.pid for p in workers()}
+        again = pool.acquire(cfg)  # the next tenant inherits the workers
+        again.workload("smoothing", size=12).run()
+        assert {p.pid for p in workers()} == pids and len(pids) == 2
+        pool.release(again)
+    assert workers() == []
+
+
 def test_pool_close_drains_idle_sessions():
     pool = SessionPool()
     sess = pool.acquire(SessionConfig(nprocs=4))
