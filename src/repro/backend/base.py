@@ -184,17 +184,6 @@ class Backend:
         return f"{type(self).__name__}({state})"
 
 
-def _owned(array: "DistributedArray"):
-    """``(rank, segment)`` per owning rank.  A rank owns elements iff
-    its segment is non-empty, which is read off local memory instead of
-    re-deriving ``owning_ranks()`` from the distribution (the caller's
-    accounting loop has just paid for that walk)."""
-    for rank in range(array.machine.nprocs):
-        local = array.local(rank)
-        if local.size:
-            yield rank, local
-
-
 class SerialBackend(Backend):
     """The in-process reference backend.
 
@@ -209,13 +198,12 @@ class SerialBackend(Backend):
 
     def move(self, array: "DistributedArray", new_dist, plan_cache=None) -> None:
         gvals = array.to_global()
-        array.descriptor.set_dist(new_dist)
-        array._allocate_segments(fill=None)
+        array.bind(new_dist, fill=None)
         array.from_global(gvals)
 
     def run_kernel(self, array: "DistributedArray", fn: Callable) -> None:
-        for rank, local in _owned(array):
-            fn(rank, local, array.local_indices(rank))
+        for rank in array.owning_ranks():
+            fn(rank, array.local(rank), array.local_indices(rank))
 
     def stencil_step(self, array, overlap, func, dim_entries) -> None:
         widths = overlap.widths
@@ -224,8 +212,8 @@ class SerialBackend(Backend):
             for src, dst, key, src_sl, _count in entries:
                 dest = halo_dest_slice(array.local(dst).shape, widths, dim, key)
                 overlap.padded(dst)[dest] = array.local(src)[src_sl]
-        for rank, local in _owned(array):
-            stencil_apply(local, overlap.padded(rank), widths, func)
+        for rank in array.owning_ranks():
+            stencil_apply(array.local(rank), overlap.padded(rank), widths, func)
 
 
 #: the backend of every machine nothing else is attached to

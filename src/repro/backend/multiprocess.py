@@ -569,8 +569,7 @@ class MultiprocessBackend(SerialBackend):
             if st is not None:
                 stashed[rank] = st
         try:
-            array.descriptor.set_dist(new_dist)
-            array._allocate_segments(fill=None)
+            array.bind(new_dist, fill=None)
             self._op_counter += 1
             tag = f"redist:{array.name}:{self._op_counter}"
 

@@ -49,13 +49,10 @@ def segment_gflat(dist: "Distribution", rank: int) -> np.ndarray:
     index space: position ``i`` of the flattened local segment holds
     global element ``segment_gflat(dist, rank)[i]``.
     """
-    idx = dist.local_index_arrays(rank)
-    if idx is None or any(len(a) == 0 for a in idx):
+    if dist.local_size(rank) == 0:  # owns nothing, or outside the section
         return np.empty(0, dtype=np.int64)
-    grids = np.meshgrid(*idx, indexing="ij")
-    return np.ravel_multi_index(
-        tuple(g.ravel() for g in grids), dist.shape
-    ).astype(np.int64)
+    idx = np.ix_(*dist.local_index_arrays(rank))
+    return np.ravel_multi_index(idx, dist.shape).ravel().astype(np.int64)
 
 
 def transfer_plan(
@@ -173,9 +170,7 @@ def shift_plan(
         raise ValueError("exchange width must be >= 1")
     segs: dict[int, tuple[tuple[int, int], ...]] = {}
     for rank in range(dist.nprocs):
-        if dist.local_size(rank) <= 0:
-            continue
-        if dist.local_index_arrays(rank) is None:
+        if dist.local_size(rank) <= 0:  # also: rank outside the section
             continue
         seg = dist.segment(rank)
         if seg is None:
@@ -189,20 +184,12 @@ def shift_plan(
     entries: list[tuple[int, int, str, tuple[slice, ...], int]] = []
     for rank, seg in segs.items():
         lo, hi = seg[dim]
-        n = hi - lo
-        if n <= 0:
-            continue
-        shape = tuple(h - l for l, h in seg)
-        cross = int(
-            np.prod(
-                [s for d, s in enumerate(shape) if d != dim],
-                dtype=np.int64,
-            )
-        )
+        n = hi - lo  # > 0: the rank owns elements
+        cross = dist.local_size(rank) // n
         w = min(width, n)
         for other, oseg in segs.items():
             olo, ohi = oseg[dim]
-            if other == rank or ohi - olo <= 0:
+            if other == rank:
                 continue
             if any(
                 seg[d] != oseg[d] for d in range(ndim) if d != dim
@@ -281,7 +268,7 @@ def sweep_plan(dist: "Distribution", dim: int) -> SweepPlan:
         raise ValueError(f"dimension {dim} is not distributed")
     other_dims = [d for d in range(ndim) if d != dim]
     maps = dist.owner_maps()  # per-dim primary slot vectors (read-only)
-    slots = [dist._slots(d) for d in range(ndim)]
+    slots = [dist.slots_along(d) for d in range(ndim)]
 
     # group id per line, row-major over the other dimensions
     group_shape = tuple(slots[d] for d in other_dims)
@@ -294,18 +281,15 @@ def sweep_plan(dist: "Distribution", dim: int) -> SweepPlan:
         group_of_line = np.zeros(1, dtype=np.int64)
         group_shape = ()
 
-    # per-group line-rank vectors: rank_array indexed by the group's
-    # other-dim slots broadcast against dim's owner vector
+    # per-group line-rank vectors: the group's other-dim slots (a
+    # column each) broadcast against dim's owner vector (a row)
     ngroups = int(np.prod(group_shape, dtype=np.int64)) if group_shape else 1
     group_mi = np.unravel_index(np.arange(ngroups), group_shape or (1,))
-    index_arrays: list[np.ndarray | None] = [None] * dist.target.ndim
+    line_slots: list = [None] * ndim
+    line_slots[dim] = maps[dim].reshape(1, -1)
     for pos, d in enumerate(other_dims):
-        if dist.dtype.dims[d].consumes_proc_dim:
-            index_arrays[dist._secdim_of[d]] = group_mi[pos].reshape(-1, 1)
-    index_arrays[dist._secdim_of[dim]] = maps[dim].reshape(1, -1)
-    line_ranks = np.broadcast_to(
-        dist._rank_array[tuple(index_arrays)], (ngroups, shape[dim])
-    )
+        line_slots[d] = group_mi[pos].reshape(-1, 1)
+    line_ranks = dist.slot_ranks(line_slots)
 
     head = np.ascontiguousarray(line_ranks[:, 0]).astype(np.int64)
     remote = np.zeros(ngroups, dtype=bool)

@@ -169,7 +169,7 @@ class LineSweepKernel:
         if isinstance(dd, (NoDist, Replicated)):
             return True
         # distributed, but possibly onto a single processor slot
-        return self.array.dist._slots(self.dim) == 1
+        return self.array.dist.slots_along(self.dim) == 1
 
     def sweep(self, reference: bool = False) -> dict[str, int]:
         """Run line_func over every line; returns sweep statistics.

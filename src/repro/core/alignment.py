@@ -226,12 +226,14 @@ def construct(
     # (source distributed dim j in A-dim order) -> B section dim
     sec_dim_of_src: dict[int, int] = {}
     pinned: dict[int, int] = {}  # B section dim -> pinned slot
+    # B's distributed array dim -> its section dim (absent for ':')
+    b_secdim_of = dict(zip(dist_b.dtype.distributed_dims, dist_b.dim_map))
 
     for e, m in enumerate(alignment.axis_maps):
         b_dd = dist_b.dtype.dims[e]
-        b_secdim = dist_b._secdim_of[e]
+        b_secdim = b_secdim_of.get(e)
         n_b = dist_b.shape[e]
-        p_e = dist_b._slots(e)
+        p_e = dist_b.slots_along(e)
         if m.dim is None:
             # constant embedding: pin the processor dimension (if any)
             if b_secdim is None:

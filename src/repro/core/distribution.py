@@ -20,6 +20,8 @@ the ``i``-th distributed array dimension maps to section dimension
 from __future__ import annotations
 
 import itertools
+import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -126,6 +128,27 @@ class Distribution:
         matching of Vienna Fortran); a transposing alignment such as
         the paper's ``ALIGN D(I,J,K) WITH C(J,I,K)`` induces a
         non-identity map via CONSTRUCT.
+
+    **The descriptor holds the layout** (§3.2.1 stores ``dist(A)``,
+    ``loc_map_p`` and ``segment`` and modifies them "when the
+    distribution is changed").  A distribution is immutable, so it
+    works its layout out once:
+
+    - at construction: section dimension and slot count of every array
+      dimension, and the section's rank table (built when the section
+      was);
+    - on the first per-rank query: ``rank -> (slots, local shape)`` for
+      every rank of the section and :attr:`owning_ranks`; on the first
+      :meth:`segment`: every slot's ``(lo, hi)`` — O(P) small integers;
+    - never: index *arrays*.  :meth:`local_index_arrays` builds them per
+      call (a :class:`~repro.runtime.darray.DistributedArray` keeps
+      them while it keeps the layout) and :meth:`rank_map` lives in one
+      bounded LRU, because a distribution outlives its array wherever
+      it is a key (that LRU, the intern table): index arrays retained
+      on such instances cost the never-seen-shape e2e workload
+      (``distribute_cold``) +13 % peak RSS when that was tried.
+
+    :meth:`slot_ranks` is the one place processor slots become ranks.
     """
 
     def __init__(
@@ -163,43 +186,35 @@ class Distribution:
         self.dtype = dtype
         self.domain = domain
         self.target = target
-        # section dimension assigned to each array dimension (or None)
-        self._secdim_of: list[int | None] = []
-        j = 0
-        for dd in dtype.dims:
-            if dd.consumes_proc_dim:
-                self._secdim_of.append(dim_map[j])
-                j += 1
-            else:
-                self._secdim_of.append(None)
+        # section dimension assigned to each array dimension (None for ':')
+        secdims = iter(dim_map)
+        self._secdim_of = tuple(
+            next(secdims) if dd.consumes_proc_dim else None for dd in dtype.dims
+        )
+        # processor slots along each array dimension (1 for ':')
+        self._nslots = tuple(
+            1 if k is None else target.shape[k] for k in self._secdim_of
+        )
         # validate each dim eagerly so bad B_BLOCK sizes fail at bind time
-        for d, dd in enumerate(dtype.dims):
-            dd.validate(domain.shape[d], self._slots(d))
-        self._rank_array = target.rank_array()
-        self._rank_map_cache: np.ndarray | None = None
+        for dd, n, p in zip(dtype.dims, domain.shape, self._nslots):
+            dd.validate(n, p)
+        # shaped like the section: a 0-dimensional one is indexed by ()
+        self._rank_array = target.rank_array().reshape(target.shape)
         self._hash_cache: int | None = None
 
-    # -- geometry helpers --------------------------------------------------
-    def _slots(self, dim: int) -> int:
-        """Processor slots along array dimension ``dim`` (1 for ``:``)."""
-        k = self._secdim_of[dim]
-        return 1 if k is None else self.target.shape[k]
-
+    # -- geometry ----------------------------------------------------------
     def slots_along(self, dim: int) -> int:
-        """Processor slots mapped to array dimension ``dim`` (1 for ``:``).
-
-        Public accessor used by the distribution planner's cost queries.
-        """
+        """Processor slots mapped to array dimension ``dim`` (1 for ``:``)."""
         if not 0 <= dim < self.ndim:
             raise IndexError(f"dimension {dim} out of range [0, {self.ndim})")
-        return self._slots(dim)
+        return self._nslots[dim]
 
     @property
     def proc_shape(self) -> tuple[int, ...]:
         """Slot counts along the *distributed* array dimensions, in
         declaration order — the ``proc_shape`` argument expected by the
         compiler's per-reference communication estimates."""
-        return tuple(self._slots(d) for d in self.dtype.distributed_dims)
+        return tuple(self._nslots[d] for d in self.dtype.distributed_dims)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -218,55 +233,89 @@ class Distribution:
         """Parent ranks of the target section, section-rank order."""
         return self.target.ranks()
 
-    # -- slot/coordinate mapping -------------------------------------------
-    def _proc_coord_of_slots(self, slots: Sequence[int]) -> tuple[int, ...]:
-        """Section coordinate from per-array-dim slots (distributed dims)."""
-        coord = [0] * self.target.ndim
-        for d, dd in enumerate(self.dtype.dims):
-            if dd.consumes_proc_dim:
-                coord[self._secdim_of[d]] = int(slots[d])
-        return tuple(coord)
+    def slot_ranks(self, slots: Sequence[np.ndarray | int]) -> np.ndarray:
+        """Parent ranks of processor slots, vectorized.
 
-    def _slots_of_proc(self, rank: int) -> tuple[int, ...] | None:
-        """Per-array-dim slot for parent ``rank``; None if outside section."""
-        try:
-            pos = self.ranks().index(int(rank))
-        except ValueError:
-            return None
-        flat = pos
-        sec_coord = []
-        for s in reversed(self.target.shape):
-            sec_coord.append(flat % s)
-            flat //= s
-        sec_coord = tuple(reversed(sec_coord))
-        slots: list[int] = []
-        for d, dd in enumerate(self.dtype.dims):
-            if dd.consumes_proc_dim:
-                slots.append(sec_coord[self._secdim_of[d]])
-            else:
-                slots.append(0)
-        return tuple(slots)
+        ``slots`` has one entry per *array* dimension — ints or index
+        arrays that broadcast against each other; entries along ``:``
+        dimensions only lend their shape — so ``np.ix_`` of the owner
+        vectors yields a rank map and ``(n,)`` columns yield ``n``
+        ranks.  Permuted ``dim_map``s and 0-dimensional sections are
+        handled here and nowhere else.  Read-only.
+        """
+        index = [0] * self.target.ndim
+        for k, s in zip(self._secdim_of, slots):
+            if k is not None:
+                index[k] = s
+        shape = np.broadcast_shapes(*map(np.shape, slots))
+        return np.broadcast_to(self._rank_array[tuple(index)], shape)
+
+    # -- the per-processor tables --------------------------------------------
+    @cached_property
+    def _by_rank(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """``rank -> (slots, local shape)`` for every rank of the section:
+        its slot along each array dimension (0 along ``:``) and the
+        extents of its segment."""
+        counts = [
+            [dd.local_count(s, n, p) for s in range(p)]
+            for dd, n, p in zip(self.dtype.dims, self.shape, self._nslots)
+        ]
+        table = {}
+        for rank, coord in zip(self.target.ranks(), self.target.coords()):
+            slots = tuple(0 if k is None else coord[k] for k in self._secdim_of)
+            table[rank] = slots, tuple(c[s] for c, s in zip(counts, slots))
+        return table
+
+    @cached_property
+    def _rank_at(self) -> dict[tuple[int, ...], int]:
+        """:attr:`_by_rank` read the other way: ``slots -> rank``."""
+        return {slots: rank for rank, (slots, _) in self._by_rank.items()}
+
+    @cached_property
+    def owning_ranks(self) -> tuple[int, ...]:
+        """Parent ranks that own at least one element, ascending."""
+        return tuple(sorted(
+            rank for rank, (_, shape) in self._by_rank.items() if 0 not in shape
+        ))
+
+    @cached_property
+    def _bounds(self) -> list[list[tuple[int, int] | None]]:
+        """Per dimension and slot: the ``(lo, hi)`` range the slot owns,
+        ``(0, 0)`` if it owns nothing, None if its indices have gaps."""
+        def bounds(idx: np.ndarray) -> tuple[int, int] | None:
+            if len(idx) == 0:
+                return (0, 0)
+            lo, hi = int(idx[0]), int(idx[-1]) + 1
+            return (lo, hi) if hi - lo == len(idx) else None
+
+        return [
+            [bounds(dd.indices_of(s, n, p)) for s in range(p)]
+            for dd, n, p in zip(self.dtype.dims, self.shape, self._nslots)
+        ]
+
+    def slots_of(self, rank: int) -> tuple[int, ...] | None:
+        """``rank``'s processor slot along each array dimension (0 along
+        ``:``); None if ``rank`` is not in the target section."""
+        entry = self._by_rank.get(rank)
+        return None if entry is None else entry[0]
+
+    def _slots_in_section(self, rank: int) -> tuple[int, ...]:
+        slots = self.slots_of(rank)
+        if slots is None:
+            raise IndexError(f"processor {rank} is not in section {self.target!r}")
+        return slots
 
     # -- Definition 1: delta ----------------------------------------------
     def owners(self, index: Sequence[int] | int) -> tuple[int, ...]:
         """All parent ranks owning ``index`` (non-empty, per Definition 1)."""
         index = self.domain.check(index)
-        per_dim: list[tuple[int, ...]] = []
-        for d, dd in enumerate(self.dtype.dims):
-            per_dim.append(
-                dd.all_owners_of(index[d], self.shape[d], self._slots(d))
-                if dd.consumes_proc_dim
-                else (0,)
-            )
-        out: list[int] = []
-        for combo in itertools.product(*per_dim):
-            coord = self._proc_coord_of_slots(combo)
-            out.append(
-                int(self._rank_array[coord])
-                if self.target.shape
-                else int(self._rank_array.reshape(-1)[0])
-            )
-        return tuple(dict.fromkeys(out))  # dedupe, keep order
+        per_dim = [
+            dd.all_owners_of(i, n, p) if dd.consumes_proc_dim else (0,)
+            for dd, i, n, p in zip(self.dtype.dims, index, self.shape, self._nslots)
+        ]
+        return tuple(dict.fromkeys(  # dedupe, keep order
+            self._rank_at[combo] for combo in itertools.product(*per_dim)
+        ))
 
     def owner(self, index: Sequence[int] | int) -> int:
         """Primary owner (first owner) of ``index``."""
@@ -287,8 +336,8 @@ class Distribution:
         distributions — copy before mutating.
         """
         return [
-            owners_vec_cached(dd, self.shape[d], self._slots(d))
-            for d, dd in enumerate(self.dtype.dims)
+            owners_vec_cached(dd, n, p)
+            for dd, n, p in zip(self.dtype.dims, self.shape, self._nslots)
         ]
 
     def rank_map(self) -> np.ndarray:
@@ -296,31 +345,10 @@ class Distribution:
 
         The workhorse of the vectorized redistribution algorithm
         (experiment E4's "vectorized transfer sets" design choice).
-        Memoized twice over: per instance, and in the shared rank-map
-        LRU keyed by the interned distribution, so equal layouts built
-        independently (the planner's candidate enumeration) share one
-        computed map.  The result is read-only.
+        Read-only, shared between equal distributions, and held only by
+        the bounded LRU of :func:`~repro.core.interning.rank_map_cached`.
         """
-        if self._rank_map_cache is not None:
-            return self._rank_map_cache
-        self._rank_map_cache = rank_map_cached(self)
-        return self._rank_map_cache
-
-    def _compute_rank_map(self) -> np.ndarray:
-        """The uncached rank-map computation (called by the LRU)."""
-        maps = self.owner_maps()
-        index_arrays: list[np.ndarray | None] = [None] * self.target.ndim
-        for d, dd in enumerate(self.dtype.dims):
-            if not dd.consumes_proc_dim:
-                continue
-            shape = [1] * self.ndim
-            shape[d] = self.shape[d]
-            index_arrays[self._secdim_of[d]] = maps[d].reshape(shape)
-        if any(a is not None for a in index_arrays):
-            rm = self._rank_array[tuple(index_arrays)]
-        else:  # fully undistributed: single processor owns everything
-            rm = np.full((1,) * self.ndim, int(self._rank_array.reshape(-1)[0]))
-        return np.broadcast_to(rm, self.shape)
+        return rank_map_cached(self)
 
     def owner_rank_maps(self):
         """Yield rank maps covering *all* owners of every element.
@@ -340,22 +368,11 @@ class Distribution:
         if not rep_dims:
             yield self.rank_map()
             return
-        base_maps = self.owner_maps()
-        for combo in itertools.product(
-            *(range(self._slots(d)) for d in rep_dims)
-        ):
-            index_arrays: list[np.ndarray | None] = [None] * self.target.ndim
-            for d, dd in enumerate(self.dtype.dims):
-                if not dd.consumes_proc_dim:
-                    continue
-                shape = [1] * self.ndim
-                shape[d] = self.shape[d]
-                vec = base_maps[d]
-                if d in rep_dims:
-                    vec = np.full_like(vec, combo[rep_dims.index(d)])
-                index_arrays[self._secdim_of[d]] = vec.reshape(shape)
-            rm = self._rank_array[tuple(index_arrays)]
-            yield np.broadcast_to(rm, self.shape)
+        vecs = self.owner_maps()
+        for combo in itertools.product(*(range(self._nslots[d]) for d in rep_dims)):
+            for d, slot in zip(rep_dims, combo):
+                vecs[d] = np.full_like(vecs[d], slot)
+            yield self.slot_ranks(np.ix_(*vecs))
 
     # -- per-processor views (segment / loc_map of §3.2.1) ------------------
     def local_index_arrays(self, rank: int) -> tuple[np.ndarray, ...] | None:
@@ -366,49 +383,39 @@ class Distribution:
         dimensions independently.  Returns ``None`` when ``rank`` is not
         in the target section.
         """
-        slots = self._slots_of_proc(rank)
+        slots = self.slots_of(rank)
         if slots is None:
             return None
         return tuple(
-            dd.indices_of(slots[d], self.shape[d], self._slots(d))
-            for d, dd in enumerate(self.dtype.dims)
+            dd.indices_of(s, n, p)
+            for dd, s, n, p in zip(self.dtype.dims, slots, self.shape, self._nslots)
         )
 
     def local_shape(self, rank: int) -> tuple[int, ...]:
         """Shape of ``rank``'s local segment (all zeros if not in section)."""
-        slots = self._slots_of_proc(rank)
-        if slots is None:
-            return (0,) * self.ndim
-        return tuple(
-            dd.local_count(slots[d], self.shape[d], self._slots(d))
-            for d, dd in enumerate(self.dtype.dims)
-        )
+        entry = self._by_rank.get(rank)
+        return (0,) * self.ndim if entry is None else entry[1]
 
     def local_size(self, rank: int) -> int:
-        n = 1
-        for s in self.local_shape(rank):
-            n *= s
-        return n
+        return math.prod(self.local_shape(rank))
 
     def global_to_local(self, rank: int, index: Sequence[int] | int) -> tuple[int, ...]:
         """The paper's ``loc_map_p``: local offset of a global index."""
         index = self.domain.check(index)
-        slots = self._slots_of_proc(rank)
-        if slots is None:
-            raise IndexError(f"processor {rank} is not in section {self.target!r}")
         return tuple(
-            dd.global_to_local(slots[d], index[d], self.shape[d], self._slots(d))
-            for d, dd in enumerate(self.dtype.dims)
+            dd.global_to_local(s, i, n, p)
+            for dd, s, i, n, p in zip(
+                self.dtype.dims, self._slots_in_section(rank), index,
+                self.shape, self._nslots,
+            )
         )
 
     def local_to_global(self, rank: int, lindex: Sequence[int] | int) -> tuple[int, ...]:
         if isinstance(lindex, int):
             lindex = (lindex,)
-        slots = self._slots_of_proc(rank)
-        if slots is None:
-            raise IndexError(f"processor {rank} is not in section {self.target!r}")
+        slots = self._slots_in_section(rank)
         return tuple(
-            dd.local_to_global(slots[d], int(lindex[d]), self.shape[d], self._slots(d))
+            dd.local_to_global(slots[d], int(lindex[d]), self.shape[d], self._nslots[d])
             for d, dd in enumerate(self.dtype.dims)
         )
 
@@ -418,21 +425,13 @@ class Distribution:
         This is the ``segment`` descriptor component of §3.2.1, defined
         "for regular and irregular BLOCK distributions".  Returns
         ``None`` if any dimension is non-contiguous (e.g. CYCLIC with
-        more than one cycle).
+        more than one cycle) or ``rank`` is not in the target section.
         """
-        arrays = self.local_index_arrays(rank)
-        if arrays is None:
+        slots = self.slots_of(rank)
+        if slots is None:
             return None
-        out: list[tuple[int, int]] = []
-        for idx in arrays:
-            if len(idx) == 0:
-                out.append((0, 0))
-                continue
-            lo, hi = int(idx[0]), int(idx[-1]) + 1
-            if hi - lo != len(idx):
-                return None  # non-contiguous
-            out.append((lo, hi))
-        return tuple(out)
+        seg = tuple(b[s] for b, s in zip(self._bounds, slots))
+        return None if None in seg else seg
 
     # -- structural --------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -10,11 +10,14 @@ is the hot-path waste this module removes:
 
 - :func:`intern_dimdist` / :func:`intern_distribution` — hash-consing:
   structurally equal instances resolve to one canonical object, so
-  hashing is computed once, equality checks short-circuit on identity,
-  and per-instance caches (``rank_map``, local index arrays) are
-  automatically shared by every holder of an equal value;
+  hashing is computed once and equality checks short-circuit on
+  identity.  :func:`owners_vec_cached` interns intrinsics; nothing in
+  the package interns distributions (``apply()`` returns a fresh
+  object whose per-processor tables are its own, and the caches below
+  key by *value*) — :meth:`Distribution.interned` is for callers;
 - :func:`owners_vec_cached` / :func:`rank_map_cached` — bounded LRU
-  caches over the two owner-map queries, returning read-only arrays.
+  caches over the two owner-map queries, returning read-only arrays,
+  and the only holders of what they cache: what they evict is freed.
   Hit/miss counters are surfaced through
   :meth:`repro.runtime.redistribute.PlanCache.stats` so cache
   behaviour is observable wherever plan caching already is.
@@ -150,11 +153,7 @@ def intern_dimdist(dd: "DimDist") -> "DimDist":
     ``B_BLOCK``) from churning workloads age out instead of pinning
     their owner arrays forever.
     """
-    cached = _dimdist_table.get(dd)
-    if cached is not None:
-        return cached
-    _dimdist_table.put(dd, dd)
-    return dd
+    return _dimdist_table.get_or_compute(dd, lambda: dd)
 
 
 def intern_distribution(dist: "Distribution") -> "Distribution":
@@ -163,14 +162,10 @@ def intern_distribution(dist: "Distribution") -> "Distribution":
     Equal distributions (same type, domain, target section, dim_map)
     resolve to one shared object, making every dict keyed by a
     distribution — planner memos, :class:`PlanCache` entries, the
-    rank-map LRU — hit on identity instead of re-hashing tuples, and
-    letting the instance-level ``rank_map`` cache serve all holders.
+    rank-map LRU — hit on identity instead of comparing structure.
+    The table pins what it holds (4 096 entries), tables included.
     """
-    cached = _dist_table.get(dist)
-    if cached is not None:
-        return cached
-    _dist_table.put(dist, dist)
-    return dist
+    return _dist_table.get_or_compute(dist, lambda: dist)
 
 
 def owners_vec_cached(dd: "DimDist", n: int, p: int) -> np.ndarray:
@@ -192,19 +187,15 @@ def owners_vec_cached(dd: "DimDist", n: int, p: int) -> np.ndarray:
 
 
 def rank_map_cached(dist: "Distribution") -> np.ndarray:
-    """LRU-cached :meth:`~repro.core.distribution.Distribution.rank_map`.
-
-    The per-instance cache already deduplicates repeat calls on one
-    object; this cache extends the sharing to structurally equal
-    instances built independently (the planner's candidate enumeration
-    recreates the same layouts every run).  Read-only result.
+    """:meth:`~repro.core.distribution.Distribution.rank_map` (which is
+    this function).  The bounded LRU, keyed by the distribution's
+    value, is the map's one holder: equal layouts built independently
+    (the planner's candidate enumeration) share one computed map, and
+    a map the LRU evicts is freed.  Read-only result.
     """
-    canon = intern_distribution(dist)
-    rm = _rank_map_lru.get(canon)
-    if rm is None:
-        rm = canon._compute_rank_map()
-        _rank_map_lru.put(canon, rm)
-    return rm
+    return _rank_map_lru.get_or_compute(
+        dist, lambda: dist.slot_ranks(np.ix_(*dist.owner_maps()))
+    )
 
 
 def owners_cache_stats() -> dict[str, int]:

@@ -187,6 +187,9 @@ class ProcessorSection:
                 norm.append(idx)
         self._subs = tuple(norm)
         self.shape = tuple(shape)
+        #: parent rank of every processor, section-rank order — worked
+        #: out once, from the public definition :meth:`rank_of`
+        self._ranks = tuple(self.rank_of(c) for c in self.coords())
 
     @property
     def ndim(self) -> int:
@@ -195,10 +198,7 @@ class ProcessorSection:
 
     @property
     def size(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return len(self._ranks)
 
     def coord_in_parent(self, sec_coord: Sequence[int]) -> tuple[int, ...]:
         """Map a section-local coordinate to the parent-array coordinate."""
@@ -226,7 +226,7 @@ class ProcessorSection:
 
     def ranks(self) -> list[int]:
         """Parent ranks of all processors in the section, section-rank order."""
-        return [self.rank_of(c) for c in self.coords()]
+        return list(self._ranks)
 
     def coords(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(s) for s in self.shape))
@@ -238,11 +238,7 @@ class ProcessorSection:
         coordinate ``(c0, c1, ...)``.  Distribution code uses this for
         vectorized owner-map construction.
         """
-        out = np.empty(self.shape if self.shape else (1,), dtype=np.int64)
-        flat = out.reshape(-1)
-        for i, c in enumerate(self.coords()):
-            flat[i] = self.rank_of(c)
-        return out.reshape(self.shape) if self.shape else out
+        return np.array(self._ranks, dtype=np.int64).reshape(self.shape or (1,))
 
     def dim_ranks(self, dim: int) -> np.ndarray:
         """Parent coordinates along section dimension ``dim``.

@@ -102,7 +102,7 @@ class BatchedReadAccessor:
         self, arr: DistributedArray, owner_slots: np.ndarray
     ) -> np.ndarray:
         """Which referenced elements the reading processor owns."""
-        slots = arr.dist._slots_of_proc(self._rank)
+        slots = arr.dist.slots_of(self._rank)
         n = len(owner_slots)
         if slots is None:  # reader outside the target section
             return np.zeros(n, dtype=bool)
@@ -201,7 +201,6 @@ def forall_batched(
     staged_by_rank: dict[int, np.ndarray] = {}
     for rank in lhs.owning_ranks():
         idx_arrays = lhs.local_indices(rank)
-        assert idx_arrays is not None
         grids = np.meshgrid(*idx_arrays, indexing="ij")
         cols = tuple(g.ravel() for g in grids)  # row-major == reference
         accessor = BatchedReadAccessor(reads, rank)

@@ -54,6 +54,8 @@ class DistributedArray:
         self.descriptor = descriptor
         self.machine = machine
         self.np_dtype = np.dtype(dtype)
+        #: rank -> index arrays of the current layout (kept here, not on
+        #: the distribution: see its class docstring)
         self._local_index_cache: dict[int, tuple[np.ndarray, ...] | None] = {}
         if descriptor.is_distributed:
             self._allocate_segments()
@@ -92,9 +94,18 @@ class DistributedArray:
         return f"array:{self.name}"
 
     # -- segment management --------------------------------------------------
+    def bind(self, dist: Distribution, fill: float | None = 0.0) -> None:
+        """Associate ``dist`` with the array (values are not moved):
+        the descriptor takes it, RANGE and staticness enforced, every
+        segment is reallocated for it (``fill=None``: uninitialized)
+        and the old layout's index arrays go — one step, so no caller
+        can leave a stale :meth:`local_indices` behind."""
+        self.descriptor.set_dist(dist)
+        self._allocate_segments(fill)
+
     def _allocate_segments(self, fill: float | None = 0.0) -> None:
         """(Re)allocate each processor's local segment for current dist."""
-        self._local_index_cache.clear()
+        self._local_index_cache = {}
         dist = self.dist
         for rank in range(self.machine.nprocs):
             shape = dist.local_shape(rank)
@@ -119,11 +130,7 @@ class DistributedArray:
 
     def owning_ranks(self) -> list[int]:
         """Ranks that own at least one element."""
-        return [
-            r
-            for r in range(self.machine.nprocs)
-            if self.dist.local_size(r) > 0 and self.dist.local_index_arrays(r) is not None
-        ]
+        return list(self.dist.owning_ranks)
 
     # -- oracle access ---------------------------------------------------------
     def get(self, index: Sequence[int] | int) -> float:
@@ -143,13 +150,8 @@ class DistributedArray:
     def to_global(self) -> np.ndarray:
         """Assemble the full array (primary copies win; no comm accounting)."""
         out = np.empty(self.shape, dtype=self.np_dtype)
-        for rank in range(self.machine.nprocs):
-            idx = self.local_indices(rank)
-            if idx is None:
-                continue
-            if any(len(a) == 0 for a in idx):
-                continue
-            out[np.ix_(*idx)] = self.local(rank)
+        for rank in self.dist.owning_ranks:
+            out[np.ix_(*self.local_indices(rank))] = self.local(rank)
         return out
 
     def from_global(self, arr: np.ndarray) -> None:
@@ -157,11 +159,8 @@ class DistributedArray:
         arr = np.asarray(arr, dtype=self.np_dtype)
         if arr.shape != self.shape:
             raise ValueError(f"shape {arr.shape} != array shape {self.shape}")
-        for rank in range(self.machine.nprocs):
-            idx = self.local_indices(rank)
-            if idx is None or any(len(a) == 0 for a in idx):
-                continue
-            self.local(rank)[...] = arr[np.ix_(*idx)]
+        for rank in self.dist.owning_ranks:
+            self.local(rank)[...] = arr[np.ix_(*self.local_indices(rank))]
 
     # -- SPMD access -------------------------------------------------------------
     def read_remote(self, reader: int, index: Sequence[int] | int) -> float:
@@ -199,10 +198,8 @@ class DistributedArray:
 
     # -- numpy conveniences ---------------------------------------------------------
     def fill(self, value: float) -> None:
-        for rank in range(self.machine.nprocs):
-            seg = self.local(rank)
-            if seg.size:
-                seg.fill(value)
+        for rank in self.dist.owning_ranks:
+            self.local(rank).fill(value)
 
     def __repr__(self) -> str:
         d = (

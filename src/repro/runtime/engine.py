@@ -149,26 +149,18 @@ class Engine:
             # derive the secondary's distribution if the primary has one
             primary_arr = self.arrays[connect_class.primary]
             if primary_arr.descriptor.is_distributed:
-                desc.set_dist(connect_class.derive(name, primary_arr.dist))
-                arr._allocate_segments()
+                arr.bind(connect_class.derive(name, primary_arr.dist))
             return arr
 
         if dist is not None:
-            bound = self._bind(domain, dist, to)
-            if dyn is None:
-                desc.set_dist(bound)  # static: invariant association
-            else:
-                dyn.range.check(bound.dtype, name)
-                desc.set_dist(bound)
-            arr._allocate_segments()
+            # static: invariant association; dynamic: RANGE-checked
+            arr.bind(self._bind(domain, dist, to))
         elif dyn is None:
             raise ValueError(
                 f"statically distributed array {name!r} needs a distribution"
             )
         elif dyn.initial is not None:
-            bound = self._bind(domain, dyn.initial, to)
-            desc.set_dist(bound)
-            arr._allocate_segments()
+            arr.bind(self._bind(domain, dyn.initial, to))
         return arr
 
     def _class_of_primary(self, primary_name: str) -> ConnectClass:
@@ -268,11 +260,11 @@ class Engine:
         reports = []
         for member, new_dist, transfer in plan:
             if not member.descriptor.is_distributed:
-                member.descriptor.set_dist(new_dist)
-                member._allocate_segments()
-                reports.append(
-                    RedistributionReport(member.name, 0, 0, 0, member.size, 0.0)
-                )
+                member.bind(new_dist)
+                reports.append(RedistributionReport(
+                    member.name, 0, 0, 0, member.size, 0.0,
+                    backend=self.machine.backend.name,
+                ))
                 continue
             reports.append(
                 communicate(

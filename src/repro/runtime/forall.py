@@ -100,7 +100,6 @@ def forall(
     for rank in lhs.owning_ranks():
         accessor = ReadAccessor(reads, rank)
         idx_arrays = lhs.local_indices(rank)
-        assert idx_arrays is not None
         local = lhs.local(rank)
         staged = np.empty_like(local)
         for lidx in itertools.product(*(range(len(a)) for a in idx_arrays)):

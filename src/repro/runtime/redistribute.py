@@ -362,8 +362,7 @@ def _communicate(
         # Descriptor/access-function update only; element values are
         # left undefined under the new distribution (paper semantics:
         # the caller asserts it will overwrite them before reading).
-        array.descriptor.set_dist(new_dist)
-        array._allocate_segments(fill=0.0)
+        array.bind(new_dist)
         return RedistributionReport(
             name, 0, 0, 0, array.size, 0.0, backend=backend_name
         )

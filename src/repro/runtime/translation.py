@@ -19,6 +19,7 @@ import numpy as np
 
 from ..core.dimdist import DimDist
 from ..core.distribution import Distribution
+from ..core.interning import owners_vec_cached
 
 __all__ = ["DimTranslationTable", "TranslationTable"]
 
@@ -30,13 +31,12 @@ class DimTranslationTable:
         self.extent = int(extent)
         self.slots = int(slots)
         #: owner slot of each global index (primary owner)
-        self.owner = dimdist.owners_vec(self.extent, self.slots).copy()
+        self.owner = owners_vec_cached(dimdist, self.extent, self.slots)
         #: local offset of each global index within its owner's segment
         self.offset = np.empty(self.extent, dtype=np.int64)
         for s in range(self.slots):
             idx = dimdist.indices_of(s, self.extent, self.slots)
             self.offset[idx] = np.arange(len(idx), dtype=np.int64)
-        self.owner.setflags(write=False)
         self.offset.setflags(write=False)
 
     def lookup(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +75,7 @@ class TranslationTable:
     def __init__(self, dist: Distribution):
         self.dist = dist
         self.dim_tables = [
-            DimTranslationTable(dd, dist.shape[d], dist._slots(d))
+            DimTranslationTable(dd, dist.shape[d], dist.slots_along(d))
             for d, dd in enumerate(dist.dtype.dims)
         ]
 
@@ -99,19 +99,7 @@ class TranslationTable:
     def owner_ranks(self, indices: np.ndarray) -> np.ndarray:
         """Primary-owner parent ranks for a batch of global indices."""
         owners, _ = self.lookup(indices)
-        rank_array = self.dist._rank_array
-        coords = []
-        for d, dd in enumerate(self.dist.dtype.dims):
-            if dd.consumes_proc_dim:
-                coords.append((self.dist._secdim_of[d], owners[:, d]))
-        if not coords:
-            return np.full(
-                len(owners), int(rank_array.reshape(-1)[0]), dtype=np.int64
-            )
-        index_arrays: list[np.ndarray | None] = [None] * self.dist.target.ndim
-        for secdim, vec in coords:
-            index_arrays[secdim] = vec
-        return rank_array[tuple(index_arrays)]
+        return self.dist.slot_ranks(owners.T).copy()  # callers overwrite
 
     @property
     def nbytes(self) -> int:

@@ -109,13 +109,14 @@ class ProcClock:
         """Busy interval ``[end - duration, end]`` with the clock set
         to ``end`` — the receiving endpoint of a blocking send, whose
         completion is coupled to the sender (``end`` may exceed the
-        local clock plus ``duration``)."""
-        if end - duration > self.time:
+        local clock plus ``duration``).  The interval never starts
+        before the clock: ``(time + duration) - duration`` may round
+        below ``time``."""
+        start = max(self.time, end - duration)
+        if start > self.time:
             # the gap before the transfer engaged this endpoint
-            self.intervals.append(
-                Interval(self.time, end - duration, "wait", tag, pred)
-            )
-        self.intervals.append(Interval(end - duration, end, kind, tag, pred))
+            self.intervals.append(Interval(self.time, start, "wait", tag, pred))
+        self.intervals.append(Interval(start, end, kind, tag, pred))
         self.time = end
         return (self.rank, len(self.intervals) - 1)
 

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+import repro
 from repro.backend import BackendError, MultiprocessBackend
 from repro.backend.base import SERIAL
 from repro.core.distribution import dist_type
@@ -119,6 +120,22 @@ def test_reports_name_backend_and_cache(backend):
     assert "multiprocess" in third.summary()
     assert "2 hit" in third.summary()
     assert "plan cache" in e.redistribution_summary()
+
+
+def test_first_association_report_names_the_session_backend():
+    """The first DISTRIBUTE of a dynamic array moves nothing, and its
+    report still names the backend the session runs on."""
+    with repro.session(nprocs=2, backend="multiprocess") as sess:
+        vfe = sess.engine()
+        vfe.declare("V", (8, 4), dynamic=True)
+        (report,) = vfe.distribute("V", dist_type("BLOCK", ":"))
+        assert (report.messages, report.elements_kept) == (0, 32)
+        assert report.backend == "multiprocess"
+        (moved,) = vfe.distribute("V", dist_type(":", "BLOCK"))
+        assert moved.backend == "multiprocess"
+    engine = Engine(Machine(R))
+    engine.declare("V", (8, 4), dynamic=True)
+    assert engine.distribute("V", dist_type("BLOCK", ":"))[0].backend == "serial"
 
 
 def test_worker_error_propagates(backend):

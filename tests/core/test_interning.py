@@ -1,5 +1,8 @@
 """Unit tests for hash-consing and the owner-map LRU caches (PR 4)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -114,7 +117,8 @@ class TestRankMapLRU:
         rm1 = d1.rank_map()
         rm2 = d2.rank_map()
         assert rm1 is rm2  # served from the shared LRU
-        assert np.array_equal(np.asarray(rm1), np.asarray(d1._compute_rank_map()))
+        by_definition = [[d1.owner((i, j)) for j in range(4)] for i in range(16)]
+        assert np.array_equal(np.asarray(rm1), by_definition)
 
     def test_rank_map_readonly(self):
         d = dist_type("BLOCK", ":").apply((16, 4), R)
@@ -127,10 +131,22 @@ class TestRankMapLRU:
         s0 = owners_cache_stats()
         d1.rank_map()
         d2.rank_map()
-        d2.rank_map()  # instance cache: no LRU traffic
+        d2.rank_map()  # the LRU is the one holder: every call asks it
         s1 = owners_cache_stats()
         assert s1["rank_map_misses"] == s0["rank_map_misses"] + 1
-        assert s1["rank_map_hits"] == s0["rank_map_hits"] + 1
+        assert s1["rank_map_hits"] == s0["rank_map_hits"] + 2
+
+    def test_the_bound_bounds_the_maps_alive(self):
+        """Past capacity the LRU evicts, and an evicted map is freed —
+        interned instances (pinned by the 4 096-entry table) included."""
+        capacity = 256
+        alive = []
+        for n in range(capacity + 40):
+            d = dist_type("BLOCK", ":").apply((16 + n, 2), R).interned()
+            alive.append(weakref.ref(d.rank_map()))
+            assert not d.rank_map().flags.writeable
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) <= capacity
 
 
 class TestStatsSurfacedThroughPlanCache:

@@ -38,6 +38,26 @@ class TestSegments:
         _, _, a = make(dist=dist_type("BLOCK"), shape=(2,))
         assert a.owning_ranks() == [0, 1]
 
+    @pytest.mark.parametrize("shape, expected", [
+        ((4, 5), [0, 1, 2, 6, 7, 8]),  # every processor of R(0:4:2, :)
+        ((1, 2), [0, 1]),              # extents < slots: empty owners
+        ((2, 1), [0, 6]),
+    ])
+    def test_owning_ranks_of_a_section_that_excludes_ranks(self, shape, expected):
+        procs = ProcessorArray("R", (4, 3))
+        engine = Engine(Machine(procs))
+        a = engine.declare(
+            "A", shape, dist=dist_type("BLOCK", "BLOCK"),
+            to=procs.section(slice(0, 4, 2), slice(None)),
+        )
+        assert a.owning_ranks() == expected == [  # ascending, by the definition
+            r for r in range(procs.size)
+            if a.dist.local_size(r) > 0 and a.dist.local_index_arrays(r) is not None
+        ]
+        a.owning_ranks().clear()  # a fresh list each call
+        assert a.owning_ranks() == expected
+        assert [r for r in range(procs.size) if a.local(r).size] == expected
+
 
 class TestGlobalRoundtrip:
     @pytest.mark.parametrize(
