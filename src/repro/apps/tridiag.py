@@ -91,15 +91,20 @@ def thomas_const(rhs: np.ndarray, a: float, b: float) -> np.ndarray:
 def thomas_const_batch(rhs: np.ndarray, a: float, b: float) -> np.ndarray:
     """Solve many constant-coefficient tridiagonal systems at once.
 
-    ``rhs`` is ``(nlines, n)``; returns the ``(nlines, n)`` solutions.
-    The elimination coefficients ``cp`` depend only on ``(a, b, n)``,
-    so they are computed once with the exact scalar recurrence of
-    :func:`thomas_const`; the ``dp`` sweep and back substitution then
-    run the same per-index operations across all rows simultaneously.
-    Every row's result is **bitwise identical** to a scalar
-    ``thomas_const`` call on that row (elementwise IEEE arithmetic,
-    same operation order per lane) — this is the batched form the
-    vectorized line sweeps dispatch to (see
+    ``rhs`` is ``(nlines, n)`` in any memory order (it is not
+    modified); returns the solutions as a fresh C-contiguous
+    ``(nlines, n)`` array.  The elimination coefficients depend only on
+    ``(a, b, n)``, so they are computed once, in Python floats, with
+    the scalar recurrence of :func:`thomas_const`.  The ``dp`` sweep
+    and the back substitution then run on the *transposed* block — a
+    contiguous ``(n, nlines)`` copy in which index ``i`` of every line
+    is one contiguous row — as one in-place row operation per step: a
+    line is a lane (a column) of the block, nothing ever combines two
+    lanes, and each lane sees the scalar routine's operations in the
+    scalar routine's order.  So every row of the result is **bitwise
+    identical** to a ``thomas_const`` call on that row (elementwise
+    IEEE arithmetic), however many lines are stacked — which is what
+    lets a line sweep hand over all of its lines in one call (see
     :func:`repro.compiler.codegen.batched_line_solver`).
     """
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -110,24 +115,29 @@ def thomas_const_batch(rhs: np.ndarray, a: float, b: float) -> np.ndarray:
         return rhs.copy()
     if b == 0:
         raise ZeroDivisionError("zero pivot in Thomas algorithm")
-    cp = np.empty(n, dtype=np.float64)
-    denom = np.empty(n, dtype=np.float64)
-    cp[0] = a / b if n > 1 else 0.0
-    denom[0] = b
+    # only ``a / b`` depends on the coefficients' own type (int / int is
+    # true division); every later step of the scalar routine has a
+    # float64 operand, i.e. sees float(a) and float(b)
+    cp = [float(a / b) if n > 1 else 0.0]
+    a, b = float(a), float(b)
+    denom = [b]
     for i in range(1, n):
-        denom[i] = b - a * cp[i - 1]
+        denom.append(b - a * cp[-1])
         if denom[i] == 0:
             raise ZeroDivisionError("zero pivot in Thomas algorithm")
-        cp[i] = a / denom[i] if i < n - 1 else 0.0
-    dp = np.empty((m, n), dtype=np.float64)
-    dp[:, 0] = rhs[:, 0] / b
-    for i in range(1, n):
-        dp[:, i] = (rhs[:, i] - a * dp[:, i - 1]) / denom[i]
-    x = np.empty((m, n), dtype=np.float64)
-    x[:, -1] = dp[:, -1]
-    for i in range(n - 2, -1, -1):
-        x[:, i] = dp[:, i] - cp[i] * x[:, i + 1]
-    return x
+        cp.append(a / denom[i] if i < n - 1 else 0.0)
+    block = np.array(rhs.T, order="C")  # always a copy: worked in place
+    rows = list(block)
+    tmp = np.empty(m, dtype=np.float64)
+    np.divide(rows[0], b, out=rows[0])
+    for i in range(1, n):  # rows[i] becomes dp[i]
+        np.multiply(rows[i - 1], a, out=tmp)
+        np.subtract(rows[i], tmp, out=rows[i])
+        np.divide(rows[i], denom[i], out=rows[i])
+    for i in range(n - 2, -1, -1):  # rows[i] becomes x[i]
+        np.multiply(rows[i + 1], cp[i], out=tmp)
+        np.subtract(rows[i], tmp, out=rows[i])
+    return np.ascontiguousarray(block.T)
 
 
 #: advertise the batched form to the vectorized line sweeps

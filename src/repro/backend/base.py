@@ -20,20 +20,29 @@ move            one aggregated message    global reassembly:      the segment-mo
 data motion)    (``communicate``)         reallocate, scatter     their shares
 run_kernel      per-rank compute charges  rank-ordered loop over  one worker per owning
 (owner-         (``foreach_owned``, the   the owners' segments    rank, on its shared
-computes)       local line sweep, the                             segment
-                irregular sweep)
+computes)       irregular sweep)                                  segment
 stencil_step    one exchange phase per    slabs copied into the   slabs sent/received
 (halo exchange  haloed dim + per-rank     neighbours' padded      between workers, then
 + update)       compute charges           buffers, then the       the update on local
                 (``StencilKernel.step``)  update rank by rank     data
+sweep_lines     per-owner compute         global reassembly: the  one kernel op: each
+(every line     charges (``LineSweep-     lines of all owners     worker solves the
+along a dim,    Kernel._sweep_local``)    stacked into ONE solve  lines of its own
+all local)                                (one batched TRIDIAG)   segment
 ==============  ========================  ======================  ======================
 
 Both columns run the *same* kernel bodies (:mod:`repro.backend.ops`)
 and place halos with the same :func:`~repro.backend.plan.halo_dest_slice`;
 ``move`` stays two implementations on purpose — the serial one is the
-bitwise reference the other is conformance-tested against.  A function
-the workers cannot unpickle runs through the inherited serial loop
-inside ``MultiprocessBackend``: call sites never branch on the backend.
+bitwise reference the other is conformance-tested against.  So does
+``sweep_lines``: lines are independent ("parallelism comes from solving
+many independent lines"), so in one process they are one batch and in
+a fleet one share per worker — different stacks, the same arithmetic
+per line.  (A sweep whose lines cross processors accounts its gathers
+and scatters and then reassembles through the serial body whatever is
+attached: there the messages are the model.)  A function the workers
+cannot unpickle runs through the inherited serial loop inside
+``MultiprocessBackend``: call sites never branch on the backend.
 
 Lifetime: a machine always has a backend.  A fresh
 :class:`~repro.machine.machine.Machine` carries :data:`SERIAL`;
@@ -55,7 +64,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable
 
-from .ops import stencil_apply
+import numpy as np
+
+from .ops import solve_lines, stencil_apply
 from .plan import halo_dest_slice
 
 if TYPE_CHECKING:
@@ -179,6 +190,21 @@ class Backend:
         segment."""
         raise NotImplementedError
 
+    def sweep_lines(
+        self,
+        array: "DistributedArray",
+        dim: int,
+        line_func: Callable,
+        batched: Callable | None = None,
+    ) -> None:
+        """Solve every line of ``array`` along ``dim`` in place:
+        ``line_func(values) -> values`` per line, or its whole-batch
+        form ``batched`` (``(nlines, n)`` in and out, see
+        :func:`~repro.backend.ops.solve_lines`) when the caller
+        resolved one.  A backend that splits the work needs every line
+        local to its owner; :class:`SerialBackend`'s body does not."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:
         state = "attached" if self.machine is not None else "detached"
         return f"{type(self).__name__}({state})"
@@ -214,6 +240,11 @@ class SerialBackend(Backend):
                 overlap.padded(dst)[dest] = array.local(src)[src_sl]
         for rank in array.owning_ranks():
             stencil_apply(array.local(rank), overlap.padded(rank), widths, func)
+
+    def sweep_lines(self, array, dim, line_func, batched=None) -> None:
+        gvals = array.to_global()
+        solve_lines(np.moveaxis(gvals, dim, -1), line_func, batched)
+        array.from_global(gvals)
 
 
 #: the backend of every machine nothing else is attached to

@@ -64,6 +64,7 @@ import sys
 import threading
 import time
 from collections import defaultdict
+from functools import partial
 from multiprocessing import connection, resource_tracker
 from typing import TYPE_CHECKING, Callable
 
@@ -71,7 +72,10 @@ from ..faults import plan as _faults
 from ..obs import flight as _flight
 from ..obs import metrics as _obs
 from .base import BackendError, SerialBackend
-from .ops import op_bind, op_local_kernel, op_redistribute, op_stencil_step
+from .ops import (
+    line_sweep_kernel, op_bind, op_local_kernel, op_redistribute,
+    op_stencil_step,
+)
 from .plan import halo_dest_slice, segment_moves
 from .shm import SharedSegmentAllocator
 from .worker import worker_main
@@ -617,6 +621,14 @@ class MultiprocessBackend(SerialBackend):
             for rank in range(self.nprocs)
         ]
         self.run_op(op_local_kernel, per_rank, (block,))
+
+    def sweep_lines(self, array, dim, line_func, batched=None) -> None:
+        """Local lines only (the distributed sweep reassembles on the
+        master whatever is attached): one kernel op, each worker
+        solving the lines of its own segment."""
+        self.run_kernel(array, partial(
+            line_sweep_kernel, dim=dim, line_func=line_func, batched=batched,
+        ))
 
     def stencil_step(self, array, overlap, func, dim_entries) -> None:
         """One halo-exchanged stencil sweep across the worker fleet

@@ -169,9 +169,7 @@ def shift_plan(
     if width < 1:
         raise ValueError("exchange width must be >= 1")
     segs: dict[int, tuple[tuple[int, int], ...]] = {}
-    for rank in range(dist.nprocs):
-        if dist.local_size(rank) <= 0:  # also: rank outside the section
-            continue
+    for rank in dist.owning_ranks:  # parent ranks, not range(section size)
         seg = dist.segment(rank)
         if seg is None:
             raise ValueError(

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..backend.ops import line_sweep_kernel, solve_lines
+from ..backend.base import SERIAL
 from ..runtime.communication import post_shift
 from ..runtime.darray import DistributedArray
 from ..runtime.engine import Engine
@@ -185,10 +185,11 @@ class LineSweepKernel:
         return self._sweep_distributed()
 
     def _sweep_local(self, reference: bool = False) -> dict[str, int]:
-        """Every line is local to its owner: the master charges the
-        compute, the machine's backend solves each owner's lines
-        (``line_func`` must be picklable to run in worker processes —
-        use ``functools.partial`` over module-level solvers)."""
+        """Every line is local to its owner: the master charges each
+        owner's compute, the machine's backend solves the lines — all
+        of them as one batch in process (``line_func`` must be
+        picklable to run in worker processes: use ``functools.partial``
+        over module-level solvers)."""
         machine = self.array.machine
         nlines = 0
         for rank in self.array.owning_ranks():
@@ -198,13 +199,10 @@ class LineSweepKernel:
                 rank, self.flops_per_element * local.size,
                 tag=f"sweep:{self.array.name}",
             )
-        machine.backend.run_kernel(
-            self.array,
-            partial(
-                line_sweep_kernel, dim=self.dim, line_func=self.line_func,
-                # the per-line oracle is the scalar loop on any backend
-                batched=None if reference else self._batched,
-            ),
+        machine.backend.sweep_lines(
+            self.array, self.dim, self.line_func,
+            # the per-line oracle is the scalar loop on any backend
+            None if reference else self._batched,
         )
         machine.network.synchronize()
         return {"lines": nlines, "remote_lines": 0}
@@ -216,9 +214,8 @@ class LineSweepKernel:
         :class:`~repro.backend.plan.SweepPlan`: lines sharing a
         processor-slot combination share one precomputed head and
         message template instead of re-slicing the rank map and
-        re-running ``np.unique`` per line, and the solves run through
-        :func:`~repro.backend.ops.solve_lines` (whole-batch when the
-        solver allows).
+        re-running ``np.unique`` per line, and the solves run as one
+        stack (whole-batch when the solver allows).
         The emitted messages, kernel charges and their order are
         identical to the per-line reference (property-tested).
         """
@@ -227,7 +224,6 @@ class LineSweepKernel:
         n_line = arr.shape[self.dim]
         itemsize = arr.itemsize
         plan = self.plan_cache.sweep_plan(arr.dist, self.dim)
-        gvals = arr.to_global()  # simulation shortcut for the data itself
 
         # expand per-group message templates in line order (the same
         # program order the per-line loop produced)
@@ -261,10 +257,11 @@ class LineSweepKernel:
         machine.network.exchange(scatter_phase)
         machine.network.synchronize()
 
-        moved = np.moveaxis(gvals, self.dim, -1)
-        nlines = solve_lines(moved, self.line_func, self._batched)
-        arr.from_global(gvals)
-        return {"lines": nlines, "remote_lines": remote_lines}
+        # simulation shortcut for the data itself: the messages above
+        # are the model, the values move by global reassembly whatever
+        # backend is attached
+        SERIAL.sweep_lines(arr, self.dim, self.line_func, self._batched)
+        return {"lines": arr.size // n_line, "remote_lines": remote_lines}
 
     def _sweep_distributed_reference(self) -> dict[str, int]:
         """Per-line oracle for :meth:`_sweep_distributed`: slice the

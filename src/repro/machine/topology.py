@@ -81,6 +81,7 @@ class ProcessorArray:
     def __init__(self, name: str, shape: Sequence[int] | int):
         self.name = str(name)
         self.shape = _normalize_shape(shape)
+        self._full: ProcessorSection | None = None
 
     # -- basic geometry -------------------------------------------------
     @property
@@ -135,8 +136,11 @@ class ProcessorArray:
         return ProcessorSection(self, slices)
 
     def full_section(self) -> "ProcessorSection":
-        """The section covering the whole array."""
-        return ProcessorSection(self, tuple(slice(None) for _ in self.shape))
+        """The section covering the whole array (one object per array:
+        sections are immutable and compare by value)."""
+        if self._full is None:
+            self._full = ProcessorSection(self, (slice(None),) * self.ndim)
+        return self._full
 
     # -- dunder ----------------------------------------------------------
     def __eq__(self, other: object) -> bool:

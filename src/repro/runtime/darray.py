@@ -54,9 +54,10 @@ class DistributedArray:
         self.descriptor = descriptor
         self.machine = machine
         self.np_dtype = np.dtype(dtype)
-        #: rank -> index arrays of the current layout (kept here, not on
-        #: the distribution: see its class docstring)
-        self._local_index_cache: dict[int, tuple[np.ndarray, ...] | None] = {}
+        #: rank -> (index arrays, their ``np.ix_`` open mesh — views of
+        #: them) of the current layout (kept here, not on the
+        #: distribution: see its class docstring)
+        self._local_index_cache: dict[int, tuple] = {}
         if descriptor.is_distributed:
             self._allocate_segments()
 
@@ -122,11 +123,18 @@ class DistributedArray:
             return mem[self._block_name()]
         return np.empty((0,) * self.ndim, dtype=self.np_dtype)
 
+    def _indices(self, rank: int) -> tuple:
+        """``rank``'s ``(index arrays, open mesh)`` of the current layout."""
+        entry = self._local_index_cache.get(rank)
+        if entry is None:
+            idx = self.dist.local_index_arrays(rank)
+            entry = (idx, None if idx is None else np.ix_(*idx))
+            self._local_index_cache[rank] = entry
+        return entry
+
     def local_indices(self, rank: int) -> tuple[np.ndarray, ...] | None:
         """Cached per-dimension global indices of ``rank``'s segment."""
-        if rank not in self._local_index_cache:
-            self._local_index_cache[rank] = self.dist.local_index_arrays(rank)
-        return self._local_index_cache[rank]
+        return self._indices(rank)[0]
 
     def owning_ranks(self) -> list[int]:
         """Ranks that own at least one element."""
@@ -151,7 +159,7 @@ class DistributedArray:
         """Assemble the full array (primary copies win; no comm accounting)."""
         out = np.empty(self.shape, dtype=self.np_dtype)
         for rank in self.dist.owning_ranks:
-            out[np.ix_(*self.local_indices(rank))] = self.local(rank)
+            out[self._indices(rank)[1]] = self.local(rank)
         return out
 
     def from_global(self, arr: np.ndarray) -> None:
@@ -160,7 +168,7 @@ class DistributedArray:
         if arr.shape != self.shape:
             raise ValueError(f"shape {arr.shape} != array shape {self.shape}")
         for rank in self.dist.owning_ranks:
-            self.local(rank)[...] = arr[np.ix_(*self.local_indices(rank))]
+            self.local(rank)[...] = arr[self._indices(rank)[1]]
 
     # -- SPMD access -------------------------------------------------------------
     def read_remote(self, reader: int, index: Sequence[int] | int) -> float:

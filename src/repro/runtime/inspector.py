@@ -33,7 +33,9 @@ class CommSchedule:
     For each requesting processor ``p`` and owning processor ``q != p``,
     the schedule stores the flat positions (within ``p``'s request
     list) and the owners' local offsets of the elements ``q`` must ship
-    to ``p``.
+    to ``p``.  What the executors need of that on every call — the
+    per-pair selectors and counts — is inspector work too, so it is
+    worked out here, once.
     """
 
     def __init__(
@@ -50,6 +52,18 @@ class CommSchedule:
         self.owner_of = owner_of
         #: rank -> (nreq, ndim) local offset at the owner
         self.local_offsets = local_offsets
+        #: requester -> ``[(owner, positions in the request list, per-dim
+        #: local selectors at the owner), ...]``, ascending owner
+        self._by_owner: dict[int, list[tuple[int, np.ndarray, tuple]]] = {}
+        self._pairs: dict[tuple[int, int], int] = {}
+        for p, own in owner_of.items():
+            offs = local_offsets[p]
+            self._by_owner[p] = []
+            for q in map(int, np.unique(own)):
+                pos = np.flatnonzero(own == q)
+                self._by_owner[p].append((q, pos, tuple(offs[pos].T)))
+                if q != p:
+                    self._pairs[(q, p)] = len(pos)
 
     def nonlocal_counts(self) -> dict[int, int]:
         """Per requesting rank, how many requests are off-processor."""
@@ -59,12 +73,7 @@ class CommSchedule:
 
     def message_pairs(self) -> dict[tuple[int, int], int]:
         """(owner, requester) -> element count, for all off-processor data."""
-        out: dict[tuple[int, int], int] = {}
-        for p, own in self.owner_of.items():
-            ranks, counts = np.unique(own[own != p], return_counts=True)
-            for q, c in zip(ranks, counts):
-                out[(int(q), p)] = int(c)
-        return out
+        return dict(self._pairs)
 
 
 class Inspector:
@@ -129,13 +138,8 @@ class Inspector:
         out: dict[int, np.ndarray] = {}
         for p, idx in schedule.requests.items():
             vals = np.empty(len(idx), dtype=self.array.np_dtype)
-            own = schedule.owner_of[p]
-            offs = schedule.local_offsets[p]
-            for q in np.unique(own):
-                mask = own == q
-                seg = self.array.local(int(q))
-                sel = tuple(offs[mask][:, d] for d in range(self.array.ndim))
-                vals[mask] = seg[sel]
+            for q, pos, sel in schedule._by_owner[p]:
+                vals[pos] = self.array.local(q)[sel]
             out[p] = vals
         return out
 
@@ -169,13 +173,8 @@ class Inspector:
                 raise ValueError(
                     f"rank {p}: {len(vals)} values for {len(idx)} requests"
                 )
-            own = schedule.owner_of[p]
-            offs = schedule.local_offsets[p]
-            for q in np.unique(own):
-                mask = own == q
-                seg = self.array.local(int(q))
-                sel = tuple(offs[mask][:, d] for d in range(self.array.ndim))
-                np.add.at(seg, sel, vals[mask])
+            for q, pos, sel in schedule._by_owner[p]:
+                np.add.at(self.array.local(q), sel, vals[pos])
 
     def _check_fresh(self, schedule: CommSchedule) -> None:
         if schedule.array_version != self.array.version:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.apps.tridiag import thomas, thomas_const, tridiag_matvec
+from repro.apps.tridiag import (
+    thomas, thomas_const, thomas_const_batch, tridiag_matvec,
+)
 
 
 class TestThomasConst:
@@ -38,6 +41,50 @@ class TestThomasConst:
         rhs = rng.standard_normal(2000)
         x = thomas_const(rhs, a=-1.0, b=2.5)
         assert np.allclose(tridiag_matvec(x, -1.0, 2.5), rhs, atol=1e-10)
+
+
+class TestThomasConstBatch:
+    """The stacked form is the scalar routine lane by lane: bitwise."""
+
+    @given(
+        m=st.integers(1, 9), n=st.sampled_from([1, 2, 3, 8, 17]),
+        coeffs=st.sampled_from(
+            [(-1.0, 4.0), (-1, 4), (1, 3), (0.3, -2.5), (2.0, 0.5)]),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equals_row_wise_scalar(self, m, n, coeffs, layout, seed):
+        a, b = coeffs
+        rhs = np.random.default_rng(seed).standard_normal((2 * m, 2 * n))
+        rhs = {"C": rhs[:m, :n].copy(), "F": np.asfortranarray(rhs[:m, :n]),
+               "strided": rhs[::2, ::2]}[layout]
+        before = rhs.copy()
+        got = thomas_const_batch(rhs, a, b)
+        want = np.stack([thomas_const(row, a, b) for row in rhs])
+        assert got.tobytes() == want.tobytes(), (m, n, a, b, layout)
+        assert got.shape == (m, n) and got.flags.c_contiguous
+        assert not np.shares_memory(got, rhs)
+        assert rhs.tobytes() == before.tobytes()  # input not modified
+
+    def test_zero_pivot_raises_every_time(self):
+        # b - a * (a / b) == 0 at the second pivot; nothing may remember
+        # the coefficients of a failed (or any) earlier call
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                thomas_const_batch(np.ones((3, 4)), a=1.0, b=1.0)
+            with pytest.raises(ZeroDivisionError):
+                thomas_const_batch(np.ones((3, 4)), a=1.0, b=0.0)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+    def test_empty_batches_return_copies(self, shape):
+        rhs = np.empty(shape)
+        got = thomas_const_batch(rhs, -1.0, 4.0)
+        assert got.shape == shape and got is not rhs
+
+    def test_needs_a_2d_rhs(self):
+        with pytest.raises(ValueError, match="2-D"):
+            thomas_const_batch(np.ones(4), -1.0, 4.0)
 
 
 class TestThomasGeneral:

@@ -126,6 +126,17 @@ class TestShiftPlan:
         for _s, _d, _k, sl, count in entries:
             assert count == 3  # one row of a 12x3 array
 
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_section_ranks_not_section_size(self, row):
+        """The plan walks the section's parent ranks: BLOCK over
+        ``R(1, :)`` of a 2x4 grid (ranks 4-7) has the six entries the
+        same layout has on ``R(0, :)`` (it had none)."""
+        grid = ProcessorArray("G", (2, 4))
+        d = dist_type(Block(), ":").apply((12, 3), grid.section(row, slice(None)))
+        entries = shift_plan(d, 0, 1)
+        assert len(entries) == 6
+        assert {e[0] for e in entries} == set(range(4 * row, 4 * row + 4))
+
     def test_non_contiguous_rejected(self):
         d = _apply((Cyclic(1), ":"))
         with pytest.raises(ValueError, match="contiguous"):

@@ -58,6 +58,24 @@ class TestStencilKernel:
         k.step()
         assert machine.stats().messages - before == 6
 
+    @pytest.mark.parametrize("grid, subs, spec", [
+        ((2, 4), (1, slice(None)), ("BLOCK", ":")),  # ranks 4-7 of 0-7
+        ((4, 2), (slice(0, 4, 2), slice(None)), ("BLOCK", "BLOCK")),
+    ], ids=["R(1,:)", "R(0:4:2,:)"])
+    def test_matches_sequential_on_a_section(self, grid, subs, spec):
+        """A section that excludes ranks exchanges halos between the
+        ranks it has (its halo plan used to stop at ``range(size)``, so
+        the stencil read boundary fill instead of its neighbours)."""
+        procs = ProcessorArray("R", grid)
+        engine = Engine(Machine(procs, cost_model=IPSC860))
+        u = engine.declare(
+            "U", (12, 12), dist=dist_type(*spec), to=procs.section(*subs)
+        )
+        g = np.random.default_rng(5).standard_normal((12, 12))
+        u.from_global(g)
+        lower_stencil(engine, "U", (1, 1), smooth).step()
+        assert np.allclose(u.to_global(), seq_smooth(g))
+
     def test_survives_redistribution(self):
         """The kernel rebuilds its overlap manager after a DISTRIBUTE."""
         machine = Machine(ProcessorArray("R", (4,)), cost_model=IPSC860)
@@ -192,7 +210,34 @@ class TestVectorizedSweepPlans:
         rows = rng.normal(size=(7, 11))
         got = thomas_const_batch(rows, -0.5, 3.0)
         want = np.stack([thomas_const(r, -0.5, 3.0) for r in rows])
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    def test_local_sweep_is_one_batched_solve(self):
+        """In one process the lines of every owner are one batch: the
+        whole-batch solver runs once per sweep, on all of them (it ran
+        once per owner, four times here)."""
+        from repro.apps.tridiag import thomas_const, thomas_const_batch
+
+        shapes = []
+
+        def line(values):
+            return thomas_const(values, -1.0, 4.0)
+
+        def batched(rows):
+            shapes.append(rows.shape)
+            return thomas_const_batch(rows, -1.0, 4.0)
+
+        line.batched = batched
+        machine = Machine(ProcessorArray("R", (4,)), cost_model=IPSC860)
+        engine = Engine(machine)
+        v = engine.declare("V", (12, 8), dist=dist_type(":", "BLOCK"))
+        g = np.random.default_rng(6).standard_normal((12, 8))
+        v.from_global(g)
+        stats = lower_line_sweep(engine, "V", 0, line).sweep()
+        assert shapes == [(8, 12)]
+        assert stats == {"lines": 8, "remote_lines": 0}
+        want = np.stack([thomas_const(col, -1.0, 4.0) for col in g.T]).T
+        assert v.to_global().tobytes() == want.tobytes()
 
     def test_default_plan_cache_used_without_engine(self):
         from functools import partial

@@ -11,7 +11,10 @@ kind of target (full 1-D / 2-D / 3-D arrays, strided and collapsed
 sections, the 0-dimensional section, permuted ``dim_map``s) x **every
 parent rank**, the ones outside the section included.  A cell is a
 dict of short digests, one per question, so a drift names the cell and
-the question in the assertion diff.
+the question in the assertion diff.  One answer was wrong on that tree
+and is pinned as corrected since: ``shift_plan`` walked ``range(section
+size)`` and so lost the halo entries of a section's higher ranks (see
+``tests/backend/test_plan.py`` for the entry counts).
 
 The second half is the ownership guard: no module but
 ``core/distribution.py`` reads a ``_``-prefixed attribute of a
@@ -221,7 +224,10 @@ if __name__ == "__main__":  # re-record the pin (on the tree to pin)
         "recorded": (
             "on 7ad4385, the parent of PR 19 (per-call section arithmetic), "
             "by running this file as a script: measure(cell) = a digest per "
-            "question asked of build(cell)"
+            "question asked of build(cell); PR 20 re-recorded only the "
+            "shift_plan digest of the 35 cells whose section excludes ranks "
+            "and whose plan changed when shift_plan began to walk "
+            "owning_ranks instead of range(section size)"
         ),
         "cells": {cell: measure(cell) for cell in cells()},
     }, indent=1, sort_keys=True) + "\n")

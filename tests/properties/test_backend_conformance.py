@@ -17,7 +17,10 @@ results.  Two layers of evidence:
 - for random programs over random distributions, array contents after
   every operation are bitwise-identical to the serial reference, and
   the per-app strategies the registry defaults do not reach are
-  smoke-covered under both backends.
+  smoke-covered under both backends;
+- a line sweep reads the same as one stacked solve (serial), as the
+  per-line oracle and as one kernel op of a worker fleet, over every
+  kind of layout whose lines are local (``test_line_sweep_*``).
 """
 
 import functools
@@ -32,13 +35,17 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.api import REGISTRY
+from repro.apps.tridiag import thomas_const
 from repro.backend import MultiprocessBackend, attached_backend
+from repro.backend.ops import op_local_kernel
+from repro.compiler.codegen import lower_line_sweep
 from repro.core.dimdist import Block, Cyclic, GenBlock, Replicated
 from repro.core.distribution import dist_type
 from repro.machine import Machine, PARAGON, ProcessorArray
 from repro.obs import metrics as obs_metrics
 from repro.runtime.engine import Engine
 from repro.runtime.redistribute import PlanCache, default_plan_cache
+from repro.sim.events import record
 
 P = 3
 R = ProcessorArray("R", (P,))
@@ -260,6 +267,86 @@ def test_random_redistribution_chains_bitwise_identical(data, n):
         assert mp_r.messages == ser_r.messages
         assert mp_r.elements_moved == ser_r.elements_moved
         assert mp_r.elements_kept == ser_r.elements_kept
+
+
+# -- line sweeps: one stack == per-line oracle == one fleet kernel op ------
+
+#: case -> (processor grid, section subscripts, array shape,
+#: distribution, swept dim); four processors throughout
+SWEEPS = {
+    "(:,BLOCK)/0": ((4,), None, (9, 7), (":", "BLOCK"), 0),
+    "(BLOCK,:)/1": ((4,), None, (9, 7), ("BLOCK", ":"), 1),
+    "(:,CYCLIC(2))/0": ((4,), None, (9, 7), (":", Cyclic(2)), 0),
+    "REPLICATED/0": ((4,), None, (6, 5), (Replicated(), ":"), 0),
+    "3-D/middle": ((2, 2), None, (5, 6, 7), ("BLOCK", ":", "BLOCK"), 1),
+    "R(1,:)": ((2, 2), (1, slice(None)), (9, 7), (":", "BLOCK"), 0),
+    "extent<P": ((4,), None, (5, 3), (":", "BLOCK"), 0),
+    # lines that cross processors: gathered, solved as one stack too
+    "(BLOCK,:)/0": ((4,), None, (9, 7), ("BLOCK", ":"), 0),
+}
+LINE = functools.partial(thomas_const, a=-1.0, b=4.0)
+
+
+@pytest.fixture(scope="module")
+def sweep_sessions():
+    """(serial, multiprocess): one worker fleet for every sweep case."""
+    with repro.session(nprocs=4, cost_model="Paragon") as serial, \
+            repro.session(nprocs=4, cost_model="Paragon",
+                          backend="multiprocess") as multi:
+        yield serial, multi
+
+
+def _sweep_kernel(sess, case):
+    grid, subs, shape, spec, dim = SWEEPS[case]
+    engine = sess.engine(shape=grid, name="R")
+    procs = engine.machine.processors
+    values = np.random.default_rng(7).standard_normal(shape)
+    arr = engine.declare(
+        "V", shape, dist=dist_type(*spec),
+        to=None if subs is None else procs.section(*subs),
+    )
+    arr.from_global(values)
+    return values, arr, lower_line_sweep(engine, "V", dim, LINE)
+
+
+def _sweep(sess, case, reference=False) -> dict:
+    _values, arr, kernel = _sweep_kernel(sess, case)
+    machine = arr.machine
+    with record(machine) as log:
+        stats = kernel.sweep(reference=reference)
+    return {
+        "solution": arr.to_global().tobytes(),
+        "stats": stats,
+        "clocks": list(machine.network.clocks),
+        "messages": machine.stats().messages,
+        "bytes": machine.stats().bytes,
+        "events": [repr(event) for event in log.events],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_line_sweep_conforms(case, sweep_sessions):
+    serial, multi = sweep_sessions
+    stacked = _sweep(serial, case)
+    assert _sweep(serial, case, reference=True) == stacked
+    assert _sweep(multi, case) == stacked
+    values, arr, kernel = _sweep_kernel(serial, case)
+    want = np.apply_along_axis(LINE, kernel.dim, values)
+    assert stacked["solution"] == want.tobytes()
+    assert len(stacked["events"]) > 0
+
+
+def test_line_sweep_is_one_fleet_kernel_op(sweep_sessions):
+    """The multiprocess backend inherits the serial bodies, so it must
+    keep overriding ``sweep_lines``: a local sweep is one op of the
+    worker fleet, never a reassembly on the master."""
+    _serial, multi = sweep_sessions
+    _values, arr, kernel = _sweep_kernel(multi, "(:,BLOCK)/0")
+    backend = arr.machine.backend
+    assert backend.name == "multiprocess"
+    with mock.patch.object(backend, "run_op", wraps=backend.run_op) as run_op:
+        kernel.sweep()
+    assert [call.args[0] for call in run_op.call_args_list] == [op_local_kernel]
 
 
 # -- app smoke coverage: the strategies the registry defaults skip -------
