@@ -113,7 +113,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "MultiprocessBackend", "SerialBackend", "SharedSegmentAllocator",
         "Transport", "TransportBroken", "TransportTimeout", "attached_backend",
         "calibrate", "fit_alpha_beta", "measured_machine",
-        "segment_moves", "shift_plan", "transfer_plan",
+        "shift_plan", "transfer_plan",
     ),
     "compiler": (
         "ALWAYS", "MAYBE", "NEVER", "TOP", "AccessKind", "AnalysisResult",
@@ -167,7 +167,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "TranslationTable", "broadcast_from", "communicate",
         "default_plan_cache", "forall", "forall_batched",
         "gather_to", "reduce_scalar", "shift_exchange", "transfer_matrix",
-        "transfer_matrix_naive",
     ),
     "sim": (
         "BlockingReplay", "BUSY_KINDS", "CriticalPath", "Event", "EventArrays",

@@ -37,7 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ),
     "calibrate": ("fit_alpha_beta", "measured_machine"),
     "multiprocess": ("FleetSupervisor", "MultiprocessBackend"),
-    "plan": ("segment_moves", "shift_plan", "transfer_plan"),
+    "plan": ("shift_plan", "transfer_plan"),
     "shm": ("BlockMeta", "SharedSegmentAllocator"),
     "transport": ("Transport", "TransportBroken", "TransportTimeout"),
 })

@@ -15,9 +15,9 @@ construction, and only the physical execution differs:
 ==============  ========================  ======================  ======================
 op              the master accounts       SerialBackend           MultiprocessBackend
 ==============  ========================  ======================  ======================
-move            one aggregated message    global reassembly:      the segment-move plan:
-(DISTRIBUTE     per communicating pair    gather, re-describe,    workers send/recv
-data motion)    (``communicate``)         reallocate, scatter     their shares
+move            one aggregated message    the plan's rectangles   the plan's rectangles
+(DISTRIBUTE     per communicating pair    copied old segment ->   sent/received between
+data motion)    (``communicate``)         new segment in place    workers, kept ones copied
 run_kernel      per-rank compute charges  rank-ordered loop over  one worker per owning
 (owner-         (``foreach_owned``, the   the owners' segments    rank, on its shared
 computes)       irregular sweep)                                  segment
@@ -31,11 +31,13 @@ along a dim,    Kernel._sweep_local``)    stacked into ONE solve  lines of its o
 all local)                                (one batched TRIDIAG)   segment
 ==============  ========================  ======================  ======================
 
-Both columns run the *same* kernel bodies (:mod:`repro.backend.ops`)
-and place halos with the same :func:`~repro.backend.plan.halo_dest_slice`;
-``move`` stays two implementations on purpose — the serial one is the
-bitwise reference the other is conformance-tested against.  So does
-``sweep_lines``: lines are independent ("parallelism comes from solving
+Both columns run the *same* kernel bodies (:mod:`repro.backend.ops`),
+place halos with the same :func:`~repro.backend.plan.halo_dest_slice`
+and ``move`` the same :class:`~repro.backend.plan.RedistributionPlan`,
+selector for selector — what differs is only who copies (the global
+``to_global`` -> ``from_global`` reassembly both are tested against
+lives in the tests).  ``sweep_lines`` stays two implementations on
+purpose: lines are independent ("parallelism comes from solving
 many independent lines"), so in one process they are one batch and in
 a fleet one share per worker — different stacks, the same arithmetic
 per line.  (A sweep whose lines cross processors accounts its gathers
@@ -161,10 +163,11 @@ class Backend:
             machine.set_segment_allocator(None)
 
     # -- operations (network accounting is the caller's job) -------------
-    def move(self, array: "DistributedArray", new_dist, plan_cache=None) -> None:
+    def move(self, array: "DistributedArray", new_dist, plan) -> None:
         """Physically move ``array`` to ``new_dist`` (descriptor update
-        and segment reallocation included).  ``plan_cache`` lets
-        backends share memoized transfer plans with the run time."""
+        and segment reallocation included) by executing ``plan``, the
+        :class:`~repro.backend.plan.RedistributionPlan` of the layout
+        pair the caller has just accounted."""
         raise NotImplementedError
 
     def run_kernel(
@@ -213,19 +216,22 @@ class Backend:
 class SerialBackend(Backend):
     """The in-process reference backend.
 
-    Redistribution moves data by global reassembly, kernels run as a
-    rank-ordered loop in the master process.  This is the behaviour
-    every other backend is conformance-tested against, bit for bit.
+    Redistribution copies the plan's rectangles segment to segment,
+    kernels run as a rank-ordered loop in the master process.  This is
+    the behaviour every other backend is conformance-tested against,
+    bit for bit.
     It keeps no per-machine state, so one instance (:data:`SERIAL`)
     serves every machine nothing else is attached to.
     """
 
     name = "serial"
 
-    def move(self, array: "DistributedArray", new_dist, plan_cache=None) -> None:
-        gvals = array.to_global()
+    def move(self, array: "DistributedArray", new_dist, plan) -> None:
+        old = {rank: array.local(rank) for rank in array.owning_ranks()}
         array.bind(new_dist, fill=None)
-        array.from_global(gvals)
+        new = {rank: array.local(rank) for rank in array.owning_ranks()}
+        for src, dst, old_sel, new_sel in plan.moves:
+            new[dst][new_sel] = old[src][old_sel]
 
     def run_kernel(self, array: "DistributedArray", fn: Callable) -> None:
         for rank in array.owning_ranks():

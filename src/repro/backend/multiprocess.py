@@ -29,7 +29,7 @@ back on the serial default.  The fleet stops with whoever owns
 :attr:`~repro.backend.base.Backend.fleets` — a session, or the backend
 itself when it was constructed by hand.  Bindings that share a fleet
 (a session's engine and the stage running beside it) take turns, one
-op at a time; plan memos are fleet-wide, snapshots per binding.
+op at a time; snapshots are per binding.
 
 Barriers: ``op_bind``'s *is* the check that the collective works, and
 the calibration microbenchmarks fence their timings with one.  No
@@ -76,7 +76,7 @@ from .ops import (
     line_sweep_kernel, op_bind, op_local_kernel, op_redistribute,
     op_stencil_step,
 )
-from .plan import halo_dest_slice, segment_moves
+from .plan import halo_dest_slice
 from .shm import SharedSegmentAllocator
 from .worker import worker_main
 
@@ -112,12 +112,9 @@ _SNAPSHOT_BYTES = _obs.counter(
     "Bytes copied into op-boundary checkpoints before dispatch.",
 )
 
-#: binding and plan ids, process-wide: an id names one thing on every
-#: fleet, and a binding's id makes its shm names unique
+#: binding ids, process-wide: an id names one binding on every fleet
+#: and makes its shm names unique
 _IDS = itertools.count(1)
-#: move plans a fleet's workers keep memoized (oldest evicted; an
-#: evicted plan simply ships again on its next use)
-PLAN_MEMO_SIZE = 64
 
 
 def _can_ship(fn) -> bool:
@@ -163,10 +160,8 @@ class Fleet:
         self.conns: list = []
         self.inboxes: list = []
         self.barrier = self.heartbeat = self.abort_board = None
-        #: layout pair -> id of the move plan the workers hold for it
-        self.shipped: dict = {}
-        #: shm names, binding ids and plan ids the workers may forget,
-        #: sent along with the next command
+        #: shm names and binding ids the workers may forget, sent along
+        #: with the next command
         self.freed: list = []
 
     def start(self, cause: str) -> None:
@@ -205,7 +200,6 @@ class Fleet:
             theirs.close()
         # fresh workers remember nothing
         self.generation += 1
-        self.shipped.clear()
         self.freed.clear()
         _FLEET_STARTS.inc(cause=cause)
         _flight.note(
@@ -331,9 +325,8 @@ class FleetSupervisor:
     neither stamped its heartbeat since nor acked).  :meth:`recover`
     is what :meth:`MultiprocessBackend.run_op` invokes between replay
     attempts: fresh workers in the same fleet, and the op-boundary
-    snapshot restored.  They know no binding and no plan, so the
-    replay binds again and ships its plan again — as does the next op
-    of every other binding of the fleet.
+    snapshot restored.  They know no binding, so the replay binds
+    again — as does the next op of every other binding of the fleet.
     """
 
     def __init__(self, backend: "MultiprocessBackend", max_restarts: int = 2):
@@ -482,7 +475,6 @@ class MultiprocessBackend(SerialBackend):
         op: Callable,
         per_rank_kwargs: list[dict],
         writes: tuple | None = None,
-        replay: Callable | None = None,
     ) -> list:
         """Broadcast one SPMD op; block until every worker acks.
 
@@ -492,9 +484,7 @@ class MultiprocessBackend(SerialBackend):
         workers) are recovered in place: snapshot → restart → replay,
         up to ``max_restarts`` times per op.  ``writes`` names the
         blocks the op may write — all a replay needs restored, so all
-        the snapshot copies (``None``: every block of the binding);
-        ``replay()`` rebuilds the kwargs for workers that remember
-        nothing.
+        the snapshot copies (``None``: every block of the binding).
         """
         if len(per_rank_kwargs) != self.nprocs:
             raise ValueError(
@@ -522,8 +512,6 @@ class MultiprocessBackend(SerialBackend):
                         cause="dead" if exc.dead_ranks else "hung",
                         snapshot=snapshot, detail=str(exc),
                     )
-                    if replay is not None:
-                        per_rank_kwargs = replay()
 
     def _snapshot(self, writes: tuple | None) -> list:
         """Copy the blocks an op may write into process memory — the
@@ -539,67 +527,39 @@ class MultiprocessBackend(SerialBackend):
         return snapshot
 
     # -- operations ------------------------------------------------------
-    def move(
-        self,
-        array: "DistributedArray",
-        new_dist,
-        plan_cache=None,
-    ) -> None:
-        """Execute a DISTRIBUTE transfer plan in the worker fleet.
-
-        The per-pair index plan is derived once (and shared through
-        the engine's :class:`~repro.runtime.redistribute.PlanCache`
-        when given); workers only ship values — both endpoints address
-        them through the same deterministic plan.
-        """
-        nprocs = array.machine.nprocs
-        old_dist = array.descriptor.dist
+    def move(self, array: "DistributedArray", new_dist, plan) -> None:
+        """Execute a DISTRIBUTE plan in the worker fleet: each rank gets
+        its share of ``plan.moves`` and ships values only — both
+        endpoints address them through the same selectors."""
         block = array._block_name()
-        fleet = self.fleet
-
-        # recurring layout pairs ship their position arrays to the
-        # fleet once; afterwards only the plan id crosses the pipes
-        # (and the cache lookup of a replay reads as the hit it is)
-        plan_key = (old_dist, new_dist, nprocs)
-        plan_id = fleet.shipped.get(plan_key) or next(_IDS)
-        moves = None
-        if plan_cache is not None:
-            moves = plan_cache.segment_moves(old_dist, new_dist, nprocs)
+        shares = [dict(sends=[], keeps=[], recvs=[]) for _ in range(self.nprocs)]
+        for src, dst, old_sel, new_sel in plan.moves:
+            if src == dst:
+                shares[src]["keeps"].append((old_sel, new_sel))
+            else:
+                shares[src]["sends"].append((dst, old_sel))
+                shares[dst]["recvs"].append((src, new_sel))
 
         # keep old physical segments alive across the reallocation
-        stashed = {}
-        for rank in range(nprocs):
-            st = self.allocator.stash(rank, block)
-            if st is not None:
-                stashed[rank] = st
+        stashed = {
+            rank: st for rank in range(self.nprocs)
+            if (st := self.allocator.stash(rank, block)) is not None
+        }
         try:
             array.bind(new_dist, fill=None)
             self._op_counter += 1
             tag = f"redist:{array.name}:{self._op_counter}"
-
-            def commands() -> list[dict]:
-                nonlocal moves
-                ship = plan_key not in fleet.shipped
-                if ship and moves is None:
-                    moves = segment_moves(old_dist, new_dist, nprocs)
-                return [
-                    dict(
-                        old_meta=stashed[rank][1] if rank in stashed else None,
-                        new_meta=self.allocator.meta(rank, block),
-                        plan_id=plan_id,
-                        moves=moves[rank] if ship else None,
-                        tag=tag,
-                    )
-                    for rank in range(nprocs)
-                ]
-
             # nothing to snapshot: a replay reads the stashed old
             # blocks again and overwrites every element of the new ones
-            self.run_op(op_redistribute, commands(), (), commands)
-            with fleet.lock:
-                fleet.shipped[plan_key] = plan_id
-                if len(fleet.shipped) > PLAN_MEMO_SIZE:
-                    fleet.freed.append(fleet.shipped.pop(next(iter(fleet.shipped))))
+            self.run_op(op_redistribute, [
+                dict(
+                    old_meta=stashed[rank][1] if rank in stashed else None,
+                    new_meta=self.allocator.meta(rank, block),
+                    tag=tag,
+                    **shares[rank],
+                )
+                for rank in range(self.nprocs)
+            ], ())
         finally:
             # release the old physical segments even if reallocation
             # or the worker op failed — never orphan /dev/shm blocks

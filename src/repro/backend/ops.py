@@ -44,39 +44,25 @@ def op_bind(ctx, faults=None) -> int:
     return ctx.rank
 
 
-def op_redistribute(ctx, old_meta, new_meta, plan_id, moves, tag) -> dict:
-    """Execute this rank's share of a DISTRIBUTE transfer plan.
+def op_redistribute(ctx, old_meta, new_meta, sends, keeps, recvs, tag) -> None:
+    """Execute this rank's share of a DISTRIBUTE plan
+    (:class:`~repro.backend.plan.RedistributionPlan`).
 
-    ``moves`` is the rank's :class:`~repro.backend.plan.SegmentMoves`:
-    ``sends``/``recvs`` are ``(peer, positions)`` lists in plan order
-    (positions index the flattened old/new segment); ``keeps`` is a
-    list of ``(old_positions, new_positions)`` local copies.  Values
-    ship as raw numpy arrays over the transport — the receiver derives
-    *where* they land from the same deterministic plan.  ``moves is
-    None`` means "replay the memoized plan ``plan_id``" (shipped by a
-    previous op for the same layout pair; the master bounds the memo
-    and says which ids to forget).
+    ``sends`` / ``recvs`` are ``(peer, selectors)`` lists in plan order
+    — selectors subscript the shaped old / new segment — and ``keeps``
+    ``(old selectors, new selectors)`` local copies.  Values ship as
+    raw numpy rectangles over the transport; the receiver derives
+    *where* they land from the same deterministic plan.
     """
-    if moves is None:
-        moves = ctx.plans[plan_id]
-    else:
-        ctx.plans[plan_id] = moves
     old = ctx.attach(old_meta)
     new = ctx.attach(new_meta)
-    old_flat = old.reshape(-1) if old is not None else None
-    new_flat = new.reshape(-1) if new is not None else None
-    sent = 0
-    received = 0
-    for dst, positions in moves.sends:
-        ctx.transport.send(dst, tag, old_flat[positions].copy())
-        sent += len(positions)
-    for old_pos, new_pos in moves.keeps:
-        new_flat[new_pos] = old_flat[old_pos]
-    for src, positions in moves.recvs:
-        values = ctx.transport.recv(src, tag)
-        new_flat[positions] = values
-        received += len(positions)
-    return {"sent": sent, "received": received}
+    for dst, sel in sends:
+        # copied: the queue pickles the payload after send() returns
+        ctx.transport.send(dst, tag, old[sel].copy())
+    for old_sel, new_sel in keeps:
+        new[new_sel] = old[old_sel]
+    for src, sel in recvs:
+        new[sel] = ctx.transport.recv(src, tag)
 
 
 def op_local_kernel(ctx, meta, fn, idx) -> None:

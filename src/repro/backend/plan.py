@@ -5,13 +5,15 @@ from the same distribution metadata: the sender enumerates the
 elements it ships to each peer in exactly the order the receiver
 expects them.  This module holds those pure planning functions:
 
-- :func:`transfer_plan` — the redistribution plan: for each (source,
-  destination) processor pair, the ascending global flat indices of
-  the elements the old primary owner sends to each new owner (the
-  per-pair expansion of the run time's transfer matrix — summing the
-  index counts for ``s != d`` reproduces ``transfer_matrix`` exactly);
-- :func:`segment_moves` — the same plan lowered to per-processor
-  *local segment positions* (what a worker actually indexes);
+- :class:`RedistributionPlan` — the DISTRIBUTE plan both backends
+  execute and the master accounts: the transfer matrix and, per
+  (source, destination) processor pair, the selectors of the moved
+  rectangle in the old and the new local segment, composed from
+  per-dimension tables (a redistribution is a product of per-dimension
+  index sets);
+- :func:`transfer_plan` — its per-element oracle: the same pairs as
+  ascending global flat indices, read off the flattened rank maps
+  (tests, ``repro.perf``'s reference column and experiment E4 only);
 - :func:`shift_plan` / :func:`halo_dest_slice` — the halo-exchange
   plan of :func:`~repro.runtime.communication.shift_exchange`, as
   data so both the in-process path and the worker op can execute it.
@@ -22,6 +24,7 @@ state is touched, and all outputs are picklable.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,29 +33,14 @@ if TYPE_CHECKING:  # avoid importing upper layers at run time
     from ..core.distribution import Distribution
 
 __all__ = [
-    "segment_gflat",
+    "RedistributionPlan",
     "transfer_plan",
-    "segment_moves",
-    "SegmentMoves",
+    "oracle_matrix",
     "shift_plan",
     "halo_dest_slice",
     "SweepPlan",
     "sweep_plan",
 ]
-
-
-def segment_gflat(dist: "Distribution", rank: int) -> np.ndarray:
-    """Global flat (C-order) indices of ``rank``'s segment, in the
-    segment's own C storage order.
-
-    This is the bridge between a worker's local buffer and global
-    index space: position ``i`` of the flattened local segment holds
-    global element ``segment_gflat(dist, rank)[i]``.
-    """
-    if dist.local_size(rank) == 0:  # owns nothing, or outside the section
-        return np.empty(0, dtype=np.int64)
-    idx = np.ix_(*dist.local_index_arrays(rank))
-    return np.ravel_multi_index(idx, dist.shape).ravel().astype(np.int64)
 
 
 def transfer_plan(
@@ -89,68 +77,167 @@ def transfer_plan(
     return entries
 
 
-class SegmentMoves:
-    """One processor's share of a redistribution, in local positions.
+def oracle_matrix(old: "Distribution", new: "Distribution", nprocs: int) -> np.ndarray:
+    """The reference transfer matrix: :func:`transfer_plan`'s entry
+    lengths for ``src != dst``."""
+    T = np.zeros((nprocs, nprocs), dtype=np.int64)
+    for s, d, gidx in transfer_plan(old, new, nprocs):
+        if s != d:
+            T[s, d] += len(gidx)
+    return T
 
-    ``sends``/``recvs`` are ``(peer, positions)`` lists in plan order —
-    positions index the *flattened* old/new local segment; ``keeps``
-    are ``(old_positions, new_positions)`` pairs copied locally.
+
+def _local_positions(owners: np.ndarray, nslots: int) -> np.ndarray:
+    """Where each index of a dimension sits in its owner slot's sorted
+    index list (the per-dimension ``loc_map``)."""
+    order = np.argsort(owners, kind="stable")
+    sizes = np.bincount(owners, minlength=nslots)
+    starts = np.cumsum(sizes) - sizes
+    positions = np.empty(len(owners), dtype=np.int64)
+    positions[order] = np.arange(len(owners)) - starts[owners[order]]
+    return positions
+
+
+def _selector(positions: list) -> slice | np.ndarray:
+    """Ascending ``positions`` as a slice if they are an arithmetic
+    progression, as an index array otherwise."""
+    first, last = positions[0], positions[-1]
+    step = positions[1] - first if len(positions) > 1 else 1
+    if positions == list(range(first, last + 1, step)):
+        return slice(first, last + 1, step)
+    return np.array(positions)
+
+
+def _subscript(selectors: tuple) -> tuple:
+    """One subscript from per-dimension selectors: basic slicing when
+    all are slices, an open mesh of index arrays otherwise (never a
+    slice beside an array: numpy would transpose the result)."""
+    for sel in selectors:
+        if type(sel) is not slice:
+            return np.ix_(*(
+                np.arange(sel.start, sel.stop, sel.step) if type(sel) is slice else sel
+                for sel in selectors
+            ))
+    return selectors
+
+
+class RedistributionPlan:
+    """The plan of one ``(old, new, nprocs)`` redistribution — what the
+    master accounts and what either backend executes.
+
+    Every intrinsic distributes dimensions independently, so what one
+    processor sends another is the Cartesian product of per-dimension
+    index sets and its size the product of per-dimension counts.  The
+    plan is composed from per-dimension slot-pair tables through each
+    rank's slots: O(sum of extents + nprocs^2), never O(elements).
+    :func:`transfer_plan` is the per-element oracle it is tested
+    against.
+
+    Attributes
+    ----------
+    matrix:
+        ``(nprocs, nprocs)`` int64 element counts, ``matrix[s, d]`` what
+        ``s`` sends ``d``; the diagonal is zero.  Data is sourced from
+        the old *primary* owner; every replica of a replicated target
+        receives a copy.
+    moved / kept:
+        ``matrix.sum()`` and the number of elements whose primary owner
+        does not change.
+    moves:
+        ``[(src, dst, old_selectors, new_selectors), ...]`` in
+        :func:`transfer_plan`'s entry order, ``src == dst`` for what a
+        rank keeps: ``new_segment[new_selectors] =
+        old_segment[old_selectors]``.  A selector tuple subscripts the
+        *shaped* local segment — one ``slice`` per dimension, or an
+        ``np.ix_`` mesh when any dimension needs an index array — and
+        both enumerate the same elements in ascending global order, so
+        sender and receiver agree by construction.  Built on first use:
+        cost models read only the matrix.
     """
 
-    __slots__ = ("rank", "sends", "recvs", "keeps")
+    def __init__(self, old: "Distribution", new: "Distribution", nprocs: int):
+        if old.domain != new.domain:
+            raise ValueError(
+                f"redistribution must preserve the index domain: "
+                f"{old.domain!r} vs {new.domain!r}"
+            )
+        self.old, self.new = old, new
+        self._owners = list(zip(old.owner_maps(), new.owner_maps()))
+        # one row per sending / column per receiving rank of the sections
+        senders, receivers = old.ranks(), new.ranks()
+        src_slots = np.array([old.slots_of(r) for r in senders])
+        dst_slots = np.array([new.slots_of(r) for r in receivers])
+        senders, receivers = np.array(senders)[:, None], np.array(receivers)
+        full = np.ones((len(senders), len(receivers)), dtype=np.int64)
+        primary = np.ones_like(full)
+        for dim, (src, dst) in enumerate(self._owners):
+            po, pn = old.slots_along(dim), new.slots_along(dim)
+            # a replicated source sends from its primary slot only;
+            # every slot of a replicated target gets what slot 0 gets
+            counts = np.bincount(src * pn + dst, minlength=po * pn).reshape(po, pn)
+            pairs = src_slots[:, dim, None], dst_slots[:, dim]
+            primary *= counts[pairs]
+            if not new.dtype.dims[dim].exclusive:
+                counts = np.repeat(counts[:, :1], pn, axis=1)
+            full *= counts[pairs]
+        self.kept = int(primary[senders == receivers].sum())
+        self.matrix = np.zeros((nprocs, nprocs), dtype=np.int64)
+        self.matrix[senders, receivers] = full
+        #: non-empty (src, dst) pairs, kept ones included
+        self._pairs = np.argwhere(self.matrix).tolist()
+        np.fill_diagonal(self.matrix, 0)
+        self.moved = int(self.matrix.sum())
 
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.sends: list[tuple[int, np.ndarray]] = []
-        self.recvs: list[tuple[int, np.ndarray]] = []
-        self.keeps: list[tuple[np.ndarray, np.ndarray]] = []
+    def _selectors(self, dim: int, src: np.ndarray, dst: np.ndarray) -> dict:
+        """``(old slot, new slot) -> (old, new)`` local selectors of the
+        non-empty slot pairs along ``dim``, from its two owner vectors;
+        O(n log n) in its extent."""
+        n = len(src)
+        po, pn = self.old.slots_along(dim), self.new.slots_along(dim)
+        if po == pn == 1:  # ':' on both sides, the commonest dimension:
+            # it stays whole (and a cold plan skips three sorts)
+            return {(0, 0): (slice(0, n, 1), slice(0, n, 1))}
+        src_pos = _local_positions(src, po)
+        if self.new.dtype.dims[dim].exclusive:
+            targets = [(dst, _local_positions(dst, pn))]
+        else:  # every slot holds the whole dimension
+            everything = np.arange(n)
+            targets = [(np.full(n, b), everything) for b in range(pn)]
+        selectors = {}
+        for dst, dst_pos in targets:
+            pair = src * pn + dst
+            order = np.argsort(pair, kind="stable")  # global indices ascend
+            pair = pair[order]
+            cuts = [0, *(np.flatnonzero(np.diff(pair)) + 1).tolist(), n]
+            slots = pair.tolist()
+            old_pos, new_pos = src_pos[order].tolist(), dst_pos[order].tolist()
+            for lo, hi in zip(cuts, cuts[1:]):
+                selectors[divmod(slots[lo], pn)] = (
+                    _selector(old_pos[lo:hi]), _selector(new_pos[lo:hi])
+                )
+        return selectors
 
-
-def _positions(
-    dist: "Distribution",
-    rank: int,
-    gidx: np.ndarray,
-    cache: dict[int, tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Local flat positions of the global flat indices ``gidx`` inside
-    ``rank``'s segment (robust to any segment storage order)."""
-    entry = cache.get(rank)
-    if entry is None:
-        gflat = segment_gflat(dist, rank)
-        order = np.argsort(gflat, kind="stable")
-        entry = (gflat[order], order)
-        cache[rank] = entry
-    sorted_gflat, order = entry
-    where = np.searchsorted(sorted_gflat, gidx)
-    if where.size and (
-        where.max(initial=0) >= len(order)
-        or not np.array_equal(sorted_gflat[where], gidx)
-    ):
-        raise AssertionError(
-            f"transfer plan references elements outside processor "
-            f"{rank}'s segment"
+    @cached_property
+    def moves(self) -> list:
+        old, new = self.old, self.new
+        tables = [self._selectors(dim, *vecs) for dim, vecs in enumerate(self._owners)]
+        # transfer_plan's order: one group of ascending (src, dst) per
+        # combination of replica slots of the target
+        replicated = [
+            dim for dim, dd in enumerate(new.dtype.dims) if not dd.exclusive
+        ]
+        entries = sorted(
+            ([new.slots_of(d)[dim] for dim in replicated], s, d)
+            for s, d in self._pairs
         )
-    return order[where]
-
-
-def segment_moves(
-    old: "Distribution", new: "Distribution", nprocs: int
-) -> dict[int, SegmentMoves]:
-    """Lower :func:`transfer_plan` to per-rank local segment moves
-    (one entry per rank; an idle rank's is empty)."""
-    plan = transfer_plan(old, new, nprocs)
-    old_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    new_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    moves = {rank: SegmentMoves(rank) for rank in range(nprocs)}
-    for s, d, gidx in plan:
-        opos = _positions(old, s, gidx, old_cache)
-        npos = _positions(new, d, gidx, new_cache)
-        if s == d:
-            moves[s].keeps.append((opos, npos))
-        else:
-            moves[s].sends.append((d, opos))
-            moves[d].recvs.append((s, npos))
-    return moves
+        moves = []
+        for _, s, d in entries:
+            old_sel, new_sel = zip(*(
+                table[a, b]
+                for table, a, b in zip(tables, old.slots_of(s), new.slots_of(d))
+            ))
+            moves.append((s, d, _subscript(old_sel), _subscript(new_sel)))
+        return moves
 
 
 # -- halo exchange planning ------------------------------------------------

@@ -13,7 +13,7 @@ stream works under both ``fork`` and ``spawn`` start methods.
 A worker outlives the machines its fleet is bound to, so what it
 remembers is keyed by handles the master issued and dropped when the
 master says so (``freed``, piggy-backed on the next command): block
-mappings by shm name, per-binding transports and move plans by id.
+mappings by shm name, per-binding transports by id.
 
 Liveness and fault hooks (ISSUE 9): the worker stamps a shared
 *heartbeat* slot at every command receipt and completion, which is
@@ -60,9 +60,6 @@ class WorkerContext:
         #: messages then never match a later op's receives)
         self.seq = 0
         self.transports: dict[int, Transport] = {}
-        #: received move plans by the master's plan id — a recurring
-        #: redistribution ships its position arrays once
-        self.plans: dict = {}
         self._maps: dict[str, tuple] = {}
         self._make_transport = make_transport
 
@@ -86,10 +83,9 @@ class WorkerContext:
 
     def forget(self, freed) -> None:
         """Drop what the master freed since its last command: block
-        mappings (by shm name), bindings and move plans (by id)."""
+        mappings (by shm name) and bindings (by id)."""
         for key in freed:
             self.transports.pop(key, None)
-            self.plans.pop(key, None)
             if key in self._maps:
                 shm, arr = self._maps.pop(key)
                 del arr  # the view must go before the handle closes

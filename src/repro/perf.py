@@ -10,8 +10,9 @@ reproduction.  Four benches, one per hot path:
 - ``halo_exchange`` — stencil steps re-deriving the slab plan every
   step vs the :class:`~repro.runtime.redistribute.PlanCache`-cached
   slice plan;
-- ``redistribute_planning`` — the brute-force per-element transfer
-  matrix vs the vectorized, interning-backed ``PlanCache`` path;
+- ``redistribute_planning`` — the flattened rank-map oracle
+  (:func:`~repro.backend.plan.transfer_plan`) vs the per-dimension,
+  interning-backed ``PlanCache`` path;
 - ``simulated_cost_planning`` — schedule planning with the event-loop
   transition replayer vs the array-backed fast replay + trace memo.
 
@@ -166,12 +167,14 @@ def bench_halo_exchange(smoke: bool = False) -> dict:
 
 
 def bench_redistribute_planning(smoke: bool = False) -> dict:
-    """Transfer-set planning: brute-force per-element matrix vs the
-    vectorized PlanCache/interning path over recurring layout pairs."""
+    """Transfer-set planning: the flattened rank-map oracle (per-pair
+    index sets, one entry per element) vs the per-dimension plan behind the
+    PlanCache/interning path, over recurring layout pairs."""
+    from .backend.plan import oracle_matrix
     from .core.interning import clear_interning_caches
     from .machine import ProcessorArray
     from .core.distribution import dist_type
-    from .runtime.redistribute import PlanCache, transfer_matrix_naive
+    from .runtime.redistribute import PlanCache
 
     n = 32 if smoke else 96
     nprocs = 8
@@ -191,18 +194,24 @@ def bench_redistribute_planning(smoke: bool = False) -> dict:
             for o, w in specs
         ]
 
+    clear_interning_caches()
     ref_s, ref_mats = _timed(
-        lambda: [transfer_matrix_naive(o, w, nprocs) for o, w in pairs()]
+        lambda: [oracle_matrix(o, w, nprocs) for o, w in pairs()]
     )
 
     # headline: one COLD pass (empty plan cache, empty interning/owner
     # caches) — the same methodology as the reference, so the speedup
-    # is vectorization alone, not memo amortization
+    # is the per-dimension planning alone, not memo amortization; the
+    # move lists are built too, as the oracle's index sets are
     clear_interning_caches()
     cache = PlanCache()
-    vec_s, vec_mats = _timed(
-        lambda: [cache.transfer_matrix(o, w, nprocs) for o, w in pairs()]
-    )
+
+    def plan(old, new):
+        made = cache.redistribution(old, new, nprocs)
+        made.moves  # built on first use
+        return made.matrix
+
+    vec_s, vec_mats = _timed(lambda: [plan(o, w) for o, w in pairs()])
     # steady state: warm plan cache over recurring rounds, reported as
     # an extra (informational) figure
     rounds = 25

@@ -21,7 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "overlap": ("OverlapManager",),
     "redistribute": (
         "PlanCache", "RedistributionReport", "communicate",
-        "default_plan_cache", "transfer_matrix", "transfer_matrix_naive",
+        "default_plan_cache", "transfer_matrix",
     ),
     "translation": ("DimTranslationTable", "TranslationTable"),
 })

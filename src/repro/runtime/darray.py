@@ -156,7 +156,9 @@ class DistributedArray:
             self.local(rank)[lidx] = value
 
     def to_global(self) -> np.ndarray:
-        """Assemble the full array (primary copies win; no comm accounting)."""
+        """Assemble the full array (no comm accounting).  Owners are
+        written in ascending rank order, so of a replicated element the
+        last replica's copy lands — harmless, replicas are equal."""
         out = np.empty(self.shape, dtype=self.np_dtype)
         for rank in self.dist.owning_ranks:
             out[self._indices(rank)[1]] = self.local(rank)

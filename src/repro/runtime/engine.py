@@ -370,7 +370,7 @@ class Engine:
         s = self.plan_cache.stats()
         lines.append(
             f"plan cache: {s['hits']} hits / {s['misses']} misses "
-            f"({s['matrices']} matrices, {s['moves']} move plans resident)"
+            f"({s['plans']} plans resident)"
         )
         return "\n".join(lines)
 

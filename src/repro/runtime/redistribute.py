@@ -16,13 +16,18 @@ other processors."  The three steps:
 This module implements steps 1 and 3 for a single array
 (:func:`communicate`); the engine orchestrates connect classes.
 
-Transfer-set computation is vectorized: the old and new primary-owner
-rank maps are compared element-wise and grouped with ``bincount`` into
-per-(src, dst) message volumes — the design choice benchmarked against
-the naive per-element loop (:func:`transfer_matrix_naive`) in
-experiment E4.  "Data motion is suppressed where data flow analysis,
-or a NOTRANSFER specification, permits": elements whose owner does not
-change generate no traffic, and NOTRANSFER skips COMMUNICATE entirely.
+Transfer sets are planned per dimension, never per element: every
+intrinsic maps one array dimension onto one processor dimension, so
+what a processor sends another is a Cartesian product of per-dimension
+index sets.  One :class:`~repro.backend.plan.RedistributionPlan` per
+``(old, new, nprocs)`` holds the per-(src, dst) message volumes the
+network accounts and the rectangles the machine's backend copies;
+:class:`PlanCache` keeps it ("inspector once, executor many", §3.2.1).
+The flattened rank-map form (:func:`~repro.backend.plan.transfer_plan`)
+is its oracle and experiment E4's ablation baseline.  "Data motion is
+suppressed where data flow analysis, or a NOTRANSFER specification,
+permits": elements whose owner does not change generate no traffic, and
+NOTRANSFER skips COMMUNICATE entirely.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import threading
 
 import numpy as np
 
-from ..backend.plan import segment_moves as _segment_moves
+from ..backend.plan import RedistributionPlan
 from ..backend.plan import shift_plan as _shift_plan
 from ..backend.plan import sweep_plan as _sweep_plan
 from ..core.distribution import Distribution
@@ -42,7 +47,6 @@ from .darray import DistributedArray
 
 __all__ = [
     "transfer_matrix",
-    "transfer_matrix_naive",
     "communicate",
     "RedistributionReport",
     "PlanCache",
@@ -102,54 +106,15 @@ class RedistributionReport:
 def transfer_matrix(
     old: Distribution, new: Distribution, nprocs: int
 ) -> np.ndarray:
-    """Element counts to move between processors, vectorized.
+    """Element counts to move between processors.
 
     Returns an ``(nprocs, nprocs)`` matrix ``T`` with ``T[s, d]`` the
     number of elements processor ``s`` must send to processor ``d``.
     The diagonal is zero: elements staying put need no transfer.  Data
     is sourced from the old *primary* owner; if the new distribution
-    replicates, every replica receives a copy (one rank map per owner
-    combination).
+    replicates, every replica receives a copy.
     """
-    if old.domain != new.domain:
-        raise ValueError(
-            f"redistribution must preserve the index domain: "
-            f"{old.domain!r} vs {new.domain!r}"
-        )
-    src = np.asarray(old.rank_map()).ravel().astype(np.int64)
-    T = np.zeros((nprocs, nprocs), dtype=np.int64)
-    for new_rm in new.owner_rank_maps():
-        dst = np.asarray(new_rm).ravel().astype(np.int64)
-        pair = src * nprocs + dst
-        counts = np.bincount(pair, minlength=nprocs * nprocs)
-        T += counts.reshape(nprocs, nprocs)
-    np.fill_diagonal(T, 0)
-    return T
-
-
-def transfer_matrix_naive(
-    old: Distribution, new: Distribution, nprocs: int
-) -> np.ndarray:
-    """Brute-force per-element reference for :func:`transfer_matrix`.
-
-    Walks every element of the domain and asks ``owner()``/``owners()``
-    per index — quadratically slower than the vectorized bincount form.
-    It exists **only** as the ablation baseline of experiment E4 and as
-    the oracle of the redistribution property tests; no production
-    path reaches it: :func:`communicate`, the planner's cost engines
-    and the SPMD backends all go through :func:`transfer_matrix`
-    (usually :class:`PlanCache`-mediated), which is asserted by
-    ``tests/runtime/test_redistribute.py``.
-    """
-    if old.domain != new.domain:
-        raise ValueError("redistribution must preserve the index domain")
-    T = np.zeros((nprocs, nprocs), dtype=np.int64)
-    for index in old.domain:
-        s = old.owner(index)
-        for d in new.owners(index):
-            if d != s:
-                T[s, d] += 1
-    return T
+    return RedistributionPlan(old, new, nprocs).matrix
 
 
 _PLAN_CACHE_LOOKUPS = _obs.counter(
@@ -184,8 +149,8 @@ class PlanCache:
     the (old, new) pair, so the run time caches it instead of
     recomputing the owner maps each time.  The cache is keyed by the
     bound distributions (hashable by construction); each plan family
-    (transfer matrices, segment moves, halo shift plans, sweep plans)
-    lives in its own ``capacity``-bounded LRU store.
+    (redistribution plans, halo shift plans, sweep plans) lives in its
+    own ``capacity``-bounded LRU store.
 
     One ``PlanCache`` may be shared by many sessions — that is exactly
     what the ``repro.serve`` session pool does — so lookups and the
@@ -199,7 +164,6 @@ class PlanCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._plans = LRUCache(capacity)
-        self._moves = LRUCache(capacity)
         self._shifts = LRUCache(capacity)
         self._sweeps = LRUCache(capacity)
         self._lock = threading.RLock()
@@ -221,27 +185,21 @@ class PlanCache:
         store.put(key, value)
         return value
 
-    def transfer_matrix(
+    def redistribution(
         self, old: Distribution, new: Distribution, nprocs: int
-    ) -> np.ndarray:
+    ) -> RedistributionPlan:
+        """Memoized DISTRIBUTE plan: what the master accounts and what
+        either backend executes, in one lookup."""
         return self._memo(
             self._plans,
             (old, new, nprocs),
-            lambda: transfer_matrix(old, new, nprocs),
+            lambda: RedistributionPlan(old, new, nprocs),
         )
 
-    def segment_moves(
+    def transfer_matrix(
         self, old: Distribution, new: Distribution, nprocs: int
-    ) -> dict:
-        """Memoized per-rank segment move plan (what SPMD workers
-        execute; see :func:`repro.backend.plan.segment_moves`).  The
-        worker fleet shares recurring plans through this cache exactly
-        as the serial path shares transfer matrices."""
-        return self._memo(
-            self._moves,
-            (old, new, nprocs),
-            lambda: _segment_moves(old, new, nprocs),
-        )
+    ) -> np.ndarray:
+        return self.redistribution(old, new, nprocs).matrix
 
     def shift_plan(self, dist: Distribution, dim: int, width: int) -> list:
         """Memoized halo slab-exchange plan, keyed by (distribution,
@@ -273,10 +231,8 @@ class PlanCache:
                 "misses": self.misses,
                 "evictions": sum(
                     store.evictions
-                    for store in (self._plans, self._moves,
-                                  self._shifts, self._sweeps)),
-                "matrices": len(self._plans),
-                "moves": len(self._moves),
+                    for store in (self._plans, self._shifts, self._sweeps)),
+                "plans": len(self._plans),
                 "shift_plans": len(self._shifts),
                 "sweep_plans": len(self._sweeps),
             }
@@ -285,7 +241,7 @@ class PlanCache:
 
     def clear(self) -> None:
         with self._lock:
-            for store in (self._plans, self._moves, self._shifts, self._sweeps):
+            for store in (self._plans, self._shifts, self._sweeps):
                 store.clear()
             self.hits = 0
             self.misses = 0
@@ -373,9 +329,10 @@ def _communicate(
     misses0 = plan_cache.misses if plan_cache is not None else 0
 
     if plan_cache is not None:
-        T = plan_cache.transfer_matrix(old_dist, new_dist, machine.nprocs)
+        plan = plan_cache.redistribution(old_dist, new_dist, machine.nprocs)
     else:
-        T = transfer_matrix(old_dist, new_dist, machine.nprocs)
+        plan = RedistributionPlan(old_dist, new_dist, machine.nprocs)
+    T = plan.matrix
     itemsize = array.itemsize
     # One aggregated message per communicating (src, dst) pair — the
     # run time "transfers ... array sections", not single elements —
@@ -389,23 +346,19 @@ def _communicate(
     machine.network.synchronize()
 
     # Physical data motion.  The network above *accounts* (identically
-    # for every backend); the machine's execution backend *moves* —
-    # in-process global reassembly for the serial reference, real
-    # send/recv of segment data in worker processes for SPMD backends.
-    machine.backend.move(array, new_dist, plan_cache=plan_cache)
+    # for every backend); the machine's execution backend *moves* the
+    # same plan's rectangles — segment to segment in this process for
+    # the serial reference, by send/recv between worker processes for
+    # SPMD backends.
+    machine.backend.move(array, new_dist, plan)
 
     stats1 = machine.stats()
-    moved = int(T.sum())
-    # "kept" counts elements whose primary owner did not change.
-    kept = int(
-        (np.asarray(old_dist.rank_map()) == np.asarray(new_dist.rank_map())).sum()
-    )
     return RedistributionReport(
         name,
         messages=stats1.messages - stats0.messages,
         bytes_=stats1.bytes - stats0.bytes,
-        elements_moved=moved,
-        elements_kept=kept,
+        elements_moved=plan.moved,
+        elements_kept=plan.kept,  # primary owner did not change
         time=machine.network.time - t0,
         cache_hits=(plan_cache.hits - hits0) if plan_cache is not None else 0,
         cache_misses=(

@@ -19,7 +19,6 @@ import pytest
 
 import repro
 from repro.backend import BackendError
-from repro.backend.multiprocess import PLAN_MEMO_SIZE
 from repro.core.distribution import dist_type
 from repro.faults import (
     FaultPlan,
@@ -76,7 +75,7 @@ def _add_one(rank, local, idx):
 
 
 def _op_remembered(ctx):
-    return len(ctx.plans), len(ctx._maps), len(ctx.transports)
+    return len(ctx._maps), len(ctx.transports)
 
 
 def _op_count_registrations(ctx, meta):
@@ -165,7 +164,7 @@ def test_no_fork_and_one_tracker_registration_per_block():
         mapped = backend.run_op(_op_remembered, [{}] * 2, ())
         # one live block per rank, mapped once (the stage blocks of the
         # runs above were forgotten when the master freed them)
-        assert [m for _plans, m, _bindings in mapped] == [1, 1]
+        assert [m for m, _bindings in mapped] == [1, 1]
         assert np.array_equal(v.to_global(), np.full((8, 8), 5.0))
 
 
@@ -314,8 +313,9 @@ def test_recovery_is_fast_under_a_sigterm_handler_that_raises():
 
 def test_plan_memos_stay_bounded_on_never_seen_shapes():
     """``distribute_cold`` on a session that lives: every shape is a new
-    layout pair, so unbounded memos would keep one plan per distribute
-    on the master and on every worker, forever."""
+    layout pair, so an unbounded memo would keep one plan per distribute
+    forever.  The master's is the session's bounded ``PlanCache``; a
+    worker keeps none — its share of the plan rides in every command."""
     ring = (ROWS, dist_type("CYCLIC", ":"), COLS)
     with _session() as sess:
         vfe = sess.engine()
@@ -329,7 +329,7 @@ def test_plan_memos_stay_bounded_on_never_seen_shapes():
             assert np.array_equal(v.to_global(), original), n
             for rank in range(2):  # keep /dev/shm and the workers small
                 vfe.machine.memory(rank).free(v._block_name())
-        assert len(backend.fleet.shipped) == PLAN_MEMO_SIZE
-        for plans, maps, bindings in backend.run_op(_op_remembered, [{}] * 2, ()):
-            assert plans <= PLAN_MEMO_SIZE
+        cache = sess.plan_cache
+        assert cache.stats()["plans"] == cache.capacity < cache.misses == 600
+        for maps, bindings in backend.run_op(_op_remembered, [{}] * 2, ()):
             assert maps == 0 and bindings == 1

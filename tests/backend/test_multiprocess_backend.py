@@ -113,13 +113,40 @@ def test_reports_name_backend_and_cache(backend):
     e.distribute("V", dist_type("BLOCK", ":"))
     first, _, third = e.reports[:3]
     assert first.backend == "multiprocess"
-    # first flip computes the matrix and the worker move plan ...
-    assert first.cache_misses == 2 and first.cache_hits == 0
+    # first flip computes the plan the master accounts and the workers
+    # execute: one plan family, one lookup ...
+    assert first.cache_misses == 1 and first.cache_hits == 0
     # ... the recurrence is served from the shared cache
-    assert third.cache_hits == 2 and third.cache_misses == 0
+    assert third.cache_hits == 1 and third.cache_misses == 0
     assert "multiprocess" in third.summary()
-    assert "2 hit" in third.summary()
+    assert "1 hit" in third.summary()
     assert "plan cache" in e.redistribution_summary()
+
+
+@pytest.mark.parametrize("name", ["serial", "multiprocess"])
+def test_one_plan_cache_lookup_per_communicate(name):
+    """Accounting and data motion read one plan: a COMMUNICATE looks
+    the cache up exactly once on either backend, hit or miss."""
+    from repro.backend.base import attached_backend
+    from repro.runtime.redistribute import PlanCache, communicate
+
+    m = Machine(R)
+    with attached_backend(m, name):
+        v = Engine(m).declare(
+            "V", (16, 4), dist=dist_type(":", "BLOCK"), dynamic=True)
+        g = np.random.default_rng(5).standard_normal((16, 4))
+        v.from_global(g)
+        cache = PlanCache()
+        for lookups, spec in enumerate(
+            [("BLOCK", ":"), (":", "CYCLIC"), ("BLOCK", ":"), (":", "CYCLIC")], 1
+        ):
+            report = communicate(
+                v, dist_type(*spec).apply((16, 4), R), plan_cache=cache)
+            assert report.backend == name
+            assert report.cache_hits + report.cache_misses == 1
+            assert cache.hits + cache.misses == lookups
+            assert np.array_equal(v.to_global(), g)
+        assert (cache.hits, cache.misses) == (1, 3)
 
 
 def test_first_association_report_names_the_session_backend():
@@ -182,8 +209,9 @@ def test_partial_worker_error_fails_fast_and_fleet_recovers():
 
 
 def test_plan_replay_on_recurring_flips(backend):
-    """A steady-state flip ships its move plan to the fleet once and
-    replays it by id afterwards — contents stay bitwise-correct."""
+    """A steady-state flip replays its plan from the master's cache and
+    carries each rank's share in every command (nothing is memoized
+    worker-side) — contents stay bitwise-correct."""
     m = Machine(R)
     backend.attach(m)
     e = Engine(m)
@@ -194,8 +222,6 @@ def test_plan_replay_on_recurring_flips(backend):
         target = ("BLOCK", ":") if i % 2 == 0 else (":", "BLOCK")
         e.distribute("V", dist_type(*target))
         assert np.array_equal(v.to_global(), g)
-    # both flip directions were shipped exactly once
-    assert len(backend.fleet.shipped) == 2
 
 
 def test_run_kernel_runs_in_workers_not_master(backend):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.backend.plan import (
+    RedistributionPlan,
     halo_dest_slice,
-    segment_gflat,
-    segment_moves,
+    oracle_matrix,
     shift_plan,
     transfer_plan,
 )
-from repro.core.dimdist import Block, Cyclic, GenBlock, Replicated
+from repro.core.dimdist import Block, Cyclic, GenBlock, Indirect, Replicated
 from repro.core.distribution import dist_type
 from repro.machine import ProcessorArray
 from repro.runtime.redistribute import transfer_matrix
@@ -23,17 +23,27 @@ def _apply(spec, shape=(12, 3)):
     return dist_type(*spec).apply(shape, R)
 
 
+def _segment_gflat(dist, rank):
+    """Global flat (C-order) indices of ``rank``'s segment, shaped like
+    the segment."""
+    return np.ravel_multi_index(
+        np.ix_(*dist.local_index_arrays(rank)), dist.shape
+    )
+
+
 class TestSegmentGflat:
+    """The bridge the move tests below read selectors through."""
+
     def test_block_rows(self):
         d = _apply((Block(), ":"))
         # rank 1 owns rows 3..5 of a 12x3 array
-        got = segment_gflat(d, 1)
-        want = np.arange(3 * 3, 6 * 3)
-        assert np.array_equal(got, want)
+        got = _segment_gflat(d, 1)
+        assert got.shape == d.local_shape(1)
+        assert np.array_equal(got.ravel(), np.arange(3 * 3, 6 * 3))
 
     def test_cyclic(self):
         d = _apply((Cyclic(1), ":"))
-        got = segment_gflat(d, 2)
+        got = _segment_gflat(d, 2).ravel()
         want = np.concatenate(
             [np.arange(r * 3, r * 3 + 3) for r in (2, 6, 10)]
         )
@@ -41,7 +51,7 @@ class TestSegmentGflat:
 
     def test_empty_rank(self):
         d = _apply((GenBlock([12, 0, 0, 0]), ":"))
-        assert segment_gflat(d, 3).size == 0
+        assert _segment_gflat(d, 3).size == 0
 
 
 class TestTransferPlan:
@@ -56,12 +66,9 @@ class TestTransferPlan:
     )
     def test_counts_match_transfer_matrix(self, old_spec, new_spec):
         old, new = _apply(old_spec), _apply(new_spec)
-        plan = transfer_plan(old, new, P)
-        T = np.zeros((P, P), dtype=np.int64)
-        for s, d, idx in plan:
-            if s != d:
-                T[s, d] += len(idx)
-        assert np.array_equal(T, transfer_matrix(old, new, P))
+        assert np.array_equal(
+            oracle_matrix(old, new, P), transfer_matrix(old, new, P)
+        )
 
     def test_covers_every_destination_element(self):
         old = _apply((Block(), ":"))
@@ -72,7 +79,7 @@ class TestTransferPlan:
             per_dest[d].append(idx)
         for rank in range(P):
             got = np.sort(np.concatenate(per_dest[rank] or [np.empty(0, int)]))
-            want = np.sort(segment_gflat(new, rank))
+            want = np.sort(_segment_gflat(new, rank).ravel())
             assert np.array_equal(got, want)
 
     def test_domain_mismatch_rejected(self):
@@ -80,38 +87,64 @@ class TestTransferPlan:
         new = _apply((Block(), ":"), shape=(8, 3))
         with pytest.raises(ValueError, match="index domain"):
             transfer_plan(old, new, P)
+        with pytest.raises(ValueError, match="index domain"):
+            RedistributionPlan(old, new, P)
 
 
 class TestSegmentMoves:
+    """``RedistributionPlan.moves``: the rectangles both backends copy."""
+
     def test_send_recv_pairing(self):
+        """Both selector tuples of a move address the oracle's index
+        set, in its order — so a message needs no indices."""
         old = _apply((Block(), ":"), shape=(12, 4))
         new = _apply((":", Block()), shape=(12, 4))
-        moves = segment_moves(old, new, P)
-        # every send stream has a matching recv stream: same peer,
-        # same per-message element counts, same order
-        send_streams: dict[tuple[int, int], list[int]] = {}
-        recv_streams: dict[tuple[int, int], list[int]] = {}
-        for r, m in moves.items():
-            for d, pos in m.sends:
-                send_streams.setdefault((r, d), []).append(len(pos))
-            for s, pos in m.recvs:
-                recv_streams.setdefault((s, r), []).append(len(pos))
-        assert send_streams == recv_streams
-        total_sent = sum(sum(v) for v in send_streams.values())
-        assert total_sent == transfer_matrix(old, new, P).sum()
+        plan = RedistributionPlan(old, new, P)
+        oracle = transfer_plan(old, new, P)
+        assert [m[:2] for m in plan.moves] == [e[:2] for e in oracle]
+        for (s, d, old_sel, new_sel), (_, _, gidx) in zip(plan.moves, oracle):
+            assert np.array_equal(_segment_gflat(old, s)[old_sel].ravel(), gidx)
+            assert np.array_equal(_segment_gflat(new, d)[new_sel].ravel(), gidx)
+        sent = sum(len(e[2]) for e in oracle if e[0] != e[1])
+        assert sent == plan.moved == transfer_matrix(old, new, P).sum()
 
     def test_keeps_plus_moves_cover_new_segments(self):
         old = _apply((GenBlock([2, 6, 2, 2]), ":"))
         new = _apply((Block(), ":"))
-        moves = segment_moves(old, new, P)
+        written = {r: np.zeros(new.local_shape(r), dtype=int) for r in range(P)}
+        for _s, d, _old_sel, new_sel in RedistributionPlan(old, new, P).moves:
+            written[d][new_sel] += 1
         for rank in range(P):
-            n_new = new.local_size(rank)
-            m = moves.get(rank)
-            covered = 0
-            if m is not None:
-                covered += sum(len(np_) for _o, np_ in m.keeps)
-                covered += sum(len(pos) for _s, pos in m.recvs)
-            assert covered == n_new
+            assert (written[rank] == 1).all()
+
+    def test_selectors_are_slices_unless_a_dimension_is_irregular(self):
+        flip = RedistributionPlan(
+            _apply((":", Block()), (12, 8)), _apply((Cyclic(1), ":"), (12, 8)), P
+        )
+        for _s, _d, old_sel, new_sel in flip.moves:
+            assert all(isinstance(sel, slice) for sel in old_sel + new_sel)
+        # one irregular dimension turns the whole subscript into an open
+        # mesh: a slice is never mixed with an index array
+        scatter = RedistributionPlan(
+            _apply((Indirect([0, 2, 1, 0, 3, 1, 0, 2, 0, 0, 3, 1]), ":"), (12, 8)),
+            _apply((":", Block()), (12, 8)), P,
+        )
+        # (a slot's scattered rows are contiguous in its old segment and
+        # scattered in the new one)
+        meshes = 0
+        for _s, _d, old_sel, new_sel in scatter.moves:
+            assert all(isinstance(sel, slice) for sel in old_sel)
+            assert len({type(sel) for sel in new_sel}) == 1
+            meshes += isinstance(new_sel[0], np.ndarray)
+        assert meshes == 8  # slots 0 and 1; two rows are always a stride
+
+    def test_matrix_needs_no_selectors(self):
+        """Cost models read only the matrix: the move list is built on
+        first use."""
+        plan = RedistributionPlan(_apply((Block(), ":")), _apply((":", Block())), P)
+        assert "moves" not in vars(plan)
+        assert plan.moved + plan.kept == 36
+        assert len(plan.moves) == 12 and "moves" in vars(plan)  # 3 columns
 
 
 class TestShiftPlan:

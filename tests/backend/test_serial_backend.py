@@ -89,7 +89,7 @@ def test_attached_backend_context_owns_named_backends():
 def test_base_backend_is_abstract():
     be = Backend()
     with pytest.raises(NotImplementedError):
-        be.move(None, None)
+        be.move(None, None, None)
     with pytest.raises(NotImplementedError):
         be.run_kernel(None, None)
     with pytest.raises(NotImplementedError):

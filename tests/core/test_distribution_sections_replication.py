@@ -2,12 +2,13 @@
 
 import numpy as np
 
+from repro.backend.plan import oracle_matrix
 from repro.core.dimdist import Block, Replicated
 from repro.core.distribution import dist_type
 from repro.machine import Machine, ProcessorArray
 from repro.runtime.communication import shift_exchange
 from repro.runtime.engine import Engine
-from repro.runtime.redistribute import transfer_matrix, transfer_matrix_naive
+from repro.runtime.redistribute import transfer_matrix
 
 
 class TestReplicationOnSections:
@@ -33,7 +34,7 @@ class TestReplicationOnSections:
         old = dist_type(Block()).apply((8,), R)
         new = dist_type(Replicated()).apply((8,), R.section(slice(0, 2)))
         T = transfer_matrix(old, new, 4)
-        assert (T == transfer_matrix_naive(old, new, 4)).all()
+        assert (T == oracle_matrix(old, new, 4)).all()
         # ranks 2, 3 ship their blocks to both replicas; ranks 0, 1
         # ship only to each other
         assert T[2].sum() == 4  # 2 elements x 2 replicas

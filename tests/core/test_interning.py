@@ -157,6 +157,7 @@ class TestStatsSurfacedThroughPlanCache:
         cache = PlanCache()
         old = dist_type("BLOCK", ":").apply((16, 4), R)
         new = dist_type(":", "BLOCK").apply((16, 4), R)
+        before = cache.stats()
         cache.transfer_matrix(old, new, 4)
         s = cache.stats()
         for key in (
@@ -165,9 +166,12 @@ class TestStatsSurfacedThroughPlanCache:
             "interned_dimdists", "interned_distributions",
         ):
             assert key in s
-        # computing the transfer matrix touched both owner-map caches
-        assert s["rank_map_misses"] >= 2
-        assert s["owners_vec_misses"] >= 1
+        # a plan is composed from per-dimension owner vectors: it never
+        # asks for an N-element rank map
+        assert s["owners_vec_hits"] + s["owners_vec_misses"] > (
+            before["owners_vec_hits"] + before["owners_vec_misses"])
+        assert s["rank_map_hits"] == before["rank_map_hits"]
+        assert s["rank_map_misses"] == before["rank_map_misses"]
 
     def test_lru_hits_grow_on_recomputation(self):
         cache = PlanCache()
@@ -183,4 +187,4 @@ class TestStatsSurfacedThroughPlanCache:
         new2 = dist_type(":", "BLOCK").apply((16, 4), R)
         cache2.transfer_matrix(old2, new2, 4)
         after = cache2.stats()
-        assert after["rank_map_hits"] > before["rank_map_hits"]
+        assert after["owners_vec_hits"] > before["owners_vec_hits"]

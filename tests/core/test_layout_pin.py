@@ -16,7 +16,18 @@ and is pinned as corrected since: ``shift_plan`` walked ``range(section
 size)`` and so lost the halo entries of a section's higher ranks (see
 ``tests/backend/test_plan.py`` for the entry counts).
 
-The second half is the ownership guard: no module but
+Pairs are pinned too: for every ordered pair of cells over one index
+domain and one processor array (1 206 of them), what a redistribution
+between them moves — the transfer matrix with its moved / kept counts,
+and per (src, dst) the global index set, in move order.  Those digests
+were recorded from the flattened rank-map planner (``transfer_matrix``
+as a ``bincount`` over all elements, ``transfer_plan`` /
+``segment_moves``) on the parent of the PR that replaced it; they are
+replayed against the selectors of
+:class:`~repro.backend.plan.RedistributionPlan`, read on the old
+segment and on the new one.
+
+The last part is the ownership guard: no module but
 ``core/distribution.py`` reads a ``_``-prefixed attribute of a
 distribution.
 """
@@ -24,13 +35,14 @@ distribution.
 import ast
 import hashlib
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
-from repro.backend.plan import shift_plan, sweep_plan
+from repro.backend.plan import RedistributionPlan, shift_plan, sweep_plan
 from repro.core.dimdist import (
     Block, Cyclic, GenBlock, Indirect, NoDist, Replicated, SBlock,
 )
@@ -179,7 +191,43 @@ def measure(cell: str) -> dict[str, str]:
     return {question: _digest(a) for question, a in answers.items()}
 
 
-PIN = json.loads(PIN_PATH.read_text()) if PIN_PATH.exists() else {"cells": {}}
+def pairs():
+    """``(a, b)`` for every ordered pair of cells over one index domain
+    and one processor array."""
+    by_domain = defaultdict(list)
+    for cell in cells():
+        dist = build(cell)
+        by_domain[dist.target.parent.name, dist.shape].append(cell)
+    for group in by_domain.values():
+        for a in group:
+            for b in group:
+                yield a, b
+
+
+def _segment_gflat(dist, rank):
+    """Global flat (C-order) indices of ``rank``'s segment, shaped like it."""
+    return np.ravel_multi_index(np.ix_(*dist.local_index_arrays(rank)), dist.shape)
+
+
+def measure_pair(a: str, b: str) -> str:
+    """``"<transfer matrix digest> <index sets digest>"`` of the
+    redistribution from cell ``a`` to cell ``b``."""
+    old, new = build(a), build(b)
+    plan = RedistributionPlan(old, new, old.target.parent.size)
+    matrix = _digest([plan.matrix, plan.moved, plan.kept])
+    # what the sender reads and where the receiver writes it
+    index_sets = _digest([
+        [s, d, _segment_gflat(old, s)[old_sel].ravel(),
+         _segment_gflat(new, d)[new_sel].ravel()]
+        for s, d, old_sel, new_sel in plan.moves
+    ])
+    return f"{matrix} {index_sets}"
+
+
+PIN = (
+    json.loads(PIN_PATH.read_text()) if PIN_PATH.exists()
+    else {"cells": {}, "pairs": {}}
+)
 
 
 @pytest.mark.parametrize("cell", sorted(PIN["cells"]))
@@ -192,6 +240,20 @@ def test_pin_covers_every_cell():
     sections = [build(c).target for c in PIN["cells"]]
     assert any(s.size < s.parent.size for s in sections)  # ranks excluded
     assert any(s.ndim == 0 for s in sections)
+
+
+@pytest.mark.parametrize("a", sorted(PIN["pairs"]))
+def test_pairs_reproduce_the_pin(a):
+    """Every redistribution out of cell ``a`` (one test per source
+    cell; a drift names the target cell and the digest)."""
+    assert {b: measure_pair(a, b) for b in PIN["pairs"][a]} == PIN["pairs"][a]
+
+
+def test_pin_covers_every_pair():
+    pinned = {(a, b) for a, to in PIN["pairs"].items() for b in to}
+    assert pinned == set(pairs())
+    kinds = {(a.split("/")[0], b.split("/")[0]) for a, b in pinned}
+    assert ("REPLICATED", "INDIRECT") in kinds and ("CYCLIC(3)", "B_BLOCK") in kinds
 
 
 # -- one home: nobody else reads a distribution's private state -----------
@@ -218,6 +280,13 @@ def test_no_module_reads_a_distribution_private():
     assert hits == []
 
 
+def _measured_pairs() -> dict:
+    nested = defaultdict(dict)
+    for a, b in pairs():
+        nested[a][b] = measure_pair(a, b)
+    return nested
+
+
 if __name__ == "__main__":  # re-record the pin (on the tree to pin)
     PIN_PATH.parent.mkdir(exist_ok=True)
     PIN_PATH.write_text(json.dumps({
@@ -227,7 +296,14 @@ if __name__ == "__main__":  # re-record the pin (on the tree to pin)
             "question asked of build(cell); PR 20 re-recorded only the "
             "shift_plan digest of the 35 cells whose section excludes ranks "
             "and whose plan changed when shift_plan began to walk "
-            "owning_ranks instead of range(section size)"
+            "owning_ranks instead of range(section size); 'pairs' on "
+            "e0a8bde, the parent of PR 21 (the flattened rank-map planner): "
+            "for every ordered pair of cells over one index domain and one "
+            "processor array, 'transfer_matrix digest, index_sets digest' of "
+            "transfer_matrix / moved / kept and of transfer_plan's "
+            "per-(src, dst) global index sets, each checked against "
+            "segment_moves' positions"
         ),
         "cells": {cell: measure(cell) for cell in cells()},
+        "pairs": _measured_pairs(),
     }, indent=1, sort_keys=True) + "\n")

@@ -85,11 +85,11 @@ class TestWorkerCrashRecovery:
         assert np.array_equal(out, expected)
 
     def test_crash_mid_replayed_redistribute_rehydrates_plan(self):
-        """The second A→B flip ships ``sends=None`` (the fleet's plan
-        memo has it) — a crash right there forces the master to
-        re-ship the stored payload to the fresh fleet."""
+        """The second A→B flip is a plan-cache hit — a crash right
+        there replays the op on a fresh fleet that has seen no plan:
+        every command carries its rank's share."""
         g = np.random.default_rng(6).standard_normal((16, 8))
-        # ops: noop 1, flip 2, flip 3, flip 4 (memo replay) ← crash
+        # ops: bind 1, flip 2, flip 3, flip 4 (cached plan) ← crash
         with injected(FaultPlan([WorkerCrash(rank=2, at_op=4)])):
             be = MultiprocessBackend(timeout=30.0)
             try:

@@ -62,13 +62,14 @@ class TestPlanCache:
 
 
 class TestPlanCacheStats:
-    """Direct coverage of the PR-2 stats() surface (hit/miss counters
-    plus resident matrix / move-plan populations)."""
+    """Direct coverage of the stats() surface (hit/miss counters plus
+    the resident population of each plan family)."""
 
     def test_fresh_cache_stats(self):
         s = PlanCache().stats()
         assert s["hits"] == 0 and s["misses"] == 0
-        assert s["matrices"] == 0 and s["moves"] == 0
+        assert s["plans"] == 0
+        assert "matrices" not in s and "moves" not in s  # one plan family
         assert s["shift_plans"] == 0 and s["sweep_plans"] == 0
         # the shared owner-map LRU counters ride along (process-wide)
         for key in ("owners_vec_hits", "owners_vec_misses",
@@ -82,36 +83,33 @@ class TestPlanCacheStats:
         cache.transfer_matrix(old, new, 4)
         s = cache.stats()
         assert s["hits"] == 0 and s["misses"] == 1
-        assert s["matrices"] == 1 and s["moves"] == 0
+        assert s["plans"] == 1
         cache.transfer_matrix(old, new, 4)
         cache.transfer_matrix(old, new, 4)
         assert cache.stats()["hits"] == 2
         assert cache.stats()["misses"] == 1
 
-    def test_segment_moves_share_counters_but_not_population(self):
+    def test_matrix_and_moves_are_one_plan(self):
         cache = PlanCache()
         old = dist_type("BLOCK", ":").apply((16, 4), R)
         new = dist_type(":", "BLOCK").apply((16, 4), R)
-        cache.segment_moves(old, new, 4)
-        cache.segment_moves(old, new, 4)
+        plan = cache.redistribution(old, new, 4)
+        assert cache.redistribution(old, new, 4) is plan
+        # the matrix of the same (old, new) pair is the same entry
+        assert cache.transfer_matrix(old, new, 4) is plan.matrix
         s = cache.stats()
-        assert s["hits"] == 1 and s["misses"] == 1
-        assert s["matrices"] == 0 and s["moves"] == 1
-        # the same (old, new) pair in the matrix cache is a separate miss
-        cache.transfer_matrix(old, new, 4)
-        s = cache.stats()
-        assert s["misses"] == 2 and s["matrices"] == 1
+        assert s["hits"] == 2 and s["misses"] == 1 and s["plans"] == 1
+        assert len(plan.moves) == 16 and plan.moved + plan.kept == 64
 
     def test_clear_resets_stats(self):
         cache = PlanCache()
         old = dist_type("BLOCK", ":").apply((16, 4), R)
         new = dist_type(":", "BLOCK").apply((16, 4), R)
         cache.transfer_matrix(old, new, 4)
-        cache.segment_moves(old, new, 4)
         cache.clear()
         s = cache.stats()
         assert s["hits"] == 0 and s["misses"] == 0
-        assert s["matrices"] == 0 and s["moves"] == 0
+        assert s["plans"] == 0
         assert s["shift_plans"] == 0 and s["sweep_plans"] == 0
 
     def test_engine_summary_reports_cache_stats(self):
@@ -125,7 +123,7 @@ class TestPlanCacheStats:
         text = engine.redistribution_summary()
         s = engine.plan_cache.stats()
         assert f"{s['hits']} hits / {s['misses']} misses" in text
-        assert f"{s['matrices']} matrices" in text
+        assert f"({s['plans']} plans resident)" in text
 
 
 class TestRedistributionReportSummary:

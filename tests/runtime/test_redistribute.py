@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.backend.plan import oracle_matrix
 from repro.core.dimdist import Cyclic, GenBlock, Replicated
 from repro.core.distribution import dist_type
 from repro.machine import Machine, PARAGON, ProcessorArray
 from repro.runtime.engine import Engine
-from repro.runtime.redistribute import (
-    communicate,
-    transfer_matrix,
-    transfer_matrix_naive,
-)
+from repro.runtime.redistribute import communicate, transfer_matrix
 
 P4 = ProcessorArray("R", (4,))
 
@@ -39,7 +36,7 @@ class TestTransferMatrix:
         # owner maps: block [0,0,1,1,2,2,3,3], cyclic [0,1,2,3,0,1,2,3];
         # indices 0 and 5 stay put, the other 6 move
         assert T.sum() == 6
-        assert (T == transfer_matrix_naive(old, new, 4)).all()
+        assert (T == oracle_matrix(old, new, 4)).all()
 
     @pytest.mark.parametrize(
         "old_t,new_t,shape",
@@ -55,10 +52,11 @@ class TestTransferMatrix:
         ],
     )
     def test_vectorized_matches_naive(self, old_t, new_t, shape):
-        """The E4 ablation invariant: fast path == per-element oracle."""
+        """The E4 ablation invariant: per-dimension plan == the
+        flattened rank-map oracle."""
         old, new = bind(old_t, shape), bind(new_t, shape)
         T_fast = transfer_matrix(old, new, 4)
-        T_slow = transfer_matrix_naive(old, new, 4)
+        T_slow = oracle_matrix(old, new, 4)
         assert (T_fast == T_slow).all()
 
     def test_replication_fanout(self):
@@ -67,7 +65,7 @@ class TestTransferMatrix:
         T = transfer_matrix(old, new, 4)
         # every element goes to the 3 other processors
         assert T.sum() == 8 * 3
-        assert (T == transfer_matrix_naive(old, new, 4)).all()
+        assert (T == oracle_matrix(old, new, 4)).all()
 
     def test_domain_mismatch_rejected(self):
         old = bind(dist_type("BLOCK"), (8,))
@@ -158,20 +156,21 @@ class TestBBlockRedistribution:
 
 
 class TestBruteforceIsolation:
-    """The quadratic per-element oracle (``transfer_matrix_naive``)
-    must only be reachable from the E4 bench and the property tests —
-    never from a production path (communicate, the planner's cost
-    engines, or anything PlanCache-mediated)."""
+    """The flattened rank-map planner (``transfer_plan``) is the oracle
+    of the E4 bench, ``repro.perf`` and the tests — no production path
+    (communicate, the planner's cost engines, anything
+    PlanCache-mediated) plans per element or asks for an N-element
+    ``rank_map``."""
 
     def test_production_paths_never_call_bruteforce(self, monkeypatch):
-        import repro.runtime.redistribute as mod
+        import repro.backend.plan as plan_mod
+        from repro.core.distribution import Distribution
 
         def _forbidden(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError(
-                "transfer_matrix_naive reached from a production path"
-            )
+            raise AssertionError("per-element planning on a production path")
 
-        monkeypatch.setattr(mod, "transfer_matrix_naive", _forbidden)
+        monkeypatch.setattr(plan_mod, "transfer_plan", _forbidden)
+        monkeypatch.setattr(Distribution, "rank_map", _forbidden)
 
         # 1. the run time: DISTRIBUTE through the engine (PlanCache path)
         machine = Machine(P4, cost_model=PARAGON)
@@ -189,6 +188,7 @@ class TestBruteforceIsolation:
         communicate(
             arr, bind(dist_type("BLOCK", ":")), plan_cache=PlanCache()
         )
+        assert np.array_equal(arr.to_global(), np.arange(64.0).reshape(8, 8))
 
         # 3. the planner's cost engines (model and simulated pricing)
         from repro.planner import CostEngine, SimulatedCostEngine

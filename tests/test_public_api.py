@@ -91,12 +91,12 @@ EXPORT_SNAPSHOT = sorted([
     "run_adapt_bench",
     "register_workload", "relaxed_barriers", "replay_blocking",
     "replay_split_exchange", "run_loadtest",
-    "segment_moves", "serve",
+    "serve",
     "session", "shift_exchange", "shift_plan", "sim", "simulate",
     "smoothing_workload", "span", "summary", "timeline_summary",
     "timeline_table",
     "to_chrome_trace", "to_json", "transfer_matrix",
-    "transfer_matrix_naive", "transfer_plan",
+    "transfer_plan",
 ])
 
 
