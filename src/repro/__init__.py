@@ -164,9 +164,9 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "BatchedReadAccessor", "CommSchedule", "DimTranslationTable",
         "DistributedArray", "Engine", "Inspector", "OverlapManager",
         "PlanCache", "ReadAccessor", "RedistributionReport",
-        "TranslationTable", "broadcast_from", "communicate",
-        "default_plan_cache", "forall", "forall_batched",
-        "gather_to", "reduce_scalar", "shift_exchange", "transfer_matrix",
+        "TranslationTable", "broadcast_from", "communicate", "forall",
+        "forall_batched", "gather_to", "reduce_scalar", "shift_exchange",
+        "transfer_matrix",
     ),
     "sim": (
         "BlockingReplay", "BUSY_KINDS", "CriticalPath", "Event", "EventArrays",

@@ -389,18 +389,18 @@ def _drive(
     workload: str,
     model,
     mode: str,
-    nprocs: int,
-    cost_model: CostModel,
+    machine: Machine,
     seed: int,
     policy: PolicyLibrary,
     monitor_kwargs: Mapping,
 ) -> AdaptiveRun:
-    """Run ``model`` once with the layout under ``mode``'s control."""
+    """Run ``model`` once on ``machine`` with the layout under
+    ``mode``'s control."""
     from ..planner.costs import CostEngine
     from ..planner.phases import ArrayLoad
     from ..runtime.engine import Engine
 
-    machine = Machine(ProcessorArray("P", (nprocs,)), cost_model=cost_model)
+    nprocs, cost_model = machine.nprocs, machine.cost_model
     engine = Engine(machine)
     machine.reset_network()
     model.begin(seed)
@@ -427,9 +427,7 @@ def _drive(
         redistribute(start_sizes)
         sizes = start_sizes
 
-    cost_engine = CostEngine(
-        machine, itemsize=arr.itemsize, plan_cache=engine.plan_cache
-    )
+    cost_engine = CostEngine(machine, itemsize=arr.itemsize)
     run = AdaptiveRun(
         workload=workload, mode=mode, nprocs=nprocs, window=window,
         steps=steps, seed=seed, cost_model=cost_model.name,
@@ -559,11 +557,19 @@ class AdaptiveController:
             raise ValueError(f"window must be >= 1, got {model.window}")
         return model
 
-    def run(self, mode: str = "adaptive", **overrides) -> AdaptiveRun:
-        """Drive the workload once under ``mode``; see :data:`MODES`."""
+    def run(
+        self, mode: str = "adaptive", machine: Machine | None = None, **overrides
+    ) -> AdaptiveRun:
+        """Drive the workload once under ``mode`` (see :data:`MODES`) on
+        ``machine`` (default: a fresh 1-D one of the controller's
+        ``nprocs`` and cost model)."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         model = self._override(self._model, overrides)
+        if machine is None:
+            machine = Machine(
+                ProcessorArray("P", (self.nprocs,)), cost_model=self.cost_model
+            )
         with _span(
             "adapt.run", workload=self.workload, mode=mode,
             window=int(model.window),
@@ -572,8 +578,7 @@ class AdaptiveController:
                 self.workload,
                 model,
                 mode,
-                self.nprocs,
-                self.cost_model,
+                machine,
                 self.seed,
                 self.policy,
                 self.monitor_kwargs,

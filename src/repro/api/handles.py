@@ -141,7 +141,7 @@ class WorkloadHandle:
             params=dict(self.params),
         )
         if with_machine:
-            ctx.machine = self._spec.make_machine(ctx)
+            ctx.machine = sess._adopt(self._spec.make_machine(ctx))
         return ctx
 
     def _recorded(
@@ -223,12 +223,11 @@ class WorkloadHandle:
         )
         ctx = self._context(with_machine=False)
         workload = self._spec.planning_problem(ctx)
+        self._session._adopt(workload.machine)
         if cost_mode == "simulated":
             engine: CostEngine = SimulatedCostEngine(workload.machine)
         else:
-            engine = CostEngine(
-                workload.machine, plan_cache=self._session.plan_cache
-            )
+            engine = CostEngine(workload.machine)
         plan = plan_workload(workload, cost_engine=engine, method=method)
         hand = hand_schedule_cost(workload, cost_engine=engine)
         return PlanResult(
@@ -382,7 +381,7 @@ class WorkloadHandle:
             seed=self.seed,
             params=dataclasses.asdict(model),
         )
-        run = controller.run(mode)
+        run = controller.run(mode, machine=self._session.machine())
         return AdaptResult(
             workload=self.name,
             nprocs=self._session.config.nprocs,

@@ -26,13 +26,13 @@ from contextlib import ExitStack
 from typing import Sequence
 
 from ..backend.base import SERIAL, attached_backend
+from ..backend.plan import PlanCache
 from ..defaults import DEFAULT_SEED
 from ..obs import flight as _flight
 from ..machine.cost_model import CostModel
 from ..machine.machine import Machine
 from ..machine.topology import ProcessorArray
 from ..runtime.engine import Engine
-from ..runtime.redistribute import PlanCache
 from .config import SessionConfig
 from .handles import WorkloadHandle
 from .registry import REGISTRY, WorkloadRegistry
@@ -79,8 +79,9 @@ class Session:
         self.registry = registry if registry is not None else REGISTRY
         #: the cost model, resolved once
         self.cost_model: CostModel = self.config.resolved_cost_model()
-        #: memoized transfer plans shared by everything the session
-        #: runs; pass one in to share it *across* sessions
+        #: memoized plans shared by everything the session runs (it is
+        #: ``machine.plans`` of every machine the session hands out);
+        #: pass one in to share it *across* sessions
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         #: graceful-degradation policy: when True, a stage whose
         #: multiprocess fleet cannot be recovered falls back to the
@@ -163,17 +164,25 @@ class Session:
         self._require_open()
         return attached_backend(machine, self.config.backend, self._fleets)
 
+    def _adopt(self, machine: Machine) -> Machine:
+        """``machine`` with the session's plan store as its own."""
+        machine.plans = self.plan_cache
+        return machine
+
     def machine(
         self,
         shape: Sequence[int] | None = None,
         name: str = "P",
         cost_model: CostModel | None = None,
     ) -> Machine:
-        """A fresh machine with the session's cost model (``shape``
-        defaults to a 1-D array of ``config.nprocs`` processors)."""
+        """A fresh machine with the session's cost model and plan store
+        (``shape`` defaults to a 1-D array of ``config.nprocs``
+        processors)."""
         self._require_open()
         procs = ProcessorArray(name, tuple(shape or (self.config.nprocs,)))
-        return Machine(procs, cost_model=cost_model or self.cost_model)
+        return self._adopt(
+            Machine(procs, cost_model=cost_model or self.cost_model)
+        )
 
     def engine(
         self,
@@ -191,7 +200,7 @@ class Session:
             machine = self.machine(shape=shape, name=name)
         if machine.backend is SERIAL:  # nothing attached yet
             self._engine_backends.enter_context(self.attach(machine))
-        return Engine(machine, plan_cache=self.plan_cache)
+        return Engine(self._adopt(machine))
 
     # -- workloads ---------------------------------------------------------
     def workloads(self) -> tuple[str, ...]:

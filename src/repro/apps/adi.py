@@ -213,7 +213,7 @@ def execute_adi(
         from ..planner import CostEngine, adi_workload, plan_workload
 
         workload = adi_workload(nx, ny, iterations, machine=machine)
-        cost_engine = CostEngine(machine, plan_cache=engine.plan_cache)
+        cost_engine = CostEngine(machine)
         plan = plan_workload(workload, cost_engine=cost_engine)
         v = engine.declare("V", (nx, ny), dist=workload.initial, dynamic=True)
         v.from_global(grid)

@@ -289,9 +289,7 @@ def _run_pic(
     if config.strategy == "planned":
         from ..planner.costs import CostEngine
 
-        cost_engine = CostEngine(
-            machine, itemsize=fld.itemsize, plan_cache=engine.plan_cache
-        )
+        cost_engine = CostEngine(machine, itemsize=fld.itemsize)
 
     result = PICResult(config)
     for k in range(1, config.max_time + 1):

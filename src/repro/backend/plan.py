@@ -16,23 +16,30 @@ expects them.  This module holds those pure planning functions:
   (tests, ``repro.perf``'s reference column and experiment E4 only);
 - :func:`shift_plan` / :func:`halo_dest_slice` — the halo-exchange
   plan of :func:`~repro.runtime.communication.shift_exchange`, as
-  data so both the in-process path and the worker op can execute it.
+  data so both the in-process path and the worker op can execute it;
+- :class:`PlanCache` — the store that keeps all of the above
+  ("inspector once, executor many", §3.2.1); every machine has one.
 
-Everything here is metadata-only: no numpy payload moves, no machine
-state is touched, and all outputs are picklable.
+The planning functions are metadata-only: no numpy payload moves, no
+machine state is touched, and all outputs are picklable.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.interning import LRUCache, owners_cache_stats
+from ..obs import metrics as _obs
+
 if TYPE_CHECKING:  # avoid importing upper layers at run time
     from ..core.distribution import Distribution
 
 __all__ = [
+    "PlanCache",
     "RedistributionPlan",
     "transfer_plan",
     "oracle_matrix",
@@ -414,3 +421,135 @@ def halo_dest_slice(
     else:
         raise ValueError(f"halo key must be 'lo' or 'hi', got {key!r}")
     return tuple(sl)
+
+
+# -- the plan store ----------------------------------------------------------
+
+_PLAN_CACHE_LOOKUPS = _obs.counter(
+    "repro_plan_cache_lookups_total",
+    "PlanCache lookups across every plan family, by outcome.",
+    ("result",),
+)
+
+#: entries per plan family of a store
+PLAN_CACHE_CAPACITY = 256
+
+
+class PlanCache:
+    """Memoized redistribution plans (§3.2: "run time optimization of
+    communication related to dynamic array references").
+
+    A phase-alternating program (the ADI outer loop, PIC with a small
+    set of recurring BOUNDS) redistributes between the *same* pairs of
+    distributions over and over; the transfer matrix depends only on
+    the (old, new) pair, so the run time caches it instead of
+    recomputing the owner maps each time.  The cache is keyed by the
+    bound distributions (hashable by construction); each plan family
+    (redistribution plans, halo shift plans, sweep plans) lives in its
+    own ``capacity``-bounded LRU store.
+
+    Which store a lookup reaches: the one on its machine,
+    :attr:`Machine.plans <repro.machine.machine.Machine.plans>` — a
+    fresh one per machine unless a :class:`~repro.api.Session` (or the
+    ``repro.serve`` pool, across sessions) assigned its own.  A shared
+    store is looked up from many threads, so lookups and the hit/miss
+    totals are guarded by a lock.  Plan computation runs
+    outside the lock (plans are pure functions of the key, so a racing
+    duplicate compute is benign and cannot corrupt the cache).
+    """
+
+    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._plans = LRUCache(capacity)
+        self._shifts = LRUCache(capacity)
+        self._sweeps = LRUCache(capacity)
+        self._lock = threading.RLock()
+        self.hits = 0
+        self.misses = 0
+
+    def _memo(self, store: LRUCache, key, compute) -> tuple:
+        """One lookup against a plan store, counted on the cache-wide
+        hit/miss totals (the per-store LRU counters are not used):
+        the plan, and whether the store already held it."""
+        with self._lock:
+            value = store.get(key)
+            if value is not None:
+                self.hits += 1
+                _PLAN_CACHE_LOOKUPS.inc(result="hit")
+                return value, True
+            self.misses += 1
+        _PLAN_CACHE_LOOKUPS.inc(result="miss")
+        value = compute()
+        store.put(key, value)
+        return value, False
+
+    def lookup(
+        self, old: "Distribution", new: "Distribution", nprocs: int
+    ) -> tuple[RedistributionPlan, bool]:
+        """One lookup of a DISTRIBUTE plan — what the master accounts
+        and what either backend executes — and whether it was a hit."""
+        return self._memo(
+            self._plans,
+            (old, new, nprocs),
+            lambda: RedistributionPlan(old, new, nprocs),
+        )
+
+    def redistribution(
+        self, old: "Distribution", new: "Distribution", nprocs: int
+    ) -> RedistributionPlan:
+        """Memoized DISTRIBUTE plan."""
+        return self.lookup(old, new, nprocs)[0]
+
+    def transfer_matrix(
+        self, old: "Distribution", new: "Distribution", nprocs: int
+    ) -> np.ndarray:
+        return self.redistribution(old, new, nprocs).matrix
+
+    def shift_plan(self, dist: "Distribution", dim: int, width: int) -> list:
+        """Memoized halo slab-exchange plan, keyed by (distribution,
+        dimension, width) — the slice plan every stencil step reuses
+        instead of re-deriving neighbour slabs (see :func:`shift_plan`)."""
+        return self._memo(
+            self._shifts,
+            (dist, int(dim), int(width)),
+            lambda: shift_plan(dist, dim, width),
+        )[0]
+
+    def sweep_plan(self, dist: "Distribution", dim: int) -> SweepPlan:
+        """Memoized grouped line-sweep plan, keyed by (distribution,
+        dimension) (see :func:`sweep_plan`)."""
+        return self._memo(
+            self._sweeps,
+            (dist, int(dim)),
+            lambda: sweep_plan(dist, dim),
+        )[0]
+
+    def stats(self) -> dict[str, int]:
+        """Hit/miss counters, cache populations, and the shared
+        owner-map LRU counters (``owners_vec_*`` / ``rank_map_*`` —
+        process-wide, see :mod:`repro.core.interning`)."""
+        with self._lock:
+            out = {
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": sum(
+                    store.evictions
+                    for store in (self._plans, self._shifts, self._sweeps)),
+                "plans": len(self._plans),
+                "shift_plans": len(self._shifts),
+                "sweep_plans": len(self._sweeps),
+            }
+        out.update(owners_cache_stats())
+        return out
+
+    def clear(self) -> None:
+        with self._lock:
+            for store in (self._plans, self._shifts, self._sweeps):
+                store.clear()
+            self.hits = 0
+            self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._plans)

@@ -35,11 +35,11 @@ from typing import Callable
 import numpy as np
 
 from ..backend.base import SERIAL
+from ..backend.plan import PlanCache
 from ..runtime.communication import post_shift
 from ..runtime.darray import DistributedArray
 from ..runtime.engine import Engine
 from ..runtime.overlap import OverlapManager
-from ..runtime.redistribute import PlanCache, default_plan_cache
 
 __all__ = [
     "StencilKernel",
@@ -79,6 +79,8 @@ class StencilKernel:
     ``func(padded, out, widths)`` computes the new interior from the
     halo-padded local block; it is applied per processor on local data
     only — all communication happens in the halo exchange up front.
+    Its slab plans are memoized on ``plan_cache`` (default: the store
+    of the array's machine).
     """
 
     def __init__(
@@ -94,16 +96,14 @@ class StencilKernel:
         self.func = func
         self.flops_per_element = flops_per_element
         self.plan_cache = (
-            plan_cache if plan_cache is not None else default_plan_cache()
+            plan_cache if plan_cache is not None else array.machine.plans
         )
         self._overlap: OverlapManager | None = None
         self._version = -1
 
     def _manager(self) -> OverlapManager:
         if self._overlap is None or self._version != self.array.version:
-            self._overlap = OverlapManager(
-                self.array, self.widths, plan_cache=self.plan_cache
-            )
+            self._overlap = OverlapManager(self.array, self.widths)
             self._version = self.array.version
         return self._overlap
 
@@ -148,7 +148,6 @@ class LineSweepKernel:
         dim: int,
         line_func: Callable[[np.ndarray], np.ndarray],
         flops_per_element: float = 8.0,
-        plan_cache: PlanCache | None = None,
     ):
         if not 0 <= dim < array.ndim:
             raise ValueError(f"dim {dim} out of range for rank {array.ndim}")
@@ -156,9 +155,6 @@ class LineSweepKernel:
         self.dim = dim
         self.line_func = line_func
         self.flops_per_element = flops_per_element
-        self.plan_cache = (
-            plan_cache if plan_cache is not None else default_plan_cache()
-        )
         #: whole-batch solver, if ``line_func`` advertises one
         self._batched = batched_line_solver(line_func)
 
@@ -223,7 +219,7 @@ class LineSweepKernel:
         arr = self.array
         n_line = arr.shape[self.dim]
         itemsize = arr.itemsize
-        plan = self.plan_cache.sweep_plan(arr.dist, self.dim)
+        plan = machine.plans.sweep_plan(arr.dist, self.dim)
 
         # expand per-group message templates in line order (the same
         # program order the per-line loop produced)
@@ -332,8 +328,7 @@ def lower_stencil(
 ) -> StencilKernel:
     """Lower a shift-pattern sweep over ``array_name`` to SPMD form."""
     return StencilKernel(
-        engine.arrays[array_name], widths, func, flops_per_element,
-        plan_cache=engine.plan_cache,
+        engine.arrays[array_name], widths, func, flops_per_element
     )
 
 
@@ -346,6 +341,5 @@ def lower_line_sweep(
 ) -> LineSweepKernel:
     """Lower independent line solves along ``dim`` to SPMD form."""
     return LineSweepKernel(
-        engine.arrays[array_name], dim, line_func, flops_per_element,
-        plan_cache=engine.plan_cache,
+        engine.arrays[array_name], dim, line_func, flops_per_element
     )

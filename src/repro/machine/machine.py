@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..backend.base import SERIAL
+from ..backend.plan import PlanCache
 from .cost_model import CostModel, ZERO_COST
 from .memory import LocalMemory
 from .network import Network, NetworkStats
@@ -60,6 +61,10 @@ class Machine:
         #: :mod:`repro.backend.base`): the serial default until another
         #: one attaches, and again after it closes
         self.backend = SERIAL
+        #: the store every plan lookup on this machine reaches (DISTRIBUTE,
+        #: halo shifts, line sweeps, the planner's transfer matrices);
+        #: assign another to share it, as a session does
+        self.plans = PlanCache()
 
     # -- convenience ------------------------------------------------------
     @property

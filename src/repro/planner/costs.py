@@ -13,8 +13,8 @@ off:
   PIC workload);
 - **transition cost** — what moving an array between two layouts
   costs: the vectorized transfer matrix of the DISTRIBUTE
-  implementation (shared, via the runtime's
-  :class:`~repro.runtime.redistribute.PlanCache`, with the engine that
+  implementation (shared, via the machine's
+  :class:`~repro.backend.plan.PlanCache`, with the engine that
   will later execute the schedule), priced at the *bottleneck
   processor* — the maximum per-rank (messages, bytes) load, matching
   the network's serializing-endpoint semantics.
@@ -32,7 +32,6 @@ from ..core.distribution import Distribution
 from ..core.query import TypePattern
 from ..machine.machine import Machine
 from ..obs import metrics as _obs
-from ..runtime.redistribute import PlanCache
 from .phases import ArrayLoad, Phase
 
 __all__ = ["CostEngine", "SimulatedCostEngine"]
@@ -50,27 +49,18 @@ class CostEngine:
     Parameters
     ----------
     machine:
-        Supplies the cost model and the processor count.
+        Supplies the cost model, the processor count and the plan
+        store (``machine.plans``) the transfer matrices are read
+        through — so an :class:`~repro.runtime.engine.Engine` on the
+        same machine executes the plans this engine priced.
     itemsize:
         Bytes per array element (default: float64).
-    plan_cache:
-        Transfer-matrix cache to share with an executing
-        :class:`~repro.runtime.engine.Engine` (pass its
-        ``plan_cache``); a private one is created otherwise.
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        itemsize: int = 8,
-        plan_cache: PlanCache | None = None,
-    ):
+    def __init__(self, machine: Machine, itemsize: int = 8):
         self.machine = machine
         self.cost_model = machine.cost_model
         self.itemsize = int(itemsize)
-        self.plan_cache = (
-            plan_cache if plan_cache is not None else PlanCache(capacity=256)
-        )
         self._phase_memo: dict[tuple, float] = {}
         self._trans_memo: dict[tuple, float] = {}
         self._pattern_memo: dict[Distribution, TypePattern] = {}
@@ -171,7 +161,7 @@ class CostEngine:
             return cached
         _MEMO_LOOKUPS.inc(memo="transition", result="miss")
         nprocs = self.machine.nprocs
-        T = self.plan_cache.transfer_matrix(old, new, nprocs)
+        T = self.machine.plans.transfer_matrix(old, new, nprocs)
         sent_msgs = (T > 0).sum(axis=1)
         recv_msgs = (T > 0).sum(axis=0)
         sent_bytes = T.sum(axis=1) * self.itemsize
@@ -265,11 +255,10 @@ class SimulatedCostEngine(CostEngine):
         self,
         machine: Machine,
         itemsize: int = 8,
-        plan_cache: PlanCache | None = None,
         overlap: bool = True,
         fast_replay: bool = True,
     ):
-        super().__init__(machine, itemsize=itemsize, plan_cache=plan_cache)
+        super().__init__(machine, itemsize=itemsize)
         self.overlap = bool(overlap)
         self.fast_replay = bool(fast_replay)
         #: transfer-trace makespans keyed by (nprocs, T content): the
@@ -300,7 +289,7 @@ class SimulatedCostEngine(CostEngine):
             return cached
         _MEMO_LOOKUPS.inc(memo="transition", result="miss")
         nprocs = self.machine.nprocs
-        T = self.plan_cache.transfer_matrix(old, new, nprocs)
+        T = self.machine.plans.transfer_matrix(old, new, nprocs)
         tkey = (nprocs, T.tobytes())
         time = self._trace_memo.get(tkey)
         if time is None:

@@ -20,8 +20,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "inspector": ("CommSchedule", "Inspector"),
     "overlap": ("OverlapManager",),
     "redistribute": (
-        "PlanCache", "RedistributionReport", "communicate",
-        "default_plan_cache", "transfer_matrix",
+        "PlanCache", "RedistributionReport", "communicate", "transfer_matrix",
     ),
     "translation": ("DimTranslationTable", "TranslationTable"),
 })

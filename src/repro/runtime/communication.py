@@ -61,16 +61,14 @@ def post_shift(
     stencil step.
 
     The plan is memoized per (distribution, dim, width) on
-    ``plan_cache`` (the engine's, or the shared default) — a
+    ``plan_cache`` (default: the store of the array's machine) — a
     steady-state stencil loop re-derives its neighbour slices zero
     times after the first step.
     """
     if width < 1:
         raise ValueError("exchange width must be >= 1")
     if plan_cache is None:
-        from .redistribute import default_plan_cache
-
-        plan_cache = default_plan_cache()
+        plan_cache = array.machine.plans
     try:
         entries = plan_cache.shift_plan(array.dist, dim, width)
     except ValueError as exc:
@@ -94,7 +92,6 @@ def shift_exchange(
     array: DistributedArray,
     dim: int,
     width: int = 1,
-    plan_cache=None,
 ) -> dict[int, dict[str, np.ndarray]]:
     """Exchange ``width``-deep boundary slabs with neighbours along ``dim``.
 
@@ -110,7 +107,7 @@ def shift_exchange(
     elements per processor per step; a 2-D block distribution exchanges
     4 messages of N/p elements (two per distributed dimension).
     """
-    entries = post_shift(array, dim, width, plan_cache)
+    entries = post_shift(array, dim, width)
     received: dict[int, dict[str, np.ndarray]] = {
         r: {} for r in array.owning_ranks()
     }

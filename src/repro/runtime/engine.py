@@ -32,7 +32,7 @@ from ..machine.machine import Machine
 from ..machine.topology import ProcessorArray, ProcessorSection
 from .darray import DistributedArray
 from .inspector import Inspector
-from .redistribute import PlanCache, RedistributionReport, communicate
+from .redistribute import RedistributionReport, communicate
 
 __all__ = ["Engine"]
 
@@ -44,33 +44,30 @@ class Engine:
     ----------
     machine:
         The simulated multicomputer to run on.
-    plan_cache:
-        Memoized transfer plans (§3.2 run-time optimization); pass one
-        explicitly to share it across engines.
 
     DISTRIBUTE data motion and owner-computes kernels execute on the
     machine's backend (:attr:`backend`; see :mod:`repro.backend.base`)
     — attach one to the machine before declaring arrays, or let
-    :meth:`repro.api.Session.engine` do it.
+    :meth:`repro.api.Session.engine` do it — and every plan is
+    memoized on the machine's store (:attr:`plan_cache`, §3.2 run-time
+    optimization).
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        plan_cache: PlanCache | None = None,
-    ):
+    def __init__(self, machine: Machine):
         self.machine = machine
         self.arrays: dict[str, DistributedArray] = {}
         self._classes: dict[str, ConnectClass] = {}  # primary name -> class
         self.reports: list[RedistributionReport] = []
-        #: memoized transfer plans (§3.2 run-time optimization); pass
-        #: ``plan_cache=None`` explicitly to share one across engines
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
 
     @property
     def backend(self):
         """The machine's execution backend."""
         return self.machine.backend
+
+    @property
+    def plan_cache(self):
+        """The machine's plan store."""
+        return self.machine.plans
 
     # -- declaration (§2.3) ----------------------------------------------
     def declare(
@@ -266,12 +263,7 @@ class Engine:
                     backend=self.machine.backend.name,
                 ))
                 continue
-            reports.append(
-                communicate(
-                    member, new_dist, transfer=transfer,
-                    plan_cache=self.plan_cache,
-                )
-            )
+            reports.append(communicate(member, new_dist, transfer=transfer))
         self.reports.extend(reports)
         return reports
 

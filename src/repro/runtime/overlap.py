@@ -43,9 +43,7 @@ class OverlapManager:
         array: DistributedArray,
         widths: tuple[int, ...],
         boundary: float = 0.0,
-        plan_cache=None,
     ):
-        self.plan_cache = plan_cache  # None: the shared default cache
         if len(widths) != array.ndim:
             raise ValueError(f"need one width per dimension ({array.ndim})")
         if any(w < 0 for w in widths):
@@ -131,9 +129,7 @@ class OverlapManager:
         for dim, w in enumerate(self.widths):
             if w == 0:
                 continue
-            recv = shift_exchange(
-                self.array, dim, width=w, plan_cache=self.plan_cache
-            )
+            recv = shift_exchange(self.array, dim, width=w)
             for rank, slabs in recv.items():
                 pad = self.padded(rank)
                 shape = self.array.local(rank).shape

@@ -22,7 +22,8 @@ what a processor sends another is a Cartesian product of per-dimension
 index sets.  One :class:`~repro.backend.plan.RedistributionPlan` per
 ``(old, new, nprocs)`` holds the per-(src, dst) message volumes the
 network accounts and the rectangles the machine's backend copies;
-:class:`PlanCache` keeps it ("inspector once, executor many", §3.2.1).
+:class:`~repro.backend.plan.PlanCache` keeps it ("inspector once,
+executor many", §3.2.1) — the one on the array's machine.
 The flattened rank-map form (:func:`~repro.backend.plan.transfer_plan`)
 is its oracle and experiment E4's ablation baseline.  "Data motion is
 suppressed where data flow analysis, or a NOTRANSFER specification,
@@ -32,15 +33,10 @@ NOTRANSFER skips COMMUNICATE entirely.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from ..backend.plan import RedistributionPlan
-from ..backend.plan import shift_plan as _shift_plan
-from ..backend.plan import sweep_plan as _sweep_plan
+from ..backend.plan import PlanCache, RedistributionPlan
 from ..core.distribution import Distribution
-from ..core.interning import LRUCache, owners_cache_stats
 from ..obs import metrics as _obs
 from ..obs.tracing import span as _span
 from .darray import DistributedArray
@@ -50,18 +46,18 @@ __all__ = [
     "communicate",
     "RedistributionReport",
     "PlanCache",
-    "default_plan_cache",
 ]
 
 
 class RedistributionReport:
     """What one COMMUNICATE did: messages, bytes, elements moved/kept.
 
-    ``cache_hits``/``cache_misses`` are the
-    :class:`PlanCache` lookups this operation performed (a recurring
-    redistribution in a steady-state loop should show pure hits —
-    the §3.2 run-time optimization at work); ``backend`` names the
-    execution backend that moved the data.
+    ``cache_hits``/``cache_misses`` are the outcome of the one
+    :class:`PlanCache` lookup this operation performed, whoever else
+    shares the store (a recurring redistribution in a steady-state
+    loop should show pure hits — the §3.2 run-time optimization at
+    work); ``backend`` names the execution backend that moved the
+    data.
     """
 
     def __init__(
@@ -117,11 +113,6 @@ def transfer_matrix(
     return RedistributionPlan(old, new, nprocs).matrix
 
 
-_PLAN_CACHE_LOOKUPS = _obs.counter(
-    "repro_plan_cache_lookups_total",
-    "PlanCache lookups across every plan family, by outcome.",
-    ("result",),
-)
 _COMM_MESSAGES = _obs.counter(
     "repro_comm_messages_total",
     "Messages posted on the machine network, by communication kind.",
@@ -139,143 +130,11 @@ _REDIST_ELEMENTS = _obs.counter(
 )
 
 
-class PlanCache:
-    """Memoized redistribution plans (§3.2: "run time optimization of
-    communication related to dynamic array references").
-
-    A phase-alternating program (the ADI outer loop, PIC with a small
-    set of recurring BOUNDS) redistributes between the *same* pairs of
-    distributions over and over; the transfer matrix depends only on
-    the (old, new) pair, so the run time caches it instead of
-    recomputing the owner maps each time.  The cache is keyed by the
-    bound distributions (hashable by construction); each plan family
-    (redistribution plans, halo shift plans, sweep plans) lives in its
-    own ``capacity``-bounded LRU store.
-
-    One ``PlanCache`` may be shared by many sessions — that is exactly
-    what the ``repro.serve`` session pool does — so lookups and the
-    hit/miss totals are guarded by a lock.  Plan computation runs
-    outside the lock (plans are pure functions of the key, so a racing
-    duplicate compute is benign and cannot corrupt the cache).
-    """
-
-    def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._plans = LRUCache(capacity)
-        self._shifts = LRUCache(capacity)
-        self._sweeps = LRUCache(capacity)
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-
-    def _memo(self, store: LRUCache, key, compute):
-        """One lookup against a plan store, counted on the cache-wide
-        hit/miss totals (the per-store LRU counters are not used)."""
-        with self._lock:
-            value = store.get(key)
-            if value is not None:
-                self.hits += 1
-                _PLAN_CACHE_LOOKUPS.inc(result="hit")
-                return value
-            self.misses += 1
-        _PLAN_CACHE_LOOKUPS.inc(result="miss")
-        value = compute()
-        store.put(key, value)
-        return value
-
-    def redistribution(
-        self, old: Distribution, new: Distribution, nprocs: int
-    ) -> RedistributionPlan:
-        """Memoized DISTRIBUTE plan: what the master accounts and what
-        either backend executes, in one lookup."""
-        return self._memo(
-            self._plans,
-            (old, new, nprocs),
-            lambda: RedistributionPlan(old, new, nprocs),
-        )
-
-    def transfer_matrix(
-        self, old: Distribution, new: Distribution, nprocs: int
-    ) -> np.ndarray:
-        return self.redistribution(old, new, nprocs).matrix
-
-    def shift_plan(self, dist: Distribution, dim: int, width: int) -> list:
-        """Memoized halo slab-exchange plan, keyed by (distribution,
-        dimension, width) — the slice plan every stencil step reuses
-        instead of re-deriving neighbour slabs (see
-        :func:`repro.backend.plan.shift_plan`)."""
-        return self._memo(
-            self._shifts,
-            (dist, int(dim), int(width)),
-            lambda: _shift_plan(dist, dim, width),
-        )
-
-    def sweep_plan(self, dist: Distribution, dim: int):
-        """Memoized grouped line-sweep plan, keyed by (distribution,
-        dimension) (see :func:`repro.backend.plan.sweep_plan`)."""
-        return self._memo(
-            self._sweeps,
-            (dist, int(dim)),
-            lambda: _sweep_plan(dist, dim),
-        )
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss counters, cache populations, and the shared
-        owner-map LRU counters (``owners_vec_*`` / ``rank_map_*`` —
-        process-wide, see :mod:`repro.core.interning`)."""
-        with self._lock:
-            out = {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": sum(
-                    store.evictions
-                    for store in (self._plans, self._shifts, self._sweeps)),
-                "plans": len(self._plans),
-                "shift_plans": len(self._shifts),
-                "sweep_plans": len(self._sweeps),
-            }
-        out.update(owners_cache_stats())
-        return out
-
-    def clear(self) -> None:
-        with self._lock:
-            for store in (self._plans, self._shifts, self._sweeps):
-                store.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-
-_DEFAULT_PLAN_CACHE: PlanCache | None = None
-
-
-def default_plan_cache() -> PlanCache:
-    """The process-wide plan cache for kernels built without an engine.
-
-    :func:`~repro.compiler.codegen.lower_stencil` and friends share
-    the engine's cache; apps that construct kernels directly (the ADI
-    driver builds :class:`~repro.compiler.codegen.LineSweepKernel`
-    itself) fall back to this shared instance so recurring halo and
-    sweep plans are still reused across steps.  Plans are pure
-    functions of immutable (distribution, dim, width) keys, so sharing
-    across engines/machines is safe.
-    """
-    global _DEFAULT_PLAN_CACHE
-    if _DEFAULT_PLAN_CACHE is None:
-        _DEFAULT_PLAN_CACHE = PlanCache(capacity=128)
-    return _DEFAULT_PLAN_CACHE
-
-
 def communicate(
     array: DistributedArray,
     new_dist: Distribution,
     transfer: bool = True,
     tag: str | None = None,
-    plan_cache: PlanCache | None = None,
 ) -> RedistributionReport:
     """COMMUNICATE(C, old_dist, new_dist): move ``array`` to ``new_dist``.
 
@@ -284,12 +143,13 @@ def communicate(
     and the elements of the array are not physically moved"), records
     one aggregated message per communicating processor pair on the
     machine network, updates the descriptor, and reallocates segments.
+    The plan comes from the machine's store (``array.machine.plans``).
 
     Returns a :class:`RedistributionReport`.
     """
     with _span("runtime.redistribute", array=array.name,
                transfer=transfer) as sp:
-        report = _communicate(array, new_dist, transfer, tag, plan_cache)
+        report = _communicate(array, new_dist, transfer, tag)
         if sp is not None:
             sp.attrs.update(messages=report.messages, bytes=report.bytes,
                             moved=report.elements_moved)
@@ -306,7 +166,6 @@ def _communicate(
     new_dist: Distribution,
     transfer: bool,
     tag: str | None,
-    plan_cache: PlanCache | None,
 ) -> RedistributionReport:
     machine = array.machine
     old_dist = array.descriptor.dist
@@ -325,13 +184,7 @@ def _communicate(
 
     t0 = machine.network.time
     stats0 = machine.stats()
-    hits0 = plan_cache.hits if plan_cache is not None else 0
-    misses0 = plan_cache.misses if plan_cache is not None else 0
-
-    if plan_cache is not None:
-        plan = plan_cache.redistribution(old_dist, new_dist, machine.nprocs)
-    else:
-        plan = RedistributionPlan(old_dist, new_dist, machine.nprocs)
+    plan, hit = machine.plans.lookup(old_dist, new_dist, machine.nprocs)
     T = plan.matrix
     itemsize = array.itemsize
     # One aggregated message per communicating (src, dst) pair — the
@@ -360,9 +213,7 @@ def _communicate(
         elements_moved=plan.moved,
         elements_kept=plan.kept,  # primary owner did not change
         time=machine.network.time - t0,
-        cache_hits=(plan_cache.hits - hits0) if plan_cache is not None else 0,
-        cache_misses=(
-            plan_cache.misses - misses0 if plan_cache is not None else 0
-        ),
+        cache_hits=int(hit),
+        cache_misses=int(not hit),
         backend=backend_name,
     )

@@ -5,7 +5,7 @@ backend, seed policy); the pool keeps a small stack of idle sessions
 per *distinct* configuration and hands them out to request threads.
 Sessions are cheap to construct (no machine or backend is built until
 a stage runs), so the pool's real job is sharing: every session it
-creates is wired to **one** :class:`~repro.runtime.redistribute.PlanCache`,
+creates is wired to **one** :class:`~repro.backend.plan.PlanCache`,
 so a plan memoized while serving tenant A is a hit when tenant B asks
 the planner the same question — the cross-session reuse the
 ``/stats`` endpoint quantifies.
@@ -21,9 +21,9 @@ from ..api.config import SessionConfig
 from ..api.registry import WorkloadRegistry
 from ..api.results import config_fingerprint
 from ..api.session import Session
+from ..backend.plan import PlanCache
 from ..obs import flight as _flight
 from ..obs import metrics as _obs
-from ..runtime.redistribute import PlanCache
 
 __all__ = ["SessionPool"]
 

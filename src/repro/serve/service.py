@@ -1,9 +1,10 @@
 """The transport-agnostic planning service.
 
 :class:`PlanningService` is the whole multi-tenant story with no
-socket in sight: it owns the session pool, the shared cross-session
-:class:`~repro.runtime.redistribute.PlanCache`, and the response
-cache, and maps ``(method, path, params)`` onto the workload registry:
+socket in sight: it owns the session pool (whose one cross-session
+:class:`~repro.backend.plan.PlanCache` every stage of every request
+looks its plans up in) and the response cache, and maps ``(method,
+path, params)`` onto the workload registry:
 
 ========== ====== ======================================================
 path       verbs  meaning
@@ -55,7 +56,6 @@ from ..obs import metrics as _obs
 from ..obs.flight import flight_recorder
 from ..obs.tracing import request_scope, span as _span
 from ..obs.trajectory import environment_fingerprint
-from ..runtime.redistribute import PlanCache
 from .cache import ResponseCache, request_fingerprint
 from .pool import SessionPool
 
@@ -138,7 +138,6 @@ class PlanningService:
         *,
         max_idle_sessions: int = 4,
         response_cache_capacity: int = 256,
-        plan_cache_capacity: int = 128,
         default_nprocs: int = 4,
         default_cost_model: str = "Paragon",
         observability: bool = True,
@@ -149,12 +148,10 @@ class PlanningService:
         retry_after_seconds: int = 1,
     ):
         self.registry = registry if registry is not None else REGISTRY
-        #: the shared cross-session plan cache (``/stats`` proves reuse)
-        self.plan_cache = PlanCache(capacity=plan_cache_capacity)
+        #: its ``plan_cache`` is the one store under every pooled
+        #: session (``/stats`` proves the cross-session reuse)
         self.pool = SessionPool(
-            registry=self.registry,
-            plan_cache=self.plan_cache,
-            max_idle=max_idle_sessions,
+            registry=self.registry, max_idle=max_idle_sessions
         )
         self.responses = ResponseCache(capacity=response_cache_capacity)
         self.default_nprocs = int(default_nprocs)
@@ -190,7 +187,7 @@ class PlanningService:
             ("source", "stat"),
         )
         for source, stats in (
-            ("plan_cache", self.plan_cache.stats()),
+            ("plan_cache", self.pool.plan_cache.stats()),
             ("response_cache", self.responses.stats()),
             ("sessions", self.pool.stats()),
         ):
@@ -346,7 +343,7 @@ class PlanningService:
                 "schema": "repro-serve-stats/1",
                 "version": __version__,
                 "uptime_seconds": round(self.uptime_seconds(), 3),
-                "plan_cache": self.plan_cache.stats(),
+                "plan_cache": self.pool.plan_cache.stats(),
                 "response_cache": self.responses.stats(),
                 "sessions": self.pool.stats(),
                 "breakers": breakers,

@@ -88,6 +88,22 @@ def test_session_machine_and_engine_share_plan_cache():
         assert vfe2.plan_cache is sess.plan_cache
 
 
+@pytest.mark.parametrize("cost_mode", ["model", "simulated"])
+def test_second_plan_is_answered_from_the_session_store(cost_mode):
+    """Either cost engine prices transitions through the session's
+    store: the second plan of one problem looks up only what is there."""
+    with session(nprocs=4) as sess:
+        handle = sess.workload("adi", size=16)
+        first = handle.plan(cost_mode=cost_mode)
+        cold = sess.plan_cache.stats()
+        assert cold["misses"] > 0
+        second = handle.plan(cost_mode=cost_mode)
+        warm = sess.plan_cache.stats()
+        assert warm["misses"] == cold["misses"]
+        assert warm["hits"] - cold["hits"] == cold["hits"] + cold["misses"]
+        assert second.json_str() == first.json_str()
+
+
 def test_session_engine_does_not_warn():
     import warnings
 

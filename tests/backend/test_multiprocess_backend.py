@@ -128,7 +128,7 @@ def test_one_plan_cache_lookup_per_communicate(name):
     """Accounting and data motion read one plan: a COMMUNICATE looks
     the cache up exactly once on either backend, hit or miss."""
     from repro.backend.base import attached_backend
-    from repro.runtime.redistribute import PlanCache, communicate
+    from repro.runtime.redistribute import communicate
 
     m = Machine(R)
     with attached_backend(m, name):
@@ -136,12 +136,11 @@ def test_one_plan_cache_lookup_per_communicate(name):
             "V", (16, 4), dist=dist_type(":", "BLOCK"), dynamic=True)
         g = np.random.default_rng(5).standard_normal((16, 4))
         v.from_global(g)
-        cache = PlanCache()
+        cache = m.plans
         for lookups, spec in enumerate(
             [("BLOCK", ":"), (":", "CYCLIC"), ("BLOCK", ":"), (":", "CYCLIC")], 1
         ):
-            report = communicate(
-                v, dist_type(*spec).apply((16, 4), R), plan_cache=cache)
+            report = communicate(v, dist_type(*spec).apply((16, 4), R))
             assert report.backend == name
             assert report.cache_hits + report.cache_misses == 1
             assert cache.hits + cache.misses == lookups

@@ -239,16 +239,27 @@ class TestVectorizedSweepPlans:
         want = np.stack([thomas_const(col, -1.0, 4.0) for col in g.T]).T
         assert v.to_global().tobytes() == want.tobytes()
 
-    def test_default_plan_cache_used_without_engine(self):
+    def test_engineless_kernel_uses_its_machines_store(self):
+        """A kernel built without an engine looks its plans up in the
+        store of its array's machine, and two machines do not share
+        one: the same sweep on a second machine is a miss there."""
         from functools import partial
 
         from repro.apps.tridiag import thomas_const
-        from repro.compiler.codegen import LineSweepKernel
-        from repro.runtime.redistribute import default_plan_cache
+        from repro.compiler.codegen import LineSweepKernel, StencilKernel
 
-        machine = Machine(ProcessorArray("R", (4,)), cost_model=IPSC860)
-        engine = Engine(machine)
-        v = engine.declare("V", (12, 6), dist=dist_type("BLOCK", ":"))
-        v.from_global(np.zeros((12, 6)))
-        kernel = LineSweepKernel(v, 0, partial(thomas_const, a=-1.0, b=4.0))
-        assert kernel.plan_cache is default_plan_cache()
+        machines = [
+            Machine(ProcessorArray("R", (4,)), cost_model=IPSC860)
+            for _ in range(2)
+        ]
+        assert machines[0].plans is not machines[1].plans
+        for machine in machines:
+            v = Engine(machine).declare(
+                "V", (12, 6), dist=dist_type("BLOCK", ":"))
+            v.from_global(np.zeros((12, 6)))
+            kernel = LineSweepKernel(v, 0, partial(thomas_const, a=-1.0, b=4.0))
+            kernel.sweep()
+            kernel.sweep()
+            stats = machine.plans.stats()
+            assert (stats["sweep_plans"], stats["misses"], stats["hits"]) == (1, 1, 1)
+            assert StencilKernel(v, (1, 1), smooth).plan_cache is machine.plans

@@ -53,7 +53,7 @@ class TestPlanExecutor:
         m = machine()
         engine = Engine(m)
         workload = adi_workload(16, 16, iterations=2, machine=m)
-        cost_engine = CostEngine(m, plan_cache=engine.plan_cache)
+        cost_engine = CostEngine(m)
         plan = plan_array(
             "V", workload.phases, workload.candidates, cost_engine,
             initial=workload.initial,
@@ -75,7 +75,7 @@ class TestPlanExecutor:
         m = machine()
         engine = Engine(m)
         workload = adi_workload(16, 16, iterations=2, machine=m)
-        cost_engine = CostEngine(m, plan_cache=engine.plan_cache)
+        cost_engine = CostEngine(m)
         plan = plan_array(
             "V", workload.phases, workload.candidates, cost_engine,
             initial=workload.initial,

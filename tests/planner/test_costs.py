@@ -155,7 +155,8 @@ class TestTransitionCost:
 
         cache = PlanCache()
         m = machine()
-        engine = CostEngine(m, plan_cache=cache)
+        m.plans = cache
+        engine = CostEngine(m)
         rows = bound(dist_type("BLOCK", ":"), (32, 32), m)
         cols = bound(dist_type(":", "BLOCK"), (32, 32), m)
         engine.transition_cost(rows, cols)

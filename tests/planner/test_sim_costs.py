@@ -51,9 +51,9 @@ class TestSimulatedTransitions:
         old = dist_type(":", "BLOCK").apply((32, 32), R)
         new = dist_type("BLOCK", ":").apply((32, 32), R)
         first = sim.transition_cost(old, new)
-        misses = sim.plan_cache.misses
+        misses = machine.plans.misses
         assert sim.transition_cost(old, new) == first
-        assert sim.plan_cache.misses == misses  # cached, no recompute
+        assert machine.plans.misses == misses  # cached, no recompute
 
 
 class TestSimulatedPhases:

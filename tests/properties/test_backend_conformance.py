@@ -44,7 +44,6 @@ from repro.core.distribution import dist_type
 from repro.machine import Machine, PARAGON, ProcessorArray
 from repro.obs import metrics as obs_metrics
 from repro.runtime.engine import Engine
-from repro.runtime.redistribute import PlanCache, default_plan_cache
 from repro.sim.events import record
 
 P = 3
@@ -75,30 +74,21 @@ def measure_session(names: tuple, backend: str, nprocs: int) -> list[dict]:
     back to back on **one** session: per run, everything the
     conformance contract compares.
 
-    ``plan_cache`` sums ``hits``/``misses`` over every
-    :class:`PlanCache` the run touched (the shared default, cleared
-    first so the counts do not depend on test order, plus every cache
-    constructed during the session); ``plan_cache_lookups`` is the same
-    count as the obs metric saw it.
+    ``plan_cache`` is what the run added to the ``hits``/``misses`` of
+    the session's store — the one store every lookup of a run reaches;
+    ``plan_cache_lookups`` is the same count as the obs metric saw it.
     """
-    caches = [default_plan_cache()]
-    caches[0].clear()
-    init = PlanCache.__init__
-
-    def tracked(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        caches.append(self)
-
-    def lookups() -> dict:
-        return {"hits": sum(c.hits for c in caches),
-                "misses": sum(c.misses for c in caches)}
-
     cells = []
     was_on = obs_metrics.set_enabled(True)
     try:
-        with mock.patch.object(PlanCache, "__init__", tracked), repro.session(
+        with repro.session(
             nprocs=nprocs, backend=backend, record_events=True
         ) as sess:
+
+            def lookups() -> dict:
+                stats = sess.plan_cache.stats()
+                return {k: stats[k] for k in ("hits", "misses")}
+
             for name in names:
                 before, looked = _obs_counters(), lookups()
                 run = sess.workload(name).run()
@@ -176,6 +166,20 @@ def test_one_session_runs_equal_fresh_session_runs(nprocs):
             assert looked["misses"] <= want[counts]["misses"]
             assert sum(looked.values()) == sum(want[counts].values())
         assert cell == {k: v for k, v in want.items() if k in cell}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_second_run_on_a_session_plans_nothing(backend):
+    """Inspector once, executor many, across ``run()``s: every lookup of
+    a run reaches the session's store, so a workload's second run on
+    one session looks up what its first did and misses nothing."""
+    names = REGISTRY.names()
+    laps = measure_session(names * 2, backend, 4)
+    assert sum(cell["plan_cache"]["misses"] for cell in laps) > 0
+    for first, second in zip(laps[:len(names)], laps[len(names):]):
+        assert second["plan_cache"] == {
+            "hits": sum(first["plan_cache"].values()), "misses": 0,
+        }
 
 
 PIN = json.loads(PIN_PATH.read_text())

@@ -186,10 +186,7 @@ def test_sweep_plan_matches_per_line_reference(n0, n1, data, dim):
         engine = Engine(machine)
         a = engine.declare("A", (n0, n1), dist=dist)
         a.from_global(rng_vals)
-        kernel = LineSweepKernel(
-            a, dim, partial(thomas_const, a=-1.0, b=4.0),
-            plan_cache=engine.plan_cache,
-        )
+        kernel = LineSweepKernel(a, dim, partial(thomas_const, a=-1.0, b=4.0))
         log = EventLog()
         with record(machine, log):
             stats = kernel.sweep(reference=reference)

@@ -1,8 +1,12 @@
 """Tests for redistribution-plan caching (§3.2 run-time optimization)."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.distribution import dist_type
 from repro.machine import Machine, ProcessorArray
 from repro.runtime.engine import Engine
@@ -159,6 +163,46 @@ class TestRedistributionReportSummary:
         assert repeat.cache_hits == 1 and repeat.cache_misses == 0
         assert "plan cache 1 hit / 0 miss" in repeat.summary()
 
+    def test_report_counts_its_own_lookup_on_a_shared_store(self, monkeypatch):
+        """Every thread sharing a store (the serve pool's sessions do)
+        bumps its totals; a report says what *its* lookup was.  Here a
+        second thread looks three plans up between a COMMUNICATE's
+        lookup and its report."""
+        import threading
+
+        machine = Machine(R)
+        engine = Engine(machine)
+        arr = engine.declare(
+            "B", (16, 4), dist=dist_type("BLOCK", ":"), dynamic=True
+        )
+        arr.from_global(np.zeros((16, 4)))
+        cache = engine.plan_cache
+        posted, looked = threading.Event(), threading.Event()
+        exchange = machine.network.exchange
+
+        def exchange_then_wait(phase):
+            exchange(phase)
+            posted.set()
+            assert looked.wait(10)
+
+        monkeypatch.setattr(machine.network, "exchange", exchange_then_wait)
+
+        def neighbour():
+            assert posted.wait(10)
+            for n in (8, 12, 8):
+                cache.transfer_matrix(
+                    dist_type("BLOCK").apply((n,), R),
+                    dist_type("CYCLIC").apply((n,), R), 4,
+                )
+            looked.set()
+
+        other = threading.Thread(target=neighbour)
+        other.start()
+        (report,) = engine.distribute("B", dist_type(":", "BLOCK"))
+        other.join()
+        assert (cache.hits, cache.misses) == (1, 3)
+        assert (report.cache_hits, report.cache_misses) == (0, 1)
+
     def test_notransfer_report_carries_backend(self):
         machine = Machine(R)
         engine = Engine(machine)
@@ -200,8 +244,29 @@ class TestEngineIntegration:
         )
         data = np.arange(64.0).reshape(16, 4)
         arr.from_global(data)
-        cache = PlanCache()
+        cache = machine.plans = PlanCache()
         for t in (dist_type(":", "BLOCK"), dist_type("BLOCK", ":")) * 3:
-            communicate(arr, t.apply((16, 4), R), plan_cache=cache)
+            communicate(arr, t.apply((16, 4), R))
             assert np.array_equal(arr.to_global(), data)
         assert cache.hits > 0
+
+
+# -- one home: a machine's plans live on the machine ------------------------
+
+def test_only_machines_and_sessions_make_plan_stores():
+    """A lookup reaches ``machine.plans``; nothing else in ``src`` builds
+    a store to hand around (``repro.perf`` times a cold one), and no
+    process-wide default exists."""
+    root = Path(repro.__file__).parent
+    makers = set()
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_text()
+        assert "default_plan_cache" not in source, path
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and "PlanCache" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                makers.add(path.relative_to(root).as_posix())
+    assert makers == {
+        "machine/machine.py", "api/session.py", "serve/pool.py", "perf.py",
+    }

@@ -181,13 +181,12 @@ class TestBruteforceIsolation:
         arr.from_global(np.arange(64.0).reshape(8, 8))
         engine.distribute("V", dist_type(":", "BLOCK"))
 
-        # 2. direct communicate with and without a cache
+        # 2. direct communicate, on the machine's store and a fresh one
         from repro.runtime.redistribute import PlanCache
 
         communicate(arr, bind(dist_type("CYCLIC", ":")))
-        communicate(
-            arr, bind(dist_type("BLOCK", ":")), plan_cache=PlanCache()
-        )
+        machine.plans = PlanCache()
+        communicate(arr, bind(dist_type("BLOCK", ":")))
         assert np.array_equal(arr.to_global(), np.arange(64.0).reshape(8, 8))
 
         # 3. the planner's cost engines (model and simulated pricing)

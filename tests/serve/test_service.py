@@ -50,6 +50,24 @@ def test_stats_schema(service):
     assert stats["sessions"]["created"] == 1
 
 
+def test_stats_plan_cache_counts_run_lookups(service):
+    """The pool's store is the store of every stage, not only of the
+    planner: one ``/run`` miss moves the ``/stats`` plan-cache lookups."""
+
+    def lookups():
+        cache = service.dispatch("GET", "/stats").json["plan_cache"]
+        return cache["hits"] + cache["misses"]
+
+    before = lookups()
+    resp = service.dispatch("GET", "/run?workload=adi&size=16&iterations=2")
+    assert resp.headers["X-Repro-Cache"] == "miss"
+    assert lookups() > before
+    # replayed from the response cache: no stage ran, nothing looked up
+    after = lookups()
+    service.dispatch("GET", "/run?workload=adi&size=16&iterations=2")
+    assert lookups() == after
+
+
 # -- stage endpoints -------------------------------------------------------
 
 

@@ -70,7 +70,7 @@ EXPORT_SNAPSHOT = sorted([
     "clear_interning_caches", "communicate", "compare_reports",
     "compiler", "config_fingerprint", "construct",
     "critical_path", "decide_pattern", "decide_querylist",
-    "default_plan_cache", "dim_implies", "dim_menu", "dim_overlaps",
+    "dim_implies", "dim_menu", "dim_overlaps",
     "dist_type", "dp_schedule", "dump_json", "enumerate_layouts",
     "estimate_memory", "estimate_ref", "extract_phases", "faults",
     "fit_alpha_beta",
