@@ -1,7 +1,9 @@
 """The import budget: a cold process loads only what it runs.
 
 Every case is a fresh interpreter and asserts on ``sys.modules``
-membership -- exact, not timed, so it cannot flake.  The package
+membership -- exact, not timed, so it cannot flake.  Module counts are
+taken over a bare ``python -c pass`` in the same environment, because
+site ``.pth`` hooks load modules before any test code runs.  The package
 ``__init__``s are lazy export tables (``repro._lazy``); these tests
 pin what that buys (``import repro`` is free, a CLI command pulls in
 only its own layers) and what it must not break (the export surface,
@@ -59,11 +61,12 @@ def loaded(modules: list[str], *roots: str) -> list[str]:
 
 
 def test_import_repro_is_free():
+    """The 60-module budget less the 33-module bare start it was set on."""
     modules = child("import repro")
     assert loaded(modules, "numpy", "networkx", "asyncio",
                   "multiprocessing") == []
     assert loaded(modules, "repro") == ["repro", "repro._lazy"]
-    assert len(modules) < 60
+    assert len(set(modules) - set(child("pass"))) < 60 - 33
 
 
 @pytest.mark.parametrize("command", sorted(CLI_COLD))
