@@ -15,9 +15,10 @@ construction, and only the physical execution differs:
 ==============  ========================  ======================  ======================
 op              the master accounts       SerialBackend           MultiprocessBackend
 ==============  ========================  ======================  ======================
-move            one aggregated message    the plan's rectangles   the plan's rectangles
-(DISTRIBUTE     per communicating pair    copied old segment ->   sent/received between
-data motion)    (``communicate``)         new segment in place    workers, kept ones copied
+move            one aggregated message    the plan's rectangles   each worker copies its
+(DISTRIBUTE     per communicating pair    copied old segment ->   rectangles from the old
+data motion)    (``communicate``)         new segment in place    segments, its own and
+                                                                  its peers'
 run_kernel      per-rank compute charges  rank-ordered loop over  one worker per owning
 (owner-         (``foreach_owned``, the   the owners' segments    rank, on its shared
 computes)       irregular sweep)                                  segment

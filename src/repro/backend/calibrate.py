@@ -14,7 +14,9 @@ and packages the fit as a :class:`~repro.machine.measured.Calibration`
 / :class:`~repro.machine.measured.MeasuredMachine`, which every layer
 above (cost engine, planner, benches) accepts as an ordinary machine.
 The modeled-vs-measured comparison bench (E13) closes the loop by
-pricing real redistributions with both.
+pricing real redistributions with both.  DISTRIBUTE bytes no longer
+cross the transport (workers read them out of shared memory), so the
+fitted beta prices halo exchanges only.
 """
 
 from __future__ import annotations

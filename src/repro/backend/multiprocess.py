@@ -33,10 +33,13 @@ op at a time; snapshots are per binding.
 
 Barriers: ``op_bind``'s *is* the check that the collective works, and
 the calibration microbenchmarks fence their timings with one.  No
-other op ends in one: values travel between workers by copy, never by
-reading a peer's segment, so all an op needs is "every rank is done
-before the master moves on" (e.g. before it unlinks a redistribution's
-old segments) — which collecting the acks already establishes.
+other op ends in one.  Halo slabs travel between workers by copy
+through the transport.  A DISTRIBUTE's rectangles are read straight
+out of the peers' *old* segments, which the master keeps alive and
+nobody writes during the op, while each rank writes only its new one.
+So all an op needs is "every rank is done before the master moves on"
+(e.g. before it retains or unlinks a redistribution's old segments) —
+which collecting the acks already establishes.
 
 Fault tolerance (ISSUE 9): every op boundary is a consistent cut —
 workers are quiescent between acks, and all array state lives in the
@@ -73,8 +76,7 @@ from ..obs import flight as _flight
 from ..obs import metrics as _obs
 from .base import BackendError, SerialBackend
 from .ops import (
-    line_sweep_kernel, op_bind, op_local_kernel, op_redistribute,
-    op_stencil_step,
+    line_sweep_kernel, op_bind, op_local_kernel, op_move, op_stencil_step,
 )
 from .plan import halo_dest_slice
 from .shm import SharedSegmentAllocator
@@ -400,7 +402,6 @@ class MultiprocessBackend(SerialBackend):
         self._id = 0
         self._bound = 0  # fleet generation of this binding's last bind
         self._fault_plan = None
-        self._op_counter = 0
         self._seq = 0  # command sequence number, 1 = the bind
 
     @property
@@ -528,43 +529,35 @@ class MultiprocessBackend(SerialBackend):
 
     # -- operations ------------------------------------------------------
     def move(self, array: "DistributedArray", new_dist, plan) -> None:
-        """Execute a DISTRIBUTE plan in the worker fleet: each rank gets
-        its share of ``plan.moves`` and ships values only — both
-        endpoints address them through the same selectors."""
+        """Execute a DISTRIBUTE plan in the worker fleet: the serial
+        copy ``new[dst][new_sel] = old[src][old_sel]`` split by ``dst``,
+        each worker reading its rectangles out of the old segments."""
         block = array._block_name()
-        shares = [dict(sends=[], keeps=[], recvs=[]) for _ in range(self.nprocs)]
+        reads = [[] for _ in range(self.nprocs)]
+        pulled = [{} for _ in range(self.nprocs)]
         for src, dst, old_sel, new_sel in plan.moves:
-            if src == dst:
-                shares[src]["keeps"].append((old_sel, new_sel))
-            else:
-                shares[src]["sends"].append((dst, old_sel))
-                shares[dst]["recvs"].append((src, new_sel))
-
-        # keep old physical segments alive across the reallocation
-        stashed = {
-            rank: st for rank in range(self.nprocs)
-            if (st := self.allocator.stash(rank, block)) is not None
-        }
+            reads[dst].append((src, old_sel, new_sel))
+            if src != dst:
+                pulled[src][dst] = pulled[src].get(dst, 0) + 1
+        # keep the old segments alive across the reallocation
+        old_metas = self.allocator.stash(block, self.nprocs)
         try:
             array.bind(new_dist, fill=None)
-            self._op_counter += 1
-            tag = f"redist:{array.name}:{self._op_counter}"
             # nothing to snapshot: a replay reads the stashed old
             # blocks again and overwrites every element of the new ones
-            self.run_op(op_redistribute, [
+            self.run_op(op_move, [
                 dict(
-                    old_meta=stashed[rank][1] if rank in stashed else None,
+                    old_metas=old_metas,
                     new_meta=self.allocator.meta(rank, block),
-                    tag=tag,
-                    **shares[rank],
+                    reads=reads[rank],
+                    pulled=pulled[rank],
                 )
                 for rank in range(self.nprocs)
             ], ())
         finally:
-            # release the old physical segments even if reallocation
-            # or the worker op failed — never orphan /dev/shm blocks
-            for shm, _meta in stashed.values():
-                self.allocator.unlink(shm)
+            # after every ack, or a failure: the old segments become
+            # the block's retained ones — never orphaned in /dev/shm
+            self.allocator.retain(block)
 
     def run_kernel(self, array: "DistributedArray", fn: Callable) -> None:
         if not _can_ship(fn):

@@ -2,11 +2,14 @@
 
 Every ``op_*`` function runs *inside a worker process* with a
 :class:`~repro.backend.worker.WorkerContext`: attach the rank's
-shared-memory segments, move real bytes through the message-passing
-transport, compute on local data, acknowledge.  The master never
-moves array data on these paths — if an op mis-addresses a send, the
-array contents diverge from the serial reference and the conformance
-suite fails, which is exactly the point.
+shared-memory segments, move real bytes, compute on local data,
+acknowledge.  A DISTRIBUTE's bytes move by reference — each rank
+copies its rectangles out of the old segments, its own and its
+peers', into its new one (:func:`op_move`); halo slabs travel through
+the message-passing transport.  The master never moves array data on
+these paths — if an op mis-addresses a rectangle or a send, the array
+contents diverge from the serial reference and the conformance suite
+fails, which is exactly the point.
 
 The per-rank kernel bodies (:func:`line_sweep_kernel`,
 :func:`stencil_apply`) are what a worker runs on its segment *and*
@@ -24,7 +27,7 @@ import numpy as np
 
 __all__ = [
     "op_bind",
-    "op_redistribute",
+    "op_move",
     "op_local_kernel",
     "op_stencil_step",
     "op_pingpong",
@@ -44,25 +47,21 @@ def op_bind(ctx, faults=None) -> int:
     return ctx.rank
 
 
-def op_redistribute(ctx, old_meta, new_meta, sends, keeps, recvs, tag) -> None:
-    """Execute this rank's share of a DISTRIBUTE plan
-    (:class:`~repro.backend.plan.RedistributionPlan`).
-
-    ``sends`` / ``recvs`` are ``(peer, selectors)`` lists in plan order
-    — selectors subscript the shaped old / new segment — and ``keeps``
-    ``(old selectors, new selectors)`` local copies.  Values ship as
-    raw numpy rectangles over the transport; the receiver derives
-    *where* they land from the same deterministic plan.
+def op_move(ctx, old_metas, new_meta, reads, pulled) -> None:
+    """This rank's share of a DISTRIBUTE plan
+    (:class:`~repro.backend.plan.RedistributionPlan`):
+    ``new[new_sel] = old[src][old_sel]`` for each ``(src, old_sel,
+    new_sel)`` of ``reads``, straight out of rank ``src``'s old segment.
+    Nobody writes an old segment and each rank writes only its new one,
+    so no rank waits for another.  A read from a peer is a message of
+    its link to fault plans; peers read ``pulled[dst]`` of this rank's.
     """
-    old = ctx.attach(old_meta)
     new = ctx.attach(new_meta)
-    for dst, sel in sends:
-        # copied: the queue pickles the payload after send() returns
-        ctx.transport.send(dst, tag, old[sel].copy())
-    for old_sel, new_sel in keeps:
-        new[new_sel] = old[old_sel]
-    for src, sel in recvs:
-        new[sel] = ctx.transport.recv(src, tag)
+    ctx.transport.pulled(pulled)
+    for src, old_sel, new_sel in reads:
+        if src != ctx.rank:
+            ctx.transport.pull(src)
+        new[new_sel] = ctx.attach(old_metas[src], writable=False)[old_sel]
 
 
 def op_local_kernel(ctx, meta, fn, idx) -> None:

@@ -8,7 +8,17 @@ bytes with zero copying.  The master allocates through
 :class:`~repro.machine.memory.LocalMemory` via the machine's
 ``set_segment_allocator`` hook); workers attach by :class:`BlockMeta`
 shipped inside op commands and keep the mapping until the master tells
-them the block is gone (:attr:`SharedSegmentAllocator.freed`).
+them the segment is gone (:attr:`SharedSegmentAllocator.freed`).
+
+A segment name is never reused for a different segment: names are
+unique per created segment.  What *is* reused is the segment itself,
+across a DISTRIBUTE: the allocator retains, per ``(rank, block)``,
+the one old segment the block's last DISTRIBUTE released, and hands it
+out again under its own name when the block's next DISTRIBUTE needs
+the same byte count (Figure 1's flips always do).  Workers still map
+it, so the reuse costs them no ``shm_open``, ``mmap`` or page fault;
+its shape may differ, which is why a worker keys its views by
+:class:`BlockMeta`, not by name.
 
 CPython < 3.13 registers *attached* segments with the resource
 tracker, which then unlinks them when the attaching process exits
@@ -50,21 +60,21 @@ class BlockMeta:
     def np_dtype(self) -> np.dtype:
         return np.dtype(self.dtype)
 
+    @property
+    def nbytes(self) -> int:
+        return int(np.prod(self.shape, dtype=np.int64)) * self.np_dtype.itemsize
 
-def attach(meta: BlockMeta) -> tuple[shared_memory.SharedMemory, np.ndarray]:
-    """Attach to a block from another process.
 
-    Returns the (kept-alive) ``SharedMemory`` and an ndarray view; the
-    caller must drop the array before closing the handle.
-    """
-    shm = shared_memory.SharedMemory(name=meta.shm_name)
+def attach(shm_name: str) -> shared_memory.SharedMemory:
+    """Map a segment created by another process (the caller builds its
+    views on ``.buf`` and must drop them before closing the handle)."""
+    shm = shared_memory.SharedMemory(name=shm_name)
     if unregister_on_attach:
         try:  # the creator owns tracking; see module docstring
             resource_tracker.unregister(shm._name, "shared_memory")
         except Exception:  # pragma: no cover - tracker internals vary
             pass
-    arr = np.ndarray(meta.shape, dtype=meta.np_dtype, buffer=shm.buf)
-    return shm, arr
+    return shm
 
 
 class SharedSegmentAllocator:
@@ -72,12 +82,11 @@ class SharedSegmentAllocator:
 
     Implements the ``alloc(rank, name, shape, dtype)`` /
     ``free(rank, name)`` protocol of
-    :class:`~repro.machine.memory.LocalMemory`.  Shared segment names
-    are unique per allocation (a monotonic counter), so a re-allocation
-    under the same logical block name — the DISTRIBUTE reallocation
-    path — never aliases the block it replaces; :meth:`stash` lets the
-    redistribution keep the *old* physical block alive while the new
-    one is filled.
+    :class:`~repro.machine.memory.LocalMemory`.  A DISTRIBUTE
+    re-allocates its block under the same logical name: :meth:`stash`
+    first takes the *old* segments out of the registry, so the new ones
+    never alias them, and :meth:`retain` keeps them, once every worker
+    has read them, for the block's next re-allocation.
     """
 
     def __init__(self, tag: str, freed: list | None = None):
@@ -87,8 +96,12 @@ class SharedSegmentAllocator:
         #: shm names unlinked so far, for whoever must tell the workers
         #: that mapped them (pass the list in to collect them elsewhere)
         self.freed: list = [] if freed is None else freed
-        self._blocks: dict[tuple[int, str], shared_memory.SharedMemory] = {}
-        self._metas: dict[tuple[int, str], BlockMeta] = {}
+        # (segment, meta) by (rank, block): live blocks, the old blocks
+        # of a DISTRIBUTE in flight, and the one old segment each
+        # block's last DISTRIBUTE released (closed, still linked)
+        self._blocks: dict[tuple[int, str], tuple] = {}
+        self._stashed: dict[tuple[int, str], tuple] = {}
+        self._retained: dict[tuple[int, str], tuple] = {}
 
     # -- LocalMemory protocol -------------------------------------------
     def alloc(
@@ -102,6 +115,7 @@ class SharedSegmentAllocator:
         if nbytes == 0:
             # zero-size blocks hold no worker-visible data
             return np.empty(shape, dtype=dtype)
+        # a reused segment is an allocation too: fault plans count both
         self._counter += 1
         plan = _faults.active_plan()
         if plan is not None and plan.shm_failure(self._counter) is not None:
@@ -113,26 +127,33 @@ class SharedSegmentAllocator:
                 f"injected shm allocation failure "
                 f"(allocation #{self._counter}, block {name!r} rank {rank})"
             )
-        shm_name = f"{self._prefix}-{self._counter}"
-        shm = shared_memory.SharedMemory(
-            name=shm_name, create=True, size=nbytes
-        )
-        self._blocks[key] = shm
-        self._metas[key] = BlockMeta(shm_name, tuple(shape), dtype.str)
+        kept, old = self._retained.pop(key, (None, None))
+        if kept is not None and old.nbytes == nbytes:
+            shm = shared_memory.SharedMemory(name=kept.name)
+        else:
+            if kept is not None:
+                self.unlink(kept)
+            shm = shared_memory.SharedMemory(
+                name=f"{self._prefix}-{self._counter}", create=True,
+                size=nbytes,
+            )
+        self._blocks[key] = shm, BlockMeta(shm.name, tuple(shape), dtype.str)
         return np.ndarray(shape, dtype=dtype, buffer=shm.buf)
 
     def free(self, rank: int, name: str) -> None:
-        """Release a block; unknown names are ignored (blocks adopted
-        into a LocalMemory from outside this allocator)."""
+        """Release a block and the segment retained for it.  A block
+        stashed by a DISTRIBUTE in flight keeps it (the re-allocation
+        frees before it allocates); unknown names are ignored (blocks
+        adopted into a LocalMemory from outside this allocator)."""
         key = (rank, name)
-        shm = self._blocks.pop(key, None)
-        self._metas.pop(key, None)
-        if shm is not None:
-            self.unlink(shm)
+        if key in self._stashed:
+            return
+        for store in (self._blocks, self._retained):
+            if key in store:
+                self.unlink(store.pop(key)[0])
 
     def unlink(self, shm: shared_memory.SharedMemory) -> None:
-        """Close and unlink a block of this allocator (one it still
-        holds, or one handed out by :meth:`stash`)."""
+        """Close and unlink a segment of this allocator."""
         shm.close()
         shm.unlink()
         self.freed.append(shm.name)
@@ -140,43 +161,45 @@ class SharedSegmentAllocator:
     # -- backend-side access --------------------------------------------
     def meta(self, rank: int, name: str) -> BlockMeta | None:
         """Worker-shippable handle for ``rank``'s block, if it exists."""
-        return self._metas.get((rank, name))
+        return self._blocks.get((rank, name), (None, None))[1]
 
     def view(self, rank: int, name: str) -> np.ndarray | None:
         """Master-side ndarray view of a live block (``None`` if the
         block is unknown).  The backbone of op-boundary checkpoints:
         the blocks an op may write are copied through this before it
         runs and restored through it after a fleet restart."""
-        key = (rank, name)
-        shm = self._blocks.get(key)
-        meta = self._metas.get(key)
-        if shm is None or meta is None:
+        shm, meta = self._blocks.get((rank, name), (None, None))
+        if shm is None:
             return None
         return np.ndarray(meta.shape, dtype=meta.np_dtype, buffer=shm.buf)
 
-    def stash(
-        self, rank: int, name: str
-    ) -> tuple[shared_memory.SharedMemory, BlockMeta] | None:
-        """Detach a block from the registry *without* unlinking it.
+    def stash(self, name: str, nprocs: int) -> list[BlockMeta | None]:
+        """Detach every rank's block ``name`` from the registry *without*
+        unlinking it; returns the old metas by rank (``None``: the rank
+        holds none).  The caller must :meth:`retain` them afterwards."""
+        for rank in range(nprocs):
+            if (rank, name) in self._blocks:
+                self._stashed[rank, name] = self._blocks.pop((rank, name))
+        return [self._stashed.get((rank, name), (None, None))[1]
+                for rank in range(nprocs)]
 
-        The caller becomes responsible for :meth:`unlink`.
-        Used to keep an array's old segments alive across the
-        same-name reallocation a redistribution performs.
-        """
-        key = (rank, name)
-        shm = self._blocks.pop(key, None)
-        meta = self._metas.pop(key, None)
-        if shm is None or meta is None:
-            return None
-        return shm, meta
+    def retain(self, name: str) -> None:
+        """Release the segments :meth:`stash` took, each becoming its
+        block's retained segment (closing the handle, so a master view
+        that outlived its block still raises ``BufferError`` here)."""
+        for key in [k for k in self._stashed if k[1] == name]:
+            self._stashed[key][0].close()
+            if key in self._retained:  # the new block did not take it
+                self.unlink(self._retained.pop(key)[0])
+            self._retained[key] = self._stashed.pop(key)
 
     def registered(self) -> list[tuple[int, str]]:
         """(rank, block name) of every live allocation."""
         return list(self._blocks)
 
     def close(self) -> None:
-        """Unlink every block still registered."""
-        for key in list(self._blocks):
+        """Unlink every block still registered or retained."""
+        for key in [*self._blocks, *self._retained]:
             self.free(*key)
 
     def __len__(self) -> int:

@@ -23,36 +23,22 @@ array each worker stamps before calling ``Barrier.abort()``.
 
 This is the layer the :mod:`~repro.backend.calibrate` microbenchmarks
 measure: a ``send``/``recv`` round trip *is* the machine's alpha/beta
-for this backend.  Fault injection (:mod:`repro.faults`) hooks
-:meth:`send`: an active plan can delay or drop the nth message on a
-specific ``(src, dst)`` link.
+for this backend.  DISTRIBUTE bytes no longer cross it (workers read
+them out of their peers' segments), so the fitted beta prices halos
+only.  Fault injection (:mod:`repro.faults`) hooks :meth:`send` and
+:meth:`pull`, the by-reference read: an active plan can delay or drop
+the nth message on a specific ``(src, dst)`` link.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from queue import Empty
 from typing import Any
 
-from ..obs import metrics as _obs
-
 __all__ = ["TransportTimeout", "TransportBroken", "Transport"]
-
-# NOTE: a Transport lives inside its worker *process*, so these
-# instruments record into that process's registry — scrape them there
-# (or read the master-side repro_backend_* series, which aggregate the
-# op traffic the workers execute).  In-process uses (tests, calibrate
-# harnesses running rank 0 inline) land in the main registry directly.
-_TRANSPORT_MESSAGES = _obs.counter(
-    "repro_transport_messages_total",
-    "Point-to-point transport messages at this process, by direction.",
-    ("direction",),
-)
-_TRANSPORT_BARRIER_SECONDS = _obs.histogram(
-    "repro_transport_barrier_seconds",
-    "Seconds spent waiting in transport barriers at this process.",
-)
 
 #: default seconds to wait on a receive/barrier before giving up — a
 #: wedged peer fails loudly instead of hanging the suite.
@@ -123,9 +109,9 @@ class Transport:
         self.faults = faults
         self.channel = channel
         self._stash: dict[tuple[int, Any], list[Any]] = {}
-        #: messages sent per destination rank (1-based ordinal stream
-        #: per link — the coordinate fault plans address links by)
-        self._link_sent: dict[int, int] = {}
+        #: messages so far per (src, dst) link this rank is an end of
+        #: (1-based ordinals — the coordinate fault plans address)
+        self._links: Counter = Counter()
         self.sent_messages = 0
         self.received_messages = 0
         self.dropped_messages = 0
@@ -149,35 +135,22 @@ class Transport:
         """Post ``payload`` to worker ``dst`` under ``tag``."""
         if not 0 <= dst < self.nprocs:
             raise IndexError(f"destination rank {dst} out of range")
-        nth = self._link_sent.get(dst, 0) + 1
-        self._link_sent[dst] = nth
-        if self.faults is not None:
-            delay = self.faults.link_delay(self.rank, dst, nth)
-            if delay > 0:
-                time.sleep(delay)
-            if self.faults.drops_message(self.rank, dst, nth):
-                # vanishes in flight: the sender believes it was sent
-                self.dropped_messages += 1
-                self.sent_messages += 1
-                _TRANSPORT_MESSAGES.inc(direction="dropped")
-                return
+        if self._in_flight(self.rank, dst):
+            # vanishes in flight: the sender believes it was sent
+            self.dropped_messages += 1
+            self.sent_messages += 1
+            return
         if dst == self.rank:
             # local delivery without touching the queue
             self._stash.setdefault((dst, tag), []).append(payload)
         else:
             self._outboxes[dst].put((self.channel, self.rank, tag, payload))
         self.sent_messages += 1
-        _TRANSPORT_MESSAGES.inc(direction="sent")
 
     def recv(self, src: int, tag: Any) -> Any:
         """Receive the next ``(src, tag)`` message (FIFO per sender)."""
         key = (src, tag)
-        stashed = self._stash.get(key)
-        if stashed:
-            self.received_messages += 1
-            _TRANSPORT_MESSAGES.inc(direction="received")
-            return stashed.pop(0)
-        while True:
+        while not self._stash.get(key):
             try:
                 channel, msg_src, msg_tag, payload = self._inbox.get(
                     timeout=self.timeout
@@ -187,13 +160,40 @@ class Transport:
                     f"worker {self.rank}: no message from {src} tagged "
                     f"{tag!r} within {self.timeout}s"
                 ) from None
-            if channel != self.channel:
-                continue  # left behind by a failed op of another binding
-            if msg_src == src and msg_tag == tag:
-                self.received_messages += 1
-                _TRANSPORT_MESSAGES.inc(direction="received")
-                return payload
-            self._stash.setdefault((msg_src, msg_tag), []).append(payload)
+            # other channels' messages were left behind by a failed op
+            # of another binding: dropped
+            if channel == self.channel:
+                self._stash.setdefault((msg_src, msg_tag), []).append(payload)
+        self._links[src, self.rank] += 1
+        self.received_messages += 1
+        return self._stash[key].pop(0)
+
+    # -- by reference ----------------------------------------------------
+    def pull(self, src: int) -> None:
+        """Count a read out of ``src``'s segment as the next message of
+        link ``src -> rank``, delayed or lost like a sent one (a lost
+        one fails at once, as its receive would have timed out)."""
+        if self._in_flight(src, self.rank):
+            raise TransportTimeout(
+                f"worker {self.rank}: a message from {src} was lost in flight"
+            )
+
+    def pulled(self, counts: dict[int, int]) -> None:
+        """The sender's half: peers pulled ``counts[dst]`` messages of
+        link ``rank -> dst``, so later sends keep their ordinals."""
+        for dst, n in counts.items():
+            self._links[self.rank, dst] += n
+
+    def _in_flight(self, src: int, dst: int) -> bool:
+        """Count one more message of link ``src -> dst`` and apply the
+        fault plan to it: sleep its delay; True if it is dropped."""
+        self._links[src, dst] += 1
+        nth = self._links[src, dst]
+        if self.faults is None:
+            return False
+        if (delay := self.faults.link_delay(src, dst, nth)) > 0:
+            time.sleep(delay)
+        return self.faults.drops_message(src, dst, nth)
 
     # -- collectives -----------------------------------------------------
     def barrier(self) -> None:
@@ -204,7 +204,6 @@ class Transport:
         and :class:`TransportTimeout` when the full wait genuinely
         elapsed with nobody aborting (a hung peer).
         """
-        t0 = time.perf_counter() if _obs.enabled() else None
         start = time.monotonic()
         try:
             self._barrier.wait(timeout=self.timeout)
@@ -225,8 +224,6 @@ class Transport:
                 f"worker {self.rank}: barrier timed out after "
                 f"{self.timeout}s (no peer aborted — a rank is hung)"
             ) from exc
-        if t0 is not None:
-            _TRANSPORT_BARRIER_SECONDS.observe(time.perf_counter() - t0)
 
     def allgather(self, value: Any, tag: Any = "allgather") -> list[Any]:
         """Every worker contributes ``value``; all receive all, by rank."""

@@ -12,8 +12,9 @@ stream works under both ``fork`` and ``spawn`` start methods.
 
 A worker outlives the machines its fleet is bound to, so what it
 remembers is keyed by handles the master issued and dropped when the
-master says so (``freed``, piggy-backed on the next command): block
-mappings by shm name, per-binding transports by id.
+master says so (``freed``, piggy-backed on the next command): segment
+mappings by shm name (views of them by :class:`~repro.backend.shm.BlockMeta`:
+a reused segment may come back in another shape), transports by id.
 
 Liveness and fault hooks (ISSUE 9): the worker stamps a shared
 *heartbeat* slot at every command receipt and completion, which is
@@ -70,25 +71,31 @@ class WorkerContext:
             self._make_transport(self.binding, faults)
         )
 
-    def attach(self, meta: BlockMeta | None) -> np.ndarray | None:
-        """This rank's view of a shared block, mapped on first use and
-        kept until the master frees the block (shm names are unique per
-        allocation, so a cached mapping is never the wrong block)."""
+    def attach(self, meta: BlockMeta | None, writable: bool = True):
+        """A view of a shared block (read-only for a peer's), its segment
+        mapped on first use and kept until the master frees it (shm
+        names are unique per segment: a cached mapping is never wrong)."""
         if meta is None:
             return None
         mapping = self._maps.get(meta.shm_name)
         if mapping is None:
-            mapping = self._maps[meta.shm_name] = attach(meta)
-        return mapping[1]
+            mapping = self._maps[meta.shm_name] = (attach(meta.shm_name), {})
+        shm, views = mapping
+        view = views.get((meta, writable))
+        if view is None:
+            view = views[meta, writable] = np.ndarray(
+                meta.shape, dtype=meta.np_dtype, buffer=shm.buf)
+            view.flags.writeable = writable
+        return view
 
     def forget(self, freed) -> None:
-        """Drop what the master freed since its last command: block
+        """Drop what the master freed since its last command: segment
         mappings (by shm name) and bindings (by id)."""
         for key in freed:
             self.transports.pop(key, None)
             if key in self._maps:
-                shm, arr = self._maps.pop(key)
-                del arr  # the view must go before the handle closes
+                shm, views = self._maps.pop(key)
+                views.clear()  # the views must go before the handle closes
                 shm.close()
 
 

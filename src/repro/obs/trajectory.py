@@ -115,6 +115,8 @@ def environment_fingerprint(probe: bool = True) -> dict:
         "git_sha": git_sha(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "system": platform.system(),
+        "arch": platform.machine(),
         "platform": platform.platform(),
         "hostname": platform.node(),
     }
@@ -125,12 +127,25 @@ def environment_fingerprint(probe: bool = True) -> dict:
 
 def env_digest(env: dict) -> str:
     """Stable digest of the *identity* half of an environment
-    fingerprint (versions + platform, not the timing probes) — the key
-    the sentinel groups trajectory entries by when modeling wall-clock
-    noise (numbers from different machines never share a band)."""
+    fingerprint — the key the sentinel groups trajectory entries by
+    when modeling wall-clock noise (numbers from different machine
+    classes never share a band).
+
+    The identity is what changes the numbers: the python and numpy
+    versions, the OS and CPU architecture, and the CPU count.  The
+    kernel build, hostname, ``repro`` version and git SHA are
+    annotations: a VM's kernel tag changes between otherwise equal
+    sessions, and comparing across versions is what a trajectory is
+    for.  Entries recorded before ``system``/``arch`` were stamped get
+    both from their ``platform`` string."""
+    plat = env.get("platform") or ""
     stable = {
-        k: env.get(k)
-        for k in ("repro", "python", "numpy", "platform", "hostname")
+        "python": env.get("python"),
+        "numpy": env.get("numpy"),
+        "system": env.get("system", plat.split("-")[0] or None),
+        "arch": env.get("arch", plat.split("-with-")[0].rsplit("-", 1)[-1]
+                        if plat else None),
+        "cpus": (env.get("machine") or {}).get("cpus"),
     }
     blob = json.dumps(stable, sort_keys=True).encode()
     return sha256(blob).hexdigest()[:16]
@@ -233,13 +248,16 @@ class TrajectoryStore:
         """Historical wall-clock samples for one perf bench.
 
         Only entries whose bench ``size`` matches (when given) are
-        comparable; ``env_key`` further restricts to one machine class.
+        comparable; ``env_key`` further restricts to one machine class,
+        by the digest of each entry's ``env`` as :func:`env_digest`
+        computes it now (not the one stamped when it was recorded).
         """
         samples: List[float] = []
         for entry in self.entries(kind="perf", smoke=smoke):
             if not entry.get("ok", True):
                 continue  # a failed run's timings are not noise samples
-            if env_key is not None and entry.get("env_digest") != env_key:
+            if env_key is not None \
+                    and env_digest(entry.get("env") or {}) != env_key:
                 continue
             for b in entry["report"].get("benches", ()):
                 if b.get("name") != bench:

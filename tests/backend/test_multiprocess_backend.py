@@ -29,9 +29,10 @@ def backend():
     be.close()
 
 
-def _shm_leftovers() -> list[str]:
+def _shm_leftovers(pid=None) -> list[str]:
+    prefix = "vfe-" if pid is None else f"vfe-{pid}-"
     try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith("vfe-")]
+        return [f for f in os.listdir("/dev/shm") if f.startswith(prefix)]
     except FileNotFoundError:  # non-Linux: rely on close() not raising
         return []
 
@@ -223,6 +224,107 @@ def test_plan_replay_on_recurring_flips(backend):
         assert np.array_equal(v.to_global(), g)
 
 
+def test_a_flip_reuses_the_segment_it_released():
+    """A (16, 8) ring on 2 ranks: the per-rank shapes are (16, 4) and
+    (8, 8), the byte counts equal, so every move after the first two
+    writes into the segment the move before last released — the same
+    name, another shape — and the values stay exact."""
+    m = Machine(ProcessorArray("R", (2,)))
+    be = MultiprocessBackend(timeout=60.0)
+    try:
+        be.attach(m)
+        e = Engine(m)
+        v = e.declare("V", (16, 8), dist=dist_type(":", "BLOCK"), dynamic=True)
+        g = np.random.default_rng(17).standard_normal((16, 8))
+        v.from_global(g)
+        names = []
+        for layout in [dist_type("BLOCK", ":"), dist_type(":", "BLOCK")] * 3:
+            e.distribute("V", layout)
+            names.append([be.allocator.meta(r, v._block_name()) for r in range(2)])
+            assert np.array_equal(v.to_global(), g)
+        shapes = [[meta.shape for meta in metas] for metas in names]
+        assert shapes[0] == [(8, 8)] * 2 and shapes[1] == [(16, 4)] * 2
+        for k in range(2, len(names)):
+            assert [meta.shm_name for meta in names[k]] == [
+                meta.shm_name for meta in names[k - 2]]
+        assert {meta.shm_name for meta in names[0]}.isdisjoint(
+            meta.shm_name for meta in names[1])
+        # nothing a DISTRIBUTE moved went through a worker's queue
+        assert be.run_op(_op_transport_traffic, [{}] * 2, ()) == [(0, 0)] * 2
+        assert _shm_leftovers(os.getpid())
+    finally:
+        be.close()
+    assert _shm_leftovers(os.getpid()) == []
+
+
+def test_move_onto_a_layout_where_a_rank_owns_nothing(backend):
+    """(BLOCK, :) of 2 rows over 4 ranks leaves ranks 2 and 3 without a
+    segment: they read nothing, their old segments are still read by
+    the owners, and the way back fills them again."""
+    m = Machine(R)
+    backend.attach(m)
+    e = Engine(m)
+    v = e.declare("V", (2, 8), dist=dist_type(":", "BLOCK"), dynamic=True)
+    g = np.arange(16, dtype=float).reshape(2, 8)
+    v.from_global(g)
+    for layout in [dist_type("BLOCK", ":"), dist_type(":", "BLOCK")] * 2:
+        e.distribute("V", layout)
+        assert np.array_equal(v.to_global(), g)
+        owners = [r for r in range(4)
+                  if backend.allocator.meta(r, v._block_name()) is not None]
+        assert owners == ([0, 1] if layout == dist_type("BLOCK", ":")
+                          else [0, 1, 2, 3])
+
+
+def test_a_dropped_move_rectangle_fails_the_op_like_a_lost_message():
+    """A by-reference rectangle is one message of its link: dropping the
+    first one on 0 -> 1 fails the op with the error a lost queued
+    message times out with, and the failure is not retryable."""
+    from repro.faults import FaultPlan, TransportDrop, activate, deactivate
+
+    m = Machine(ProcessorArray("R", (2,)))
+    be = MultiprocessBackend(timeout=0.5)
+    activate(FaultPlan([TransportDrop(src=0, dst=1, at_message=1)]))
+    try:
+        be.attach(m)  # latches the plan
+        e = Engine(m)
+        e.declare("V", (8, 4), dist=dist_type(":", "BLOCK"), dynamic=True)
+        with pytest.raises(BackendError, match="TransportTimeout") as info:
+            e.distribute("V", dist_type("BLOCK", ":"))
+        assert not info.value.retryable
+        assert "a message from 0 was lost in flight" in str(info.value)
+    finally:
+        deactivate()
+        be.close()
+    assert _shm_leftovers(os.getpid()) == []
+
+
+def test_pulled_messages_keep_their_link_ordinals():
+    """Reads by reference and queued messages share one ordinal stream
+    per link on both ends: a drop addressed past the pulled ones lands
+    on the queued message it always named."""
+    import queue
+    import threading
+
+    from repro.backend import Transport, TransportTimeout
+    from repro.faults import FaultPlan, TransportDrop
+
+    plan = FaultPlan([TransportDrop(src=1, dst=0, at_message=3),
+                      TransportDrop(src=0, dst=1, at_message=2)])
+    boxes, bar = [queue.Queue(), queue.Queue()], threading.Barrier(2)
+    t0, t1 = (Transport(r, 2, boxes[r], boxes, bar, 0.1, faults=plan)
+              for r in range(2))
+    t1.pulled({0: 2})  # rank 0 read two of rank 1's messages in place
+    t0.pull(1)
+    t0.pull(1)
+    t1.send(0, "t", "third")  # message 3 of 1 -> 0: dropped
+    assert t1.dropped_messages == 1
+    t0.send(1, "t", "first")
+    assert t1.recv(0, "t") == "first"
+    with pytest.raises(TransportTimeout, match="from 0 was lost"):
+        t1.pull(0)
+
+
 def test_run_kernel_runs_in_workers_not_master(backend):
     """The worker executes in another process: master-side globals
     mutated by the kernel stay untouched in the master."""
@@ -357,3 +459,7 @@ def _poke_sentinel(rank, local, idx):
 
 def _op_allgather_rank(ctx):
     return ctx.transport.allgather(ctx.rank)
+
+
+def _op_transport_traffic(ctx):
+    return ctx.transport.sent_messages, ctx.transport.received_messages

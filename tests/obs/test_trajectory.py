@@ -67,6 +67,42 @@ def test_env_digest_ignores_timing_probes():
     assert env_digest(env) != env_digest(other)
 
 
+def test_env_digest_is_the_machine_class_not_the_build():
+    """Kernel build tag, hostname, version and git SHA annotate an
+    entry; python, numpy, OS, architecture and CPU count identify it."""
+    env = {"repro": "1.10.0", "git_sha": "a7126f1", "python": "3.11.7",
+           "numpy": "2.4.6", "hostname": "vm",
+           "platform": "Linux-6.18.44-fc-v50-x86_64-with-glibc2.36",
+           "machine": {"cpus": 2, "matmul_gflops": 30.0}}
+    rebuilt = dict(env, repro="1.11.0", git_sha="93e825e", hostname="other",
+                   platform="Linux-6.18.44-fc-v130-x86_64-with-glibc2.36",
+                   system="Linux", arch="x86_64",
+                   machine={"cpus": 2, "matmul_gflops": 20.0})
+    assert env_digest(env) == env_digest(rebuilt)
+    assert env_digest(env) != env_digest(dict(env, python="3.12.1"))
+    assert env_digest(env) != env_digest(dict(env, machine={"cpus": 1}))
+    assert env_digest(env) != env_digest(dict(rebuilt, arch="aarch64"))
+
+
+def test_wall_samples_recompute_each_entrys_digest(tmp_path):
+    """Rows stamped under the old identity (kernel build, version and
+    hostname in the digest) still find each other."""
+    path = tmp_path / "traj.jsonl"
+    store = TrajectoryStore(path)
+    for tag, seconds in (("v42", 0.010), ("v50", 0.012), ("v130", 0.011)):
+        report = _perf_report(seconds=seconds)
+        report["env"] = dict(report["env"],
+                             platform=f"Linux-6.18-fc-{tag}-x86_64-with-glibc2.36",
+                             machine={"cpus": 2})
+        entry = store.append("perf", report)
+        entry["env_digest"] = f"stale-{tag}"
+        with open(path, "a") as fh:
+            fh.write(json.dumps(entry) + "\n")
+    key = env_digest(store.entries()[-1]["env"])
+    assert len(store.wall_samples("forall", env_key=key)) == 6
+    assert store.noise_band("forall", env_key=key) is not None
+
+
 # -- store round trips -------------------------------------------------------
 
 
