@@ -365,8 +365,11 @@ class MultiprocessBackend(SerialBackend):
         ``multiprocessing`` start method (default: ``fork`` where
         available, else the platform default).
     timeout:
-        Seconds the master waits for worker acknowledgements and
-        workers wait on receives/barriers before failing loudly.
+        Seconds from dispatch the master waits for an op's acks before
+        it kills the fleet as broken.  A worker's receives and barriers
+        in the op end half a timeout after it got the op, so a lost
+        message fails the op first, with the worker's non-retryable
+        ``TransportTimeout``, and the fleet lives on.
     max_restarts:
         Fleet restarts the supervisor may spend *per op* recovering
         from dead/hung workers (0 disables recovery and the

@@ -74,7 +74,7 @@ class Transport:
     barrier_obj:
         ``multiprocessing.Barrier`` over all ``nprocs`` workers.
     timeout:
-        Seconds to wait in :meth:`recv`/:meth:`barrier`.
+        Seconds each :meth:`recv`/:meth:`barrier` waits (or ``deadline``).
     abort_board:
         Optional shared ``nprocs``-slot int array; a worker stamps its
         slot before aborting the barrier so peers can name the culprit.
@@ -105,6 +105,8 @@ class Transport:
         self._outboxes = outboxes
         self._barrier = barrier_obj
         self.timeout = timeout
+        #: monotonic time all waits end at (set per op), else None
+        self.deadline: float | None = None
         self._abort_board = abort_board
         self.faults = faults
         self.channel = channel
@@ -151,14 +153,15 @@ class Transport:
         """Receive the next ``(src, tag)`` message (FIFO per sender)."""
         key = (src, tag)
         while not self._stash.get(key):
+            wait = self._wait()
             try:
                 channel, msg_src, msg_tag, payload = self._inbox.get(
-                    timeout=self.timeout
+                    timeout=wait
                 )
             except Empty:
                 raise TransportTimeout(
                     f"worker {self.rank}: no message from {src} tagged "
-                    f"{tag!r} within {self.timeout}s"
+                    f"{tag!r} within {wait:.3g}s"
                 ) from None
             # other channels' messages were left behind by a failed op
             # of another binding: dropped
@@ -204,13 +207,13 @@ class Transport:
         and :class:`TransportTimeout` when the full wait genuinely
         elapsed with nobody aborting (a hung peer).
         """
-        start = time.monotonic()
+        start, wait = time.monotonic(), self._wait()
         try:
-            self._barrier.wait(timeout=self.timeout)
+            self._barrier.wait(timeout=wait)
         except threading.BrokenBarrierError as exc:
             elapsed = time.monotonic() - start
             aborted = self.aborted_ranks()
-            if aborted or elapsed < self.timeout - 0.05:
+            if aborted or elapsed < wait - 0.05:
                 # broken from within (peer aborted) or torn down from
                 # outside well before the deadline — not a slow peer
                 who = (f"aborted by rank(s) {list(aborted)}"
@@ -222,8 +225,13 @@ class Transport:
                 ) from exc
             raise TransportTimeout(
                 f"worker {self.rank}: barrier timed out after "
-                f"{self.timeout}s (no peer aborted — a rank is hung)"
+                f"{wait:.3g}s (no peer aborted — a rank is hung)"
             ) from exc
+
+    def _wait(self) -> float:
+        """Seconds the next receive or barrier may wait."""
+        end = self.deadline
+        return self.timeout if end is None else max(end - time.monotonic(), 0.0)
 
     def allgather(self, value: Any, tag: Any = "allgather") -> list[Any]:
         """Every worker contributes ``value``; all receive all, by rank."""

@@ -60,6 +60,8 @@ class WorkerContext:
         #: their transport tags to the op (a failed op's unconsumed
         #: messages then never match a later op's receives)
         self.seq = 0
+        #: monotonic time the executing op's waits end at
+        self.deadline: float | None = None
         self.transports: dict[int, Transport] = {}
         self._maps: dict[str, tuple] = {}
         self._make_transport = make_transport
@@ -70,6 +72,7 @@ class WorkerContext:
         self.transport = self.transports[self.binding] = (
             self._make_transport(self.binding, faults)
         )
+        self.transport.deadline = self.deadline
 
     def attach(self, meta: BlockMeta | None, writable: bool = True):
         """A view of a shared block (read-only for a peer's), its segment
@@ -133,7 +136,11 @@ def worker_main(
         ctx.forget(freed)
         transport = ctx.transport = ctx.transports.get(ctx.binding)
         faults = transport.faults if transport is not None else None
-        heartbeat[rank] = time.monotonic()
+        heartbeat[rank] = received = time.monotonic()
+        # half a timeout: a lost message fails here, not at the master
+        ctx.deadline = received + timeout / 2
+        if transport is not None:
+            transport.deadline = ctx.deadline
         if faults is not None:
             crash = faults.crash_for(rank, ctx.seq)
             if crash is not None:

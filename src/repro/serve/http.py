@@ -1,13 +1,13 @@
 """The asyncio HTTP/1.1 front end over :class:`~repro.serve.PlanningService`.
 
 Stdlib only: ``asyncio.start_server`` accepts connections, a minimal
-HTTP/1.1 parser reads request line + headers + Content-Length body,
-and the (CPU-bound, numpy-heavy) service dispatch runs on a
-``ThreadPoolExecutor`` so the event loop keeps accepting while
-workloads execute — N in-flight requests share the one
-:class:`PlanningService` and its caches.  Keep-alive is honoured, so
-a load-test client reuses its connection across a whole request
-sequence.
+HTTP/1.1 parser reads request line + headers + Content-Length body.
+A response-cache hit is answered on the event loop
+(:meth:`PlanningService.lookup`); every other request — misses, other
+routes, 4xx — runs ``service.dispatch`` on a ``ThreadPoolExecutor``,
+so the loop keeps accepting while workloads execute and N in-flight
+requests share the one :class:`PlanningService` and its caches.
+Keep-alive is honoured, so a client reuses its connection.
 
 Three entry points:
 
@@ -26,11 +26,10 @@ import asyncio
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from urllib.parse import urlsplit
 
 from ..faults import plan as _faults
 from ..obs.flight import flight_recorder
-from .service import ENDPOINTS, PlanningService, ServeResponse
+from .service import ENDPOINTS, PlanningService, ServeResponse, _route
 
 __all__ = ["ServeServer", "ServerThread", "serve_forever"]
 
@@ -44,8 +43,22 @@ _PHRASES = {
 MAX_BODY_BYTES = 1 << 20
 
 
+def _incident_response(
+    status: int, error: str, reason: str, attrs: dict, headers: dict
+) -> ServeResponse:
+    """A ``status`` answer naming the flight-recorder incident it opens."""
+    incident = flight_recorder.incident(reason, attrs=attrs)
+    return ServeResponse(
+        status, json.dumps({"error": error}, indent=2),
+        {**headers, "X-Repro-Incident-Id": incident["incident_id"],
+         "X-Repro-Cache": "bypass"},
+    )
+
+
 class ServeServer:
-    """One asyncio HTTP server bound to a :class:`PlanningService`."""
+    """One asyncio HTTP server bound to a :class:`PlanningService`:
+    a hit is answered on the loop, the rest on the ``max_workers``
+    pool, which alone ``request_deadline`` bounds."""
 
     def __init__(
         self,
@@ -58,7 +71,7 @@ class ServeServer:
         self.service = service
         self.host = host
         self.port = port  # 0 = ephemeral; rewritten by start()
-        #: per-request wall-clock budget in seconds (None = unlimited);
+        #: per-dispatch wall-clock budget in seconds (None = unlimited);
         #: a dispatch that overruns answers 503 + Retry-After with an
         #: incident ID (the executor thread finishes in the background
         #: — threads cannot be cancelled — but the client is unblocked)
@@ -70,6 +83,7 @@ class ServeServer:
         #: requests seen per route (1-based ordinals, the coordinate
         #: RequestFault specs address; event-loop-thread only)
         self._route_requests: dict[str, int] = {}
+        self._clients: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -84,6 +98,11 @@ class ServeServer:
     async def close(self) -> None:
         if self._server is not None:
             self._server.close()
+            # idle keep-alive handlers return, not get cancelled at loop stop
+            for writer in list(self._clients):
+                writer.close()
+            if self._clients:
+                await asyncio.wait(self._clients.values(), timeout=5.0)
             await self._server.wait_closed()
             self._server = None
         self._executor.shutdown(wait=False, cancel_futures=True)
@@ -93,7 +112,7 @@ class ServeServer:
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        loop = asyncio.get_running_loop()
+        self._clients[writer] = asyncio.current_task()
         try:
             while True:
                 request_line = await reader.readline()
@@ -125,28 +144,40 @@ class ServeServer:
                 # fault injection (off unless a FaultPlan is active):
                 # the nth request on a route can be delayed, answered
                 # 500 without dispatching, or dropped on the floor
-                route = urlsplit(target).path.rstrip("/") or "/"
+                route = _route(target)
                 fault = self._injected_fault(route)
                 if fault is not None:
                     if fault.kind == "delay":
                         await asyncio.sleep(fault.seconds)
                     elif fault.kind == "error":
-                        self._write(writer, self._fault_response(route, fault))
+                        self._write(writer, _incident_response(
+                            500, f"injected fault on {route}",
+                            f"injected request fault on {route}",
+                            {"route": route, "kind": fault.kind,
+                             "at_request": fault.at_request}, {}))
                         await writer.drain()
                         break
                     elif fault.kind == "drop":
                         break  # connection closes with no response
 
-                try:
-                    response = await asyncio.wait_for(
-                        loop.run_in_executor(
-                            self._executor,
-                            self.service.dispatch, method, target, body,
-                        ),
-                        timeout=self.request_deadline,
-                    )
-                except asyncio.TimeoutError:
-                    response = self._deadline_response(route)
+                # only what has to be computed crosses to the pool
+                response = self.service.lookup(method, target, body)
+                if response is None:
+                    try:
+                        response = await asyncio.wait_for(
+                            asyncio.get_running_loop().run_in_executor(
+                                self._executor,
+                                self.service.dispatch, method, target, body,
+                            ),
+                            timeout=self.request_deadline,
+                        )
+                    except asyncio.TimeoutError:
+                        deadline = self.request_deadline
+                        response = _incident_response(
+                            503, f"request exceeded the {deadline}s deadline",
+                            f"request deadline exceeded on {route}",
+                            {"route": route, "deadline": deadline},
+                            {"Retry-After": "1"})
                 keep_alive = (
                     version != "HTTP/1.0"
                     and headers.get("connection", "").lower() != "close"
@@ -158,6 +189,7 @@ class ServeServer:
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass  # client went away mid-request
         finally:
+            del self._clients[writer]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -175,37 +207,6 @@ class ServeServer:
         nth = self._route_requests.get(route, 0) + 1
         self._route_requests[route] = nth
         return plan.request_fault(route, nth)
-
-    @staticmethod
-    def _fault_response(route: str, fault) -> ServeResponse:
-        incident = flight_recorder.incident(
-            f"injected request fault on {route}",
-            attrs={"route": route, "kind": fault.kind,
-                   "at_request": fault.at_request},
-        )
-        return ServeResponse(
-            500,
-            json.dumps({"error": f"injected fault on {route}"}, indent=2),
-            {"X-Repro-Incident-Id": incident["incident_id"],
-             "X-Repro-Cache": "bypass"},
-        )
-
-    def _deadline_response(self, route: str) -> ServeResponse:
-        incident = flight_recorder.incident(
-            f"request deadline exceeded on {route}",
-            attrs={"route": route, "deadline": self.request_deadline},
-        )
-        return ServeResponse(
-            503,
-            json.dumps(
-                {"error": f"request exceeded the {self.request_deadline}s "
-                          f"deadline"},
-                indent=2,
-            ),
-            {"Retry-After": "1",
-             "X-Repro-Incident-Id": incident["incident_id"],
-             "X-Repro-Cache": "bypass"},
-        )
 
     @staticmethod
     def _write(

@@ -43,12 +43,12 @@ bitwise-identical with at least one fleet restart observed.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -85,19 +85,28 @@ REQUIRED_SERIES = (
 )
 
 
-def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
-    req = urllib.request.Request(url, method="GET")
+def _connect(base_url: str, timeout: float) -> http.client.HTTPConnection:
+    """A keep-alive connection (http.client reopens it once closed)."""
+    return http.client.HTTPConnection(urlsplit(base_url).netloc, timeout=timeout)
+
+
+def _request(conn, method: str, path: str,
+             payload: dict | None = None) -> tuple[int, dict, bytes]:
+    """``(status, headers, body)``; a failure (a ``drop``) closes ``conn``."""
+    body = None if payload is None else json.dumps(payload).encode()
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
+        conn.request(method, path, body, {"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, dict(resp.headers), resp.read()
+    except Exception:
+        conn.close()
+        raise
 
 
-def _scrape_metrics(base_url: str, timeout: float) -> dict:
+def _scrape_metrics(conn: http.client.HTTPConnection) -> dict:
     """GET /metrics and summarize which required series have samples."""
     try:
-        status, body = _http_get(f"{base_url}/metrics", timeout)
+        status, _, body = _request(conn, "GET", "/metrics")
         error = None if status == 200 else f"HTTP {status}"
     except Exception as exc:
         error = str(exc)
@@ -120,19 +129,6 @@ def _scrape_metrics(base_url: str, timeout: float) -> dict:
         "series_sampled": len(sampled),
         "missing_series": missing,
     }
-
-
-def _http_post(url: str, payload: dict, timeout: float) -> tuple[int, dict, bytes]:
-    data = json.dumps(payload).encode()
-    req = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, dict(resp.headers), resp.read()
-    except urllib.error.HTTPError as exc:
-        return exc.code, dict(exc.headers or {}), exc.read()
 
 
 def _request_set(
@@ -205,12 +201,13 @@ def _run_phase(
 
     def client(requests: list[tuple[str, dict]]) -> list[_Observation]:
         out: list[_Observation] = []
+        conn = _connect(base_url, timeout)
         for endpoint, payload in requests:
             key = json.dumps({"endpoint": endpoint, **payload}, sort_keys=True)
             t0 = time.perf_counter()
             try:
-                status, headers, body = _http_post(
-                    f"{base_url}/{endpoint}", payload, timeout
+                status, headers, body = _request(
+                    conn, "POST", f"/{endpoint}", payload
                 )
                 out.append(_Observation(
                     key=key, phase=phase, status=status,
@@ -226,6 +223,7 @@ def _run_phase(
                     seconds=time.perf_counter() - t0,
                     cache="error", digest="", error=str(exc),
                 ))
+        conn.close()
         return out
 
     with ThreadPoolExecutor(max_workers=len(per_client)) as pool:
@@ -272,11 +270,10 @@ def _recovery_plan(seed: int, nprocs: int = 4):
 
 
 def _run_recovery(
-    base_url: str,
+    conn: http.client.HTTPConnection,
     registry: WorkloadRegistry,
     smoke: bool,
     seed: int,
-    timeout: float,
 ) -> dict:
     """The chaos acceptance property, executed over HTTP: a serial
     ``/run`` and two multiprocess ``/run``s of the same config, where
@@ -297,8 +294,8 @@ def _run_recovery(
             )
             t0 = time.perf_counter()
             try:
-                status, headers, body = _http_post(
-                    f"{base_url}/run", payload, timeout
+                status, headers, body = _request(
+                    conn, "POST", "/run", payload
                 )
                 sha = None
                 if status == 200:
@@ -413,6 +410,8 @@ def run_loadtest(
         ).start()
         url = started_server.url
     base_url = url.rstrip("/")
+    # the harness's own requests (recovery probes, /stats, /metrics)
+    conn = _connect(base_url, timeout)
 
     try:
         # phase 1 — unique configs: every request gets its own seed, so
@@ -459,7 +458,7 @@ def run_loadtest(
             restarts_before = _restarts()
             with injected(recovery_plan):
                 recovery = _run_recovery(
-                    base_url, registry, smoke, seed, timeout
+                    conn, registry, smoke, seed
                 )
             recovery["fleet_restarts"] = len(_restarts() - restarts_before)
         else:
@@ -475,16 +474,15 @@ def run_loadtest(
         divergent = sorted(k for k, v in groups.items() if len(v) > 1)
 
         try:
-            status, _, stats_body = _http_post(
-                f"{base_url}/stats", {}, timeout
-            )
+            status, _, stats_body = _request(conn, "POST", "/stats", {})
             server_stats = json.loads(stats_body) if status == 200 else None
         except Exception:
             server_stats = None
 
         # scrape the Prometheus exposition while the server is still up
-        metrics = _scrape_metrics(base_url, timeout)
+        metrics = _scrape_metrics(conn)
     finally:
+        conn.close()
         if started_server is not None:
             started_server.stop()
 

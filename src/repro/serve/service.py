@@ -51,7 +51,7 @@ from ..api.registry import REGISTRY, WorkloadRegistry
 from ..api.results import _jsonable
 from ..api.session import SessionClosedError
 from ..backend.base import BackendError
-from ..faults.breaker import CircuitBreaker
+from ..faults.breaker import CLOSED, CircuitBreaker
 from ..obs import metrics as _obs
 from ..obs.flight import flight_recorder
 from ..obs.tracing import request_scope, span as _span
@@ -121,6 +121,32 @@ def _error(status: int, message: str) -> ServeResponse:
     )
 
 
+def _hit(body: str, fingerprint: str) -> ServeResponse:
+    headers = {"X-Repro-Cache": "hit", "X-Repro-Fingerprint": fingerprint}
+    return ServeResponse(200, body, headers)
+
+
+def _route(target: str) -> str:
+    return urlsplit(target).path.rstrip("/") or "/"
+
+
+def _params(target: str, body: bytes | str | None) -> dict:
+    """Query-string then JSON-body parameters (a bad body: ValueError)."""
+    params = dict(parse_qsl(urlsplit(target).query))
+    if body:
+        if isinstance(body, bytes):
+            body = body.decode("utf-8", errors="replace")
+        if body.strip():
+            try:
+                parsed = json.loads(body)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"invalid JSON body: {exc}") from None
+            if not isinstance(parsed, dict):
+                raise ValueError("request body must be a JSON object")
+            params.update(parsed)
+    return params
+
+
 class PlanningService:
     """Multi-tenant plan/run/trace/bench over the workload registry.
 
@@ -128,8 +154,8 @@ class PlanningService:
     once, dispatch from as many threads as you like (``dispatch`` is
     thread-safe; workload execution itself runs on the caller's
     thread, which is how the asyncio front end achieves concurrency —
-    one executor thread per in-flight request, all hitting the same
-    caches).
+    one executor thread per in-flight miss, all hitting the same
+    caches; hits it answers inline with :meth:`lookup`).
     """
 
     def __init__(
@@ -225,11 +251,41 @@ class PlanningService:
         observation, and one structured log line on the
         ``repro.serve`` logger.
         """
-        route = urlsplit(target).path.rstrip("/") or "/"
-        t0 = time.perf_counter()
+        path = _route(target)
+        return self._recorded(method, path, time.perf_counter(),
+                              self._dispatch, method, path, target, body)
+
+    def lookup(
+        self, method: str, target: str, body: bytes | str | None = None
+    ) -> ServeResponse | None:
+        """A stage request's response if it is in the response cache and
+        the route's breaker is closed, recorded as :meth:`dispatch`
+        records a hit; else ``None``, having recorded nothing.  It runs
+        no workload and never asks the breaker to admit (that admits
+        the half-open probe): the HTTP front end calls it on its loop."""
+        t0, path = time.perf_counter(), _route(target)
+        endpoint = path.lstrip("/")
+        if (endpoint not in CACHEABLE or method.upper() not in ("GET", "POST")
+                or self._breaker(path).state != CLOSED):
+            return None
+        try:
+            fingerprint = self._resolve(endpoint, _params(target, body))[2]
+        except Exception:  # a 4xx or a 500: dispatch's to answer
+            return None
+        cached = self.responses.get(fingerprint, count_miss=False)
+        if cached is None:
+            return None
+        self._breaker(path).record_success()
+        return self._recorded(method, path, t0, _hit, cached, fingerprint)
+
+    def _recorded(
+        self, method: str, route: str, t0: float, answer, *args
+    ) -> ServeResponse:
+        """``answer(*args)`` with the request scope, span, metrics,
+        flight note and log line every request gets."""
         with request_scope() as rid:
             with _span("serve.request", route=route, method=method):
-                response = self._dispatch(method, target, body)
+                response = self._count(route, answer(*args))
             elapsed = time.perf_counter() - t0
             response.headers.setdefault("X-Repro-Request-Id", rid)
             tier = response.headers.get("X-Repro-Cache", "none")
@@ -243,58 +299,33 @@ class PlanningService:
                 status=response.status, ms=round(elapsed * 1e3, 3),
                 cache=tier,
             )
-            _LOG.info(json.dumps(
-                {"event": "request", "request_id": rid, "route": route,
-                 "status": response.status, "ms": round(elapsed * 1e3, 3),
-                 "cache": tier},
-                sort_keys=True))
+            if _LOG.isEnabledFor(logging.INFO):
+                _LOG.info(json.dumps(
+                    {"event": "request", "request_id": rid, "route": route,
+                     "status": response.status,
+                     "ms": round(elapsed * 1e3, 3), "cache": tier},
+                    sort_keys=True))
         return response
 
     def _dispatch(
-        self, method: str, target: str, body: bytes | str | None = None
+        self, method: str, path: str, target: str, body
     ) -> ServeResponse:
-        parts = urlsplit(target)
-        path = parts.path.rstrip("/") or "/"
-        params = dict(parse_qsl(parts.query))
-        if body:
-            if isinstance(body, bytes):
-                body = body.decode("utf-8", errors="replace")
-            if body.strip():
-                try:
-                    parsed = json.loads(body)
-                except json.JSONDecodeError as exc:
-                    return self._count(path, _error(400, f"invalid JSON body: {exc}"))
-                if not isinstance(parsed, dict):
-                    return self._count(
-                        path, _error(400, "request body must be a JSON object")
-                    )
-                params.update(parsed)
-
-        if method.upper() not in ("GET", "POST"):
-            return self._count(path, _error(405, f"method {method} not allowed"))
-
+        fixed = {"/workloads": self._workloads, "/stats": self._stats,
+                 "/healthz": self._healthz, "/metrics": self._metrics}
         try:
-            if path == "/workloads":
-                return self._count(path, self._workloads())
-            if path == "/stats":
-                return self._count(path, self._stats())
-            if path == "/healthz":
-                return self._count(path, self._healthz())
-            if path == "/metrics":
-                return self._count(path, self._metrics())
+            params = _params(target, body)
+            if method.upper() not in ("GET", "POST"):
+                return _error(405, f"method {method} not allowed")
+            if path in fixed:
+                return fixed[path]()
             if path.lstrip("/") in STAGE_OPTIONS:
-                return self._count(
-                    path, self._stage_guarded(path, params, method)
-                )
-            return self._count(
-                path,
-                _error(404, f"no such endpoint {path!r} "
-                            f"(available: {', '.join(ENDPOINTS)})"),
-            )
+                return self._stage_guarded(path, params, method)
+            return _error(404, f"no such endpoint {path!r} "
+                               f"(available: {', '.join(ENDPOINTS)})")
         except KeyError as exc:
-            return self._count(path, _error(404, exc.args[0] if exc.args else exc))
+            return _error(404, exc.args[0] if exc.args else exc)
         except (TypeError, ValueError) as exc:
-            return self._count(path, _error(400, exc))
+            return _error(400, exc)
         except Exception as exc:  # a bug, not a bad request
             # dump a structured incident record from the crash site:
             # request/trace IDs (bound by dispatch's request_scope),
@@ -305,7 +336,7 @@ class PlanningService:
             )
             response = _error(500, f"{type(exc).__name__}: {exc}")
             response.headers["X-Repro-Incident-Id"] = incident["incident_id"]
-            return self._count(path, response)
+            return response
 
     def _count(self, path: str, response: ServeResponse) -> ServeResponse:
         with self._lock:
@@ -484,7 +515,8 @@ class PlanningService:
             breaker.record_success()
             return response
 
-    def _stage(self, endpoint: str, params: dict) -> ServeResponse:
+    def _resolve(self, endpoint: str, params: dict) -> tuple:
+        """``(spec, typed request, response-cache key)`` of a stage."""
         params = dict(params)
         workload = params.pop("workload", None)
         if not workload:
@@ -497,16 +529,16 @@ class PlanningService:
             spec, endpoint, params,
             nprocs=self.default_nprocs, cost_model=self.default_cost_model,
         )
-        fingerprint = request_fingerprint(endpoint, spec.name, **req._asdict())
+        return spec, req, request_fingerprint(
+            endpoint, spec.name, **req._asdict())
+
+    def _stage(self, endpoint: str, params: dict) -> ServeResponse:
+        spec, req, fingerprint = self._resolve(endpoint, params)
         cacheable = endpoint in CACHEABLE
         if cacheable:
             cached = self.responses.get(fingerprint)
             if cached is not None:
-                return ServeResponse(
-                    200, cached,
-                    {"X-Repro-Cache": "hit",
-                     "X-Repro-Fingerprint": fingerprint},
-                )
+                return _hit(cached, fingerprint)
 
         # the per-request seed rides on the *handle*, not the session
         # config: pooled sessions stay seed-agnostic, so tenants with

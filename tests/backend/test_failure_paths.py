@@ -20,6 +20,7 @@ from repro.backend import (
     TransportBroken,
     TransportTimeout,
 )
+from repro.apps.smoothing import execute_smoothing
 from repro.core.distribution import dist_type
 from repro.faults import (
     FaultPlan,
@@ -30,6 +31,7 @@ from repro.faults import (
     injected,
 )
 from repro.machine import Machine, ProcessorArray
+from repro.machine.cost_model import PARAGON
 from repro.obs import flight_recorder
 from repro.runtime.engine import Engine
 
@@ -147,6 +149,24 @@ class TestFleetFailurePaths:
         assert info.value.dead_ranks == (3,)
         notes = flight_recorder.notes("backend.fleet_fault")
         assert notes and notes[-1]["dead"]
+
+    def test_lost_halo_fails_in_the_worker_before_the_master_gives_up(self):
+        """A dropped halo message surfaces as the receiving worker's
+        TransportTimeout, inside the master's ack deadline: the op
+        fails non-retryably and the fleet is not killed."""
+        with injected(FaultPlan([TransportDrop(src=0, dst=1, at_message=1)])):
+            be = MultiprocessBackend(timeout=0.5)
+            try:
+                m = Machine((2,), cost_model=PARAGON)
+                be.attach(m)
+                with pytest.raises(BackendError, match="TransportTimeout") as info:
+                    execute_smoothing(8, 1, "columns", 2, PARAGON, machine=m)
+                assert not info.value.retryable
+                assert "unacknowledged" not in str(info.value)
+                procs = be.fleet.procs
+                assert len(procs) == 2 and all(p.is_alive() for p in procs)
+            finally:
+                be.close()
 
     def test_run_op_after_close_raises(self):
         be = MultiprocessBackend(timeout=30.0)

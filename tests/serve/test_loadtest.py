@@ -81,3 +81,25 @@ def test_bad_arguments_rejected():
         run_loadtest(clients=0)
     with pytest.raises(ValueError, match="rounds"):
         run_loadtest(rounds=0)
+
+
+def test_a_client_keeps_one_connection_alive():
+    """Twelve requests from one client ride one accepted connection."""
+    from repro.serve import PlanningService, ServerThread
+    from repro.serve.loadtest import _run_phase
+
+    thread = ServerThread(PlanningService(observability=False))
+    serve_client = thread._server._serve_client
+    accepts = []
+
+    async def counting(reader, writer):
+        accepts.append(writer.get_extra_info("peername"))
+        await serve_client(reader, writer)
+
+    thread._server._serve_client = counting  # before start() binds it
+    with thread:
+        requests = [("plan", {"workload": "adi", "size": 12, "seed": i % 3})
+                    for i in range(12)]
+        observations = _run_phase(thread.url, "keepalive", [requests], 30.0)
+    assert [o.status for o in observations] == [200] * 12
+    assert len(accepts) == 1

@@ -139,6 +139,36 @@ def test_response_cache_evicts_lru():
     assert cache.get("c") == "3"
 
 
+def test_miss_free_lookups_count_exactly_their_hits_under_eviction():
+    """A ``count_miss=False`` lookup that finds nothing counts nothing,
+    even while other threads evict the entry it is reading."""
+    import sys
+    import threading
+
+    cache = ResponseCache(capacity=2)
+    found = [0] * 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def worker(t):
+            for i in range(3000):
+                if t % 2:
+                    cache.put(str(i % 3), "{}")
+                elif cache.get(str(i % 3), count_miss=False) is not None:
+                    found[t] += 1
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"]) == (sum(found), 0)
+
+
 def test_request_fingerprint_is_order_insensitive():
     fp1 = request_fingerprint(
         "run", "adi", nprocs=4, cost_model="Paragon", backend=None,
