@@ -17,8 +17,6 @@ the ``/stats`` endpoint's hit-rate story alongside
 
 from __future__ import annotations
 
-import threading
-
 from ..api.results import config_fingerprint
 from ..core.interning import LRUCache
 from ..obs import metrics as _obs
@@ -73,23 +71,19 @@ class ResponseCache:
 
     def __init__(self, capacity: int = 256):
         self._lru = LRUCache(capacity)
-        self._evict = threading.Lock()  # held by whatever may evict
 
-    def get(self, fingerprint: str, count_miss: bool = True) -> str | None:
-        """``count_miss=False``: a miss is left to the computing lookup."""
-        with self._evict:
-            if not count_miss and fingerprint not in self._lru:
-                return None
-            body = self._lru.get(fingerprint)
+    def get(self, fingerprint: str) -> str | None:
+        body = self._lru.get(fingerprint)
         _RESPONSE_CACHE_LOOKUPS.inc(
             result="hit" if body is not None else "miss")
         return body
 
     def put(self, fingerprint: str, body: str) -> None:
-        with self._evict:
-            before = self._lru.evictions
-            self._lru.put(fingerprint, body)
-            evicted = self._lru.evictions - before
+        lru = self._lru
+        with lru._lock:  # re-entrant: the evictions counted are this put's
+            before = lru.evictions
+            lru.put(fingerprint, body)
+            evicted = lru.evictions - before
         if evicted:
             _RESPONSE_CACHE_EVICTIONS.inc(evicted)
 
@@ -103,8 +97,7 @@ class ResponseCache:
         return s
 
     def clear(self) -> None:
-        with self._evict:
-            self._lru.clear()
+        self._lru.clear()
 
     def __len__(self) -> int:
         return len(self._lru)

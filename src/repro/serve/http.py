@@ -2,12 +2,13 @@
 
 Stdlib only: ``asyncio.start_server`` accepts connections, a minimal
 HTTP/1.1 parser reads request line + headers + Content-Length body.
-A response-cache hit is answered on the event loop
-(:meth:`PlanningService.lookup`); every other request — misses, other
-routes, 4xx — runs ``service.dispatch`` on a ``ThreadPoolExecutor``,
-so the loop keeps accepting while workloads execute and N in-flight
-requests share the one :class:`PlanningService` and its caches.
-Keep-alive is honoured, so a client reuses its connection.
+The service's admission step (:meth:`PlanningService.admit`) reads
+each request once on the event loop and answers a hit there; an
+admitted miss runs ``service.complete``, anything else (other routes,
+4xx) ``service.dispatch``, on a ``ThreadPoolExecutor``, so the loop
+keeps accepting while workloads execute and N in-flight requests
+share the one :class:`PlanningService` and its caches.  Keep-alive is
+honoured, so a client reuses its connection.
 
 Three entry points:
 
@@ -23,13 +24,11 @@ Three entry points:
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from ..faults import plan as _faults
-from ..obs.flight import flight_recorder
-from .service import ENDPOINTS, PlanningService, ServeResponse, _route
+from .service import ENDPOINTS, PlanningService, ServeResponse, _incident, _route
 
 __all__ = ["ServeServer", "ServerThread", "serve_forever"]
 
@@ -43,22 +42,11 @@ _PHRASES = {
 MAX_BODY_BYTES = 1 << 20
 
 
-def _incident_response(
-    status: int, error: str, reason: str, attrs: dict, headers: dict
-) -> ServeResponse:
-    """A ``status`` answer naming the flight-recorder incident it opens."""
-    incident = flight_recorder.incident(reason, attrs=attrs)
-    return ServeResponse(
-        status, json.dumps({"error": error}, indent=2),
-        {**headers, "X-Repro-Incident-Id": incident["incident_id"],
-         "X-Repro-Cache": "bypass"},
-    )
-
-
 class ServeServer:
     """One asyncio HTTP server bound to a :class:`PlanningService`:
-    a hit is answered on the loop, the rest on the ``max_workers``
-    pool, which alone ``request_deadline`` bounds."""
+    a request is admitted on the loop, where a hit is answered; the
+    rest runs on the ``max_workers`` pool, which alone
+    ``request_deadline`` bounds."""
 
     def __init__(
         self,
@@ -71,8 +59,8 @@ class ServeServer:
         self.service = service
         self.host = host
         self.port = port  # 0 = ephemeral; rewritten by start()
-        #: per-dispatch wall-clock budget in seconds (None = unlimited);
-        #: a dispatch that overruns answers 503 + Retry-After with an
+        #: budget in seconds of a request's time on the pool (None =
+        #: unlimited); an overrun answers 503 + Retry-After with an
         #: incident ID (the executor thread finishes in the background
         #: — threads cannot be cancelled — but the client is unblocked)
         self.request_deadline = request_deadline
@@ -84,6 +72,8 @@ class ServeServer:
         #: RequestFault specs address; event-loop-thread only)
         self._route_requests: dict[str, int] = {}
         self._clients: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: connections whose handler waits on the pool
+        self._busy: set[asyncio.StreamWriter] = set()
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -98,11 +88,19 @@ class ServeServer:
     async def close(self) -> None:
         if self._server is not None:
             self._server.close()
-            # idle keep-alive handlers return, not get cancelled at loop stop
-            for writer in list(self._clients):
+            # no handler may be left to be cancelled at loop stop (on
+            # Python 3.11 that prints a traceback): an idle one returns
+            # once its connection closes, one waiting on the pool gets
+            # a bounded drain and is then cut short with a 503
+            for writer in set(self._clients) - self._busy:
                 writer.close()
             if self._clients:
-                await asyncio.wait(self._clients.values(), timeout=5.0)
+                _, late = await asyncio.wait(
+                    self._clients.values(), timeout=5.0)
+                for task in late:
+                    task.cancel()
+                if late:
+                    await asyncio.wait(late)
             await self._server.wait_closed()
             self._server = None
         self._executor.shutdown(wait=False, cancel_futures=True)
@@ -150,37 +148,50 @@ class ServeServer:
                     if fault.kind == "delay":
                         await asyncio.sleep(fault.seconds)
                     elif fault.kind == "error":
-                        self._write(writer, _incident_response(
+                        self._write(writer, _incident(
                             500, f"injected fault on {route}",
                             f"injected request fault on {route}",
                             {"route": route, "kind": fault.kind,
-                             "at_request": fault.at_request}, {}))
+                             "at_request": fault.at_request}))
                         await writer.drain()
                         break
                     elif fault.kind == "drop":
                         break  # connection closes with no response
 
-                # only what has to be computed crosses to the pool
-                response = self.service.lookup(method, target, body)
-                if response is None:
+                # a request is read once, here; only what has to be
+                # computed crosses to the pool
+                admitted = self.service.admit(method, target, body)
+                if isinstance(admitted, ServeResponse):
+                    response = admitted  # a hit
+                else:
+                    work = ((self.service.dispatch, method, target, body)
+                            if admitted is None
+                            else (self.service.complete, admitted))
+                    self._busy.add(writer)
                     try:
                         response = await asyncio.wait_for(
                             asyncio.get_running_loop().run_in_executor(
-                                self._executor,
-                                self.service.dispatch, method, target, body,
-                            ),
+                                self._executor, *work),
                             timeout=self.request_deadline,
                         )
                     except asyncio.TimeoutError:
                         deadline = self.request_deadline
-                        response = _incident_response(
+                        response = _incident(
                             503, f"request exceeded the {deadline}s deadline",
                             f"request deadline exceeded on {route}",
                             {"route": route, "deadline": deadline},
-                            {"Retry-After": "1"})
+                            retry_after=1)
+                    except asyncio.CancelledError:  # close() cut it short
+                        response = _incident(
+                            503, "server closed before the request completed",
+                            f"server closed during a request on {route}",
+                            {"route": route}, retry_after=1)
+                    finally:
+                        self._busy.discard(writer)
                 keep_alive = (
                     version != "HTTP/1.0"
                     and headers.get("connection", "").lower() != "close"
+                    and self._server.is_serving()
                 )
                 self._write(writer, response, keep_alive=keep_alive)
                 await writer.drain()

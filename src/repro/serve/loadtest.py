@@ -47,6 +47,7 @@ import http.client
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
@@ -158,32 +159,18 @@ def _request_set(
 LATENCY_METHOD = "linear_interpolation"
 
 
-def _quantile(sorted_ms: np.ndarray, q: float) -> float:
-    """Quantile ``q`` in [0, 1] with proper linear interpolation.
-
-    Uses the standard ``rank = q * (n - 1)`` definition: the value is
-    interpolated between the two order statistics bracketing the rank
-    (no naive index rounding) — equivalent to
-    ``statistics.quantiles(..., method="inclusive")`` cut points.
-    """
-    n = len(sorted_ms)
-    if n == 1:
-        return float(sorted_ms[0])
-    rank = q * (n - 1)
-    lo = int(rank)
-    hi = min(lo + 1, n - 1)
-    frac = rank - lo
-    return float(sorted_ms[lo] * (1.0 - frac) + sorted_ms[hi] * frac)
-
-
 def _percentiles(seconds: list[float]) -> dict:
     if not seconds:
         return {"p50_ms": None, "p99_ms": None, "mean_ms": None,
                 "max_ms": None, "method": LATENCY_METHOD}
-    ms = np.sort(np.asarray(seconds, dtype=float)) * 1e3
+    # numpy's default ``linear`` method: rank = q * (n - 1), linearly
+    # interpolated between the bracketing order statistics (the cut
+    # points of ``statistics.quantiles(..., method="inclusive")``)
+    ms = np.asarray(seconds, dtype=float) * 1e3
+    p50, p99 = np.quantile(ms, (0.50, 0.99))
     return {
-        "p50_ms": _quantile(ms, 0.50),
-        "p99_ms": _quantile(ms, 0.99),
+        "p50_ms": float(p50),
+        "p99_ms": float(p99),
         "mean_ms": float(ms.mean()),
         "max_ms": float(ms.max()),
         "method": LATENCY_METHOD,
@@ -393,7 +380,7 @@ def run_loadtest(
 
     chaos_plan = recovery_plan = None
     if chaos:
-        from ..faults import FaultPlan
+        from ..faults import FaultPlan, injected
         from ..obs.flight import flight_recorder
 
         cseed = int(chaos_seed if chaos_seed is not None else seed)
@@ -432,10 +419,14 @@ def run_loadtest(
         ]
         repeated_lists = [list(repeated) * rounds for _ in range(clients)]
 
+        # under chaos the phases run under the request-fault plan
+        # (delays / 500s / dropped connections at the HTTP layer)
+        with injected(chaos_plan) if chaos else nullcontext():
+            observations = _run_phase(base_url, "unique", unique_lists, timeout)
+            observations += _run_phase(base_url, "repeated", repeated_lists, timeout)
+
         recovery = None
         if chaos:
-            from ..faults import injected
-
             def _restarts() -> set:
                 # ids, not a count: the incident ring is bounded
                 return {
@@ -443,15 +434,6 @@ def run_loadtest(
                     if i.get("reason") == "backend fleet restart"
                 }
 
-            # phases run under the request-fault plan (delays / 500s /
-            # dropped connections at the HTTP layer)
-            with injected(chaos_plan):
-                observations = _run_phase(
-                    base_url, "unique", unique_lists, timeout
-                )
-                observations += _run_phase(
-                    base_url, "repeated", repeated_lists, timeout
-                )
             # the recovery phase swaps in the worker-crash + transport-
             # delay plan: every multiprocess run crashes a worker and
             # must restart + replay to a bitwise-identical result
@@ -461,9 +443,6 @@ def run_loadtest(
                     conn, registry, smoke, seed
                 )
             recovery["fleet_restarts"] = len(_restarts() - restarts_before)
-        else:
-            observations = _run_phase(base_url, "unique", unique_lists, timeout)
-            observations += _run_phase(base_url, "repeated", repeated_lists, timeout)
 
         # byte-identity: within each identical-request group, every
         # response body must hash the same

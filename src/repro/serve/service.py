@@ -43,11 +43,12 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from urllib.parse import parse_qsl, urlsplit
 
 from ..api.config import SessionConfig
-from ..api.params import STAGE_OPTIONS, WORKLOAD, invoke, resolve
-from ..api.registry import REGISTRY, WorkloadRegistry
+from ..api.params import STAGE_OPTIONS, WORKLOAD, Request, invoke, resolve
+from ..api.registry import REGISTRY, WorkloadRegistry, WorkloadSpec
 from ..api.results import _jsonable
 from ..api.session import SessionClosedError
 from ..backend.base import BackendError
@@ -59,7 +60,7 @@ from ..obs.trajectory import environment_fingerprint
 from .cache import ResponseCache, request_fingerprint
 from .pool import SessionPool
 
-__all__ = ["PlanningService", "ServeResponse", "ENDPOINTS"]
+__all__ = ["PlanningService", "ServeResponse", "Admitted", "ENDPOINTS"]
 
 #: the service surface: one stage endpoint per row of the stage table
 ENDPOINTS = ("/workloads", *("/" + stage for stage in STAGE_OPTIONS),
@@ -121,9 +122,18 @@ def _error(status: int, message: str) -> ServeResponse:
     )
 
 
-def _hit(body: str, fingerprint: str) -> ServeResponse:
-    headers = {"X-Repro-Cache": "hit", "X-Repro-Fingerprint": fingerprint}
-    return ServeResponse(200, body, headers)
+def _incident(
+    status: int, message: str, reason: str, attrs: dict, *,
+    error: BaseException | None = None, retry_after: float | None = None,
+) -> ServeResponse:
+    """A ``status`` answer naming the incident it opens; a shed one
+    also says when to retry."""
+    incident = flight_recorder.incident(reason, error=error, attrs=attrs)
+    response = _error(status, message)
+    if retry_after is not None:
+        response.headers["Retry-After"] = str(max(1, int(retry_after + 0.999)))
+    response.headers["X-Repro-Incident-Id"] = incident["incident_id"]
+    return response
 
 
 def _route(target: str) -> str:
@@ -147,15 +157,31 @@ def _params(target: str, body: bytes | str | None) -> dict:
     return params
 
 
+class Admitted(NamedTuple):
+    """A stage request the admission step read: what the pool computes."""
+
+    method: str
+    path: str
+    spec: WorkloadSpec
+    req: Request
+    fingerprint: str
+    #: ``perf_counter()`` at admission: the request's latency starts here
+    t0: float = 0.0
+
+
 class PlanningService:
     """Multi-tenant plan/run/trace/bench over the workload registry.
 
     One instance is the whole shared state of a server: construct it
-    once, dispatch from as many threads as you like (``dispatch`` is
-    thread-safe; workload execution itself runs on the caller's
-    thread, which is how the asyncio front end achieves concurrency —
-    one executor thread per in-flight miss, all hitting the same
-    caches; hits it answers inline with :meth:`lookup`).
+    once, dispatch from as many threads as you like.  A stage request
+    is read once: :meth:`admit` parses, resolves and fingerprints it
+    and, on a closed breaker, makes its one counted response-cache
+    lookup and answers a hit; :meth:`complete` computes what it
+    admitted (breaker, workload, store, record) on the caller's thread.
+    The asyncio front end admits on its loop and completes on its pool,
+    one thread per in-flight miss.  So a request that missed at
+    admission is computed and answered ``miss`` even if a concurrent
+    one stored its fingerprint first (the bytes are the same).
     """
 
     def __init__(
@@ -164,8 +190,6 @@ class PlanningService:
         *,
         max_idle_sessions: int = 4,
         response_cache_capacity: int = 256,
-        default_nprocs: int = 4,
-        default_cost_model: str = "Paragon",
         observability: bool = True,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 5.0,
@@ -180,8 +204,6 @@ class PlanningService:
             registry=self.registry, max_idle=max_idle_sessions
         )
         self.responses = ResponseCache(capacity=response_cache_capacity)
-        self.default_nprocs = int(default_nprocs)
-        self.default_cost_model = str(default_cost_model)
         #: resilience policy (ISSUE 9): bounded exponential-backoff
         #: retry for idempotent GETs, then a per-route circuit breaker
         #: shedding load with 503 + Retry-After while a route is sick
@@ -243,49 +265,84 @@ class PlanningService:
     def dispatch(
         self, method: str, target: str, body: bytes | str | None = None
     ) -> ServeResponse:
-        """Route one request.  ``target`` is the request path with
-        optional query string; ``body`` an optional JSON object.
+        """Route one request: :meth:`admit`, then :meth:`complete` what
+        it admitted.  ``target`` is the request path with optional query
+        string; ``body`` an optional JSON object.
 
         Every request gets a fresh request ID (propagated to spans via
         contextvars and returned in ``X-Repro-Request-Id``), a latency
         observation, and one structured log line on the
         ``repro.serve`` logger.
         """
+        t0 = time.perf_counter()
+        admitted = self.admit(method, target, body)
+        if isinstance(admitted, Admitted):
+            return self.complete(admitted)
+        if admitted is not None:
+            return admitted
         path = _route(target)
-        return self._recorded(method, path, time.perf_counter(),
+        return self._recorded(method, path, t0,
                               self._dispatch, method, path, target, body)
 
-    def lookup(
+    def admit(
         self, method: str, target: str, body: bytes | str | None = None
-    ) -> ServeResponse | None:
-        """A stage request's response if it is in the response cache and
-        the route's breaker is closed, recorded as :meth:`dispatch`
-        records a hit; else ``None``, having recorded nothing.  It runs
-        no workload and never asks the breaker to admit (that admits
-        the half-open probe): the HTTP front end calls it on its loop."""
+    ) -> ServeResponse | Admitted | None:
+        """The admission step: a stage GET/POST's recorded hit, or the
+        :class:`Admitted` request for :meth:`complete` (a miss,
+        ``/bench``, a breaker not closed); ``None``, having counted
+        nothing, leaves the rest (other routes, 4xx, 500) to
+        :meth:`dispatch`.  It runs no workload and never asks the
+        breaker to admit (that admits the half-open probe)."""
         t0, path = time.perf_counter(), _route(target)
         endpoint = path.lstrip("/")
-        if (endpoint not in CACHEABLE or method.upper() not in ("GET", "POST")
-                or self._breaker(path).state != CLOSED):
+        if endpoint not in STAGE_OPTIONS or method.upper() not in ("GET", "POST"):
             return None
         try:
-            fingerprint = self._resolve(endpoint, _params(target, body))[2]
+            params = _params(target, body)
+            breaker = self._breaker(path)
+            admitted = Admitted(
+                method, path, *self._resolve(endpoint, params), t0)
         except Exception:  # a 4xx or a 500: dispatch's to answer
             return None
-        cached = self.responses.get(fingerprint, count_miss=False)
-        if cached is None:
-            return None
-        self._breaker(path).record_success()
-        return self._recorded(method, path, t0, _hit, cached, fingerprint)
+        if endpoint in CACHEABLE and breaker.state == CLOSED:
+            cached = self.responses.get(admitted.fingerprint)
+            if cached is not None:
+                breaker.record_success()
+                return self._recorded(
+                    method, path, t0, ServeResponse, 200, cached,
+                    {"X-Repro-Cache": "hit",
+                     "X-Repro-Fingerprint": admitted.fingerprint})
+        return admitted
+
+    def complete(self, admitted: Admitted) -> ServeResponse:
+        """Compute an admitted request behind its route's breaker, store
+        a cacheable response and record the request (the pool's half)."""
+        return self._recorded(admitted.method, admitted.path, admitted.t0,
+                              self._guarded, admitted)
 
     def _recorded(
         self, method: str, route: str, t0: float, answer, *args
     ) -> ServeResponse:
-        """``answer(*args)`` with the request scope, span, metrics,
-        flight note and log line every request gets."""
+        """``answer(*args)``, its exceptions mapped to 404/400/500, with
+        the request scope, span, metrics, flight note and log line
+        every request gets."""
         with request_scope() as rid:
             with _span("serve.request", route=route, method=method):
-                response = self._count(route, answer(*args))
+                try:
+                    response = answer(*args)
+                except KeyError as exc:
+                    response = _error(404, exc.args[0] if exc.args else exc)
+                except (TypeError, ValueError) as exc:
+                    response = _error(400, exc)
+                except Exception as exc:  # a bug, not a bad request
+                    # the incident carries this request's IDs and spans
+                    response = _incident(
+                        500, f"{type(exc).__name__}: {exc}",
+                        f"serve 500 on {route}",
+                        {"route": route, "method": method}, error=exc)
+                with self._lock:
+                    self._requests[route] = self._requests.get(route, 0) + 1
+                    self._errors += response.status >= 400
             elapsed = time.perf_counter() - t0
             response.headers.setdefault("X-Repro-Request-Id", rid)
             tier = response.headers.get("X-Repro-Cache", "none")
@@ -310,40 +367,20 @@ class PlanningService:
     def _dispatch(
         self, method: str, path: str, target: str, body
     ) -> ServeResponse:
+        """What admission left: fixed routes, 405/404, 4xx and 500."""
         fixed = {"/workloads": self._workloads, "/stats": self._stats,
                  "/healthz": self._healthz, "/metrics": self._metrics}
-        try:
-            params = _params(target, body)
-            if method.upper() not in ("GET", "POST"):
-                return _error(405, f"method {method} not allowed")
-            if path in fixed:
-                return fixed[path]()
-            if path.lstrip("/") in STAGE_OPTIONS:
-                return self._stage_guarded(path, params, method)
-            return _error(404, f"no such endpoint {path!r} "
-                               f"(available: {', '.join(ENDPOINTS)})")
-        except KeyError as exc:
-            return _error(404, exc.args[0] if exc.args else exc)
-        except (TypeError, ValueError) as exc:
-            return _error(400, exc)
-        except Exception as exc:  # a bug, not a bad request
-            # dump a structured incident record from the crash site:
-            # request/trace IDs (bound by dispatch's request_scope),
-            # the request's spans, and the recorder's recent notes
-            incident = flight_recorder.incident(
-                f"serve 500 on {path}", error=exc,
-                attrs={"route": path, "method": method},
-            )
-            response = _error(500, f"{type(exc).__name__}: {exc}")
-            response.headers["X-Repro-Incident-Id"] = incident["incident_id"]
-            return response
-
-    def _count(self, path: str, response: ServeResponse) -> ServeResponse:
-        with self._lock:
-            self._requests[path] = self._requests.get(path, 0) + 1
-            if response.status >= 400:
-                self._errors += 1
-        return response
+        params = _params(target, body)
+        if method.upper() not in ("GET", "POST"):
+            return _error(405, f"method {method} not allowed")
+        if path in fixed:
+            return fixed[path]()
+        endpoint = path.lstrip("/")
+        if endpoint in STAGE_OPTIONS:
+            return self._guarded(
+                Admitted(method, path, *self._resolve(endpoint, params)))
+        return _error(404, f"no such endpoint {path!r} "
+                           f"(available: {', '.join(ENDPOINTS)})")
 
     # -- fixed endpoints ---------------------------------------------------
     def _workloads(self) -> ServeResponse:
@@ -442,26 +479,7 @@ class PlanningService:
                 for route, breaker in sorted(self._breakers.items())
             }
 
-    def _shed(
-        self, route: str, reason: str, retry_after: float,
-        error: BaseException | None = None,
-    ) -> ServeResponse:
-        """A 503 with Retry-After and an incident ID — the last
-        degradation tier (every shed is attributable, ISSUE 9)."""
-        incident = flight_recorder.incident(
-            f"serve 503 on {route}", error=error,
-            attrs={"route": route, "reason": reason},
-        )
-        response = _error(503, reason)
-        response.headers["Retry-After"] = str(
-            max(1, int(retry_after + 0.999))
-        )
-        response.headers["X-Repro-Incident-Id"] = incident["incident_id"]
-        return response
-
-    def _stage_guarded(
-        self, path: str, params: dict, method: str
-    ) -> ServeResponse:
+    def _guarded(self, admitted: Admitted) -> ServeResponse:
         """The resilience wrapper around :meth:`_stage`.
 
         Order of defenses: (1) the route's circuit breaker sheds
@@ -472,20 +490,21 @@ class PlanningService:
         Retry-After with an incident ID; (4) everything else keeps the
         existing 4xx/500 mapping, but still feeds the breaker.
         """
+        path = admitted.path
         breaker = self._breaker(path)
         if not breaker.allow():
-            return self._shed(
-                path,
-                f"circuit open for {path} "
-                f"(recent failures reached {breaker.failure_threshold})",
-                breaker.retry_after() or self.retry_after_seconds,
-            )
+            reason = (f"circuit open for {path} (recent failures reached "
+                      f"{breaker.failure_threshold})")
+            return _incident(
+                503, reason, f"serve 503 on {path}",
+                {"route": path, "reason": reason},
+                retry_after=breaker.retry_after() or self.retry_after_seconds)
         endpoint = path.lstrip("/")
-        idempotent = method.upper() == "GET"
+        idempotent = admitted.method.upper() == "GET"
         attempt = 0
         while True:
             try:
-                response = self._stage(endpoint, params)
+                response = self._stage(endpoint, admitted)
             except (KeyError, TypeError, ValueError):
                 # client errors (4xx upstream): breaker-neutral
                 raise
@@ -501,12 +520,11 @@ class PlanningService:
                     time.sleep(delay)
                     continue
                 breaker.record_failure()
-                return self._shed(
-                    path,
-                    f"backend unavailable: {type(exc).__name__}: {exc}",
-                    self.retry_after_seconds,
-                    error=exc,
-                )
+                reason = f"backend unavailable: {type(exc).__name__}: {exc}"
+                return _incident(
+                    503, reason, f"serve 503 on {path}",
+                    {"route": path, "reason": reason}, error=exc,
+                    retry_after=self.retry_after_seconds)
             except Exception:
                 # a bug: the caller's 500 path mints the incident, but
                 # the breaker must still see the failure
@@ -525,21 +543,13 @@ class PlanningService:
                 f"(registered: {', '.join(self.registry.names())})"
             )
         spec = self.registry.get(WORKLOAD.coerce(workload, "workload"))
-        req = resolve(
-            spec, endpoint, params,
-            nprocs=self.default_nprocs, cost_model=self.default_cost_model,
-        )
+        req = resolve(spec, endpoint, params)
         return spec, req, request_fingerprint(
             endpoint, spec.name, **req._asdict())
 
-    def _stage(self, endpoint: str, params: dict) -> ServeResponse:
-        spec, req, fingerprint = self._resolve(endpoint, params)
-        cacheable = endpoint in CACHEABLE
-        if cacheable:
-            cached = self.responses.get(fingerprint)
-            if cached is not None:
-                return _hit(cached, fingerprint)
-
+    def _stage(self, endpoint: str, admitted: Admitted) -> ServeResponse:
+        """Compute one stage on a pooled session; store it if cacheable."""
+        _, _, spec, req, fingerprint, _ = admitted
         # the per-request seed rides on the *handle*, not the session
         # config: pooled sessions stay seed-agnostic, so tenants with
         # different seeds still reuse one session per (nprocs,
@@ -554,6 +564,7 @@ class PlanningService:
         finally:
             self.pool.release(session)
 
+        cacheable = endpoint in CACHEABLE
         if cacheable:
             self.responses.put(fingerprint, body)
         return ServeResponse(

@@ -3,7 +3,8 @@
 Only a request that has to be computed crosses to the server's thread
 pool; a hit is a replay of stored bytes, so it must neither queue
 behind a running miss nor be counted twice, and a route whose circuit
-breaker is open still sheds it.
+breaker is open still sheds it.  The admission step that answers it
+reads every request once; the pool only computes what it admitted.
 """
 
 import json
@@ -20,7 +21,8 @@ from repro.api import ExecutionOutcome, WorkloadRegistry, register_workload
 from repro.faults.breaker import OPEN
 from repro.obs import flight_recorder
 from repro.obs import metrics as _obs
-from repro.serve import PlanningService, ServerThread
+from repro.serve import PlanningService, ServeResponse, ServerThread
+from repro.serve.service import Admitted
 
 
 def _get(url, timeout=30.0):
@@ -116,10 +118,14 @@ def test_an_open_breaker_still_sheds_a_cached_request():
     target = "/run?workload=adi&size=12&iterations=1"
     with ServerThread(svc) as url:
         assert _get(f"{url}{target}")[0] == 200
-        assert svc.lookup("GET", target) is not None
+        assert svc.admit("GET", target).headers["X-Repro-Cache"] == "hit"
         svc._breaker("/run").record_failure()
         assert svc.breaker_stats()["/run"]["state"] == OPEN
-        assert svc.lookup("GET", target) is None
+        before = svc.responses.stats()
+        assert isinstance(svc.admit("GET", target), Admitted)
+        after = svc.responses.stats()
+        assert (after["hits"], after["misses"]) == (before["hits"],
+                                                    before["misses"])
         status, headers, body = _get(f"{url}{target}")
     assert status == 503
     assert headers["Retry-After"]
@@ -131,7 +137,7 @@ def test_a_miss_and_a_hit_log_the_same_line_as_before(caplog):
     target = "/plan?workload=adi&size=12&seed=77"
     caplog.set_level(logging.INFO, logger="repro.serve")
     with svc:
-        answers = [svc.dispatch("GET", target), svc.lookup("GET", target),
+        answers = [svc.dispatch("GET", target), svc.admit("GET", target),
                    svc.dispatch("GET", target)]
     notes = {
         note["request_id"]: note
@@ -158,5 +164,90 @@ def test_a_miss_and_a_hit_log_the_same_line_as_before(caplog):
 ])
 def test_lookup_leaves_everything_else_to_dispatch(target, body):
     with PlanningService(observability=False) as svc:
-        assert svc.lookup("GET", target, body) is None
+        assert not isinstance(svc.admit("GET", target, body), ServeResponse)
         assert svc.responses.stats()["misses"] == 0
+
+
+def test_a_request_is_resolved_once(monkeypatch):
+    from repro.serve import service as service_module
+
+    calls = []
+    real = service_module.resolve
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "resolve", counted)
+    target = "/plan?workload=adi&size=12&seed=5"
+    with ServerThread(PlanningService(observability=False)) as url:
+        for tier in ("miss", "hit"):
+            calls.clear()
+            status, headers, _ = _get(f"{url}{target}")
+            assert (status, headers["X-Repro-Cache"]) == (200, tier)
+            assert calls == ["plan"], tier
+    with PlanningService(observability=False) as svc:
+        for tier in ("miss", "hit"):
+            calls.clear()
+            response = svc.dispatch("GET", "/run?workload=adi&size=12")
+            assert response.headers["X-Repro-Cache"] == tier
+            assert calls == ["run"], tier
+
+
+def test_spelled_out_session_defaults_hit_the_same_entry():
+    with PlanningService(observability=False) as svc:
+        bare = svc.dispatch("GET", "/plan?workload=adi&size=12")
+        spelled = svc.dispatch(
+            "GET", "/plan?workload=adi&size=12&nprocs=4&cost_model=Paragon")
+    assert bare.headers["X-Repro-Cache"] == "miss"
+    assert spelled.headers["X-Repro-Cache"] == "hit"
+    assert (spelled.headers["X-Repro-Fingerprint"]
+            == bare.headers["X-Repro-Fingerprint"])
+    assert spelled.body == bare.body
+
+
+def test_a_miss_stored_by_a_concurrent_request_is_computed_again():
+    """A request that missed at admission is computed and answered
+    ``miss`` even if the entry appeared before it reached the pool."""
+    target = "/plan?workload=adi&size=12&seed=9"
+    with PlanningService(observability=False) as svc:
+        admitted = svc.admit("GET", target)
+        assert isinstance(admitted, Admitted)
+        stored = svc.dispatch("GET", target)
+        late = svc.complete(admitted)
+        lookups = svc.responses.stats()
+    assert stored.headers["X-Repro-Cache"] == "miss"
+    assert late.headers["X-Repro-Cache"] == "miss"
+    assert late.body == stored.body
+    assert (lookups["hits"], lookups["misses"]) == (0, 2)
+
+
+def test_stopping_mid_request_answers_503(capfd):
+    entered, release = threading.Event(), threading.Event()
+    svc = PlanningService(_gated_registry(entered, release), observability=False)
+    server = ServerThread(svc, max_workers=1).start()
+    answer = {}
+
+    def client():
+        try:
+            answer["got"] = _get(f"{server.url}/run?workload=gated&n=2")
+        except Exception as exc:  # noqa: BLE001 - the parent's failure
+            answer["got"] = exc
+
+    thread = threading.Thread(target=client)
+    thread.start()
+    try:
+        assert entered.wait(10), "the miss never reached the pool"
+        server.stop()
+        thread.join(30)
+    finally:
+        release.set()
+    assert not thread.is_alive()
+    assert not isinstance(answer["got"], Exception), answer["got"]
+    status, headers, body = answer["got"]
+    assert status == 503
+    assert headers["Retry-After"] == "1"
+    assert headers["X-Repro-Incident-Id"]
+    assert headers["Connection"] == "close"
+    assert "server closed" in json.loads(body)["error"]
+    assert "Exception in callback" not in capfd.readouterr().err

@@ -103,3 +103,19 @@ def test_a_client_keeps_one_connection_alive():
         observations = _run_phase(thread.url, "keepalive", [requests], 30.0)
     assert [o.status for o in observations] == [200] * 12
     assert len(accepts) == 1
+
+
+def test_percentiles_are_the_inclusive_cut_points():
+    import random
+    import statistics
+
+    from repro.serve.loadtest import _percentiles
+
+    rng = random.Random(7)
+    for n in (2, 3, 7, 100, 1001):
+        seconds = [rng.expovariate(200.0) for _ in range(n)]
+        cuts = statistics.quantiles([s * 1e3 for s in seconds], n=100,
+                                    method="inclusive")
+        got = _percentiles(seconds)
+        for key, cut in (("p50_ms", cuts[49]), ("p99_ms", cuts[98])):
+            assert got[key] == pytest.approx(cut, rel=1e-12, abs=0), (n, key)
