@@ -13,6 +13,10 @@ flags from the parameter table in :mod:`repro.api.params` — the rows
 the HTTP service validates queries against, and README's parameter
 table is written from — so registering a workload adds it, and one
 ``--flag`` per registered parameter, to all of them.
+
+:func:`main` builds only the flags of the command it runs (one
+builder per row of :data:`COMMANDS`, each importing what its flags
+need), so ``--help`` loads no numpy; ``build_parser()`` builds all.
 """
 
 from __future__ import annotations
@@ -388,66 +392,46 @@ def _bench_flags(p, kind: str, *, smoke: str, check: str) -> None:
                    help="emit the report as machine-readable JSON")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _workload_flags(p, stage: str, json_help: str) -> None:
+    """A workload-taking command: the workload, then one flag per row
+    of the parameter table (session fields, the stage's options, every
+    registered workload parameter)."""
     from .api import REGISTRY, WORKLOAD, add_arguments
-    from .obs.compare import FAMILIES
-    from .perf import BENCHES
 
-    workload_names = REGISTRY.names()
+    names = REGISTRY.plannable_names() if stage == "plan" else REGISTRY.names()
+    p.add_argument("workload", choices=names, help=WORKLOAD.help)
+    p.add_argument("--json", action="store_true", help=json_help)
+    add_arguments(p, stage)
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Vienna Fortran dynamic-distribution reproduction.",
-    )
-    sub = parser.add_subparsers(dest="command")
 
-    def stage_parser(stage: str, names, json_help: str, **kwargs):
-        """A workload-taking command: the workload, then one flag per
-        row of the parameter table (session fields, the stage's
-        options, every registered workload parameter)."""
-        p = sub.add_parser(stage, **kwargs)
-        p.add_argument("workload", choices=names, help=WORKLOAD.help)
-        p.add_argument("--json", action="store_true", help=json_help)
-        add_arguments(p, stage)
-        return p
+def _plan_flags(p) -> None:
+    _workload_flags(p, "plan", "emit the plan as machine-readable JSON")
 
-    stage_parser(
-        "plan", REGISTRY.plannable_names(),
-        "emit the plan as machine-readable JSON",
-        help="run the automatic distribution planner on a workload",
-    )
-    r = stage_parser(
-        "run", workload_names, "emit the run report as machine-readable JSON",
-        help="execute a workload on an SPMD execution backend",
-    )
-    r.add_argument("--no-verify", action="store_true",
+
+def _run_flags(p) -> None:
+    _workload_flags(p, "run", "emit the run report as machine-readable JSON")
+    p.add_argument("--no-verify", action="store_true",
                    help="skip the bitwise comparison against the "
                         "serial backend")
-    t = stage_parser(
-        "trace", workload_names,
-        "emit both timelines as machine-readable JSON",
-        help="record a workload's typed events and replay them through "
-             "the discrete-event simulator (blocking vs split-phase)",
-    )
-    t.add_argument("--width", type=int, default=72,
+
+
+def _trace_flags(p) -> None:
+    _workload_flags(p, "trace", "emit both timelines as machine-readable JSON")
+    p.add_argument("--width", type=int, default=72,
                    help="Gantt chart width in characters")
 
-    c = sub.add_parser(
-        "calibrate",
-        help="microbenchmark the multiprocess transport and fit "
-             "measured machine constants",
-    )
+
+def _calibrate_flags(c) -> None:
     c.add_argument("--nprocs", type=int, default=2)
     c.add_argument("--repeats", type=int, default=7)
     c.add_argument("--json", action="store_true",
                    help="emit the fitted constants and the plan on the "
                         "measured machine as JSON")
 
-    b = sub.add_parser(
-        "bench",
-        help="time the vectorized hot paths against their per-element/"
-             "per-event reference oracles and write BENCH_PERF.json",
-    )
+
+def _bench_command_flags(b) -> None:
+    from .perf import BENCHES
+
     _bench_flags(
         b, "perf", smoke="CI-sized problems (fast; same op-count checks)",
         check="exit non-zero if any vectorized path's op counts or "
@@ -469,12 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "trajectory has too little history for a noise "
                         "band (1.0 = current may be 2x baseline)")
 
-    s = sub.add_parser(
-        "serve",
-        help="serve plan/run/trace/bench as a multi-tenant asyncio HTTP "
-             "service over the workload registry (--loadtest to hammer "
-             "it with concurrent clients and write BENCH_SERVE.json)",
-    )
+
+def _serve_flags(s) -> None:
     s.add_argument("--host", default="127.0.0.1")
     s.add_argument("--port", type=int, default=8642)
     s.add_argument("--workers", type=int, default=8,
@@ -510,13 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="load-test /metrics snapshot path "
                         "('' to skip writing)")
 
-    a = sub.add_parser(
-        "adapt",
-        help="online adaptive redistribution: bench the feedback "
-             "controller against static/balanced/offline layouts and "
-             "write BENCH_ADAPT.json + ADAPT_COVERAGE.json (--workload "
-             "for a single adaptive run instead)",
-    )
+
+def _adapt_flags(a) -> None:
+    from .api import REGISTRY, add_arguments
+
     _bench_flags(
         a, "adapt", smoke="CI-sized drifting-load scenarios",
         check="exit non-zero unless every scenario's gates pass (adaptive "
@@ -524,24 +501,22 @@ def build_parser() -> argparse.ArgumentParser:
               "deterministic, identical solutions across modes)")
     a.add_argument("--coverage-out", default="ADAPT_COVERAGE.json",
                    help="policy-coverage sweep path ('' to skip)")
-    a.add_argument("--workload", choices=workload_names, default=None,
+    a.add_argument("--workload", choices=REGISTRY.names(), default=None,
                    help="run one adaptive session stage instead of the "
                         "bench (pic and irregular have drivers); the "
                         "flags below apply to it (--seed to both)")
     add_arguments(a, "adapt")
 
-    o = sub.add_parser(
-        "obs",
-        help="observability: dump the metrics registry (default), "
-             "'analyze' a workload's simulated timeline into a per-phase "
-             "attribution table, or 'compare' two bench reports with the "
-             "regression sentinel",
-    )
+
+def _obs_flags(o) -> None:
+    from .api import REGISTRY, add_arguments
+    from .obs.compare import FAMILIES
+
     o.add_argument("action", nargs="?", default="dump",
                    choices=("dump", "analyze", "compare"),
                    help="dump the registry, attribute a timeline, or "
                         "diff bench reports")
-    o.add_argument("--workload", choices=workload_names, default=None,
+    o.add_argument("--workload", choices=REGISTRY.names(), default=None,
                    help="drive this workload first so the dump has data "
                         "(required for analyze)")
     o.add_argument("--stage", default="plan",
@@ -569,27 +544,74 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--wall-tolerance", type=float, default=1.0,
                    help="compare: relative wall-clock tolerance fallback")
     add_arguments(o, None)  # after --kind: here that is the bench family
-    return parser
 
 
+#: every command: what runs it, its line of the top-level help, and the
+#: builder of its flags -- run only for the command being parsed, so a
+#: builder imports just what its own flags need
 COMMANDS = {
-    "plan": stage_command,
-    "run": run_command,
-    "trace": trace_command,
-    "calibrate": calibrate_command,
-    "bench": bench_command,
-    "serve": serve_command,
-    "adapt": adapt_command,
-    "obs": obs_command,
+    "plan": (stage_command,
+             "run the automatic distribution planner on a workload",
+             _plan_flags),
+    "run": (run_command,
+            "execute a workload on an SPMD execution backend", _run_flags),
+    "trace": (trace_command,
+              "record a workload's typed events and replay them through "
+              "the discrete-event simulator (blocking vs split-phase)",
+              _trace_flags),
+    "calibrate": (calibrate_command,
+                  "microbenchmark the multiprocess transport and fit "
+                  "measured machine constants", _calibrate_flags),
+    "bench": (bench_command,
+              "time the vectorized hot paths against their per-element/"
+              "per-event reference oracles and write BENCH_PERF.json",
+              _bench_command_flags),
+    "serve": (serve_command,
+              "serve plan/run/trace/bench as a multi-tenant asyncio HTTP "
+              "service over the workload registry (--loadtest to hammer "
+              "it with concurrent clients and write BENCH_SERVE.json)",
+              _serve_flags),
+    "adapt": (adapt_command,
+              "online adaptive redistribution: bench the feedback "
+              "controller against static/balanced/offline layouts and "
+              "write BENCH_ADAPT.json + ADAPT_COVERAGE.json (--workload "
+              "for a single adaptive run instead)", _adapt_flags),
+    "obs": (obs_command,
+            "observability: dump the metrics registry (default), "
+            "'analyze' a workload's simulated timeline into a per-phase "
+            "attribution table, or 'compare' two bench reports with the "
+            "regression sentinel", _obs_flags),
 }
+
+
+def build_parser(
+    argv: Sequence[str] | None = None,
+) -> argparse.ArgumentParser:
+    """The parser ``argv`` needs: every command is registered by name
+    and help, so the top-level help and its errors never change, but
+    only the command ``argv`` names -- its first token not starting
+    with ``-``, as no top-level option takes a value -- gets its flags.
+    Without ``argv``, every command's flags are built."""
+    chosen = next((a for a in argv or () if not a.startswith("-")), None)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Vienna Fortran dynamic-distribution reproduction.",
+    )
+    sub = parser.add_subparsers(dest="command")
+    for name, (_, help_line, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if argv is None or name == chosen:
+            flags(p)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> None:
     # None means "no CLI arguments" (the tour): callers that want real
     # argv pass sys.argv[1:] explicitly (see __main__ guard below).
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else [])
-    command = COMMANDS.get(args.command, lambda _args: tour())
+    argv = list(argv) if argv is not None else []
+    args = build_parser(argv).parse_args(argv)
+    command = COMMANDS[args.command][0] if args.command else (
+        lambda _args: tour())
     try:
         command(args)
     except SystemExit:

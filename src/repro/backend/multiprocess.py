@@ -589,7 +589,11 @@ class MultiprocessBackend(SerialBackend):
     def stencil_step(self, array, overlap, func, dim_entries) -> None:
         """One halo-exchanged stencil sweep across the worker fleet
         (``overlap``'s padded buffers are shared-memory blocks like
-        any other allocation)."""
+        any other allocation).  Only the segment is checkpointed: the
+        op rewrites the padded buffer's interior from the segment and
+        its in-domain halos from the receives before it reads them, and
+        never writes the out-of-domain cells, so a replay rebuilds the
+        buffer from the restored segment alone."""
         if not _can_ship(func):
             return super().stencil_step(array, overlap, func, dim_entries)
         widths = overlap.widths
@@ -617,4 +621,4 @@ class MultiprocessBackend(SerialBackend):
             )
             for rank in range(self.nprocs)
         ]
-        self.run_op(op_stencil_step, per_rank, (seg_block, pad_block))
+        self.run_op(op_stencil_step, per_rank, (seg_block,))

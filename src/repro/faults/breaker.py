@@ -9,13 +9,16 @@ sleep:
   with ``Retry-After``); after ``cooldown_seconds`` the next
   :meth:`allow` call becomes the single half-open probe.
 - **half-open** — exactly one probe is in flight; its success closes
-  the breaker, its failure re-opens it (restarting the cooldown).
+  the breaker, its failure re-opens it (restarting the cooldown); a
+  probe that ends without a verdict (a client error) frees its slot
+  through :meth:`release`, so the next request probes.
 
 Thread-safe: the serving tier calls :meth:`allow` /
-:meth:`record_success` / :meth:`record_failure` from executor worker
-threads.  State transitions invoke ``on_transition(old, new)`` under
-the lock's shadow (after release) so observers can emit metrics and
-flight-recorder notes without deadlock risk.
+:meth:`record_success` / :meth:`record_failure` / :meth:`release`
+from executor worker threads.  State transitions invoke
+``on_transition(old, new)`` under the lock's shadow (after release) so
+observers can emit metrics and flight-recorder notes without deadlock
+risk.
 """
 
 from __future__ import annotations
@@ -127,6 +130,13 @@ class CircuitBreaker:
             else:  # already open (e.g. a straggler from before the trip)
                 pass
         self._notify(change)
+
+    def release(self) -> None:
+        """End an admitted request without a verdict on the backend:
+        a half-open probe's slot is freed for the next request; no
+        state or count changes."""
+        with self._lock:
+            self._probing = False
 
     # -- introspection -----------------------------------------------------
     @property

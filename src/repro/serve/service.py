@@ -506,7 +506,9 @@ class PlanningService:
             try:
                 response = self._stage(endpoint, admitted)
             except (KeyError, TypeError, ValueError):
-                # client errors (4xx upstream): breaker-neutral
+                # client errors (4xx upstream) say nothing of the
+                # backend: no verdict, but a probe frees its slot
+                breaker.release()
                 raise
             except RECOVERABLE as exc:
                 if idempotent and attempt < self.get_retries:

@@ -333,3 +333,17 @@ def test_plan_memos_stay_bounded_on_never_seen_shapes():
         assert cache.stats()["plans"] == cache.capacity < cache.misses == 600
         for maps, bindings in backend.run_op(_op_remembered, [{}] * 2, ()):
             assert maps == 0 and bindings == 1
+
+
+def test_a_stencil_step_checkpoints_its_segment_only():
+    """The padded halo buffer is derived from the segment and the
+    receives, so a smoothing run checkpoints one copy of the array's
+    segments per step and nothing of the buffer."""
+    snapshot = obs_metrics.counter("repro_backend_snapshot_bytes_total")
+    size, steps = 24, 3
+    with _session(nprocs=4) as sess:
+        handle = sess.workload("smoothing", size=size, steps=steps)
+        before = snapshot.value()
+        run = handle.run()
+        assert snapshot.value() - before == steps * size * size * 8
+    assert run.backend == "multiprocess"

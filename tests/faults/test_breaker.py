@@ -93,6 +93,22 @@ def test_half_open_failure_reopens_and_restarts_cooldown(clock):
     assert b.state == CLOSED
 
 
+def test_release_frees_the_probe_without_a_verdict(clock):
+    b = make(clock)
+    for _ in range(3):
+        b.record_failure()
+    clock.advance(10.0)
+    assert b.allow()            # the probe
+    assert not b.allow()
+    b.release()                 # it ended in a client error
+    stats = b.stats()
+    assert (stats["state"], stats["failures"], stats["trips"]) == \
+        (HALF_OPEN, 3, 1)
+    assert b.allow()            # the next request probes
+    b.record_success()
+    assert b.state == CLOSED
+
+
 def test_straggler_failure_while_open_is_ignored(clock):
     b = make(clock)
     for _ in range(3):

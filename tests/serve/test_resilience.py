@@ -125,6 +125,28 @@ class TestDegradationLadder:
             assert svc.breaker_stats()["/run"]["state"] == CLOSED
 
 
+    def test_client_error_on_the_half_open_probe_frees_the_slot(self):
+        """A probe answered 4xx gives no verdict, but must not keep the
+        probe slot: the next valid request probes and closes the
+        route."""
+        svc = PlanningService(
+            breaker_threshold=1, breaker_cooldown=0.05,
+            get_retries=0, observability=False,
+        )
+        with svc:
+            svc._stage = _a_bug
+            assert svc.dispatch("GET", "/run?workload=adi&size=12").status \
+                == 500
+            assert svc.breaker_stats()["/run"]["state"] == OPEN
+            del svc._stage
+            time.sleep(0.06)
+            probe = svc.dispatch("GET", "/run?workload=adi&size=12&nprocs=0")
+            assert probe.status == 400
+            valid = svc.dispatch("GET", "/run?workload=adi&size=12")
+            assert valid.status == 200, valid.body
+            assert svc.breaker_stats()["/run"]["state"] == CLOSED
+
+
 class TestPoolEviction:
     def test_poisoned_session_is_evicted_not_restacked(self):
         pool = SessionPool(max_idle=4)
@@ -278,6 +300,10 @@ class TestChaosSentinel:
 
 def _always_broken(endpoint, params):
     raise BackendError("fleet died mid-run", retryable=True)
+
+
+def _a_bug(endpoint, params):
+    raise RuntimeError("a bug in the stage")
 
 
 def _must_not_be_called(endpoint, params):  # pragma: no cover - guard

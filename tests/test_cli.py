@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import COMMANDS, build_parser, main
 
 
 def _run_json(capsys, argv):
@@ -126,7 +126,6 @@ def test_multiprocess_run_verifies_against_serial(capsys):
 
 def test_registered_workloads_drive_the_choices(capsys):
     """The registry, not a hand-maintained list, feeds argparse."""
-    from repro.__main__ import build_parser
     from repro.api import REGISTRY
 
     parser = build_parser()
@@ -138,6 +137,51 @@ def test_registered_workloads_drive_the_choices(capsys):
     for name in REGISTRY.names():
         assert name in run_help
     assert helptext  # sanity
+
+
+# -- the parser built on demand -----------------------------------------------
+# main() builds the flags of the one command it runs; these pin that the
+# result reads exactly as the full parser does (the CI "Cold CLI budget"
+# step runs them on every supported Python)
+
+
+def _subparsers(parser) -> dict:
+    (action,) = parser._subparsers._group_actions
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_command_built_alone_helps_as_in_the_full_parser(command):
+    alone = _subparsers(build_parser([command, "--help"]))
+    full = _subparsers(build_parser())
+    assert alone[command].format_help() == full[command].format_help()
+    # every other command is its name and help line, no flags
+    for name, sub in alone.items():
+        if name != command:
+            assert [a.dest for a in sub._actions] == ["help"], name
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nosuch"], ["plan"]])
+def test_top_level_help_is_the_full_parsers(argv):
+    assert build_parser(argv).format_help() == build_parser().format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan"], ["plan", "nosuch"], ["nosuch"], ["run", "adi", "--size", "x"],
+])
+def test_errors_read_as_with_the_full_parser(argv, capsys, monkeypatch):
+    import repro.__main__ as cli
+
+    def failed():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr()
+
+    narrowed = failed()
+    build_all = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda _argv: build_all())
+    assert failed() == narrowed
+    assert narrowed[0] and "error: " in narrowed[1].err
 
 
 def test_serve_loadtest_json_roundtrip(tmp_path, capsys):
