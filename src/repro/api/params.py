@@ -108,14 +108,13 @@ class Request(NamedTuple):
 
 
 def resolve(
-    spec: WorkloadSpec, stage: str | None, raw: Mapping[str, Any],
-    **defaults: Any,
+    spec: WorkloadSpec, stage: str | None, raw: Mapping[str, Any]
 ) -> Request:
     """Type a raw request (name -> CLI/query string or JSON value)
     against the table: an ill-typed value is a ``ValueError``, a name
     that is neither a session field, an option of ``stage`` nor a
-    parameter of ``spec`` a ``TypeError``.  ``defaults`` override the
-    session fields' own (the service's ``default_nprocs``)."""
+    parameter of ``spec`` a ``TypeError``; an absent session field
+    takes its row's default."""
     raw = dict(raw)
     fields = _FIELDS[stage]
     typed = {
@@ -123,7 +122,7 @@ def resolve(
         for name, row in fields.items() if name in raw
     }
     session = {
-        name: typed.pop(name, defaults.get(name, SESSION_FIELDS[name].default))
+        name: typed.pop(name, SESSION_FIELDS[name].default)
         for name in ("nprocs", "cost_model", "seed")
     }
     return Request(

@@ -105,9 +105,11 @@ def _local_positions(owners: np.ndarray, nslots: int) -> np.ndarray:
     return positions
 
 
-def _selector(positions: list) -> slice | np.ndarray:
+def selector(positions: list) -> slice | np.ndarray:
     """Ascending ``positions`` as a slice if they are an arithmetic
-    progression, as an index array otherwise."""
+    progression (an empty list included), as an index array otherwise."""
+    if not positions:
+        return slice(0, 0, 1)
     first, last = positions[0], positions[-1]
     step = positions[1] - first if len(positions) > 1 else 1
     if positions == list(range(first, last + 1, step)):
@@ -115,7 +117,7 @@ def _selector(positions: list) -> slice | np.ndarray:
     return np.array(positions)
 
 
-def _subscript(selectors: tuple) -> tuple:
+def subscript(selectors: tuple) -> tuple:
     """One subscript from per-dimension selectors: basic slicing when
     all are slices, an open mesh of index arrays otherwise (never a
     slice beside an array: numpy would transpose the result)."""
@@ -220,7 +222,7 @@ class RedistributionPlan:
             old_pos, new_pos = src_pos[order].tolist(), dst_pos[order].tolist()
             for lo, hi in zip(cuts, cuts[1:]):
                 selectors[divmod(slots[lo], pn)] = (
-                    _selector(old_pos[lo:hi]), _selector(new_pos[lo:hi])
+                    selector(old_pos[lo:hi]), selector(new_pos[lo:hi])
                 )
         return selectors
 
@@ -243,7 +245,7 @@ class RedistributionPlan:
                 table[a, b]
                 for table, a, b in zip(tables, old.slots_of(s), new.slots_of(d))
             ))
-            moves.append((s, d, _subscript(old_sel), _subscript(new_sel)))
+            moves.append((s, d, subscript(old_sel), subscript(new_sel)))
         return moves
 
 

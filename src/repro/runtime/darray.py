@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..backend.plan import selector, subscript
 from ..core.descriptor import ArrayDescriptor
 from ..core.distribution import Distribution
 from ..machine.machine import Machine
@@ -54,8 +55,8 @@ class DistributedArray:
         self.descriptor = descriptor
         self.machine = machine
         self.np_dtype = np.dtype(dtype)
-        #: rank -> (index arrays, their ``np.ix_`` open mesh — views of
-        #: them) of the current layout (kept here, not on the
+        #: rank -> (index arrays, the subscript of its segment in the
+        #: global array) of the current layout (kept here, not on the
         #: distribution: see its class docstring)
         self._local_index_cache: dict[int, tuple] = {}
         if descriptor.is_distributed:
@@ -124,11 +125,14 @@ class DistributedArray:
         return np.empty((0,) * self.ndim, dtype=self.np_dtype)
 
     def _indices(self, rank: int) -> tuple:
-        """``rank``'s ``(index arrays, open mesh)`` of the current layout."""
+        """``rank``'s ``(index arrays, global subscript)`` of the current
+        layout: one slice per dimension when every index set is a
+        progression (a rectangle copy), an ``np.ix_`` mesh otherwise."""
         entry = self._local_index_cache.get(rank)
         if entry is None:
             idx = self.dist.local_index_arrays(rank)
-            entry = (idx, None if idx is None else np.ix_(*idx))
+            entry = (idx, None if idx is None else subscript(
+                tuple(selector(i.tolist()) for i in idx)))
             self._local_index_cache[rank] = entry
         return entry
 

@@ -62,7 +62,8 @@ class ServeServer:
         #: budget in seconds of a request's time on the pool (None =
         #: unlimited); an overrun answers 503 + Retry-After with an
         #: incident ID (the executor thread finishes in the background
-        #: — threads cannot be cancelled — but the client is unblocked)
+        #: — threads cannot be cancelled — but the client is unblocked
+        #: and a half-open probe's slot freed)
         self.request_deadline = request_deadline
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
@@ -175,6 +176,8 @@ class ServeServer:
                             timeout=self.request_deadline,
                         )
                     except asyncio.TimeoutError:
+                        if admitted is not None:
+                            self.service.abandon(admitted)
                         deadline = self.request_deadline
                         response = _incident(
                             503, f"request exceeded the {deadline}s deadline",

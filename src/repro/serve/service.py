@@ -320,6 +320,12 @@ class PlanningService:
         return self._recorded(admitted.method, admitted.path, admitted.t0,
                               self._guarded, admitted)
 
+    def abandon(self, admitted: Admitted) -> None:
+        """Nobody waits for ``admitted`` any more (its deadline passed):
+        free its route's probe slot so the next request probes; the
+        late verdict still lands when the stage ends."""
+        self._breaker(admitted.path).release()
+
     def _recorded(
         self, method: str, route: str, t0: float, answer, *args
     ) -> ServeResponse:

@@ -6,6 +6,7 @@ the HTTP front end, and the chaos load test end to end.
 """
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -193,6 +194,41 @@ class TestHttpFrontEnd:
             assert info.value.headers["Retry-After"]
             assert info.value.headers["X-Repro-Incident-Id"]
             assert "deadline" in json.loads(info.value.read())["error"]
+
+    def test_probe_past_its_deadline_frees_the_slot(self):
+        """A half-open probe answered 503 by the request deadline must
+        not keep the probe slot while its stage runs on: the next valid
+        request probes and closes the route."""
+        svc = PlanningService(
+            breaker_threshold=1, breaker_cooldown=0.05,
+            get_retries=0, observability=False,
+        )
+        gate, calls = threading.Event(), []
+
+        def gated(endpoint, params):
+            calls.append(endpoint)
+            if len(calls) == 1:  # the probe outlives its deadline
+                gate.wait(10.0)
+            return ServeResponse(200, "{}")
+
+        with svc, ServerThread(svc, request_deadline=0.2) as url:
+            try:
+                svc._stage = _a_bug
+                assert svc.dispatch("GET", "/run?workload=adi&size=12").status \
+                    == 500
+                assert svc.breaker_stats()["/run"]["state"] == OPEN
+                time.sleep(0.06)
+                svc._stage = gated
+                with pytest.raises(urllib.error.HTTPError) as info:
+                    _get(f"{url}/run?workload=adi&size=12")
+                assert info.value.code == 503
+                assert "deadline" in json.loads(info.value.read())["error"]
+                status, _, _ = _get(f"{url}/run?workload=adi&size=12")
+                assert status == 200
+                assert svc.breaker_stats()["/run"]["state"] == CLOSED
+                assert len(calls) == 2
+            finally:
+                gate.set()
 
     def test_injected_request_faults_delay_error_drop(self):
         plan = FaultPlan([
