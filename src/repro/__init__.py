@@ -102,33 +102,29 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "run_adapt_bench",
     ),
     "api": (
-        "AdaptResult", "BenchResult", "PlanResult", "RunResult", "Session",
-        "SessionClosedError", "SessionConfig", "SessionResult", "TraceResult",
-        "WorkloadHandle", "WorkloadRegistry", "WorkloadSpec",
-        "available_workloads", "config_fingerprint", "register_workload",
-        "session",
+        "BenchResult", "PlanResult", "RunResult", "Session",
+        "SessionClosedError", "SessionConfig", "TraceResult", "WorkloadHandle",
+        "WorkloadRegistry", "WorkloadSpec", "available_workloads",
+        "register_workload", "session",
     ),
     "backend": (
-        "Backend", "BackendError", "BlockMeta", "FleetSupervisor",
-        "MultiprocessBackend", "SerialBackend", "SharedSegmentAllocator",
-        "Transport", "TransportBroken", "TransportTimeout", "attached_backend",
-        "calibrate", "fit_alpha_beta", "measured_machine",
-        "shift_plan", "transfer_plan",
+        "Backend", "BackendError", "FleetSupervisor", "MultiprocessBackend",
+        "SerialBackend", "Transport", "TransportBroken", "TransportTimeout",
+        "attached_backend", "calibrate", "fit_alpha_beta", "shift_plan",
+        "transfer_plan",
     ),
     "compiler": (
-        "ALWAYS", "MAYBE", "NEVER", "TOP", "AccessKind", "AnalysisResult",
-        "ArrayRef", "Assign", "Call", "CFG", "CFGEdge", "CFGNode",
-        "CommEstimate", "DCaseStmt", "DistributeStmt", "If", "IRProgram",
-        "LineSweepKernel", "Loop", "MemoryEstimate", "OptimizeStats",
-        "PlausibleSet", "ProcDef", "ReachingDistributions", "StencilKernel",
-        "Stmt", "analyze", "build_cfg", "decide_pattern", "decide_querylist",
-        "dim_implies", "dim_overlaps", "estimate_memory", "estimate_ref",
-        "infer_overlap", "lower_line_sweep", "lower_stencil", "optimize",
+        "ALWAYS", "MAYBE", "NEVER", "TOP", "AccessKind", "ArrayRef", "Assign",
+        "Call", "CFG", "CommEstimate", "DCaseStmt", "DistributeStmt", "If",
+        "IRProgram", "LineSweepKernel", "Loop", "PlausibleSet", "ProcDef",
+        "ReachingDistributions", "StencilKernel", "analyze", "build_cfg",
+        "decide_pattern", "decide_querylist", "dim_implies", "dim_overlaps",
+        "estimate_memory", "estimate_ref", "infer_overlap", "optimize",
         "pattern_implies", "pattern_overlaps", "refine_pattern",
     ),
     "core": (
         "ANY", "DEFAULT", "Aligned", "Alignment", "ArrayDescriptor", "AxisMap",
-        "Block", "ConnectClass", "Connection", "Cyclic", "DCase", "DimDist",
+        "Block", "ConnectClass", "Connection", "Cyclic", "DCase",
         "Distribution", "DistributionGenerator", "DistributionType",
         "DistributionUndefinedError", "DynamicAttr", "Extraction", "GenBlock",
         "IndexDomain", "Indirect", "NoDist", "QueryList", "Range",
@@ -139,39 +135,32 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ),
     "defaults": ("DEFAULT_SEED",),
     "lang": (
-        "Declaration", "FormalArg", "Procedure", "Scope", "VFProgram",
-        "VFSyntaxError", "parse_alignment", "parse_declaration",
-        "parse_dist_expr", "parse_pattern", "parse_processors",
-        "parse_program", "parse_section",
+        "FormalArg", "Procedure", "VFProgram", "VFSyntaxError",
+        "parse_alignment", "parse_declaration", "parse_dist_expr",
+        "parse_pattern", "parse_processors", "parse_program", "parse_section",
     ),
     "machine": (
-        "AllocationRecord", "Calibration", "CostModel", "IPSC860",
-        "LocalMemory", "Machine", "MeasuredMachine", "MemoryError_",
-        "MessageRecord", "MODERN_CLUSTER", "Network", "NetworkStats",
+        "Calibration", "CostModel", "IPSC860", "LocalMemory", "Machine",
+        "MeasuredMachine", "MemoryError_", "MODERN_CLUSTER", "Network",
         "PARAGON", "PRESETS", "ProcessorArray", "ProcessorSection",
-        "ZERO_COST", "grid_shapes", "link_matrix", "per_processor_table",
-        "summary", "timeline_summary", "timeline_table",
+        "ZERO_COST", "grid_shapes", "timeline_summary", "timeline_table",
     ),
     "planner": (
-        "ArrayLoad", "CostEngine", "HandDistribute", "Phase", "PhaseSequence",
-        "Plan", "PlanExecutor", "ScheduleStep", "SimulatedCostEngine",
-        "Workload", "adi_workload", "bind_pattern", "dim_menu", "dp_schedule",
-        "enumerate_layouts", "extract_phases", "greedy_schedule",
-        "hand_schedule_cost", "pic_workload", "plan_array", "plan_program",
-        "plan_workload", "smoothing_workload",
+        "ArrayLoad", "CostEngine", "Phase", "PlanExecutor",
+        "SimulatedCostEngine", "Workload", "adi_workload", "bind_pattern",
+        "dim_menu", "dp_schedule", "enumerate_layouts", "extract_phases",
+        "greedy_schedule", "hand_schedule_cost", "pic_workload", "plan_array",
+        "plan_program", "plan_workload", "smoothing_workload",
     ),
     "runtime": (
-        "BatchedReadAccessor", "CommSchedule", "DimTranslationTable",
-        "DistributedArray", "Engine", "Inspector", "OverlapManager",
-        "PlanCache", "ReadAccessor", "RedistributionReport",
-        "TranslationTable", "broadcast_from", "communicate", "forall",
-        "forall_batched", "gather_to", "reduce_scalar", "shift_exchange",
+        "DimTranslationTable", "DistributedArray", "Engine", "Inspector",
+        "OverlapManager", "PlanCache", "ReadAccessor", "RedistributionReport",
+        "TranslationTable", "communicate", "forall", "forall_batched",
         "transfer_matrix",
     ),
     "sim": (
-        "BlockingReplay", "BUSY_KINDS", "CriticalPath", "Event", "EventArrays",
-        "EventKind", "EventLog", "Interval", "ProcClock", "Timeline",
-        "classify_tag", "critical_path", "dump_json", "gantt",
+        "Event", "EventArrays", "EventKind", "EventLog", "ProcClock",
+        "Timeline", "classify_tag", "critical_path", "dump_json", "gantt",
         "overlappable_phases", "record", "relaxed_barriers", "replay_blocking",
         "replay_split_exchange", "simulate", "to_chrome_trace", "to_json",
     ),

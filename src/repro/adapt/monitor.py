@@ -5,9 +5,7 @@ rebalance())``) leaves ``rebalance()`` to the programmer; PR 1's
 planner answers it offline from a static cost model.  The
 :class:`LoadMonitor` is the online half: it ingests one *window* of
 per-processor busy seconds at a time — measured from the live
-machine's per-rank compute occupancy, or taken from a simulated
-:class:`~repro.sim.clock.Timeline` via
-:func:`~repro.sim.trace.windowed_imbalance` — and turns the raw
+machine's per-rank compute occupancy — and turns the raw
 ``max/mean`` imbalance into a drift verdict that is safe to act on:
 
 - an **EWMA** smooths the per-window imbalance so one noisy window
@@ -36,10 +34,7 @@ for simulated runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from ..sim.clock import Timeline
+from typing import Iterable, Sequence
 
 __all__ = ["WindowSample", "LoadMonitor"]
 
@@ -150,19 +145,6 @@ class LoadMonitor:
         )
         self.samples.append(sample)
         return sample
-
-    def observe_timeline(
-        self, timeline: "Timeline", windows: int = 8
-    ) -> list[WindowSample]:
-        """Feed a simulated timeline through the detector, one equal
-        time bin at a time (the :func:`~repro.sim.trace.windowed_imbalance`
-        series is the oracle for the per-window busy vectors)."""
-        from ..sim.trace import windowed_imbalance
-
-        return [
-            self.observe(w["busy"])
-            for w in windowed_imbalance(timeline, windows=windows)
-        ]
 
     # -- controller hooks --------------------------------------------------
     def notify_replanned(self) -> None:

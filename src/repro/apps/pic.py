@@ -115,10 +115,6 @@ class PICResult:
         return float(max(s.imbalance for s in self.steps))
 
     @property
-    def motion_bytes_total(self) -> int:
-        return sum(s.motion_bytes for s in self.steps)
-
-    @property
     def redistribution_bytes_total(self) -> int:
         return sum(s.redistribution_bytes for s in self.steps)
 

@@ -22,10 +22,12 @@ data motion)    (``communicate``)         new segment in place    segments, its 
 run_kernel      per-rank compute charges  rank-ordered loop over  one worker per owning
 (owner-         (``foreach_owned``, the   the owners' segments    rank, on its shared
 computes)       irregular sweep)                                  segment
-stencil_step    one exchange phase per    slabs copied into the   slabs sent/received
-(halo exchange  haloed dim + per-rank     neighbours' padded      between workers, then
-+ update)       compute charges           buffers, then the       the update on local
-                (``StencilKernel.step``)  update rank by rank     data
+stencil_step    one exchange phase per    slabs placed by the     slabs sent/received
+(halo exchange  haloed dim + per-rank     overlap's one loop      between workers, then
++ update)       compute charges           (``place_halos``, as    the update on local
+                (``StencilKernel.step``)  ``exchange()`` does),   data
+                                          then the update rank
+                                          by rank
 sweep_lines     per-owner compute         global reassembly: the  one kernel op: each
 (every line     charges (``LineSweep-     lines of all owners     worker solves the
 along a dim,    Kernel._sweep_local``)    stacked into ONE solve  lines of its own
@@ -70,7 +72,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .ops import solve_lines, stencil_apply
-from .plan import halo_dest_slice
 
 if TYPE_CHECKING:
     from ..machine.machine import Machine
@@ -239,14 +240,12 @@ class SerialBackend(Backend):
             fn(rank, array.local(rank), array.local_indices(rank))
 
     def stencil_step(self, array, overlap, func, dim_entries) -> None:
-        widths = overlap.widths
         overlap.load_interior()
         for dim, entries in dim_entries:
-            for src, dst, key, src_sl, _count in entries:
-                dest = halo_dest_slice(array.local(dst).shape, widths, dim, key)
-                overlap.padded(dst)[dest] = array.local(src)[src_sl]
+            overlap.place_halos(dim, entries)
         for rank in array.owning_ranks():
-            stencil_apply(array.local(rank), overlap.padded(rank), widths, func)
+            stencil_apply(
+                array.local(rank), overlap.padded(rank), overlap.widths, func)
 
     def sweep_lines(self, array, dim, line_func, batched=None) -> None:
         gvals = array.to_global()

@@ -15,7 +15,7 @@ expects them.  This module holds those pure planning functions:
   ascending global flat indices, read off the flattened rank maps
   (tests, ``repro.perf``'s reference column and experiment E4 only);
 - :func:`shift_plan` / :func:`halo_dest_slice` — the halo-exchange
-  plan of :func:`~repro.runtime.communication.shift_exchange`, as
+  plan :func:`~repro.runtime.communication.post_shift` accounts, as
   data so both the in-process path and the worker op can execute it;
 - :class:`PlanCache` — the store that keeps all of the above
   ("inspector once, executor many", §3.2.1); every machine has one.
@@ -259,8 +259,7 @@ def shift_plan(
     Returns ``[(src, dst, key, src_slices, count), ...]``: ``src``
     sends the ``src_slices`` slab of its local segment to ``dst``,
     which stores it as its ``key`` (``"lo"``/``"hi"``) halo; ``count``
-    is the slab's element count.  Mirrors the neighbour discovery of
-    :func:`~repro.runtime.communication.shift_exchange` exactly.
+    is the slab's element count.
     """
     if width < 1:
         raise ValueError("exchange width must be >= 1")
@@ -344,9 +343,6 @@ class SweepPlan:
         self.gather = gather
         self.scatter = scatter
 
-    @property
-    def nlines(self) -> int:
-        return len(self.group_of_line)
 
 
 def sweep_plan(dist: "Distribution", dim: int) -> SweepPlan:

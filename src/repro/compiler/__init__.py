@@ -11,10 +11,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "cfg": ("CFG", "CFGEdge", "CFGNode", "build_cfg"),
-    "codegen": (
-        "LineSweepKernel", "StencilKernel", "lower_line_sweep",
-        "lower_stencil",
-    ),
+    "codegen": ("LineSweepKernel", "StencilKernel"),
     "comm_analysis": (
         "CommEstimate", "MemoryEstimate", "estimate_memory", "estimate_ref",
         "infer_overlap",

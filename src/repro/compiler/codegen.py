@@ -8,13 +8,13 @@ references required for this computation by inserting communication
 statements."
 
 This module is the code-generation half of that story, specialized to
-the access patterns the paper's applications exhibit.  Each ``lower_*``
-function returns a callable kernel that runs against the simulated
+the access patterns the paper's applications exhibit.  Each kernel
+class wraps one distributed array and runs against the simulated
 machine — the generated "object program":
 
-- :func:`lower_stencil` — shift references: allocate overlap areas,
+- :class:`StencilKernel` — shift references: allocate overlap areas,
   insert one halo exchange per step, run the stencil on local data;
-- :func:`lower_line_sweep` — ROW_SWEEP references (the ADI pattern):
+- :class:`LineSweepKernel` — ROW_SWEEP references (the ADI pattern):
   if the swept dimension is local, run each line in place with zero
   communication; otherwise *insert* the gather/compute/scatter
   messages a distributed line incurs (the paper's bad case, where
@@ -38,14 +38,11 @@ from ..backend.base import SERIAL
 from ..backend.plan import PlanCache
 from ..runtime.communication import post_shift
 from ..runtime.darray import DistributedArray
-from ..runtime.engine import Engine
 from ..runtime.overlap import OverlapManager
 
 __all__ = [
     "StencilKernel",
     "LineSweepKernel",
-    "lower_stencil",
-    "lower_line_sweep",
     "batched_line_solver",
 ]
 
@@ -318,28 +315,3 @@ class LineSweepKernel:
             nlines *= arr.shape[d]
         return {"lines": nlines, "remote_lines": remote_lines}
 
-
-def lower_stencil(
-    engine: Engine,
-    array_name: str,
-    widths: tuple[int, ...],
-    func: Callable[[np.ndarray, np.ndarray, tuple[int, ...]], None],
-    flops_per_element: float = 4.0,
-) -> StencilKernel:
-    """Lower a shift-pattern sweep over ``array_name`` to SPMD form."""
-    return StencilKernel(
-        engine.arrays[array_name], widths, func, flops_per_element
-    )
-
-
-def lower_line_sweep(
-    engine: Engine,
-    array_name: str,
-    dim: int,
-    line_func: Callable[[np.ndarray], np.ndarray],
-    flops_per_element: float = 8.0,
-) -> LineSweepKernel:
-    """Lower independent line solves along ``dim`` to SPMD form."""
-    return LineSweepKernel(
-        engine.arrays[array_name], dim, line_func, flops_per_element
-    )

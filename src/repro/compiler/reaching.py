@@ -64,10 +64,6 @@ class AnalysisResult:
         """Plausible set of ``array`` just before statement ``sid``."""
         return self.before.get(sid, {}).get(array, TOP)
 
-    def plausible_count(self, sid: int, array: str) -> int | None:
-        """Number of plausible distribution types (None = unbounded)."""
-        ps = self.plausible(sid, array)
-        return None if ps.is_top else len(ps.patterns or ())
 
 
 class ReachingDistributions:
@@ -191,9 +187,6 @@ class ReachingDistributions:
             return state  # assignments do not change distributions
         raise TypeError(f"unexpected statement in basic block: {stmt!r}")
 
-    # -- convenience -------------------------------------------------------------
-    def plausible_at(self, stmt, array: str) -> PlausibleSet:
-        return self.result.plausible(stmt.sid, array)
 
 
 def analyze(program: IRProgram) -> AnalysisResult:

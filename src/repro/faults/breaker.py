@@ -8,10 +8,13 @@ sleep:
 - **open** — requests are shed immediately (the caller answers 503
   with ``Retry-After``); after ``cooldown_seconds`` the next
   :meth:`allow` call becomes the single half-open probe.
-- **half-open** — exactly one probe is in flight; its success closes
-  the breaker, its failure re-opens it (restarting the cooldown); a
-  probe that ends without a verdict (a client error) frees its slot
-  through :meth:`release`, so the next request probes.
+- **half-open** — exactly one probe is in flight, held by the request
+  :meth:`allow` admitted as the probe; its success closes the breaker,
+  its failure re-opens it (restarting the cooldown); a probe that ends
+  without a verdict (a client error, a passed deadline) frees its slot
+  through :meth:`release`, so the next request probes.  Only the
+  holder frees the slot: a request admitted before the breaker last
+  opened that ends without a verdict frees nothing.
 
 Thread-safe: the serving tier calls :meth:`allow` /
 :meth:`record_success` / :meth:`record_failure` / :meth:`release`
@@ -54,8 +57,8 @@ class CircuitBreaker:
         self._state = CLOSED
         self._failures = 0
         self._opened_at: float | None = None
-        self._probing = False
-        self.trips = 0  # lifetime closed->open transitions
+        self._probe = None  # the request holding the half-open slot
+        self.trips = 0  # lifetime transitions into open
 
     # -- internal ----------------------------------------------------------
     def _transition(self, new_state: str) -> tuple[str, str] | None:
@@ -65,16 +68,13 @@ class CircuitBreaker:
         if old == new_state:
             return None
         self._state = new_state
+        self._probe = None
         if new_state == OPEN:
             self._opened_at = self._clock()
-            self._probing = False
             self.trips += 1
         elif new_state == CLOSED:
             self._failures = 0
             self._opened_at = None
-            self._probing = False
-        elif new_state == HALF_OPEN:
-            self._probing = False
         return (old, new_state)
 
     def _notify(self, change: tuple[str, str] | None) -> None:
@@ -82,32 +82,26 @@ class CircuitBreaker:
             self._on_transition(*change)
 
     # -- the protocol ------------------------------------------------------
-    def allow(self) -> bool:
-        """May a request proceed right now?
+    def allow(self, request) -> bool:
+        """May ``request`` proceed right now?
 
         In the open state this flips to half-open once the cooldown has
-        elapsed and admits exactly one probe; everyone else is shed
-        until the probe reports back.
+        elapsed and admits exactly one probe, which ``request`` then
+        holds; everyone else is shed until the probe reports back.
         """
         change = None
         with self._lock:
             if self._state == CLOSED:
                 return True
             if self._state == OPEN:
-                if self._clock() - self._opened_at >= self.cooldown_seconds:
-                    change = self._transition(HALF_OPEN)
-                    self._probing = True
-                    admitted = True
-                else:
-                    admitted = False
-            else:  # HALF_OPEN: one probe at a time
-                if self._probing:
-                    admitted = False
-                else:
-                    self._probing = True
-                    admitted = True
+                if self._clock() - self._opened_at < self.cooldown_seconds:
+                    return False
+                change = self._transition(HALF_OPEN)
+            elif self._probe is not None:  # HALF_OPEN: one probe at a time
+                return False
+            self._probe = request
         self._notify(change)
-        return admitted
+        return True
 
     def record_success(self) -> None:
         change = None
@@ -131,12 +125,13 @@ class CircuitBreaker:
                 pass
         self._notify(change)
 
-    def release(self) -> None:
-        """End an admitted request without a verdict on the backend:
-        a half-open probe's slot is freed for the next request; no
-        state or count changes."""
+    def release(self, request) -> None:
+        """End an admitted ``request`` without a verdict on the backend:
+        if it holds the half-open probe slot, the slot is freed for the
+        next request; no state or count changes."""
         with self._lock:
-            self._probing = False
+            if self._probe is request:
+                self._probe = None
 
     # -- introspection -----------------------------------------------------
     @property

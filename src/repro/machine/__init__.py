@@ -19,9 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "measured": ("Calibration", "MeasuredMachine"),
     "memory": ("AllocationRecord", "LocalMemory", "MemoryError_"),
     "network": ("MessageRecord", "Network", "NetworkStats"),
-    "report": (
-        "link_matrix", "per_processor_table", "summary", "timeline_summary",
-        "timeline_table",
-    ),
+    "report": ("timeline_summary", "timeline_table"),
     "topology": ("ProcessorArray", "ProcessorSection", "grid_shapes"),
 })

@@ -1,10 +1,11 @@
 """Human-readable machine reports.
 
 The benches and examples read raw counters off the machine; this
-module renders them: per-processor load/traffic tables, link matrices,
-and a one-paragraph summary — the kind of output the VFCS performance
-tools would surface to a Vienna Fortran programmer deciding whether a
-redistribution pays for itself.
+module renders a simulated timeline for the ``trace`` command: a
+per-processor busy/idle table and a one-paragraph makespan summary —
+the kind of output the VFCS performance tools would surface to a
+Vienna Fortran programmer deciding whether a redistribution pays for
+itself.
 """
 
 from __future__ import annotations
@@ -17,69 +18,7 @@ from .machine import Machine
 if TYPE_CHECKING:
     from ..sim.clock import Timeline
 
-__all__ = [
-    "per_processor_table",
-    "link_matrix",
-    "summary",
-    "timeline_table",
-    "timeline_summary",
-]
-
-
-def per_processor_table(machine: Machine) -> str:
-    """Rank / messages / bytes / clock / memory table."""
-    stats = machine.stats()
-    out = io.StringIO()
-    header = f"{'rank':>4s} {'msgs':>8s} {'bytes':>12s} {'clock (ms)':>11s} {'mem (B)':>10s}"
-    print(header, file=out)
-    print("-" * len(header), file=out)
-    for rank in range(machine.nprocs):
-        print(
-            f"{rank:4d} "
-            f"{stats.per_proc_messages.get(rank, 0):8d} "
-            f"{stats.per_proc_bytes.get(rank, 0):12d} "
-            f"{machine.network.clocks[rank] * 1e3:11.3f} "
-            f"{machine.memory(rank).used:10d}",
-            file=out,
-        )
-    return out.getvalue().rstrip()
-
-
-def link_matrix(machine: Machine) -> str:
-    """Directed src -> dst byte matrix (empty links blank)."""
-    links = machine.network.link_bytes()
-    n = machine.nprocs
-    width = max(
-        [5] + [len(str(v)) for v in links.values()]
-    )
-    out = io.StringIO()
-    print(
-        "src\\dst " + " ".join(f"{d:>{width}d}" for d in range(n)), file=out
-    )
-    for s in range(n):
-        row = " ".join(
-            f"{links.get((s, d), ''):>{width}}" for d in range(n)
-        )
-        print(f"{s:7d} {row}", file=out)
-    return out.getvalue().rstrip()
-
-
-def summary(machine: Machine) -> str:
-    """One-paragraph communication/compute summary."""
-    stats = machine.stats()
-    clocks = machine.network.clocks
-    imb = (
-        max(clocks) / (sum(clocks) / len(clocks))
-        if any(c > 0 for c in clocks)
-        else 1.0
-    )
-    return (
-        f"{machine.nprocs} processors ({machine.cost_model.name}): "
-        f"{stats.messages} messages, {stats.bytes} bytes, makespan "
-        f"{machine.time * 1e3:.3f} ms, clock imbalance {imb:.2f}x, "
-        f"memory {machine.total_memory_used()} B total "
-        f"(max {machine.max_memory_used()} B/processor)"
-    )
+__all__ = ["timeline_table", "timeline_summary"]
 
 
 # -- timeline-aware reports (discrete-event simulator) -----------------------

@@ -196,20 +196,6 @@ class DistributedArray:
             self.machine.network.send(src, reader, self.itemsize, tag=f"elem:{self.name}")
         return value
 
-    def write_owner(self, writer: int, index: Sequence[int] | int, value) -> None:
-        """Processor ``writer`` writes a global element under owner-computes.
-
-        If ``writer`` owns the element the write is local; otherwise the
-        value is shipped to each owner (one element message per owner).
-        """
-        index = self.descriptor.index_dom.check(index)
-        for rank in self.dist.owners(index):
-            if rank != writer:
-                self.machine.network.send(
-                    writer, rank, self.itemsize, tag=f"elem:{self.name}"
-                )
-            self.local(rank)[self.dist.global_to_local(rank, index)] = value
-
     # -- numpy conveniences ---------------------------------------------------------
     def fill(self, value: float) -> None:
         for rank in self.dist.owning_ranks:

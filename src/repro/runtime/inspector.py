@@ -8,7 +8,7 @@ particle motion"), the run time splits a communication-heavy loop into
   indices each processor references, discover which are off-processor,
   and build a :class:`CommSchedule` of exactly the needed exchanges;
 - an **executor**, run every iteration: carry out the schedule's
-  gathers/scatters and then execute the loop on local + buffered data.
+  gathers and then execute the loop on local + buffered data.
 
 Schedules are *reused* across iterations as long as neither the access
 pattern nor the distribution changes; redistribution bumps the array's
@@ -142,39 +142,6 @@ class Inspector:
                 vals[pos] = self.array.local(q)[sel]
             out[p] = vals
         return out
-
-    def scatter_add(
-        self, schedule: CommSchedule, values: dict[int, np.ndarray]
-    ) -> None:
-        """Execute scatter-with-accumulate (the PIC particle reassignment).
-
-        Each requesting rank ``p`` contributes ``values[p][i]`` to
-        global element ``schedule.requests[p][i]``; contributions to
-        off-processor elements cost one aggregated message per
-        (requester, owner) pair.  Accumulation order is deterministic
-        (ascending requester rank).
-        """
-        self._check_fresh(schedule)
-        machine = self.array.machine
-        itemsize = self.array.itemsize
-        # data flows requester -> owner here (reverse of gather)
-        machine.network.exchange(
-            [
-                (p, q, count * itemsize, f"scatter:{self.array.name}")
-                for (q, p), count in schedule.message_pairs().items()
-            ]
-        )
-        machine.network.synchronize()
-
-        for p in sorted(schedule.requests):
-            idx = schedule.requests[p]
-            vals = np.asarray(values[p], dtype=self.array.np_dtype)
-            if len(vals) != len(idx):
-                raise ValueError(
-                    f"rank {p}: {len(vals)} values for {len(idx)} requests"
-                )
-            for q, pos, sel in schedule._by_owner[p]:
-                np.add.at(self.array.local(q), sel, vals[pos])
 
     def _check_fresh(self, schedule: CommSchedule) -> None:
         if schedule.array_version != self.array.version:

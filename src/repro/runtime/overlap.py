@@ -9,7 +9,10 @@ purely local data after one boundary exchange per step.
 :class:`OverlapManager` allocates the padded buffers in each
 processor's local memory (kind ``"overlap"`` — the storage shows up in
 the memory accounting), fills the interior from the distributed array,
-and refreshes halos with :func:`~repro.runtime.communication.shift_exchange`.
+and refreshes halos: :func:`~repro.runtime.communication.post_shift`
+accounts each boundary shift, and :meth:`OverlapManager.place_halos`
+copies its slabs — the one placement loop, which the serial backend's
+stencil step calls too.
 Only contiguous (BLOCK-family) distributions carry overlap areas,
 matching the paper's ``segment`` descriptor applicability.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend.plan import halo_dest_slice
-from .communication import shift_exchange
+from .communication import post_shift
 from .darray import DistributedArray
 
 __all__ = ["OverlapManager"]
@@ -127,12 +130,16 @@ class OverlapManager:
         net = self.array.machine.network
         before = net.stats().messages
         for dim, w in enumerate(self.widths):
-            if w == 0:
-                continue
-            recv = shift_exchange(self.array, dim, width=w)
-            for rank, slabs in recv.items():
-                pad = self.padded(rank)
-                shape = self.array.local(rank).shape
-                for key, slab in slabs.items():
-                    pad[halo_dest_slice(shape, self.widths, dim, key)] = slab
+            if w:
+                self.place_halos(dim, post_shift(self.array, dim, width=w))
         return net.stats().messages - before
+
+    def place_halos(self, dim: int, entries: list) -> None:
+        """Copy the boundary slab of every :func:`post_shift` entry
+        ``(src, dst, key, src_slices, count)`` of a shift along ``dim``
+        from the source's segment into the halo of the destination's
+        padded buffer."""
+        array, widths = self.array, self.widths
+        for src, dst, key, src_sl, _count in entries:
+            dest = halo_dest_slice(array.local(dst).shape, widths, dim, key)
+            self.padded(dst)[dest] = array.local(src)[src_sl]

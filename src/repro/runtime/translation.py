@@ -46,19 +46,6 @@ class DimTranslationTable:
             raise IndexError("translation lookup out of range")
         return self.owner[indices], self.offset[indices]
 
-    def lookup_cost(self, nqueries: int, page_size: int = 1024) -> int:
-        """Messages a *distributed* table variant would need.
-
-        With the table paged across processors (page ``i`` on processor
-        ``i % slots``), each off-processor page touched costs one
-        request/response exchange; we return the page count as a
-        conservative message estimate (PARTI's dereference step).
-        """
-        if nqueries <= 0:
-            return 0
-        pages = -(-self.extent // page_size)
-        return min(int(nqueries), pages)
-
     @property
     def nbytes(self) -> int:
         return self.owner.nbytes + self.offset.nbytes

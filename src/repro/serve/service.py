@@ -322,9 +322,9 @@ class PlanningService:
 
     def abandon(self, admitted: Admitted) -> None:
         """Nobody waits for ``admitted`` any more (its deadline passed):
-        free its route's probe slot so the next request probes; the
-        late verdict still lands when the stage ends."""
-        self._breaker(admitted.path).release()
+        if it holds its route's probe slot, free it so the next request
+        probes; the late verdict still lands when the stage ends."""
+        self._breaker(admitted.path).release(admitted)
 
     def _recorded(
         self, method: str, route: str, t0: float, answer, *args
@@ -498,7 +498,7 @@ class PlanningService:
         """
         path = admitted.path
         breaker = self._breaker(path)
-        if not breaker.allow():
+        if not breaker.allow(admitted):
             reason = (f"circuit open for {path} (recent failures reached "
                       f"{breaker.failure_threshold})")
             return _incident(
@@ -514,7 +514,7 @@ class PlanningService:
             except (KeyError, TypeError, ValueError):
                 # client errors (4xx upstream) say nothing of the
                 # backend: no verdict, but a probe frees its slot
-                breaker.release()
+                breaker.release(admitted)
                 raise
             except RECOVERABLE as exc:
                 if idempotent and attempt < self.get_retries:

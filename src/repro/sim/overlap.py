@@ -2,7 +2,7 @@
 
 The run time's communication routines are *blocking*: every exchange
 phase is followed by a ``synchronize()`` before any dependent kernel
-runs (see e.g. :func:`repro.runtime.communication.shift_exchange`).
+runs (see e.g. :func:`repro.runtime.communication.post_shift`).
 Split-phase communication — post the sends/recvs, compute, wait — is
 the classic compiler transformation for hiding communication latency
 behind independent computation; the Vienna Fortran performance

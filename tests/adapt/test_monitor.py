@@ -1,12 +1,9 @@
-"""LoadMonitor: EWMA smoothing, hysteresis, cooldown, the timeline oracle."""
+"""LoadMonitor: EWMA smoothing, hysteresis, cooldown."""
 
 import pytest
 
 from repro.adapt import LoadMonitor
 from repro.adapt.monitor import imbalance_of
-from repro.machine import Machine, PARAGON, ProcessorArray
-from repro.sim import EventLog, record, simulate
-from repro.sim.trace import windowed_imbalance
 
 
 def test_imbalance_of_basics():
@@ -85,30 +82,6 @@ def test_streak_counts_trailing_windows_only():
     assert mon.imbalance_series() == pytest.approx(
         [4.0 / 3.0, 1.0, 4.0 / 3.0, 2.2 / 1.6]
     )
-
-
-def test_observe_timeline_matches_windowed_imbalance_oracle():
-    # a deliberately skewed simulated run: rank 0 computes 3x the rest
-    m = Machine(ProcessorArray("P", (3,)), cost_model=PARAGON)
-    log = EventLog()
-    with record(m, log):
-        for _ in range(6):
-            m.network.compute(0, 3_000_000, tag="hot")
-            for r in (1, 2):
-                m.network.compute(r, 1_000_000, tag="cold")
-            m.network.synchronize()
-    timeline = simulate(log, nprocs=3, cost_model=PARAGON)
-
-    mon = LoadMonitor(3, alpha=1.0, drift_threshold=1.1)
-    samples = mon.observe_timeline(timeline, windows=4)
-    oracle = windowed_imbalance(timeline, windows=4)
-    assert len(samples) == len(oracle) == 4
-    for sample, win in zip(samples, oracle):
-        assert sample.busy == pytest.approx(tuple(win["busy"]))
-        assert sample.imbalance == pytest.approx(win["imbalance"])
-    # the skew is persistent, so the detector must have latched on
-    assert samples[-1].drifting
-    assert mon.latest is samples[-1]
 
 
 def test_sample_json_round_trips_cleanly():

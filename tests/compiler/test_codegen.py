@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compiler.codegen import lower_line_sweep, lower_stencil
+from repro.compiler.codegen import LineSweepKernel, StencilKernel
 from repro.core.distribution import dist_type
 from repro.machine import IPSC860, Machine, ProcessorArray
 from repro.runtime.engine import Engine
@@ -32,7 +32,7 @@ class TestStencilKernel:
         u = engine.declare("U", (16, 16), dist=dist_type("BLOCK", ":"))
         g = np.random.default_rng(0).standard_normal((16, 16))
         u.from_global(g)
-        k = lower_stencil(engine, "U", (1, 1), smooth)
+        k = StencilKernel(engine.arrays["U"], (1, 1), smooth)
         k.step()
         assert np.allclose(u.to_global(), seq_smooth(g))
 
@@ -42,7 +42,7 @@ class TestStencilKernel:
         u = engine.declare("U", (8, 8), dist=dist_type("BLOCK", "BLOCK"))
         g = np.random.default_rng(1).standard_normal((8, 8))
         u.from_global(g)
-        k = lower_stencil(engine, "U", (1, 1), smooth)
+        k = StencilKernel(engine.arrays["U"], (1, 1), smooth)
         expect = g
         for _ in range(3):
             k.step()
@@ -53,7 +53,7 @@ class TestStencilKernel:
         machine = Machine(ProcessorArray("R", (4,)), cost_model=IPSC860)
         engine = Engine(machine)
         u = engine.declare("U", (16, 16), dist=dist_type("BLOCK", ":"))
-        k = lower_stencil(engine, "U", (1, 1), smooth)
+        k = StencilKernel(engine.arrays["U"], (1, 1), smooth)
         before = machine.stats().messages
         k.step()
         assert machine.stats().messages - before == 6
@@ -73,7 +73,7 @@ class TestStencilKernel:
         )
         g = np.random.default_rng(5).standard_normal((12, 12))
         u.from_global(g)
-        lower_stencil(engine, "U", (1, 1), smooth).step()
+        StencilKernel(engine.arrays["U"], (1, 1), smooth).step()
         assert np.allclose(u.to_global(), seq_smooth(g))
 
     def test_survives_redistribution(self):
@@ -85,7 +85,7 @@ class TestStencilKernel:
         )
         g = np.random.default_rng(2).standard_normal((16, 16))
         u.from_global(g)
-        k = lower_stencil(engine, "U", (1, 1), smooth)
+        k = StencilKernel(engine.arrays["U"], (1, 1), smooth)
         k.step()
         engine.distribute("U", dist_type(":", "BLOCK"))
         k.step()
@@ -102,7 +102,7 @@ class TestLineSweepKernel:
         v = engine.declare("V", (8, 8), dist=dist_type(":", "BLOCK"))
         g = np.arange(64, dtype=float).reshape(8, 8)
         v.from_global(g)
-        k = lower_line_sweep(engine, "V", 0, self.line_negate)
+        k = LineSweepKernel(engine.arrays["V"], 0, self.line_negate)
         stats = k.sweep()
         assert stats["remote_lines"] == 0
         assert machine.stats().messages == 0
@@ -114,7 +114,7 @@ class TestLineSweepKernel:
         v = engine.declare("V", (8, 8), dist=dist_type("BLOCK", ":"))
         g = np.arange(64, dtype=float).reshape(8, 8)
         v.from_global(g)
-        k = lower_line_sweep(engine, "V", 0, self.line_negate)
+        k = LineSweepKernel(engine.arrays["V"], 0, self.line_negate)
         stats = k.sweep()
         assert stats["remote_lines"] == 8
         # per line: 3 gathers + 3 scatters
@@ -129,7 +129,7 @@ class TestLineSweepKernel:
         v = engine.declare("V", (8, 4), dist=dist_type("BLOCK", ":"))
         g = np.random.default_rng(3).standard_normal((8, 4))
         v.from_global(g)
-        k = lower_line_sweep(engine, "V", 0, np.cumsum)
+        k = LineSweepKernel(engine.arrays["V"], 0, np.cumsum)
         k.sweep()
         assert np.allclose(v.to_global(), np.cumsum(g, axis=0))
 
@@ -138,7 +138,7 @@ class TestLineSweepKernel:
         engine = Engine(machine)
         engine.declare("V", (8, 8), dist=dist_type(":", "BLOCK"))
         with pytest.raises(ValueError):
-            lower_line_sweep(engine, "V", 2, self.line_negate)
+            LineSweepKernel(engine.arrays["V"], 2, self.line_negate)
 
     def test_sweep_along_dim1(self):
         machine = Machine(ProcessorArray("R", (4,)))
@@ -146,7 +146,7 @@ class TestLineSweepKernel:
         v = engine.declare("V", (8, 8), dist=dist_type("BLOCK", ":"))
         g = np.random.default_rng(4).standard_normal((8, 8))
         v.from_global(g)
-        k = lower_line_sweep(engine, "V", 1, np.cumsum)
+        k = LineSweepKernel(engine.arrays["V"], 1, np.cumsum)
         stats = k.sweep()
         assert stats["remote_lines"] == 0  # dim 1 is local here
         assert np.allclose(v.to_global(), np.cumsum(g, axis=1))
@@ -160,7 +160,7 @@ class TestVectorizedSweepPlans:
         engine = Engine(machine)
         u = engine.declare("U", (16, 16), dist=dist_type("BLOCK", ":"))
         u.from_global(np.zeros((16, 16)))
-        kernel = lower_stencil(engine, "U", (1, 1), smooth)
+        kernel = StencilKernel(engine.arrays["U"], (1, 1), smooth)
         assert kernel.plan_cache is engine.plan_cache
         kernel.step()
         s1 = engine.plan_cache.stats()
@@ -178,8 +178,8 @@ class TestVectorizedSweepPlans:
         engine = Engine(machine)
         v = engine.declare("V", (12, 6), dist=dist_type("BLOCK", ":"))
         v.from_global(np.linspace(0, 1, 72).reshape(12, 6))
-        kernel = lower_line_sweep(
-            engine, "V", 0, partial(thomas_const, a=-1.0, b=4.0)
+        kernel = LineSweepKernel(
+            engine.arrays["V"], 0, partial(thomas_const, a=-1.0, b=4.0)
         )
         kernel.sweep()
         assert engine.plan_cache.stats()["sweep_plans"] == 1
@@ -233,7 +233,7 @@ class TestVectorizedSweepPlans:
         v = engine.declare("V", (12, 8), dist=dist_type(":", "BLOCK"))
         g = np.random.default_rng(6).standard_normal((12, 8))
         v.from_global(g)
-        stats = lower_line_sweep(engine, "V", 0, line).sweep()
+        stats = LineSweepKernel(engine.arrays["V"], 0, line).sweep()
         assert shapes == [(8, 12)]
         assert stats == {"lines": 8, "remote_lines": 0}
         want = np.stack([thomas_const(col, -1.0, 4.0) for col in g.T]).T

@@ -6,8 +6,8 @@ from repro.backend.plan import oracle_matrix
 from repro.core.dimdist import Block, Replicated
 from repro.core.distribution import dist_type
 from repro.machine import Machine, ProcessorArray
-from repro.runtime.communication import shift_exchange
 from repro.runtime.engine import Engine
+from repro.runtime.overlap import OverlapManager
 from repro.runtime.redistribute import transfer_matrix
 
 
@@ -47,10 +47,12 @@ class TestBlockMWithRuntime:
         engine = Engine(machine)
         arr = engine.declare("A", (10,), dist=dist_type(Block(3)))
         arr.from_global(np.arange(10.0))
-        recv = shift_exchange(arr, 0)
+        ov = OverlapManager(arr, (1,))
+        ov.load_interior()
+        ov.exchange()
         # rank 3 owns only [9]; its lower neighbour is rank 2 ([6..8])
-        assert recv[3]["lo"][0] == 8.0
-        assert recv[2]["hi"][0] == 9.0
+        assert ov.padded(3)[0] == 8.0
+        assert ov.padded(2)[-1] == 9.0
 
     def test_block_m_redistribution(self):
         machine = Machine(ProcessorArray("R", (4,)))

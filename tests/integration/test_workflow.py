@@ -17,14 +17,7 @@ from repro.core.distribution import DistributionType, dist_type
 from repro.core.dynamic import DynamicAttr
 from repro.core.generators import get_generator
 from repro.lang.procedures import FormalArg, Procedure
-from repro.machine import (
-    Machine,
-    PARAGON,
-    ProcessorArray,
-    link_matrix,
-    per_processor_table,
-    summary,
-)
+from repro.machine import Machine, PARAGON, ProcessorArray
 from repro.runtime.engine import Engine
 
 
@@ -94,13 +87,7 @@ class TestWorkflow:
         )
         assert np.array_equal(work.to_global(), data)
 
-        # 5. reports reflect the session
-        s = summary(machine)
-        assert "4 processors" in s and "Paragon" in s
-        table = per_processor_table(machine)
-        assert len(table.splitlines()) == 6
-        lm = link_matrix(machine)
-        assert "src\\dst" in lm
+        # 5. the machine's counters reflect the session
         assert machine.stats().messages == len(machine.network.trace)
         # three distributions were installed after the initial one
         assert work.version == 3

@@ -93,30 +93,3 @@ class TestProgramProcedures:
         assert len(depth) == 2
         assert depth[0] != depth[1]
 
-
-class TestReports:
-    def test_per_processor_table(self):
-        from repro.machine import per_processor_table
-
-        prog = make()
-        v = prog.declare("REAL V(N) DYNAMIC, DIST (BLOCK)")
-        v.fill(1.0)
-        prog.distribute("V", "(CYCLIC)")
-        table = per_processor_table(prog.machine)
-        assert "rank" in table
-        assert len(table.splitlines()) == 2 + 4
-
-    def test_link_matrix(self):
-        from repro.machine import link_matrix
-
-        prog = make()
-        prog.machine.network.send(0, 1, 64)
-        m = link_matrix(prog.machine)
-        assert "64" in m
-
-    def test_summary(self):
-        from repro.machine import summary
-
-        prog = make()
-        s = summary(prog.machine)
-        assert "4 processors" in s

@@ -38,7 +38,7 @@ from repro.api import REGISTRY
 from repro.apps.tridiag import thomas_const
 from repro.backend import MultiprocessBackend, attached_backend
 from repro.backend.ops import op_local_kernel
-from repro.compiler.codegen import lower_line_sweep
+from repro.compiler.codegen import LineSweepKernel
 from repro.core.dimdist import Block, Cyclic, GenBlock, Replicated
 from repro.core.distribution import dist_type
 from repro.machine import Machine, PARAGON, ProcessorArray
@@ -312,7 +312,7 @@ def _sweep_kernel(sess, case):
         to=None if subs is None else procs.section(*subs),
     )
     arr.from_global(values)
-    return values, arr, lower_line_sweep(engine, "V", dim, LINE)
+    return values, arr, LineSweepKernel(arr, dim, LINE)
 
 
 def _sweep(sess, case, reference=False) -> dict:

@@ -2,7 +2,7 @@
 
 Invariants: gathers return exactly the requested global values
 regardless of distribution; message pairs aggregate per processor
-pair; scatter_add accumulates linearly.
+pair.
 """
 
 import numpy as np
@@ -78,22 +78,3 @@ def test_message_pairs_bounded(dnr):
         p: c for p, c in sched.nonlocal_counts().items() if c
     }
 
-
-@given(dist_and_requests())
-@settings(max_examples=60, deadline=None)
-def test_scatter_add_linear(dnr):
-    dtype, n, requests = dnr
-    machine = Machine(R)
-    engine = Engine(machine)
-    arr = engine.declare("X", (n,), dist=dtype, dynamic=True)
-    arr.fill(0.0)
-    insp = engine.inspector("X")
-    sched = insp.inspect(requests)
-    contributions = {
-        p: np.ones(len(idx), dtype=float) for p, idx in requests.items()
-    }
-    insp.scatter_add(sched, contributions)
-    expected = np.zeros(n)
-    for p, idx in requests.items():
-        np.add.at(expected, idx[:, 0], 1.0)
-    assert np.array_equal(arr.to_global(), expected)

@@ -1,17 +1,14 @@
-"""Tests for section-level communication routines (§3.2)."""
+"""Tests for the halo shift (§3.2): :func:`post_shift` accounts one
+boundary shift, :meth:`OverlapManager.place_halos` places its slabs."""
 
 import numpy as np
 import pytest
 
 from repro.core.distribution import dist_type
 from repro.machine import IPSC860, Machine, ProcessorArray
-from repro.runtime.communication import (
-    broadcast_from,
-    gather_to,
-    reduce_scalar,
-    shift_exchange,
-)
+from repro.runtime.communication import post_shift
 from repro.runtime.engine import Engine
+from repro.runtime.overlap import OverlapManager
 
 
 def make_1d(n=16, procs=4, dist=None):
@@ -33,18 +30,19 @@ def make_cols(n=8, procs=4):
 class TestShiftExchange:
     def test_1d_neighbors_get_boundary_values(self):
         machine, arr = make_1d()
-        recv = shift_exchange(arr, dim=0, width=1)
+        ov = OverlapManager(arr, (1,), boundary=-1.0)
+        ov.load_interior()
+        ov.exchange()
         # proc 1 owns [4..7]; its 'lo' ghost is element 3, 'hi' is 8
-        assert recv[1]["lo"][0] == 3.0
-        assert recv[1]["hi"][0] == 8.0
+        assert list(ov.padded(1)) == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
         # edge processors have one-sided halos
-        assert "lo" not in recv[0]
-        assert "hi" not in recv[3]
+        assert ov.padded(0)[0] == -1.0
+        assert ov.padded(3)[-1] == -1.0
 
     def test_message_count_interior_two_per_proc(self):
         machine, arr = make_1d()
         before = machine.stats().messages
-        shift_exchange(arr, dim=0)
+        post_shift(arr, dim=0)
         # 3 boundaries x 2 directions
         assert machine.stats().messages - before == 6
 
@@ -52,94 +50,35 @@ class TestShiftExchange:
         """The §4 claim: column distribution sends messages of size N."""
         machine, arr = make_cols(n=8)
         before = machine.stats().bytes
-        shift_exchange(arr, dim=1)
+        post_shift(arr, dim=1)
         nbytes = machine.stats().bytes - before
         assert nbytes == 6 * 8 * 8  # 6 messages x N elements x 8 bytes
 
     def test_width_two(self):
         machine, arr = make_1d()
-        recv = shift_exchange(arr, dim=0, width=2)
-        assert list(recv[1]["lo"]) == [2.0, 3.0]
-        assert list(recv[1]["hi"]) == [8.0, 9.0]
+        ov = OverlapManager(arr, (2,))
+        ov.place_halos(0, post_shift(arr, dim=0, width=2))
+        assert list(ov.padded(1)[:2]) == [2.0, 3.0]
+        assert list(ov.padded(1)[-2:]) == [8.0, 9.0]
 
     def test_width_validation(self):
         _, arr = make_1d()
         with pytest.raises(ValueError):
-            shift_exchange(arr, dim=0, width=0)
+            post_shift(arr, dim=0, width=0)
 
     def test_noncontiguous_rejected(self):
         from repro.core.dimdist import Cyclic
 
         machine, arr = make_1d(dist=dist_type(Cyclic(1)))
         with pytest.raises(ValueError, match="contiguously"):
-            shift_exchange(arr, dim=0)
+            post_shift(arr, dim=0)
 
     def test_2d_block_exchanges_both_dims(self):
         machine = Machine(ProcessorArray("R", (2, 2)), cost_model=IPSC860)
         engine = Engine(machine)
         arr = engine.declare("A", (8, 8), dist=dist_type("BLOCK", "BLOCK"))
         arr.from_global(np.arange(64, dtype=float).reshape(8, 8))
-        r0 = shift_exchange(arr, dim=0)
-        r1 = shift_exchange(arr, dim=1)
         # every processor has exactly one neighbour per dimension
-        for rank in range(4):
-            assert len(r0[rank]) == 1
-            assert len(r1[rank]) == 1
-
-
-class TestGatherBroadcast:
-    def test_gather_collects_and_counts(self):
-        machine, arr = make_1d()
-        before = machine.stats()
-        g = gather_to(arr, root=0)
-        assert np.array_equal(g, np.arange(16.0))
-        diff = machine.stats() - before
-        assert diff.messages == 3  # every non-root owner sends once
-        assert diff.bytes == 3 * 4 * 8
-
-    def test_broadcast_scatters(self):
-        machine, arr = make_1d()
-        vals = np.linspace(0, 1, 16)
-        before = machine.stats().messages
-        broadcast_from(arr, vals, root=2)
-        assert np.allclose(arr.to_global(), vals)
-        assert machine.stats().messages - before == 3
-
-
-class TestReduce:
-    def test_flat_reduce(self):
-        machine = Machine(ProcessorArray("R", (4,)), cost_model=IPSC860)
-        total = reduce_scalar(
-            machine, {r: float(r + 1) for r in range(4)}, tree=False
-        )
-        assert total == 10.0
-        assert machine.stats().messages == 3
-
-    def test_tree_reduce_same_value(self):
-        machine = Machine(ProcessorArray("R", (8,)), cost_model=IPSC860)
-        total = reduce_scalar(
-            machine, {r: float(r) for r in range(8)}, tree=True
-        )
-        assert total == sum(range(8))
-        assert machine.stats().messages == 7
-
-    def test_tree_faster_than_flat(self):
-        """Tree reduction has log depth: less modeled time at scale."""
-        vals = {r: 1.0 for r in range(16)}
-        m_flat = Machine(ProcessorArray("R", (16,)), cost_model=IPSC860)
-        reduce_scalar(m_flat, dict(vals), tree=False)
-        m_tree = Machine(ProcessorArray("R", (16,)), cost_model=IPSC860)
-        reduce_scalar(m_tree, dict(vals), tree=True)
-        assert m_tree.time < m_flat.time
-
-    def test_custom_op(self):
-        machine = Machine(ProcessorArray("R", (3,)))
-        result = reduce_scalar(
-            machine, {0: 5.0, 1: 9.0, 2: 2.0}, op=max, tree=True
-        )
-        assert result == 9.0
-
-    def test_root_must_contribute(self):
-        machine = Machine(ProcessorArray("R", (3,)))
-        with pytest.raises(ValueError):
-            reduce_scalar(machine, {1: 1.0, 2: 2.0}, root=0)
+        for dim in (0, 1):
+            receivers = [dst for _, dst, *_ in post_shift(arr, dim=dim)]
+            assert sorted(receivers) == [0, 1, 2, 3]

@@ -141,20 +141,6 @@ class TestSPMDAccess:
         assert a.read_remote(3, (2, 2)) == 3.0
         assert m.stats().messages == 0
 
-    def test_write_owner_remote(self):
-        m, _, a = make()
-        owner = a.dist.owner((0, 0))
-        writer = (owner + 2) % 4
-        a.write_owner(writer, (0, 0), 9.0)
-        assert a.get((0, 0)) == 9.0
-        assert m.stats().messages == 1
-
-    def test_write_owner_local_free(self):
-        m, _, a = make()
-        owner = a.dist.owner((5, 0))
-        a.write_owner(owner, (5, 0), 4.0)
-        assert m.stats().messages == 0
-
 
 class TestMisc:
     def test_fill(self):

@@ -7,7 +7,7 @@ from repro.core.dimdist import Block, Cyclic, GenBlock, Replicated
 from repro.core.distribution import dist_type
 from repro.core.dynamic import DynamicAttr
 from repro.machine import Machine, MemoryError_, PARAGON, ProcessorArray
-from repro.runtime.communication import reduce_scalar, shift_exchange
+from repro.runtime.communication import post_shift
 from repro.runtime.engine import Engine
 from repro.runtime.redistribute import communicate
 
@@ -83,9 +83,8 @@ class TestDegenerateSizes:
         arr = engine.declare(
             "A", (3,), dist=dist_type(GenBlock([3, 0, 0, 0])), dynamic=True
         )
-        recv = shift_exchange(arr, 0)
+        assert post_shift(arr, 0) == []
         assert machine.stats().messages == 0
-        assert recv[0] == {}
 
 
 class TestMemoryCapacity:
@@ -102,20 +101,6 @@ class TestMemoryCapacity:
         engine.declare("A", (16,), dist=dist_type("BLOCK"))
         with pytest.raises(MemoryError_):
             engine.declare("B", (16,), dist=dist_type("BLOCK"))
-
-
-class TestReduceEdge:
-    def test_single_processor(self):
-        machine = Machine(ProcessorArray("R", (1,)))
-        assert reduce_scalar(machine, {0: 42.0}) == 42.0
-        assert machine.stats().messages == 0
-
-    def test_nonzero_root(self):
-        machine = Machine(ProcessorArray("R", (4,)))
-        total = reduce_scalar(
-            machine, {r: 1.0 for r in range(4)}, root=2, tree=True
-        )
-        assert total == 4.0
 
 
 class TestDynamicLifecycle:

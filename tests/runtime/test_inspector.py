@@ -101,29 +101,3 @@ class TestGather:
         vals = insp.gather(sched)
         assert vals[0][0] == 120.0
 
-
-class TestScatterAdd:
-    def test_accumulation(self):
-        _, engine, arr = make()
-        arr.fill(0.0)
-        insp = engine.inspector("X")
-        sched = insp.inspect({0: np.array([3, 3, 12]), 1: np.array([3])})
-        insp.scatter_add(sched, {0: np.array([1.0, 2.0, 5.0]), 1: np.array([4.0])})
-        assert arr.get((3,)) == 7.0
-        assert arr.get((12,)) == 5.0
-
-    def test_reverse_message_direction(self):
-        machine, engine, arr = make()
-        insp = engine.inspector("X")
-        sched = insp.inspect({0: np.array([12])})
-        machine.reset_network()
-        insp.scatter_add(sched, {0: np.array([1.0])})
-        # data flows requester 0 -> owner 3
-        assert machine.network.link_bytes() == {(0, 3): 8}
-
-    def test_length_mismatch_rejected(self):
-        _, engine, arr = make()
-        insp = engine.inspector("X")
-        sched = insp.inspect({0: np.array([1, 2])})
-        with pytest.raises(ValueError):
-            insp.scatter_add(sched, {0: np.array([1.0])})

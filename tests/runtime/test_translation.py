@@ -39,12 +39,6 @@ class TestDimTranslationTable:
         with pytest.raises(ValueError):
             t.owner[0] = 3
 
-    def test_lookup_cost_bounded_by_pages(self):
-        t = DimTranslationTable(Block(), 10_000, 4)
-        assert t.lookup_cost(3, page_size=1024) == 3
-        assert t.lookup_cost(100, page_size=1024) == 10  # page bound
-        assert t.lookup_cost(0) == 0
-
     def test_nbytes(self):
         t = DimTranslationTable(Block(), 100, 4)
         assert t.nbytes == 100 * 8 * 2

@@ -148,6 +148,43 @@ class TestDegradationLadder:
             assert svc.breaker_stats()["/run"]["state"] == CLOSED
 
 
+    def test_straggler_client_error_keeps_the_probe_slot(self):
+        """A request admitted while the route was closed that ends in a
+        4xx after the breaker reopened and a probe went out holds no
+        slot: its release must not admit a second probe."""
+        svc = PlanningService(
+            breaker_threshold=1, breaker_cooldown=0.05,
+            get_retries=0, observability=False,
+        )
+        stage = _HeldStage(hold=(0, 1), errors={0: ValueError("bad size")})
+        target = "/run?workload=adi&size=12"
+        with svc:
+            straggler = threading.Thread(
+                target=svc.dispatch, args=("GET", target))
+            probe = threading.Thread(target=svc.dispatch, args=("GET", target))
+            try:
+                svc._stage = stage
+                straggler.start()
+                assert stage.entered[0].wait(10.0)  # admitted while closed
+                svc._stage = _a_bug
+                assert svc.dispatch("GET", target).status == 500
+                assert svc.breaker_stats()["/run"]["state"] == OPEN
+                time.sleep(0.06)
+                svc._stage = stage
+                probe.start()
+                assert stage.entered[1].wait(10.0)  # the probe is in flight
+                stage.gates[0].set()
+                straggler.join(10.0)  # it ended in a 4xx
+                shed = svc.dispatch("GET", target)
+                assert shed.status == 503
+                assert "circuit open" in shed.json["error"]
+                assert stage.calls == 2
+            finally:
+                stage.open_all()
+            probe.join(10.0)
+            assert svc.breaker_stats()["/run"]["state"] == CLOSED
+
+
 class TestPoolEviction:
     def test_poisoned_session_is_evicted_not_restacked(self):
         pool = SessionPool(max_idle=4)
@@ -229,6 +266,50 @@ class TestHttpFrontEnd:
                 assert len(calls) == 2
             finally:
                 gate.set()
+
+    def test_straggler_past_its_deadline_keeps_the_probe_slot(self):
+        """A request admitted while the route was closed whose deadline
+        passes after the breaker reopened and a probe went out holds no
+        slot: abandoning it must not admit a second probe."""
+        svc = PlanningService(
+            breaker_threshold=1, breaker_cooldown=0.05,
+            get_retries=0, observability=False,
+        )
+        stage = _HeldStage(hold=(0, 1))
+        target = "/run?workload=adi&size=12"
+        late = []
+
+        def straggle():
+            try:
+                _get(f"{url}{target}")
+            except urllib.error.HTTPError as exc:
+                late.append(exc.code)
+
+        with svc, ServerThread(svc, request_deadline=0.5) as url:
+            probe = threading.Thread(target=svc.dispatch, args=("GET", target))
+            try:
+                svc._stage = stage
+                straggler = threading.Thread(target=straggle)
+                straggler.start()
+                assert stage.entered[0].wait(10.0)  # admitted while closed
+                svc._stage = _a_bug
+                assert svc.dispatch("GET", target).status == 500
+                assert svc.breaker_stats()["/run"]["state"] == OPEN
+                time.sleep(0.06)
+                svc._stage = stage
+                probe.start()
+                assert stage.entered[1].wait(10.0)  # the probe is in flight
+                straggler.join(10.0)
+                assert late == [503]  # its deadline passed: abandoned
+                with pytest.raises(urllib.error.HTTPError) as info:
+                    _get(f"{url}{target}")
+                assert info.value.code == 503
+                assert "circuit open" in json.loads(info.value.read())["error"]
+                assert stage.calls == 2
+            finally:
+                stage.open_all()
+            probe.join(10.0)
+        assert svc.breaker_stats()["/run"]["state"] == CLOSED
 
     def test_injected_request_faults_delay_error_drop(self):
         plan = FaultPlan([
@@ -344,3 +425,29 @@ def _a_bug(endpoint, params):
 
 def _must_not_be_called(endpoint, params):  # pragma: no cover - guard
     raise AssertionError("stage reached while the circuit was open")
+
+
+class _HeldStage:
+    """A stand-in stage: the calls numbered in ``hold`` wait for their
+    gate; call ``i`` then raises ``errors[i]`` or answers 200."""
+
+    def __init__(self, hold=(), errors=None):
+        self.calls = 0
+        self.entered = {i: threading.Event() for i in hold}
+        self.gates = {i: threading.Event() for i in hold}
+        self.errors = errors or {}
+        self._lock = threading.Lock()
+
+    def __call__(self, endpoint, admitted):
+        with self._lock:
+            i, self.calls = self.calls, self.calls + 1
+        if i in self.gates:
+            self.entered[i].set()
+            self.gates[i].wait(10.0)
+        if i in self.errors:
+            raise self.errors[i]
+        return ServeResponse(200, "{}")
+
+    def open_all(self):
+        for gate in self.gates.values():
+            gate.set()

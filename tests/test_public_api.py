@@ -27,76 +27,52 @@ SUBPACKAGES = [
 # subpackage's star-export.  Regenerate with
 #   python -c "import repro; print('\n'.join(sorted(repro.__all__)))"
 EXPORT_SNAPSHOT = sorted([
-    "ALWAYS", "ANY", "AccessKind", "AdaptResult", "AdaptiveController",
-    "Aligned", "Alignment",
-    "AllocationRecord", "AnalysisResult", "ArrayDescriptor", "ArrayLoad",
-    "ArrayRef", "Assign", "Attribution", "AxisMap", "BUSY_KINDS", "Backend",
-    "BackendError", "BatchedReadAccessor", "BenchResult", "Block",
-    "BlockMeta", "BlockingReplay", "CFG", "CFGEdge", "CFGNode",
-    "Calibration", "Call", "CircuitBreaker", "CommEstimate", "CommSchedule",
-    "ConnectClass",
-    "Connection", "CostEngine", "CostModel", "CriticalPath", "Cyclic",
-    "DCase", "DCaseStmt", "DEFAULT", "DEFAULT_SEED", "Declaration",
-    "DimDist", "DimTranslationTable", "DistributeStmt", "DistributedArray",
-    "Distribution", "DistributionGenerator", "DistributionType",
-    "DistributionUndefinedError", "DynamicAttr", "Engine", "Event",
-    "EventArrays", "EventKind", "EventLog", "Extraction", "FaultPlan",
-    "FleetSupervisor", "FormalArg",
-    "GenBlock", "HandDistribute", "IPSC860", "IRProgram", "If",
-    "IndexDomain", "Indirect", "Inspector", "Interval", "LineSweepKernel",
-    "LoadMonitor", "LocalMemory", "Loop", "MAYBE", "MODERN_CLUSTER",
-    "Machine",
-    "MeasuredMachine", "MemoryError_", "MemoryEstimate", "MessageRecord",
-    "MetricsRegistry",
-    "MultiprocessBackend", "NEVER", "Network", "NetworkStats", "NoDist",
-    "OptimizeStats", "OverlapManager", "PARAGON", "PRESETS", "Phase",
-    "PhaseSequence", "Plan", "PlanCache", "PlanExecutor", "PlanResult",
-    "PlanningService",
-    "PlausibleSet", "PolicyLibrary", "ProcClock", "ProcDef", "Procedure", "ProcessorArray",
+    "ALWAYS", "ANY", "AccessKind", "AdaptiveController", "Aligned",
+    "Alignment", "ArrayDescriptor", "ArrayLoad", "ArrayRef", "Assign",
+    "Attribution", "AxisMap", "Backend", "BackendError", "BenchResult",
+    "Block", "CFG", "Calibration", "Call", "CircuitBreaker", "CommEstimate",
+    "ConnectClass", "Connection", "CostEngine", "CostModel", "Cyclic", "DCase",
+    "DCaseStmt", "DEFAULT", "DEFAULT_SEED", "DimTranslationTable",
+    "DistributeStmt", "DistributedArray", "Distribution",
+    "DistributionGenerator", "DistributionType", "DistributionUndefinedError",
+    "DynamicAttr", "Engine", "Event", "EventArrays", "EventKind", "EventLog",
+    "Extraction", "FaultPlan", "FleetSupervisor", "FormalArg", "GenBlock",
+    "IPSC860", "IRProgram", "If", "IndexDomain", "Indirect", "Inspector",
+    "LineSweepKernel", "LoadMonitor", "LocalMemory", "Loop", "MAYBE",
+    "MODERN_CLUSTER", "Machine", "MeasuredMachine", "MemoryError_",
+    "MetricsRegistry", "MultiprocessBackend", "NEVER", "Network", "NoDist",
+    "OverlapManager", "PARAGON", "PRESETS", "Phase", "PlanCache",
+    "PlanExecutor", "PlanResult", "PlanningService", "PlausibleSet",
+    "PolicyLibrary", "ProcClock", "ProcDef", "Procedure", "ProcessorArray",
     "ProcessorSection", "QueryList", "Range", "ReachingDistributions",
     "ReadAccessor", "RedistributionReport", "Replicated", "RunResult",
-    "SBlock", "ScheduleStep", "Scope", "SerialBackend", "Session",
-    "SessionClosedError",
-    "SessionConfig", "SessionResult", "SharedSegmentAllocator",
-    "SimulatedCostEngine", "StencilKernel", "Stmt", "TOP", "Timeline",
-    "TraceResult", "TrajectoryStore",
-    "TranslationTable", "Transport", "TransportBroken", "TransportTimeout",
-    "TypePattern", "VFProgram", "VFSyntaxError", "Wild",
-    "Workload", "WorkloadHandle", "WorkloadRegistry", "WorkloadSpec",
-    "ZERO_COST", "__version__", "adapt", "adi_workload", "analyze", "api", "apps",
-    "attached_backend", "attribution",
-    "available_workloads", "backend", "bind_pattern",
-    "broadcast_from", "build_cfg", "calibrate", "classify_tag",
-    "clear_interning_caches", "communicate", "compare_reports",
-    "compiler", "config_fingerprint", "construct",
-    "critical_path", "decide_pattern", "decide_querylist",
-    "dim_implies", "dim_menu", "dim_overlaps",
-    "dist_type", "dp_schedule", "dump_json", "enumerate_layouts",
-    "estimate_memory", "estimate_ref", "extract_phases", "faults",
-    "fit_alpha_beta",
-    "flight_recorder",
-    "forall", "forall_batched", "gantt", "gather_to",
-    "get_generator", "get_request_id", "get_trace_id",
-    "greedy_schedule", "grid_shapes",
+    "SBlock", "SerialBackend", "Session", "SessionClosedError",
+    "SessionConfig", "SimulatedCostEngine", "StencilKernel", "TOP", "Timeline",
+    "TraceResult", "TrajectoryStore", "TranslationTable", "Transport",
+    "TransportBroken", "TransportTimeout", "TypePattern", "VFProgram",
+    "VFSyntaxError", "Wild", "Workload", "WorkloadHandle", "WorkloadRegistry",
+    "WorkloadSpec", "ZERO_COST", "__version__", "adapt", "adi_workload",
+    "analyze", "api", "apps", "attached_backend", "attribution",
+    "available_workloads", "backend", "bind_pattern", "build_cfg", "calibrate",
+    "classify_tag", "clear_interning_caches", "communicate", "compare_reports",
+    "compiler", "construct", "critical_path", "decide_pattern",
+    "decide_querylist", "dim_implies", "dim_menu", "dim_overlaps", "dist_type",
+    "dp_schedule", "dump_json", "enumerate_layouts", "estimate_memory",
+    "estimate_ref", "extract_phases", "faults", "fit_alpha_beta",
+    "flight_recorder", "forall", "forall_batched", "gantt", "get_generator",
+    "get_request_id", "get_trace_id", "greedy_schedule", "grid_shapes",
     "hand_schedule_cost", "idt", "infer_overlap", "intern_dimdist",
-    "intern_distribution", "lang", "link_matrix", "lower_line_sweep",
-    "lower_stencil", "measured_machine", "metrics_registry", "obs",
-    "optimize", "overlappable_phases",
-    "owners_cache_stats", "parse_alignment", "parse_declaration",
-    "parse_dist_expr", "parse_pattern", "parse_processors",
-    "parse_program", "parse_section", "pattern_implies",
-    "pattern_overlaps", "per_processor_table", "perf", "pic_workload",
-    "plan_array", "plan_program", "plan_workload", "planner", "record",
-    "reduce_scalar", "refine_pattern", "register_generator",
-    "run_adapt_bench",
-    "register_workload", "relaxed_barriers", "replay_blocking",
-    "replay_split_exchange", "run_loadtest",
-    "serve",
-    "session", "shift_exchange", "shift_plan", "sim", "simulate",
-    "smoothing_workload", "span", "summary", "timeline_summary",
-    "timeline_table",
-    "to_chrome_trace", "to_json", "transfer_matrix",
-    "transfer_plan",
+    "intern_distribution", "lang", "metrics_registry", "obs", "optimize",
+    "overlappable_phases", "owners_cache_stats", "parse_alignment",
+    "parse_declaration", "parse_dist_expr", "parse_pattern",
+    "parse_processors", "parse_program", "parse_section", "pattern_implies",
+    "pattern_overlaps", "perf", "pic_workload", "plan_array", "plan_program",
+    "plan_workload", "planner", "record", "refine_pattern",
+    "register_generator", "register_workload", "relaxed_barriers",
+    "replay_blocking", "replay_split_exchange", "run_adapt_bench",
+    "run_loadtest", "serve", "session", "shift_plan", "sim", "simulate",
+    "smoothing_workload", "span", "timeline_summary", "timeline_table",
+    "to_chrome_trace", "to_json", "transfer_matrix", "transfer_plan",
 ])
 
 
@@ -204,12 +180,14 @@ def test_serve_reexported_from_root():
     assert repro.PlanningService is repro.serve.PlanningService
     assert repro.run_loadtest is repro.serve.run_loadtest
     assert repro.SessionClosedError is repro.api.SessionClosedError
-    assert repro.config_fingerprint is repro.api.config_fingerprint
+    # the cache key's helper stays in its subpackage only
+    assert callable(repro.api.config_fingerprint)
+    assert "config_fingerprint" not in repro.__all__
 
     ns: dict = {}
     exec("from repro import *", ns)  # noqa: S102
     for required in ("PlanningService", "run_loadtest",
-                     "SessionClosedError", "config_fingerprint"):
+                     "SessionClosedError"):
         assert required in ns
 
 
